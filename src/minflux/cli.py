@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,8 +62,11 @@ class RunConfig:
 
     def validate(self):
         for name in ("tol_flux", "tol_period"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"run.{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"run.{name} must be finite and positive")
+        if len(self.mesh) != 2 or min(self.mesh) < 2:
+            raise ConfigError("run.mesh must give two sizes, each at least 2")
         if self.t_samples < 2:
             raise ConfigError("run.t_samples must be at least 2")
         if not (0 < self.r_inner < self.r_outer):

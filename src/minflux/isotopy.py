@@ -24,11 +24,15 @@ from . import weierstrass as wz
 from .errors import FlatInput, NotOnQuadric, RootNotFound
 from .loops import PeriodicPath
 from .riemann import LaurentMap
-from .weierstrass import LaurentSeries, MinimalImmersion, WeierstrassData
+from .weierstrass import (
+    TOL_PERIOD,
+    LaurentSeries,
+    MinimalImmersion,
+    WeierstrassData,
+)
 
 #: Default tolerances of the drivers.
 TOL_FLUX = 1e-8
-TOL_PERIOD = 1e-9
 TOL_NULL = 1e-10
 
 #: Default number of deformation time samples.
@@ -191,14 +195,34 @@ def _shift_series(series, index, delta):
 _PIN_INDICES = (-1, 0, 1)
 
 
+def _pin_jacobian(ext):
+    """Exact (3, 6) Jacobian of the extension period in the pinned coefficients.
+
+    With n = -parity the period is (A - B, i (A + B), 2 C) for the z^n
+    coefficients A, B, C of a^2, b^2 and a b, divided by scale^parity.
+    Columns are the a coefficients at _PIN_INDICES, then the b ones; the
+    derivative in the z^idx coefficient reads the z^(n - idx) ones.
+    """
+    n = -ext.parity
+    fac = 2.0 / ext.scale**ext.parity
+    J = np.empty((3, 2 * len(_PIN_INDICES)), dtype=complex)
+    for col, idx in enumerate(_PIN_INDICES):
+        a = ext.a.coefficient(n - idx)
+        b = ext.b.coefficient(n - idx)
+        J[:, col] = fac * np.array([a, 1j * a, b])
+        J[:, col + len(_PIN_INDICES)] = fac * np.array([-b, 1j * b, a])
+    return J
+
+
 def _pin_extension(values, domain, theta, target, tol, max_iter=8):
     """Extend the loop and pin its exact coefficient period to the target.
 
     The truncated extension's period misses the loop period by the
     truncation tail; a least-norm Newton on a few low-order spinor
     coefficients removes the mismatch exactly.  The period is a quadratic
-    polynomial in those coefficients, so two iterations suffice.  Returns
-    (extension, coefficient adjustment size, residual).
+    polynomial in those coefficients, with the exact Jacobian of
+    _pin_jacobian, so two iterations suffice.  Returns (extension,
+    coefficient adjustment size, residual).
     """
     base = rm.runge_extend(PeriodicPath(values), domain)
 
@@ -210,27 +234,19 @@ def _pin_extension(values, domain, theta, target, tol, max_iter=8):
         return LaurentMap(a, b, center=base.center, parity=base.parity,
                           scale=base.scale, meta=dict(base.meta))
 
-    m = 2 * len(_PIN_INDICES)
-    delta = np.zeros(m, dtype=complex)
-    res = _extension_period(build(delta), theta) - target
-    h = 1e-7
+    delta = np.zeros(2 * len(_PIN_INDICES), dtype=complex)
+    ext = build(delta)
+    res = _extension_period(ext, theta) - target
     for _ in range(max_iter):
         if float(np.linalg.norm(res)) <= tol:
             break
-        J = np.empty((3, m), dtype=complex)
-        for col in range(m):
-            dd = np.zeros(m, dtype=complex)
-            dd[col] = h
-            plus = _extension_period(build(delta + dd), theta)
-            minus = _extension_period(build(delta - dd), theta)
-            J[:, col] = (plus - minus) / (2.0 * h)
-        step = np.linalg.lstsq(J, -res, rcond=None)[0]
+        step = np.linalg.lstsq(_pin_jacobian(ext), -res, rcond=None)[0]
         delta = delta + step
-        res = _extension_period(build(delta), theta) - target
+        ext = build(delta)
+        res = _extension_period(ext, theta) - target
     r = float(np.linalg.norm(res))
     if r > tol:
         raise RootNotFound(f"period correction stalled at residual {r:.3g}")
-    ext = build(delta)
     size = float(np.max(np.abs(delta)))
     ext.meta["pin_adjustment"] = size
     ext.meta["sup_error"] = ext.meta.get("sup_error", 0.0) + 4.0 * size
@@ -423,7 +439,8 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         grid = data.grid(n_r=n_r, n_th=n_th)
         fv = data.f(grid)
         max_conf = max(max_conf, wz.conformality_residual(fv))
-        min_den = min(min_den, float(wz.metric_density(data, grid).min()))
+        ft = fv * data.theta_over_dz(grid)[..., None]
+        min_den = min(min_den, float(wz.density_from_f_theta(ft).min()))
         flat_flags.append(bool(wz.is_flat(fv)[0]))
         loop = restrict_data(data, family.chart, n=n_loop)
         per = lp.period(loop)

@@ -36,9 +36,6 @@ N_T_DEFAULT = 64
 #: Relative tolerance for the pointwise conformal-pair invariants.
 TOL_CONF = 1e-10
 
-#: Tolerance on period integrals.
-TOL_PERIOD = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # periodic paths
@@ -715,6 +712,24 @@ def _newton_root_ln(fun, q0, tol=1e-13, max_iter=80, fd=1e-7):
 _FLOW_SEQ = ("rotation_12", "rotation_13", "rotation_23", "scaling")
 
 
+def _plane(kind):
+    """Component indices (i, j) rotated by a rotation_ij flow."""
+    return int(kind[-2]) - 1, int(kind[-1]) - 1
+
+
+def _act(out, kind, t):
+    """Apply one flow with parameter samples t (N,) in place to out (N, 3, ...)."""
+    t = t.reshape(t.shape + (1,) * (out.ndim - 2))
+    if kind == "scaling":
+        out[...] = np.exp(t)[:, None] * out
+    else:
+        i, j = _plane(kind)
+        c, s = np.cos(t), np.sin(t)
+        zi, zj = out[:, i].copy(), out[:, j].copy()
+        out[:, i] = c * zi - s * zj
+        out[:, j] = s * zi + c * zj
+
+
 def _flow_deform(values, controls, w):
     """Apply bump-profiled quadric flows pointwise to loop samples.
 
@@ -724,16 +739,33 @@ def _flow_deform(values, controls, w):
     """
     out = np.asarray(values, dtype=complex).copy()
     for (kind, prof), wj in zip(controls, w):
-        t = wj * prof  # (N,) complex
-        if kind == "scaling":
-            out = np.exp(t)[:, None] * out
-        else:
-            i, j = int(kind[-2]) - 1, int(kind[-1]) - 1
-            c, s = np.cos(t), np.sin(t)
-            zi, zj = out[:, i].copy(), out[:, j].copy()
-            out[:, i] = c * zi - s * zj
-            out[:, j] = s * zi + c * zj
+        _act(out, kind, wj * prof)
     return out
+
+
+def _flow_jacobian(values, controls, w):
+    """Exact complex Jacobian (3, m) of the period of _flow_deform in w.
+
+    One sweep composes the flows and carries one tangent per control: at
+    control k the new tangent is prof_k * G_k * out_k, with G_k the plane
+    rotation generator or the identity (scaling), and every later control
+    acts on the earlier tangents as it acts on the loop.  The sample means
+    of the tangents are the columns.
+    """
+    v = np.asarray(values, dtype=complex)
+    # state[..., 0] is the deformed loop, state[..., k + 1] tangent k
+    state = np.zeros(v.shape + (len(controls) + 1,), dtype=complex)
+    state[..., 0] = v
+    for k, ((kind, prof), wk) in enumerate(zip(controls, w)):
+        _act(state[..., : k + 1], kind, wk * prof)
+        loop = state[..., 0]
+        if kind == "scaling":
+            state[..., k + 1] = prof[:, None] * loop
+        else:
+            i, j = _plane(kind)
+            state[:, i, k + 1] = -prof * loop[:, j]
+            state[:, j, k + 1] = prof * loop[:, i]
+    return state[..., 1:].mean(axis=0)
 
 
 def _default_controls(n, fixed, rng, n_centers=3, halfwidth=0.11):
@@ -763,7 +795,8 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
     """Solve for flow coefficients tracking a ramp of loop periods.
 
     targets: (n_t, 3) complex required periods, with targets[0] equal to the
-    period of sigma0.  Returns the list of deformed sample arrays and the
+    period of sigma0.  Newton steps use the exact period Jacobian of
+    _flow_jacobian.  Returns the list of deformed sample arrays and the
     coefficient path.  Raises NonflatViolated via callers on demand; raises
     RootNotFound when Newton stalls even after sub-stepping.
     """
@@ -778,13 +811,7 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
         return _flow_deform(v0, controls, wv).mean(axis=0)
 
     def jac(wv):
-        J = np.empty((3, m), dtype=complex)
-        h = 1e-6
-        for j in range(m):
-            dw = np.zeros(m, dtype=complex)
-            dw[j] = h
-            J[:, j] = (per(wv + dw) - per(wv - dw)) / (2.0 * h)
-        return J
+        return _flow_jacobian(v0, controls, wv)
 
     def recenter(wv, target, rounds=6):
         # pull the coefficients toward the minimal-norm solution of

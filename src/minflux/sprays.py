@@ -22,6 +22,7 @@ from .errors import (
     ThirdComponentVanishes,
 )
 from .loops import PeriodicPath, Segment, nondegenerate_on, raised_cosine
+from .weierstrass import TOL_PERIOD
 
 #: Trust radius of the control ball.
 RADIUS_W = 0.5
@@ -34,9 +35,6 @@ BUMP_WIDTH = 0.05
 
 #: Smallest acceptable singular value of the period Jacobian.
 SIGMA_MIN = 1e-4
-
-#: Tolerance on period residuals in the continuation.
-TOL_PERIOD = 1e-9
 
 
 def _as_family(sigma_t):
@@ -127,8 +125,8 @@ class LoopSpray:
         return np.stack([v.mean(axis=0) for v in self.deform(t_index, w)])
 
 
-def period_jacobian(spray, t_index, h_fd=H_FD):
-    """Central finite-difference Jacobian of the periods at w = 0.
+def period_jacobian(spray, t_index, w=0, h_fd=H_FD):
+    """Central finite-difference Jacobian of the periods at the controls w.
 
     Rows are the period components per curve (all three, or the first two
     for fixed-third sprays); columns are the complex controls.
@@ -139,8 +137,8 @@ def period_jacobian(spray, t_index, h_fd=H_FD):
     for col in range(m):
         dw = np.zeros(m, dtype=complex)
         dw[col] = h_fd
-        plus = spray.periods(t_index, dw)[:, :rows].ravel()
-        minus = spray.periods(t_index, -dw)[:, :rows].ravel()
+        plus = spray.periods(t_index, w + dw)[:, :rows].ravel()
+        minus = spray.periods(t_index, w - dw)[:, :rows].ravel()
         J[:, col] = (plus - minus) / (2.0 * h_fd)
     return J
 
@@ -253,16 +251,6 @@ def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30, tikhonov=1e-12):
     def residual(k, w):
         return (spray.periods(k, w)[:, :rows] - tv[k, :, :rows]).ravel()
 
-    def jac(k, w):
-        J = np.empty((rows * spray.n_curves, m), dtype=complex)
-        for col in range(m):
-            dw = np.zeros(m, dtype=complex)
-            dw[col] = H_FD
-            plus = spray.periods(k, w + dw)[:, :rows].ravel()
-            minus = spray.periods(k, w - dw)[:, :rows].ravel()
-            J[:, col] = (plus - minus) / (2.0 * H_FD)
-        return J
-
     def solve_step(k, target_res_w, depth):
         w = target_res_w.copy()
         f = residual(k, w)
@@ -270,7 +258,7 @@ def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30, tikhonov=1e-12):
             r = float(np.linalg.norm(f))
             if r < tol:
                 return w
-            J = jac(k, w)
+            J = period_jacobian(spray, k, w)
             A = J.conj().T @ J + tikhonov * np.eye(m)
             step = -np.linalg.solve(A, J.conj().T @ f)
             cap = 0.25 * spray.radius_w

@@ -23,7 +23,8 @@ from .errors import (
     UnknownName,
 )
 
-#: Tolerance on vanishing real periods.
+#: Tolerance on period integrals and vanishing real periods, shared by the
+#: sprays and the flux drivers.
 TOL_PERIOD = 1e-9
 
 #: Default annulus radii for the example catalog.
@@ -240,11 +241,15 @@ def gauss_map(f, grid, threshold=1e-12, max_bad_fraction=0.01):
     return vals[..., 2] / den
 
 
+def density_from_f_theta(ft):
+    """Metric density 0.5 |f theta/dz|^2 from values of f theta/dz."""
+    return 0.5 * np.sum(np.abs(ft) ** 2, axis=-1)
+
+
 def metric_density(data, points):
     """Density of the induced metric against |dz|^2, equal to 0.5 |f theta/dz|^2."""
     z = np.asarray(points, dtype=complex)
-    ft = data.f_theta(z)
-    return 0.5 * np.sum(np.abs(ft) ** 2, axis=-1)
+    return density_from_f_theta(data.f_theta(z))
 
 
 def conformality_residual(f_values):

@@ -71,6 +71,19 @@ class TestConfigParsing:
             cli.config_from_mapping({"initial.catalog": "catenoid",
                                      "run.tol_flux": "-1e-8"})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["tol_flux", "tol_period"])
+    def test_nonfinite_tolerance_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            cli.config_from_mapping({"initial.catalog": "catenoid",
+                                     f"run.{name}": value})
+
+    @pytest.mark.parametrize("mesh", ["0, 0", "1, 96", "24", "24, 96, 3"])
+    def test_bad_mesh_rejected(self, mesh):
+        with pytest.raises(ConfigError, match="mesh"):
+            cli.config_from_mapping({"initial.catalog": "catenoid",
+                                     "run.mesh": mesh})
+
     def test_prescribe_flux_requires_target(self):
         with pytest.raises(ConfigError, match="target_flux"):
             cli.config_from_mapping({"initial.catalog": "catenoid",
@@ -83,6 +96,20 @@ class TestExitCodes:
         code, _, err = run_cli(["run", "--config", cfg])
         assert code == 1
         assert "tol_flux" in err
+
+    def test_nan_tolerance_exit_1(self, tmp_path):
+        cfg = write_config(tmp_path)
+        code, _, err = run_cli(["run", "--config", cfg, "--tol-period", "nan"])
+        assert code == 1
+        assert "tol_period" in err
+
+    def test_empty_mesh_exit_1_writes_nothing(self, tmp_path):
+        cfg = write_config(tmp_path, extra="mesh = 0, 0\n")
+        out = tmp_path / "o"
+        code, _, err = run_cli(["export", "--config", cfg, "--out", str(out)])
+        assert code == 1
+        assert "mesh" in err
+        assert not list(tmp_path.glob("**/*.obj"))
 
     def test_missing_config_exit_1(self):
         code, _, err = run_cli(["run", "--config", "/no/such/file.ini"])

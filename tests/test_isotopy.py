@@ -8,6 +8,7 @@ import pytest
 from minflux import isotopy as iso
 from minflux import weierstrass as wz
 from minflux.errors import FlatInput
+from minflux.riemann import LaurentMap
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,45 @@ def fam_zero(catenoid):
     return iso.flux_to_zero(catenoid)
 
 
+class TestPinJacobian:
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_matches_central_difference(self, parity):
+        rng = np.random.default_rng(5 + parity)
+
+        def series():
+            c = rng.normal(size=11) + 1j * rng.normal(size=11)
+            return wz.LaurentSeries(c, -5)
+
+        ext = LaurentMap(series(), series(), parity=parity, scale=1.3)
+        exact = iso._pin_jacobian(ext)
+        h = 1e-6
+        k = len(iso._PIN_INDICES)
+        for col in range(2 * k):
+            idx = iso._PIN_INDICES[col % k]
+
+            def period(d):
+                a, b = ext.a, ext.b
+                if col < k:
+                    a = iso._shift_series(a, idx, d)
+                else:
+                    b = iso._shift_series(b, idx, d)
+                shifted = LaurentMap(a, b, parity=parity, scale=ext.scale)
+                return iso._extension_period(shifted, "dz/z")
+
+            fd = (period(h) - period(-h)) / (2.0 * h)
+            assert np.max(np.abs(exact[:, col] - fd)) <= 1e-6 * np.max(np.abs(exact))
+
+
 class TestFluxToZero:
+    def test_rerun_bit_identical(self, catenoid, fam_zero):
+        again = iso.flux_to_zero(catenoid)
+        assert again.periods.tobytes() == fam_zero.periods.tobytes()
+        for e1, e2 in zip(fam_zero.lmaps[1:], again.lmaps[1:]):
+            assert e1.parity == e2.parity
+            for s1, s2 in ((e1.a, e2.a), (e1.b, e2.b)):
+                assert s1.k_min == s2.k_min
+                assert s1.coeffs.tobytes() == s2.coeffs.tobytes()
+
     def test_endpoint_flux_vanishes(self, fam_zero):
         assert np.linalg.norm(fam_zero.flux_trace[-1]) <= 1e-8
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minflux import isotopy as iso
 from minflux import loops as lp
 from minflux import nullquadric as nq
 from minflux.errors import (
@@ -66,6 +67,41 @@ class TestPeriod:
             a = lp.period(lp.PeriodicPath(catenoid_boundary_loop(n)))
             b = lp.period(lp.PeriodicPath(catenoid_boundary_loop(2 * n)))
             assert np.linalg.norm(a - b) <= 1e-12
+
+
+def central_difference_jacobian(values, controls, w, h=1e-6):
+    m = len(controls)
+    J = np.empty((3, m), dtype=complex)
+    for j in range(m):
+        dw = np.zeros(m, dtype=complex)
+        dw[j] = h
+        plus = lp._flow_deform(values, controls, w + dw).mean(axis=0)
+        minus = lp._flow_deform(values, controls, w - dw).mean(axis=0)
+        J[:, j] = (plus - minus) / (2.0 * h)
+    return J
+
+
+class TestFlowJacobian:
+    @given(
+        st.sampled_from(["driver", "default"]),
+        st.integers(0, 2**16),
+        st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 2.0 * np.pi)),
+                 min_size=12, max_size=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_central_difference(self, family, seed, polar):
+        n = 256
+        if family == "driver":
+            controls = iso._driver_controls(n, seed=seed, jitter=0.1 * (seed % 3))
+        else:
+            fixed = lp.Segment(0.3, 0.45) if seed % 2 else None
+            controls = lp._default_controls(n, fixed, np.random.default_rng(seed))
+        assert {kind for kind, _ in controls} == set(lp._FLOW_SEQ)
+        w = np.array([r * np.exp(1j * phi) for r, phi in polar])
+        v = catenoid_boundary_loop(n)
+        exact = lp._flow_jacobian(v, controls, w)
+        fd = central_difference_jacobian(v, controls, w)
+        assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
 
 
 class TestPeriodicPath:
