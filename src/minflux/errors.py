@@ -123,3 +123,8 @@ class EstimateNotMet(MinfluxError):
 
 class ConfigError(MinfluxError):
     """A run configuration failed validation."""
+
+
+class InvalidCore(ConfigError, ValueError):
+    """The core of a completeness step is not an annulus around the homology
+    circle inside the domain."""

@@ -9,7 +9,9 @@ third component or any period over curves in the core.  Any path from the
 core to the boundary must then either cross the walls (expensive) or
 snake through the alternating openings (long), so the intrinsic distance
 to the boundary grows by a prescribed amount.  Distances are measured by
-Dijkstra runs on polar metric graphs, calibrated on the flat metric.
+Dijkstra runs on polar metric graphs.  Their flat-metric calibration needs
+no second run: on such a graph the flat distance from a node to a boundary
+circle is exactly the radial gap, which is read off the radii.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
     EstimateNotMet,
     FlatInput,
     GaussMapTooSmall,
+    InvalidCore,
     NoBandFound,
 )
 
@@ -196,6 +199,16 @@ def build_labyrinth(band, N):
 # band selection and parameters
 
 
+def _distinct(objs):
+    """The distinct objects among objs by identity, in first-seen order.
+
+    Members of a constant family share one object, and every check here is
+    a deterministic function of the callable, so one evaluation per
+    distinct callable gives the same result as one per member.
+    """
+    return list({id(o): o for o in objs}.values())
+
+
 def _certified_min(fun, points, refine):
     """Min of |fun| on the points and on a refined set; both must agree.
 
@@ -271,11 +284,11 @@ def find_bands(
                 coarse = end.from_chart(cand.chart_grid(24, 48))
                 fine = end.from_chart(cand.chart_grid(48, 96))
                 m = np.inf
-                for j in idx:
-                    if not _window_zero_free(f3_family[j], cand):
+                for f3 in _distinct(f3_family[j] for j in idx):
+                    if not _window_zero_free(f3, cand):
                         m = -1.0
                         break
-                    m = min(m, _certified_min(f3_family[j], coarse, fine))
+                    m = min(m, _certified_min(f3, coarse, fine))
                 scores[ci] = m
             best = float(np.max(scores))
             if best <= 0.0:
@@ -301,7 +314,7 @@ class LopezRosParams:
 
     def __post_init__(self):
         if self.eps <= 0 or self.c0 <= 0 or self.lam < 0:
-            raise ValueError("invalid Lopez-Ros parameters")
+            raise EstimateNotMet("invalid Lopez-Ros parameters")
 
 
 def _band_f3theta(f3t, band):
@@ -335,30 +348,39 @@ def choose_params(f3t_family, g_family, bands, N, t_grid, margin=LAMBDA_MARGIN):
         sel = np.nonzero((t_grid >= t_lo - 1e-12) & (t_grid <= t_hi + 1e-12))[0]
         if sel.size == 0:
             sel = np.array([np.argmin(np.abs(t_grid - t_lo))])
-        for j in sel:
+        for f3t in _distinct(f3t_family[j] for j in sel):
             eps_min = min(
-                eps_min,
-                _certified_min(_band_f3theta(f3t_family[j], band), coarse, fine),
+                eps_min, _certified_min(_band_f3theta(f3t, band), coarse, fine)
             )
-            c0 = min(c0, _certified_min(g_family[j], coarse, fine))
+        for g in _distinct(g_family[j] for j in sel):
+            c0 = min(c0, _certified_min(g, coarse, fine))
     if not np.isfinite(c0) or c0 < 1e-10:
         raise GaussMapTooSmall(f"certified |g| lower bound {c0:.3g} on the bands")
     eps = 0.5 * eps_min
     target = 2.0 * N**4 * (1.0 + margin)
     lam = max(0.0, (target / c0 - 1.0) / t0_min)
     params = LopezRosParams(lam=lam, eps=eps, c0=c0)
-    # re-verify both inequalities on the fine grids
+    # re-verify both inequalities on the fine grids; 1 + lambda t > 0 and
+    # rounding is monotone, so (1 + lambda t) min|g| = min((1 + lambda t)|g|)
     for band in bands:
         fine = band.end.from_chart(band.chart_grid(48, 96))
         t_lo, t_hi = band.bracket
         sel = np.nonzero((t_grid >= t_lo - 1e-12) & (t_grid <= t_hi + 1e-12))[0]
+        for f3t in _distinct(f3t_family[j] for j in sel):
+            if float(np.min(np.abs(_band_f3theta(f3t, band)(fine)))) <= eps:
+                raise EstimateNotMet(
+                    "epsilon inequality fails on re-verification"
+                )
+        g_min = {
+            id(g): float(np.min(np.abs(g(fine))))
+            for g in _distinct(g_family[j] for j in sel)
+        }
         for j in sel:
-            if float(np.min(np.abs(_band_f3theta(f3t_family[j], band)(fine)))) <= eps:
-                raise ValueError("epsilon inequality fails on re-verification")
-            t = float(t_grid[j])
-            grown = float(np.min((1.0 + lam * t) * np.abs(g_family[j](fine))))
+            grown = (1.0 + lam * float(t_grid[j])) * g_min[id(g_family[j])]
             if grown < 2.0 * N**4 * (1.0 - 1e-12):
-                raise ValueError("lambda inequality fails on re-verification")
+                raise EstimateNotMet(
+                    "lambda inequality fails on re-verification"
+                )
     return params
 
 
@@ -421,11 +443,50 @@ class MetricGraph:
         wts = 0.5 * (rho[self.rows] + rho[self.cols]) * self.lengths
         n = self.nodes.size
         m = csr_matrix((wts, (self.rows, self.cols)), shape=(n, n))
+        # the matrix holds its own copy of the weights; free the arrays
+        # before the search, where the memory peak of a large graph lies
+        del rho, wts
         d = dijkstra(m, directed=False, indices=self.source)
         val = float(np.min(d[self.boundary]))
         if not np.isfinite(val):
             raise DisconnectedGraph("no path from the source to the boundary")
         return val
+
+    def flat_distance(self):
+        """Graph distance from the source to the boundary in the flat metric.
+
+        Closed form, no Dijkstra run: every graph path is at least as long
+        as the Euclidean distance between its ends, which is at least the
+        radial gap between their circles, and the radial path from the
+        source attains that gap.
+        """
+        r_src = self.radii[self.source // self.n_th]
+        r_bnd = self.radii[self.boundary // self.n_th]
+        return float(np.min(np.abs(r_bnd - r_src)))
+
+    def crossing_lengths(self, rho, i_lo, i_hi, count, rng):
+        """Lengths of count random walks from circle i_lo out to circle i_hi.
+
+        rho: metric factor at the nodes, shape (n_r, n_th).  Each walk
+        starts at a random angle and moves one circle outward per step,
+        shifting by at most one node in angle; its length is the
+        trapezoidal sum of rho along the steps.
+        """
+        nodes = self.nodes.reshape(-1, self.n_th)
+        i = np.arange(i_lo, i_hi)
+        out = []
+        for _ in range(count):
+            j0 = int(rng.integers(self.n_th))
+            dj = rng.integers(-1, 2, size=i.size)
+            js = (j0 + np.concatenate(([0], np.cumsum(dj)))) % self.n_th
+            dz = nodes[i + 1, js[1:]] - nodes[i, js[:-1]]
+            terms = (
+                0.5 * (rho[i, js[:-1]] + rho[i + 1, js[1:]])
+                * np.hypot(dz.real, dz.imag)
+            )
+            # cumsum adds left to right, as a scalar loop does
+            out.append(float(np.cumsum(terms)[-1]) if terms.size else 0.0)
+        return out
 
 
 def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
@@ -488,8 +549,11 @@ def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, radii=None,
     """Intrinsic distance from x0 to the boundary, by Dijkstra.
 
     The metric is density^(1/2) |dz|.  The calibration factor is the same
-    graph's flat-metric distance divided by the exact flat distance; it
-    quantifies the graph's overestimation and is reported, not applied.
+    graph's flat-metric distance divided by the exact flat distance from
+    x0; it quantifies the graph's overestimation and is reported, not
+    applied.  The graph's flat distance has a closed form
+    (MetricGraph.flat_distance), so the factor measures only the move of
+    x0 to its nearest node.
     """
     if graph is None:
         graph = build_metric_graph(
@@ -497,8 +561,8 @@ def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, radii=None,
             boundary=boundary,
         )
     val = graph.distance(lambda z: wz.metric_density(data, z))
-    flat = graph.distance(lambda z: np.ones(np.asarray(z).shape))
-    r0 = abs(graph.nodes[graph.source])
+    flat = graph.flat_distance()
+    r0 = abs(complex(x0))
     exact = []
     if boundary in ("both", "inner"):
         exact.append(r0 - graph.radii[0])
@@ -518,11 +582,6 @@ def _fine_radii(r_in, r_out, labyrinths, N, n_coarse=48):
     for lab in labyrinths:
         band = lab.band
         lo_c, hi_c = band.r, band.R
-        # map the chart-radial band interval to physical radii
-        if band.end.kind == "identity":
-            lo, hi = lo_c, hi_c
-        else:
-            lo, hi = band.end.c / hi_c, band.end.c / lo_c
         count = int(np.ceil((hi_c - lo_c) / h)) + 1
         chart_r = np.linspace(lo_c, hi_c, count)
         phys = chart_r if band.end.kind == "identity" else band.end.c / chart_r
@@ -590,17 +649,22 @@ def complete_step(
     lo, hi = core
     rho = float(np.sqrt(r_in * r_out))
     if not (r_in < lo < rho < hi < r_out):
-        raise ValueError("core must be an annulus containing the homology circle")
+        raise InvalidCore(
+            f"core ({lo:g}, {hi:g}) must be an annulus inside ({r_in:g}, "
+            f"{r_out:g}) containing the homology circle |z| = {rho:g}"
+        )
     x0 = complex(rho)
 
     for m in members[:1]:
         if wz.is_flat(m.f(m.grid()))[0]:
             raise FlatInput("completeness step requires a nonflat family")
 
-    # distance of the input family
+    # distance of the input family; equal members share one evaluation
+    distinct = _distinct(members)
     coarse = build_metric_graph(r_in, r_out, x0)
     tau = min(
-        coarse.distance(lambda z, m=m: wz.metric_density(m, z)) for m in members
+        coarse.distance(lambda z, m=m: wz.metric_density(m, z))
+        for m in distinct
     )
     required = max(tau - delta, 1.0 / delta)
 
@@ -608,9 +672,10 @@ def complete_step(
         AnnulusEnd(hole=0, r=r_in, R=lo, kind="inversion", c=r_in * lo),
         AnnulusEnd(hole=1, r=hi, R=r_out, kind="identity"),
     ]
-    f3t_family = [
-        (lambda z, m=m: m.f3(z) * m.theta_over_dz(z)) for m in members
-    ]
+    f3t_of = {
+        id(m): (lambda z, m=m: m.f3(z) * m.theta_over_dz(z)) for m in distinct
+    }
+    f3t_family = [f3t_of[id(m)] for m in members]
     g_family = [m.g for m in members]
 
     # first pass: wide bands fix a provisional epsilon and wall count N;
@@ -716,12 +781,10 @@ def complete_step(
     # (V) endpoint distance on the labyrinth-resolving graph
     radii = _fine_radii(r_in, r_out, labs, N)
     fine = build_metric_graph(r_in, r_out, x0, radii=radii, n_th=n_th_fine)
-    final = fine.distance(
-        lambda z: wz.metric_density(transformed[-1], z)
-    )
-    flat = fine.distance(lambda z: np.ones(np.asarray(z).shape))
+    dens_end = wz.metric_density(transformed[-1], fine.nodes)
+    final = fine.distance(lambda z: dens_end)
     report["final_distance"] = final
-    report["calibration"] = flat / min(rho - r_in, r_out - rho)
+    report["calibration"] = fine.flat_distance() / min(rho - r_in, r_out - rho)
     # radial spacing inside the bands: a quarter of the smallest clearance
     report["fine_resolution"] = 1.0 / (16.0 * N**3)
     passes["conclusion_v"] = final > 1.0 / delta
@@ -730,9 +793,7 @@ def complete_step(
     rng = np.random.default_rng(seed)
     est3_ok = True
     est3_min = np.inf
-    dens_end = np.sqrt(
-        np.abs(wz.metric_density(transformed[-1], fine.nodes))
-    ).reshape(radii.size, n_th_fine)
+    rho_end = np.sqrt(np.abs(dens_end)).reshape(radii.size, n_th_fine)
     for lab in labs:
         band = lab.band
         if band.end.kind == "identity":
@@ -742,20 +803,10 @@ def complete_step(
         i_lo = int(np.searchsorted(radii, p_lo))
         i_hi = int(np.searchsorted(radii, p_hi)) - 1
         bound = min(0.5, band.r) * params.eps * N
-        for _ in range(n_paths // len(labs) + 1):
-            j = int(rng.integers(n_th_fine))
-            length = 0.0
-            for i in range(i_lo, i_hi):
-                dj = int(rng.integers(-1, 2))
-                j2 = (j + dj) % n_th_fine
-                za = radii[i] * np.exp(2j * np.pi * j / n_th_fine)
-                zb = radii[i + 1] * np.exp(2j * np.pi * j2 / n_th_fine)
-                length += (
-                    0.5 * (dens_end[i, j] + dens_end[i + 1, j2]) * abs(za - zb)
-                )
-                j = j2
+        count = n_paths // len(labs) + 1
+        for length in fine.crossing_lengths(rho_end, i_lo, i_hi, count, rng):
             est3_min = min(est3_min, length / bound)
-            est3_ok &= length > bound
+            est3_ok = est3_ok and length > bound
     report["est3_ratio"] = est3_min
     passes["est3"] = est3_ok
 

@@ -111,6 +111,18 @@ class TestExitCodes:
         assert "mesh" in err
         assert not list(tmp_path.glob("**/*.obj"))
 
+    def test_core_outside_domain_exit_1(self, tmp_path):
+        text = CONFIG.replace(
+            "name = flux_to_zero", "name = complete_step\ncore = 0.1, 0.3"
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code, _, err = run_cli(["run", "--config", cfg, "--out", str(out)])
+        assert code == 1
+        assert err.startswith("configuration error:") and "core" in err
+        assert "Traceback" not in err
+        assert not (out / "report.txt").exists()
+
     def test_missing_config_exit_1(self):
         code, _, err = run_cli(["run", "--config", "/no/such/file.ini"])
         assert code == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minflux import labyrinth as lb
 from minflux import weierstrass as wz
@@ -171,6 +173,74 @@ class TestChooseParams:
         expect = 0.5 * 0.4 / 0.75**2
         assert p.eps == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("which", ["epsilon", "lambda"])
+    def test_reverification_failure_is_typed(self, monkeypatch, which):
+        # an overestimated certified minimum makes the chosen parameter too
+        # bold; the fine-grid re-verification must catch it
+        end = lb.AnnulusEnd(0, 1.3, 2.0)
+        band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.5, 1.0))
+        f3t, g, t = ones_families()
+        real = lb._certified_min
+
+        def overestimate(fun, points, refine):
+            is_g = any(fun is h for h in g)
+            scale = 2.0 if is_g == (which == "lambda") else 1.0
+            return scale * real(fun, points, refine)
+
+        monkeypatch.setattr(lb, "_certified_min", overestimate)
+        with pytest.raises(EstimateNotMet, match=f"{which} inequality"):
+            lb.choose_params(f3t, g, [band], 2, t)
+
+    def test_invalid_params_typed(self):
+        with pytest.raises(EstimateNotMet):
+            lb.LopezRosParams(lam=1.0, eps=0.0, c0=1.0)
+
+
+class TestDeduplication:
+    """Equal members are evaluated once; results must not depend on it."""
+
+    def families(self, t):
+        cat = wz.catalog("catenoid")
+
+        def f3t(z):
+            return cat.f3(z) * cat.theta_over_dz(z)
+
+        shared = tuple([f] * t.size for f in (cat.f3, f3t, cat.g))
+        wrapped = tuple(
+            [lambda z, f=f: f(z) for _ in t] for f in (cat.f3, f3t, cat.g)
+        )
+        return shared, wrapped
+
+    def test_bands_and_params_identical(self):
+        t = np.linspace(0.0, 1.0, 9)
+        shared, wrapped = self.families(t)
+        assert len(lb._distinct(shared[0])) == 1
+        assert len(lb._distinct(wrapped[0])) == t.size
+        ends = [
+            lb.AnnulusEnd(0, 0.5, 0.8, kind="inversion", c=0.4),
+            lb.AnnulusEnd(1, 1.3, 2.0),
+        ]
+        out = []
+        for f3, f3t, g in (shared, wrapped):
+            bands = lb.find_bands(f3, ends, t)
+            out.append((bands, lb.choose_params(f3t, g, bands, 3, t)))
+        assert out[0] == out[1]
+
+    def test_tau_independent_of_deduplication(self, catenoid_step):
+        # distinct members with equal data: nothing is shared, tau must
+        # equal that of the constant family, where all members are one
+        cat = wz.catalog("catenoid")
+        ts = np.linspace(0.0, 1.0, 3)
+        copies = [
+            wz.WeierstrassData(
+                lambda z: cat.g(z), lambda z: cat.f3(z), theta=cat.theta,
+                r_inner=cat.r_inner, r_outer=cat.r_outer,
+            )
+            for _ in ts
+        ]
+        res = lb.complete_step(copies, core=(0.8, 1.3), delta=0.5, ts=ts)
+        assert res.tau == catenoid_step.tau
+
 
 class TestLopezRos:
     def setup_method(self):
@@ -205,6 +275,68 @@ class TestLopezRos:
         circle = wz.circle(1.0, 512)
         for h in self.out:
             assert np.array_equal(wz.flux(h, circle), wz.flux(self.cat, circle))
+
+
+class TestFlatDistance:
+    @given(
+        r_in=st.floats(0.1, 2.0),
+        width=st.floats(0.05, 2.0),
+        s=st.floats(0.0, 1.0),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        boundary=st.sampled_from(["inner", "outer", "both"]),
+        n_r=st.integers(2, 32),
+        n_th=st.integers(3, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_flat_dijkstra(
+        self, r_in, width, s, angle, boundary, n_r, n_th
+    ):
+        r_out = r_in + width
+        x0 = (r_in + s * width) * np.exp(1j * angle)
+        graph = lb.build_metric_graph(
+            r_in, r_out, x0, n_r=n_r, n_th=n_th, boundary=boundary
+        )
+        flat = graph.distance(lambda z: np.ones(np.asarray(z).shape))
+        assert graph.flat_distance() == pytest.approx(flat, rel=1e-12, abs=0)
+
+
+def scalar_crossing_lengths(radii, n_th, rho, i_lo, i_hi, count, rng):
+    """The est3 walk as a scalar loop, the reference for crossing_lengths."""
+    out = []
+    for _ in range(count):
+        j = int(rng.integers(n_th))
+        length = 0.0
+        for i in range(i_lo, i_hi):
+            dj = int(rng.integers(-1, 2))
+            j2 = (j + dj) % n_th
+            za = radii[i] * np.exp(2j * np.pi * j / n_th)
+            zb = radii[i + 1] * np.exp(2j * np.pi * j2 / n_th)
+            length += 0.5 * (rho[i, j] + rho[i + 1, j2]) * abs(za - zb)
+            j = j2
+        out.append(length)
+    return out
+
+
+class TestCrossingLengths:
+    def test_bit_identical_to_scalar_walk(self):
+        rng = np.random.default_rng(3)
+        radii = np.unique(
+            np.concatenate([np.linspace(0.5, 2.0, 48), rng.uniform(0.5, 2.0, 200)])
+        )
+        n_th = 128
+        graph = lb.build_metric_graph(0.5, 2.0, 1.0, radii=radii, n_th=n_th)
+        rho = np.sqrt(rng.uniform(0.01, 50.0, graph.nodes.size)).reshape(
+            radii.size, n_th
+        )
+        # whole annulus, bands one radius wide (one step and none), inner band
+        windows = [(0, radii.size - 1), (40, 41), (7, 7), (100, 180)]
+        fast, slow = np.random.default_rng(23), np.random.default_rng(23)
+        for i_lo, i_hi in windows:
+            got = graph.crossing_lengths(rho, i_lo, i_hi, 51, fast)
+            want = scalar_crossing_lengths(radii, n_th, rho, i_lo, i_hi, 51, slow)
+            assert got == want
+        # both walks consumed the same random stream
+        assert fast.integers(2**62) == slow.integers(2**62)
 
 
 class TestIntrinsicDistance:
