@@ -246,17 +246,109 @@ def write_coefficients(path, family, cfg):
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+def _entry(doc, key, where="", kind=None):
+    """doc[key] of the coefficients file, of the given JSON type if any."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ConfigError(f"coefficients file lacks {where}{key}")
+    value = doc[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ConfigError(
+            f"coefficients file: {where}{key} must be a JSON {kind.__name__}"
+        )
+    return value
+
+
+def _number(value, where):
+    """A finite JSON number of the coefficients file, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"coefficients file: {where} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"coefficients file: {where} must be finite")
+    return float(value)
+
+
+def _complex(value, where):
+    """A [re, im] pair of the coefficients file, as a complex number."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"coefficients file: {where} must be [re, im]")
+    return complex(_number(value[0], where), _number(value[1], where))
+
+
+def _integer(value, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"coefficients file: {where} must be an integer")
+    return value
+
+
+def _series(doc, where):
+    k_min = _integer(_entry(doc, "k_min", where), where + "k_min")
+    coeffs = _entry(doc, "coeffs", where, list)
+    if not coeffs:
+        raise ConfigError(f"coefficients file: {where}coeffs is empty")
+    return LaurentSeries(
+        np.array([_complex(c, f"{where}coeffs") for c in coeffs]), k_min
+    )
+
+
+def _extension(entry, where):
+    """The LaurentMap of one stored member."""
+    parity = _integer(_entry(entry, "parity", where), where + "parity")
+    scale = _number(_entry(entry, "scale", where), where + "scale")
+    if parity not in (0, 1) or scale <= 0:
+        raise ConfigError(
+            f"coefficients file: {where}parity must be 0 or 1 and "
+            f"{where}scale positive"
+        )
+    center = _complex(_entry(entry, "center", where), where + "center")
+    if center != 0:
+        raise ConfigError(
+            f"coefficients file: {where}center must be 0 (the chart is centered)"
+        )
+    return LaurentMap(
+        _series(_entry(entry, "a", where), f"{where}a."),
+        _series(_entry(entry, "b", where), f"{where}b."),
+        center=center,
+        parity=parity,
+        scale=scale,
+    )
+
+
 def load_family(path):
+    """The ImmersionFamily stored by write_coefficients.
+
+    A missing or ill-typed entry, a non-finite number, an unknown catalog
+    name, or an out-of-range theta, radius, parity or scale raises
+    ConfigError.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read coefficients file: {exc}") from None
-    theta = doc["theta"]
-    r_in, r_out = float(doc["r_inner"]), float(doc["r_outer"])
+    theta = _entry(doc, "theta")
+    if theta not in ("dz", "dz/z"):
+        raise ConfigError("coefficients file: theta must be 'dz' or 'dz/z'")
+    r_in = _number(_entry(doc, "r_inner"), "r_inner")
+    r_out = _number(_entry(doc, "r_outer"), "r_outer")
+    if not 0 < r_in < r_out:
+        raise ConfigError("coefficients file: need 0 < r_inner < r_outer")
+    catalog = _entry(doc, "catalog", kind=str)
+    entries = _entry(doc, "members", kind=list)
+    ts = [_number(t, "ts") for t in _entry(doc, "ts", kind=list)]
+    if not entries or len(ts) != len(entries):
+        raise ConfigError(
+            "coefficients file: members and ts must be nonempty and of one length"
+        )
+    basepoint = _complex(_entry(doc, "basepoint"), "basepoint")
+    notice = doc.get("notice", "")
+    if not isinstance(notice, str):
+        raise ConfigError("coefficients file: notice must be a JSON str")
+    try:
+        base = wz.catalog(catalog) if catalog else None
+    except UnknownName as exc:
+        raise ConfigError(f"coefficients file: catalog: {exc}") from None
     chart = rm.homology_basis(rm.annulus(r_in, r_out))[0]
-    base = wz.catalog(doc["catalog"]) if doc["catalog"] else None
     members, lmaps, periods = [], [], []
-    for entry in doc["members"]:
+    for k, entry in enumerate(entries):
         if entry is None:
             if base is None:
                 raise ConfigError("coefficients file lacks the anchor member")
@@ -265,29 +357,18 @@ def load_family(path):
             loop = iso.restrict_data(base, chart)
             periods.append(lp.period(loop))
             continue
-
-        def series(d):
-            c = np.array([complex(re, im) for re, im in d["coeffs"]])
-            return LaurentSeries(c, int(d["k_min"]))
-
-        ext = LaurentMap(
-            series(entry["a"]),
-            series(entry["b"]),
-            center=complex(*entry["center"]),
-            parity=int(entry["parity"]),
-            scale=float(entry["scale"]),
-        )
+        ext = _extension(entry, f"members[{k}].")
         members.append(iso._member_from_extension(ext, theta, r_in, r_out))
         lmaps.append(ext)
         periods.append(iso._extension_period(ext, theta))
     return iso.ImmersionFamily(
-        ts=np.array(doc["ts"], dtype=float),
+        ts=np.array(ts, dtype=float),
         members=members,
         lmaps=lmaps,
         periods=np.array(periods),
-        basepoint=complex(*doc["basepoint"]),
+        basepoint=basepoint,
         chart=chart,
-        notice=doc.get("notice", ""),
+        notice=notice,
     )
 
 
@@ -381,12 +462,18 @@ def _family_for(cfg):
     raise ConfigError(f"driver {cfg.driver} does not produce a stored family")
 
 
+def _target_flux(cfg):
+    """Flux the configured driver must reach at t = 1 (None: no driver target)."""
+    if cfg.driver == "flux_to_zero":
+        return np.zeros(3)
+    if cfg.driver == "prescribe_flux":
+        return np.asarray(cfg.target_flux, dtype=float)
+    return None
+
+
 def _run_family(cfg, outdir):
     fam = _family_for(cfg)
-    target = (
-        np.zeros(3) if cfg.driver == "flux_to_zero"
-        else np.asarray(cfg.target_flux, dtype=float)
-    )
+    target = _target_flux(cfg)
     write_coefficients(outdir / "family_coefficients.json", fam, cfg)
     write_trace_csv(outdir / "trace.csv", fam, target=target)
     rep = iso.verify(fam, tol_flux=cfg.tol_flux, tol_period=cfg.tol_period)
@@ -471,13 +558,16 @@ def _export(cfg, outdir):
 def _verify(cfg, outdir):
     coeff = outdir / "family_coefficients.json"
     fam = load_family(coeff) if coeff.exists() else _family_for(cfg)
-    rep = iso.verify(fam, tol_flux=cfg.tol_flux, tol_period=cfg.tol_period)
+    rep = iso.verify(fam, tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
+                     target_flux=_target_flux(cfg))
     items = {
         "max_conformality": _fmt(rep.max_conformality),
         "max_real_period": _fmt(rep.max_real_period),
         "min_density": _fmt(rep.min_density),
         "t_samples": len(fam),
     }
+    if rep.flux_end_residual is not None:
+        items["flux_end_residual"] = _fmt(rep.flux_end_residual)
     ok = write_report(outdir / "report.txt", items, rep.passes)
     return 0 if ok else 2
 

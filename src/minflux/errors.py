@@ -121,6 +121,10 @@ class EstimateNotMet(MinfluxError):
     """A measured distance or density violates a required inequality."""
 
 
+class NonFiniteValues(MinfluxError):
+    """Data evaluated to inf or NaN where a check needs finite values."""
+
+
 class ConfigError(MinfluxError):
     """A run configuration failed validation."""
 

@@ -21,8 +21,8 @@ from . import loops as lp
 from . import nullquadric as nq
 from . import riemann as rm
 from . import weierstrass as wz
-from .errors import FlatInput, NotOnQuadric, RootNotFound
-from .loops import PeriodicPath
+from .errors import FlatInput, NonFiniteValues, NotOnQuadric, RootNotFound
+from .loops import N_T_DEFAULT, PeriodicPath
 from .riemann import LaurentMap
 from .weierstrass import (
     TOL_PERIOD,
@@ -34,9 +34,6 @@ from .weierstrass import (
 #: Default tolerances of the drivers.
 TOL_FLUX = 1e-8
 TOL_NULL = 1e-10
-
-#: Default number of deformation time samples.
-N_T_DEFAULT = 64
 
 #: Loop sample count used on the homology circle.
 N_S_DEFAULT = 512
@@ -114,6 +111,7 @@ class VerificationReport:
     pi1_classes: list
     thresholds: dict
     passes: dict
+    flux_end_residual: float = None  # |flux at t = 1 - target|, if checked
     meta: dict = field(default_factory=dict)
 
     @property
@@ -173,7 +171,10 @@ def _member_from_extension(ext, theta, r_inner, r_outer):
 
 def restrict_data(data, chart, n=N_S_DEFAULT):
     """The boundary loop of f theta on the homology circle of the data."""
-    return rm.restrict_to_curve(data.f, chart, theta=data.theta, n=n)
+    loop = rm.restrict_to_curve(data.f, chart, theta=data.theta, n=n)
+    if not np.all(np.isfinite(loop.values)):
+        raise NonFiniteValues("f theta is not finite on the homology circle")
+    return loop
 
 
 def _extension_period(ext, theta):
@@ -414,12 +415,13 @@ def prescribe_flux(u0, p, n_t=N_T_DEFAULT, tol_flux=TOL_FLUX,
 
 
 def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
-           tol_null=TOL_NULL):
+           tol_null=TOL_NULL, target_flux=None):
     """Recompute all residuals of a family from scratch.
 
     resolution scales the verification grid and loop sampling relative to
-    the construction defaults (2 doubles them).  The report is
-    deterministic in the family.
+    the construction defaults (2 doubles them).  When target_flux is given,
+    the recomputed flux of the last member must lie within tol_flux of it.
+    The report is deterministic in the family.
     """
     if len(family) == 0:
         return VerificationReport(
@@ -435,9 +437,15 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     flux_table = []
     flat_flags = []
     pi1_classes = []
-    for data in family.members:
+    for t, data in zip(family.ts, family.members):
         grid = data.grid(n_r=n_r, n_th=n_th)
         fv = data.f(grid)
+        # NaN would slip through the min/max reductions below unnoticed
+        if not np.all(np.isfinite(fv)):
+            raise NonFiniteValues(
+                f"member at t = {float(t):g} is not finite on the "
+                "verification grid"
+            )
         max_conf = max(max_conf, wz.conformality_residual(fv))
         ft = fv * data.theta_over_dz(grid)[..., None]
         min_den = min(min_den, float(wz.density_from_f_theta(ft).min()))
@@ -463,6 +471,12 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         "real_period": max_real <= tol_period,
         "metric_density": min_den > 0.0,
     }
+    flux_end = None
+    if target_flux is not None:
+        target = np.asarray(target_flux, dtype=float)
+        flux_end = float(np.linalg.norm(flux_table[-1] - target))
+        thresholds["flux_target"] = tol_flux
+        passes["flux_target"] = flux_end <= tol_flux
     return VerificationReport(
         ts=np.asarray(family.ts),
         max_conformality=float(max_conf),
@@ -473,5 +487,6 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         pi1_classes=pi1_classes,
         thresholds=thresholds,
         passes=passes,
+        flux_end_residual=flux_end,
         meta={"resolution": resolution},
     )

@@ -240,6 +240,16 @@ def _window_zero_free(f3, band, n=256):
     return counts[1] == counts[0]
 
 
+def _bracket_samples(t_grid, bracket):
+    """Indices of the t samples inside a bracket, or of the one nearest its
+    start when the bracket holds none."""
+    t_lo, t_hi = bracket
+    sel = np.nonzero((t_grid >= t_lo - 1e-12) & (t_grid <= t_hi + 1e-12))[0]
+    if sel.size == 0:
+        sel = np.array([np.argmin(np.abs(t_grid - t_lo))])
+    return sel
+
+
 def find_bands(
     f3_family,
     ends,
@@ -267,10 +277,7 @@ def find_bands(
         w_band = min(w_band, span - 2 * pad)
         used = []
         for k, (t_lo, t_hi) in enumerate(brackets):
-            sel = (t_grid >= t_lo - 1e-12) & (t_grid <= t_hi + 1e-12)
-            idx = np.nonzero(sel)[0]
-            if idx.size == 0:
-                idx = np.array([np.argmin(np.abs(t_grid - t_lo))])
+            idx = _bracket_samples(t_grid, (t_lo, t_hi))
             starts = np.linspace(
                 end.r + pad, end.R - pad - w_band, n_candidates
             )
@@ -343,11 +350,8 @@ def choose_params(f3t_family, g_family, bands, N, t_grid, margin=LAMBDA_MARGIN):
     for band in bands:
         coarse = band.end.from_chart(band.chart_grid(24, 48))
         fine = band.end.from_chart(band.chart_grid(48, 96))
-        t_lo, t_hi = band.bracket
-        t0_min = min(t0_min, t_lo)
-        sel = np.nonzero((t_grid >= t_lo - 1e-12) & (t_grid <= t_hi + 1e-12))[0]
-        if sel.size == 0:
-            sel = np.array([np.argmin(np.abs(t_grid - t_lo))])
+        t0_min = min(t0_min, band.bracket[0])
+        sel = _bracket_samples(t_grid, band.bracket)
         for f3t in _distinct(f3t_family[j] for j in sel):
             eps_min = min(
                 eps_min, _certified_min(_band_f3theta(f3t, band), coarse, fine)
@@ -364,8 +368,7 @@ def choose_params(f3t_family, g_family, bands, N, t_grid, margin=LAMBDA_MARGIN):
     # rounding is monotone, so (1 + lambda t) min|g| = min((1 + lambda t)|g|)
     for band in bands:
         fine = band.end.from_chart(band.chart_grid(48, 96))
-        t_lo, t_hi = band.bracket
-        sel = np.nonzero((t_grid >= t_lo - 1e-12) & (t_grid <= t_hi + 1e-12))[0]
+        sel = _bracket_samples(t_grid, band.bracket)
         for f3t in _distinct(f3t_family[j] for j in sel):
             if float(np.min(np.abs(_band_f3theta(f3t, band)(fine)))) <= eps:
                 raise EstimateNotMet(

@@ -12,6 +12,7 @@ trigonometric resampling, nondegeneracy tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +27,6 @@ from .errors import (
     RootNotFound,
     SegmentOverlap,
 )
-
-#: Default sample count for loops (power of two).
-N_S_DEFAULT = 256
 
 #: Default number of deformation-time samples.
 N_T_DEFAULT = 64
@@ -362,20 +360,46 @@ def _transport_frame(unit_tangents, n1_start):
     unit_tangents: (m, 3); n1_start: vector orthogonal to the first tangent.
     Returns n1, n2 arrays of shape (m, 3) with n2 = tangent x n1.
     """
+    # math.sqrt(v @ v) is what np.linalg.norm computes for a real 1-D
+    # vector, bit for bit, without its dispatch cost
     m = unit_tangents.shape[0]
     n1 = np.empty((m, 3))
     v = n1_start - (n1_start @ unit_tangents[0]) * unit_tangents[0]
-    n1[0] = v / np.linalg.norm(v)
+    n1[0] = v / math.sqrt(v @ v)
     for k in range(1, m):
         u = unit_tangents[k]
         v = n1[k - 1] - (n1[k - 1] @ u) * u
-        n1[k] = v / np.linalg.norm(v)
+        n1[k] = v / math.sqrt(v @ v)
     n2 = np.cross(unit_tangents, n1)
     return n1, n2
 
 
+@dataclass(frozen=True)
+class _PPart:
+    """The part of g that depends on p alone (see _ZeroPeriodBuilder)."""
+
+    g: np.ndarray  # g off the long extension, (N, 3)
+    alpha0: np.ndarray  # extension spin angle before the corrections
+    amp: np.ndarray  # |h'| along the extension
+    n1: np.ndarray  # transported frame along the extension
+    n2: np.ndarray
+
+
 class _ZeroPeriodBuilder:
-    """Assembles the explicit zero-period family around a flattened circle."""
+    """Assembles the explicit zero-period family around a flattened circle.
+
+    g depends on the three-parameter p and on the angle-correction
+    coefficients c.  Everything that needs p alone (h', the two frame
+    transports, their branch-fixed end angles, g outside the long extension
+    and its base spin angle) is the p-part; g_field adds the c-dependent
+    corrections to it.  The root search varies c far more often than p (the
+    whole seed grid sits at p = 0, and four of the seven Jacobian columns
+    move c only), so the p-part of the most recent (p, net_winding) is
+    memoised.  One entry keeps memory flat; the winding is part of the key
+    because the spin-class search evaluates p = 0 under both windings.  The
+    arctan2 branch references are fixed at p = 0 on construction, so the
+    memo, and g_field, are pure functions of their arguments.
+    """
 
     def __init__(self, w_tilde, delta, eps, n_samples):
         self.n = n_samples
@@ -414,6 +438,14 @@ class _ZeroPeriodBuilder:
         self.n1_pre, self.n2_pre = _transport_frame(
             upre, np.array([0.0, -1.0, 0.0])
         )
+        # extension parameter and its correction profiles, p-independent
+        xs = np.concatenate([x[idx_ext], [1.0]])
+        self.u_ext = (xs - 3.0 * d) / (1.0 - 3.0 * d)
+        self.bumps = self._correction_bumps(self.u_ext)
+        # the first p-part, at p = 0, fixes the arctan2 branch references
+        self._angle_ref = {}
+        self._memo = None
+        self._p_part(np.zeros(3))
 
     def hprime(self, p):
         q = -p * (self.int_beta / self.int_gamma)
@@ -441,19 +473,14 @@ class _ZeroPeriodBuilder:
 
         arctan2 jumps by 2 pi across its cut; without a fixed reference the
         jump would make the family discontinuous in p and poison the
-        finite-difference Jacobians.
+        finite-difference Jacobians.  The reference is the raw angle at
+        p = 0, recorded by the constructor's first call.
         """
-        ref = getattr(self, "_angle_ref", None)
-        if ref is None:
-            ref = {}
-            self._angle_ref = ref
-        if key not in ref:
-            ref[key] = raw
-            return raw
-        base = ref[key]
+        base = self._angle_ref.setdefault(key, raw)
         return base + (raw - base + np.pi) % (2.0 * np.pi) - np.pi
 
-    def _correction_bumps(self, u):
+    @staticmethod
+    def _correction_bumps(u):
         """Profiles of the four angle corrections, as columns.
 
         Two plateau bumps sit on the slow endpoint stretches of the spin
@@ -461,25 +488,15 @@ class _ZeroPeriodBuilder:
         coherently; two shifted copies cover the adjacent stretches.  All
         vanish to all orders at u = 0 and u = 1.
         """
-        cached = getattr(self, "_bump_cache", None)
-        if cached is not None and cached[0].shape == u.shape:
-            return cached[1]
         b_s = smooth_step(u / 0.12) * smooth_step((0.35 - u) / 0.15)
         b_s2 = smooth_step((u - 0.06) / 0.12) * smooth_step((0.55 - u) / 0.2)
-        cols = np.stack([b_s, b_s2, b_s2[::-1], b_s[::-1]], axis=1)
-        self._bump_cache = (u.copy(), cols)
-        return cols
+        return np.stack([b_s, b_s2, b_s2[::-1], b_s[::-1]], axis=1)
 
-    def g_field(self, p, c=None):
-        """The full periodic g for parameter p, smooth in p.
-
-        c holds optional angle-correction coefficients for smooth bumps in
-        the long extension; they are used to drive the complement integral
-        to zero, which the degree argument needs (endpoint stalls of any
-        smooth spin profile decay too slowly with the spin count alone).
-        """
-        if c is None:
-            c = np.zeros(self.N_CORR)
+    def _p_part(self, p):
+        """The memoised p-dependent part of g_field."""
+        key = (p.tobytes(), self.net_winding)
+        if self._memo is not None and self._memo[0] == key:
+            return self._memo[1]
         n, d, x = self.n, self.delta, self.x
         hp = self.hprime(p)
         nh = np.linalg.norm(hp, axis=1)
@@ -506,24 +523,42 @@ class _ZeroPeriodBuilder:
         g[idx[1:-1]] = vals[1:-1]
 
         # long extension [3 delta, 1): spin from -e2 back to the core value
-        idx = self.idx_ext
-        idx2 = np.concatenate([idx, [0]])  # wrap to x = 1
+        idx2 = np.concatenate([self.idx_ext, [0]])  # wrap to x = 1
         tail = idx2[self.cut - 1 :] % n
-        utail = unit[tail]
-        t1, t2 = _transport_frame(utail, self.n1_pre[self.cut - 1])
+        t1, t2 = _transport_frame(unit[tail], self.n1_pre[self.cut - 1])
         n1 = np.concatenate([self.n1_pre[: self.cut - 1], t1], axis=0)
         n2 = np.concatenate([self.n2_pre[: self.cut - 1], t2], axis=0)
         th = self._stable_angle(
             "ext", np.arctan2(g_core @ n2[-1], g_core @ n1[-1])
         )
-        xs = np.concatenate([x[idx], [1.0]])
-        u = (xs - 3.0 * d) / (1.0 - 3.0 * d)
-        alpha = (th + 2.0 * np.pi * (m_spin_2 + self.net_winding)) * smooth_step(u)
-        alpha = alpha + self._correction_bumps(u) @ c
-        vals = np.linalg.norm(hp[idx2 % n], axis=1)[:, None] * (
-            np.cos(alpha)[:, None] * n1 + np.sin(alpha)[:, None] * n2
+        spin = th + 2.0 * np.pi * (m_spin_2 + self.net_winding)
+        part = _PPart(
+            g=g,
+            alpha0=spin * smooth_step(self.u_ext),
+            amp=np.linalg.norm(hp[idx2 % n], axis=1),
+            n1=n1,
+            n2=n2,
         )
-        g[idx] = vals[:-1]
+        self._memo = (key, part)
+        return part
+
+    def g_field(self, p, c=None):
+        """The full periodic g for parameter p, smooth in p.
+
+        c holds optional angle-correction coefficients for smooth bumps in
+        the long extension; they are used to drive the complement integral
+        to zero, which the degree argument needs (endpoint stalls of any
+        smooth spin profile decay too slowly with the spin count alone).
+        """
+        if c is None:
+            c = np.zeros(self.N_CORR)
+        part = self._p_part(p)
+        alpha = part.alpha0 + self.bumps @ c
+        vals = part.amp[:, None] * (
+            np.cos(alpha)[:, None] * part.n1 + np.sin(alpha)[:, None] * part.n2
+        )
+        g = part.g.copy()
+        g[self.idx_ext] = vals[:-1]
         return g
 
     def complement_integral(self, p, c=None):

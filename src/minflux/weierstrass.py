@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DegenerateDenominator,
     GaussMapVanishes,
+    NonFiniteValues,
     RealPeriodNonzero,
     UnknownName,
 )
@@ -293,6 +294,10 @@ def _segment_integral(data, a, b, tol):
         return half * np.tensordot(weights, vals, axes=(0, 0))
 
     def refine(lo, hi, whole, depth):
+        # a NaN never meets the tolerance, and would split every interval
+        # down to the depth limit: 2^24 quadratures
+        if not np.all(np.isfinite(whole)):
+            raise NonFiniteValues("f theta is not finite on the integration path")
         mid = 0.5 * (lo + hi)
         left, right = quad(lo, mid), quad(mid, hi)
         if depth >= 24 or np.max(np.abs(left + right - whole)) < 0.25 * tol:

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from minflux import cli
 from minflux.errors import ConfigError
@@ -150,6 +152,171 @@ class TestExitCodes:
              "--tol-period", "1e-30"]
         )
         assert code == 2
+
+
+PRESCRIBED = CONFIG.replace(
+    "name = flux_to_zero", "name = prescribe_flux\ntarget_flux = 0, 0, %.17g"
+).replace("t_samples = 64", "t_samples = 16")
+
+COEFFS = "family_coefficients.json"
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 16-sample prescribe_flux run directory and its config text."""
+    tmp = tmp_path_factory.mktemp("small_run")
+    text = PRESCRIBED % (3 * np.pi)
+    cfg = write_config(tmp, text)
+    code, _, err = run_cli(["run", "--config", cfg, "--out", str(tmp / "out")])
+    assert code == 0, err
+    return tmp / "out", text
+
+
+def verify_with_doc(tmp_path, doc, config_text):
+    """Exit code and stderr of `verify` on a coefficients document."""
+    work = tmp_path / "w"
+    work.mkdir(exist_ok=True)
+    (work / COEFFS).write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, config_text)
+    code, _, err = run_cli(["verify", "--config", cfg, "--out", str(work)])
+    return code, err
+
+
+def _json_paths(node, path=()):
+    """Paths of every node below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestBadCoefficientsFile:
+    @pytest.mark.parametrize(
+        "key",
+        ["basepoint", "catalog", "driver", "members", "notice", "r_inner",
+         "r_outer", "theta", "ts"],
+    )
+    def test_dropped_top_level_key(self, small_run, tmp_path, key):
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        assert key in doc
+        del doc[key]
+        code, err = verify_with_doc(tmp_path, doc, text)
+        if key in ("driver", "notice"):
+            # informational only: the family still loads and verifies
+            assert code == 0, err
+        else:
+            assert code == 1
+            assert err.startswith("configuration error:") and key in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("members", 1, "a"), None),
+            (("members", 1, "b", "coeffs", 0), [1.0]),
+            (("members", 2, "parity"), "1"),
+            (("members", 3, "center"), [0.0, float("nan")]),
+            (("members", 3, "center"), [0.5, 0.0]),
+            (("ts",), [0.0, 1.0]),
+            (("theta",), "dw"),
+            (("r_outer",), 0.25),
+        ],
+    )
+    def test_bad_entry_exit_1(self, small_run, tmp_path, path, value):
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        code, err = verify_with_doc(tmp_path, doc, text)
+        assert code == 1
+        assert err.startswith("configuration error:")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("verb", ["verify", "export", "run", "classify"])
+    def test_non_finite_member_exit_2(self, small_run, tmp_path, verb):
+        # a zero spinor block makes g = b/a infinite; every verb that reads
+        # the member must stop with a typed failure, not a LinAlgError or an
+        # adaptive quadrature that splits NaN intervals 2^24 times
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        doc["members"][-1]["a"]["coeffs"] = [[0.0, 0.0]]
+        work = tmp_path / "w"
+        work.mkdir()
+        (work / COEFFS).write_text(json.dumps(doc))
+        if verb in ("run", "classify"):
+            text = text.replace(
+                "catalog = catenoid", f"coefficients = {work / COEFFS}"
+            )
+        cfg = write_config(tmp_path, text)
+        code, _, err = run_cli([verb, "--config", cfg, "--out", str(work)])
+        assert code == 2
+        assert "NonFiniteValues" in err
+
+    @given(data=st.data())
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_mutated_file_never_tracebacks(self, small_run, tmp_path, data):
+        # contract: a corrupted file ends in exit 1 or 2 (0 only if the
+        # mutation left a family that still verifies), never in a traceback
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        paths = list(_json_paths(doc))
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_json_values)
+        code, err = verify_with_doc(tmp_path, doc, text)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+
+class TestVerifyFluxTarget:
+    def test_wrong_target_fails(self, small_run, tmp_path):
+        out, _ = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        code, err = verify_with_doc(tmp_path, doc, PRESCRIBED % (3 * np.pi + 1e-3))
+        assert code == 2, err
+        report = (tmp_path / "w" / "report.txt").read_text()
+        assert "check flux_target = FAIL" in report
+        assert "overall = FAIL" in report
+
+    def test_right_target_passes_byte_identical(self, small_run, tmp_path):
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        reports = []
+        for _ in range(2):
+            code, err = verify_with_doc(tmp_path, doc, text)
+            assert code == 0, err
+            reports.append((tmp_path / "w" / "report.txt").read_bytes())
+        assert reports[0] == reports[1]
+        lines = reports[0].decode().splitlines()
+        assert "check flux_target = pass" in lines
+        residual = [ln for ln in lines if ln.startswith("flux_end_residual = ")]
+        assert len(residual) == 1
+        assert float(residual[0].split(" = ")[1]) <= 1e-8
 
 
 class TestRunArtifacts:

@@ -191,6 +191,19 @@ class TestChooseParams:
         with pytest.raises(EstimateNotMet, match=f"{which} inequality"):
             lb.choose_params(f3t, g, [band], 2, t)
 
+    def test_reverification_of_bracket_without_samples(self, monkeypatch):
+        # no t sample lies in (0.55, 0.6): both passes must check the
+        # nearest sample, so the overestimate is still caught
+        end = lb.AnnulusEnd(0, 1.3, 2.0)
+        band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.55, 0.6))
+        f3t, g, t = ones_families(2)
+        real = lb._certified_min
+        monkeypatch.setattr(
+            lb, "_certified_min", lambda *a: 2.0 * real(*a)
+        )
+        with pytest.raises(EstimateNotMet):
+            lb.choose_params(f3t, g, [band], 2, t)
+
     def test_invalid_params_typed(self):
         with pytest.raises(EstimateNotMet):
             lb.LopezRosParams(lam=1.0, eps=0.0, c0=1.0)

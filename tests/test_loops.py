@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minflux import isotopy as iso
@@ -238,6 +238,153 @@ class TestZeroPeriodPair:
         bad = np.stack([np.cos(2 * np.pi * x) ** 2, np.zeros(n), np.zeros(n)], axis=1)
         with pytest.raises(NotImmersion):
             lp.make_zero_period_pair(bad, spin_class=0)
+
+
+def reference_transport_frame(unit_tangents, n1_start):
+    """_transport_frame as first written, normalising by np.linalg.norm."""
+    m = unit_tangents.shape[0]
+    n1 = np.empty((m, 3))
+    v = n1_start - (n1_start @ unit_tangents[0]) * unit_tangents[0]
+    n1[0] = v / np.linalg.norm(v)
+    for k in range(1, m):
+        u = unit_tangents[k]
+        v = n1[k - 1] - (n1[k - 1] @ u) * u
+        n1[k] = v / np.linalg.norm(v)
+    n2 = np.cross(unit_tangents, n1)
+    return n1, n2
+
+
+def reference_g_field(b, p, c, net_winding, refs):
+    """The unmemoised g_field: both frames are transported on every call.
+
+    refs holds the arctan2 branch references; the first call sets them, so
+    callers make that call at p = 0, as the builder's constructor does.
+    """
+
+    def stable_angle(key, raw):
+        if key not in refs:
+            refs[key] = raw
+            return raw
+        base = refs[key]
+        return base + (raw - base + np.pi) % (2.0 * np.pi) - np.pi
+
+    n, d, x = b.n, b.delta, b.x
+    hp = b.hprime(p)
+    nh = np.linalg.norm(hp, axis=1)
+    unit = hp / nh[:, None]
+    g = np.empty((n, 3))
+    g_core = b._core_g(p)
+    g[b.m_core] = g_core
+    g[b.m_anti] = np.array([0.0, -1.0, 0.0])
+    m_spin_1, m_spin_2 = b.spins
+    idx = np.where(b.m_trans)[0]
+    idx = np.concatenate([[idx[0] - 1], idx, [idx[-1] + 1]])
+    n1, n2 = reference_transport_frame(unit[idx], g_core)
+    target = np.array([0.0, -1.0, 0.0])
+    th = stable_angle("trans", np.arctan2(target @ n2[-1], target @ n1[-1]))
+    u = (x[idx] - d) / d
+    alpha = (th + 2.0 * np.pi * m_spin_1) * lp.smooth_step(u)
+    vals = nh[idx, None] * (
+        np.cos(alpha)[:, None] * n1 + np.sin(alpha)[:, None] * n2
+    )
+    g[idx[1:-1]] = vals[1:-1]
+    idx = b.idx_ext
+    idx2 = np.concatenate([idx, [0]])
+    tail = idx2[b.cut - 1 :] % n
+    t1, t2 = reference_transport_frame(unit[tail], b.n1_pre[b.cut - 1])
+    n1 = np.concatenate([b.n1_pre[: b.cut - 1], t1], axis=0)
+    n2 = np.concatenate([b.n2_pre[: b.cut - 1], t2], axis=0)
+    th = stable_angle("ext", np.arctan2(g_core @ n2[-1], g_core @ n1[-1]))
+    xs = np.concatenate([x[idx], [1.0]])
+    u = (xs - 3.0 * d) / (1.0 - 3.0 * d)
+    alpha = (th + 2.0 * np.pi * (m_spin_2 + net_winding)) * lp.smooth_step(u)
+    alpha = alpha + b._correction_bumps(u) @ c
+    vals = np.linalg.norm(hp[idx2 % n], axis=1)[:, None] * (
+        np.cos(alpha)[:, None] * n1 + np.sin(alpha)[:, None] * n2
+    )
+    g[idx] = vals[:-1]
+    return g
+
+
+def fresh_builder(n=1024, delta=0.05, eps=0.1):
+    """Builder on a field that is e1 on the flattened window and wiggles
+    elsewhere, as make_zero_period_pair hands it over."""
+    x = np.arange(n) / n
+    bump = lp.smooth_bump(x, 0.55, 0.3)
+    w = np.stack(
+        [
+            np.ones(n),
+            0.8 * bump * np.sin(4 * np.pi * x),
+            0.8 * bump * (1.0 - np.cos(2 * np.pi * x)),
+        ],
+        axis=1,
+    )
+    return lp._ZeroPeriodBuilder(w, delta, eps, n)
+
+
+#: p-values for the memo tests: zero, two generic points, and a point whose
+#: transition angle lies across the arctan2 cut from that of p = 0
+P_POOL = (
+    np.zeros(3),
+    np.array([0.3, -0.2, 0.25]),
+    np.array([-0.1, 0.15, 0.05]),
+    np.array([0.0, 0.0, -0.1]),
+)
+
+_coeffs = st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)
+
+
+class TestTransportFrame:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_linalg_norm_version(self, seed, m):
+        rng = np.random.default_rng(seed)
+        tangents = rng.normal(size=(m, 3))
+        tangents /= np.linalg.norm(tangents, axis=1)[:, None]
+        start = rng.normal(size=3)
+        got = lp._transport_frame(tangents, start)
+        want = reference_transport_frame(tangents, start)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+class TestZeroPeriodBuilderMemo:
+    """The memoised g_field equals the unmemoised one, whatever the order."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, len(P_POOL) - 1), _coeffs, st.integers(0, 1)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example([(0, [0.0] * 4, 0), (0, [0.5] * 4, 1), (0, [0.5] * 4, 0)])
+    @example([(1, [0.0] * 4, 1), (1, [1.0] * 4, 0), (3, [0.0] * 4, 0)])
+    @settings(max_examples=30, deadline=None)
+    def test_equals_unmemoised_reference(self, calls):
+        b = fresh_builder()
+        refs = {}
+        reference_g_field(b, np.zeros(3), np.zeros(4), 0, refs)
+        for i, c, winding in calls:
+            p, c = P_POOL[i].copy(), np.array(c)
+            b.net_winding = winding
+            want = reference_g_field(b, p, c, winding, refs)
+            assert np.array_equal(b.g_field(p, c), want)
+
+    def test_branch_reference_independent_of_call_order(self):
+        p0, p1 = P_POOL[0], P_POOL[3]
+        raw = []
+        for p in (p0, p1):
+            refs = {}
+            reference_g_field(fresh_builder(), p, np.zeros(4), 0, refs)
+            raw.append(refs["trans"])
+        # the two raw transition angles lie on either side of the cut
+        assert raw[0] > 3.0 and raw[1] < -3.0
+        a, b = fresh_builder(), fresh_builder()
+        a1, a0 = a.g_field(p1), a.g_field(p0)
+        b0, b1 = b.g_field(p0), b.g_field(p1)
+        assert np.array_equal(a0, b0)
+        assert np.array_equal(a1, b1)
 
 
 @pytest.fixture(scope="module")
