@@ -23,6 +23,7 @@ from . import riemann as rm
 from . import weierstrass as wz
 from .errors import FlatInput, NonFiniteValues, NotOnQuadric, RootNotFound
 from .loops import N_T_DEFAULT, PeriodicPath
+from .nullquadric import TOL_NULL
 from .riemann import LaurentMap
 from .weierstrass import (
     TOL_PERIOD,
@@ -31,9 +32,8 @@ from .weierstrass import (
     WeierstrassData,
 )
 
-#: Default tolerances of the drivers.
+#: Default flux tolerance of the drivers.
 TOL_FLUX = 1e-8
-TOL_NULL = 1e-10
 
 #: Loop sample count used on the homology circle.
 N_S_DEFAULT = 512
@@ -297,8 +297,7 @@ def _driver_controls(n, seed=7, jitter=0.0):
             p + jitter * rng.uniform(-1, 1) * np.cos(4.0 * np.pi * x + rng.uniform(0, 2 * np.pi))
             for p in profs
         ]
-    kinds = ("rotation_12", "rotation_13", "rotation_23", "scaling")
-    return [(k, p) for p in profs for k in kinds]
+    return [(k, p) for p in profs for k in nq.FLOW_KINDS]
 
 
 def _drive(

@@ -744,27 +744,6 @@ def _newton_root_ln(fun, q0, tol=1e-13, max_iter=80, fd=1e-7):
 # flow-driven period prescription
 
 
-_FLOW_SEQ = ("rotation_12", "rotation_13", "rotation_23", "scaling")
-
-
-def _plane(kind):
-    """Component indices (i, j) rotated by a rotation_ij flow."""
-    return int(kind[-2]) - 1, int(kind[-1]) - 1
-
-
-def _act(out, kind, t):
-    """Apply one flow with parameter samples t (N,) in place to out (N, 3, ...)."""
-    t = t.reshape(t.shape + (1,) * (out.ndim - 2))
-    if kind == "scaling":
-        out[...] = np.exp(t)[:, None] * out
-    else:
-        i, j = _plane(kind)
-        c, s = np.cos(t), np.sin(t)
-        zi, zj = out[:, i].copy(), out[:, j].copy()
-        out[:, i] = c * zi - s * zj
-        out[:, j] = s * zi + c * zj
-
-
 def _flow_deform(values, controls, w):
     """Apply bump-profiled quadric flows pointwise to loop samples.
 
@@ -772,9 +751,9 @@ def _flow_deform(values, controls, w):
     per control.  The flows act in list order and preserve the quadric
     exactly, so deformed loops never leave it.
     """
-    out = np.asarray(values, dtype=complex).copy()
+    out = np.array(values, dtype=complex)
     for (kind, prof), wj in zip(controls, w):
-        _act(out, kind, wj * prof)
+        out = nq.flow(out, kind, wj * prof)
     return out
 
 
@@ -788,19 +767,20 @@ def _flow_jacobian(values, controls, w):
     of the tangents are the columns.
     """
     v = np.asarray(values, dtype=complex)
-    # state[..., 0] is the deformed loop, state[..., k + 1] tangent k
-    state = np.zeros(v.shape + (len(controls) + 1,), dtype=complex)
-    state[..., 0] = v
+    # state[0] is the deformed loop, state[k + 1] tangent k
+    state = np.zeros((len(controls) + 1,) + v.shape, dtype=complex)
+    state[0] = v
     for k, ((kind, prof), wk) in enumerate(zip(controls, w)):
-        _act(state[..., : k + 1], kind, wk * prof)
-        loop = state[..., 0]
+        state[: k + 1] = nq.flow(state[: k + 1], kind, wk * prof)
+        loop = state[0]
         if kind == "scaling":
-            state[..., k + 1] = prof[:, None] * loop
+            state[k + 1] = prof[:, None] * loop
         else:
-            i, j = _plane(kind)
-            state[:, i, k + 1] = -prof * loop[:, j]
-            state[:, j, k + 1] = prof * loop[:, i]
-    return state[..., 1:].mean(axis=0)
+            i, j = int(kind[-2]) - 1, int(kind[-1]) - 1
+            state[k + 1, :, i] = -prof * loop[:, j]
+            state[k + 1, :, j] = prof * loop[:, i]
+    # C order: callers' products with this matrix round as for a fresh array
+    return np.ascontiguousarray(state[1:].mean(axis=1).T)
 
 
 def _default_controls(n, fixed, rng, n_centers=3, halfwidth=0.11):
@@ -821,7 +801,7 @@ def _default_controls(n, fixed, rng, n_centers=3, halfwidth=0.11):
     controls = []
     for c in centers:
         prof = gaussian_bump(x, c, hw)
-        for kind in _FLOW_SEQ:
+        for kind in nq.FLOW_KINDS:
             controls.append((kind, prof))
     return controls
 

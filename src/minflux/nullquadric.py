@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOnQuadric, UndersampledLoop, ZeroBase, ZeroPoint
+from .errors import (
+    NonFiniteValues,
+    NotOnQuadric,
+    UndersampledLoop,
+    ZeroBase,
+    ZeroPoint,
+)
 
 #: Relative tolerance for membership in the quadric.
 TOL_NULL = 1e-10
@@ -179,14 +185,15 @@ def fiber_point(xi, phi):
 def flow(z, field, t):
     """Closed-form flow of a quadric-preserving vector field.
 
-    field is one of FLOW_KINDS; t may be complex.  Rotations act by the
+    field is one of FLOW_KINDS; t may be complex and broadcasts against
+    z[..., 0], so each sample can carry its own time.  Rotations act by the
     complexified rotation matrix in the named coordinate plane, scaling by
     the factor e^t.  Both preserve the quadric exactly and vectorize over
     arrays of shape (..., 3).
     """
     z = np.asarray(z, dtype=complex)
     if field == "scaling":
-        return np.exp(t) * z
+        return np.exp(t)[..., None] * z
     if field not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {field!r}")
     i, j = int(field[-2]) - 1, int(field[-1]) - 1
@@ -216,23 +223,15 @@ def _lift_signs(a, b):
 LIFT_SAFETY = 0.2
 
 
-def pi1_class(loop):
-    """Z2 class of a closed loop in the punctured quadric.
+def _lift_loop(z):
+    """Sign-continued spinor lift of closed-loop samples.
 
-    loop: array (N, 3) of samples at equispaced parameters k/N; the closing
-    step from sample N-1 back to sample 0 is included.  Returns 0 when the
-    spinor lift closes up and 1 when it returns with the opposite sign.
-    Raises UndersampledLoop when the continuation is ambiguous.
+    z: array (N, 3) on the quadric, sampled at k/N with the closing step
+    from sample N-1 back to sample 0 included.  Returns (a, b, parity):
+    the continued spinor samples and 0 when the lift closes up, 1 when it
+    returns with the opposite sign.  Raises UndersampledLoop when the
+    continuation is ambiguous.
     """
-    z = np.asarray(loop, dtype=complex)
-    if z.ndim != 2 or z.shape[1] != 3:
-        raise ValueError("loop must have shape (N, 3)")
-    nz2 = np.sum(np.abs(z) ** 2, axis=1)
-    if np.any(nz2 == 0.0):
-        raise ZeroPoint("loop passes through the origin")
-    res = null_residual(z)
-    if np.max(res / np.maximum(1.0, nz2)) > TOL_NULL:
-        raise NotOnQuadric("loop leaves the quadric beyond tolerance")
     a, b = _pointwise_spinor(z)
     closed_a = np.concatenate([a, a[:1]])
     closed_b = np.concatenate([b, b[:1]])
@@ -241,4 +240,29 @@ def pi1_class(loop):
         raise UndersampledLoop(
             f"sign continuation margin {np.min(margin):.3g} below {LIFT_SAFETY}"
         )
-    return 0 if signs[-1] > 0 else 1
+    parity = 0 if signs[-1] > 0 else 1
+    return a * signs[:-1], b * signs[:-1], parity
+
+
+def pi1_class(loop):
+    """Z2 class of a closed loop in the punctured quadric.
+
+    loop: array (N, 3) of samples at equispaced parameters k/N; the closing
+    step from sample N-1 back to sample 0 is included.  Returns the parity
+    of the spinor lift: 0 when it closes up, 1 when it returns with the
+    opposite sign.  Raises NonFiniteValues for inf/NaN samples and
+    UndersampledLoop when the continuation is ambiguous.
+    """
+    z = np.asarray(loop, dtype=complex)
+    if z.ndim != 2 or z.shape[1] != 3:
+        raise ValueError("loop must have shape (N, 3)")
+    # NaN would pass both the quadric and the margin comparisons below
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteValues("loop holds non-finite samples")
+    nz2 = np.sum(np.abs(z) ** 2, axis=1)
+    if np.any(nz2 == 0.0):
+        raise ZeroPoint("loop passes through the origin")
+    res = null_residual(z)
+    if np.max(res / np.maximum(1.0, nz2)) > TOL_NULL:
+        raise NotOnQuadric("loop leaves the quadric beyond tolerance")
+    return _lift_loop(z)[2]

@@ -18,13 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nullquadric as nq
-from .errors import (
-    ApproximationBudgetExceeded,
-    NoClearance,
-    UndersampledLoop,
-    VanishingOnDomain,
-)
+from .errors import ApproximationBudgetExceeded, NoClearance, VanishingOnDomain
 from .loops import PeriodicPath, resample
+from .nullquadric import _lift_loop
 from .weierstrass import LaurentSeries
 
 #: Sup-norm tolerance of the extension on the generator curves.
@@ -198,15 +194,6 @@ class LaurentMap:
     scale: float = 1.0
     meta: dict = field(default_factory=dict)
 
-    def spinor_values(self, z, x=None):
-        """Spinor pair at points z; continuous only off the twist cut."""
-        w = np.asarray(z, dtype=complex) - self.center
-        av, bv = self.a(w), self.b(w)
-        if self.parity:
-            tw = np.sqrt(w / self.scale)
-            av, bv = av * tw, bv * tw
-        return av, bv
-
     def __call__(self, z):
         w = np.asarray(z, dtype=complex) - self.center
         av, bv = self.a(w), self.b(w)
@@ -229,21 +216,6 @@ class LaurentMap:
     def period(self):
         """Exact contour integral of the triple (dz) over a circle |z-c|=r."""
         return 2j * np.pi * np.array([c.residue for c in self.components()])
-
-
-def _lift_loop(values):
-    """Sign-continued spinor lift of loop samples; returns (a, b, parity)."""
-    z = np.asarray(values, dtype=complex)
-    a, b = nq._pointwise_spinor(z)
-    closed_a = np.concatenate([a, a[:1]])
-    closed_b = np.concatenate([b, b[:1]])
-    signs, margin = nq._lift_signs(closed_a, closed_b)
-    if float(np.min(margin)) < nq.LIFT_SAFETY:
-        raise UndersampledLoop(
-            f"sign continuation margin {np.min(margin):.3g} below {nq.LIFT_SAFETY}"
-        )
-    parity = 0 if signs[-1] > 0 else 1
-    return a * signs[:-1], b * signs[:-1], parity
 
 
 def _fit_block(samples, radius, degree):
@@ -299,9 +271,7 @@ def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None, degree=Non
         if parity:
             tw = np.exp(1j * np.pi * x)
             av, bv = av * tw, bv * tw
-        fa = np.stack(
-            [av * av - bv * bv, 1j * (av * av + bv * bv), 2 * av * bv], axis=-1
-        )
+        fa = nq.spinor_to_null(av, bv)
         sup_err = float(np.max(np.abs(fa - v)))
         if sup_err <= tol:
             gv = ext(grid)

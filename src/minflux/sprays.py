@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nullquadric as nq
 from .errors import (
     ContinuationStalled,
     DegenerateLoop,
@@ -21,14 +20,18 @@ from .errors import (
     LeftDomain,
     ThirdComponentVanishes,
 )
-from .loops import PeriodicPath, Segment, nondegenerate_on, raised_cosine
+from .loops import (
+    PeriodicPath,
+    Segment,
+    _flow_deform,
+    _flow_jacobian,
+    nondegenerate_on,
+    raised_cosine,
+)
 from .weierstrass import TOL_PERIOD
 
 #: Trust radius of the control ball.
 RADIUS_W = 0.5
-
-#: Finite-difference step for period Jacobians.
-H_FD = 1e-5 * RADIUS_W
 
 #: Width of the raised-cosine bump profiles on the circle.
 BUMP_WIDTH = 0.05
@@ -49,14 +52,6 @@ def _as_family(sigma_t):
         return np.asarray(p.values if isinstance(p, PeriodicPath) else p, complex)
 
     return [[arr(p) for p in curve] for curve in sigma_t]
-
-
-def _rotate_components(values, i, j, t):
-    out = values.copy()
-    c, s = np.cos(t), np.sin(t)
-    out[:, i] = c * values[:, i] - s * values[:, j]
-    out[:, j] = s * values[:, i] + c * values[:, j]
-    return out
 
 
 @dataclass
@@ -96,50 +91,36 @@ class LoopSpray:
 
     def deform(self, t_index, w):
         """Deformed loops at time sample t_index; exact identity at w = 0."""
-        parts = self._split(w)
-        out = []
-        for j, (curve, ctrls) in enumerate(zip(self.base, self.controls)):
-            vals = curve[t_index].copy()
-            for (kind, prof), wj in zip(ctrls, parts[j]):
-                if wj == 0:
-                    continue
-                t = wj * prof
-                if self.fixed_third:
-                    # multiply the Gauss map by e^(t); the third component
-                    # and the product (sigma1 - i sigma2)(sigma1 + i sigma2)
-                    # are untouched, so the loop stays exactly on the quadric
-                    u = (vals[:, 0] - 1j * vals[:, 1]) * np.exp(-t)
-                    v = (-vals[:, 0] - 1j * vals[:, 1]) * np.exp(t)
-                    vals[:, 0] = 0.5 * (u - v)
-                    vals[:, 1] = 0.5j * (u + v)
-                elif kind == "scaling":
-                    vals = np.exp(t)[:, None] * vals
-                else:
-                    i, k = int(kind[-2]) - 1, int(kind[-1]) - 1
-                    vals = _rotate_components(vals, i, k, t)
-            out.append(vals)
-        return out
+        return [
+            _flow_deform(curve[t_index], ctrls, wj)
+            for curve, ctrls, wj in zip(self.base, self.controls, self._split(w))
+        ]
 
     def periods(self, t_index, w):
         """Loop periods per curve, stacked to shape (n_curves, 3)."""
         return np.stack([v.mean(axis=0) for v in self.deform(t_index, w)])
 
 
-def period_jacobian(spray, t_index, w=0, h_fd=H_FD):
-    """Central finite-difference Jacobian of the periods at the controls w.
+def period_jacobian(spray, t_index, w=0):
+    """Exact Jacobian of the periods at the controls w.
 
-    Rows are the period components per curve (all three, or the first two
-    for fixed-third sprays); columns are the complex controls.
+    Each curve's periods depend on its own controls only, so the matrix is
+    block diagonal with one _flow_jacobian block per curve.  Rows are the
+    period components per curve (all three, or the first two for
+    fixed-third sprays); columns are the complex controls.
     """
     rows = 2 if spray.fixed_third else 3
-    m = spray.dim_w
-    J = np.empty((rows * spray.n_curves, m), dtype=complex)
-    for col in range(m):
-        dw = np.zeros(m, dtype=complex)
-        dw[col] = h_fd
-        plus = spray.periods(t_index, w + dw)[:, :rows].ravel()
-        minus = spray.periods(t_index, w - dw)[:, :rows].ravel()
-        J[:, col] = (plus - minus) / (2.0 * h_fd)
+    w = np.broadcast_to(np.asarray(w, dtype=complex), (spray.dim_w,))
+    J = np.zeros((rows * spray.n_curves, spray.dim_w), dtype=complex)
+    col = 0
+    for j, (curve, ctrls, wj) in enumerate(
+        zip(spray.base, spray.controls, spray._split(w))
+    ):
+        m = len(ctrls)
+        J[rows * j : rows * (j + 1), col : col + m] = _flow_jacobian(
+            curve[t_index], ctrls, wj
+        )[:rows]
+        col += m
     return J
 
 
@@ -211,11 +192,14 @@ def build_spray(sigma_t, segments, seed=17):
 def build_spray_fixed_third(sigma_t, segments, seed=19):
     """Spray deforming only the first two components, third kept exactly.
 
-    Controls multiply the Gauss map by unit exponential factors; two
-    controls per curve dominate the two free period components.
+    Controls are rotations in the 1-2 plane: they scale z1 -+ i z2 by
+    e^(-+i t), so they multiply the Gauss map by an exponential factor and
+    never write the third component.  Two controls per curve dominate the
+    two free period components.
     """
     return _build(
-        sigma_t, segments, ("gauss", "gauss"), fixed_third=True, seed=seed
+        sigma_t, segments, ("rotation_12", "rotation_12"), fixed_third=True,
+        seed=seed,
     )
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,31 @@ name = flux_to_zero
 t_samples = 64
 seed = 7
 """
+
+
+# The keys config_from_mapping accepts, and value text for the config fuzz
+# test: non-finite, non-integral and out-of-range numbers, and names.
+CONFIG_KEYS = (
+    "domain.r_inner", "domain.r_outer", "initial.catalog",
+    "initial.coefficients", "driver.name", "driver.delta",
+    "driver.target_flux", "driver.core", "run.t_samples", "run.seed",
+    "run.out", "run.tol_flux", "run.tol_period", "run.export_t", "run.mesh",
+)
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "2.5", "0", "-1", "24",
+                     "1_0", "0x10", "catenoid", "flux_to_zero", ""]),
+    st.floats().map(repr),
+    st.integers(-10**30, 10**30).map(str),
+)
+
+
+def _as_sections(lines):
+    """Config text from (section.name, value) pairs, one header per key."""
+    out = []
+    for key, value in lines:
+        section, _, name = key.partition(".")
+        out.append(f"[{section}]\n{name} = {value}")
+    return "\n".join(out)
 
 
 def write_config(tmp_path, text=CONFIG, extra=""):
@@ -80,11 +106,52 @@ class TestConfigParsing:
             cli.config_from_mapping({"initial.catalog": "catenoid",
                                      f"run.{name}": value})
 
-    @pytest.mark.parametrize("mesh", ["0, 0", "1, 96", "24", "24, 96, 3"])
+    @pytest.mark.parametrize(
+        "mesh", ["0, 0", "1, 96", "24", "24, 96, 3", "nan, 3", "inf, 3", "2.5, 3"]
+    )
     def test_bad_mesh_rejected(self, mesh):
         with pytest.raises(ConfigError, match="mesh"):
             cli.config_from_mapping({"initial.catalog": "catenoid",
                                      "run.mesh": mesh})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("driver.delta", "nan"), ("driver.target_flux", "inf 0 0"),
+         ("domain.r_outer", "inf"), ("run.export_t", "0 nan"),
+         ("run.seed", "-1")],
+    )
+    def test_out_of_range_number_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            cli.config_from_mapping({"initial.catalog": "catenoid",
+                                     "driver.name": "prescribe_flux",
+                                     "driver.target_flux": "0 0 1", key: value})
+
+    @given(
+        st.dictionaries(st.sampled_from(CONFIG_KEYS),
+                        st.lists(NUMBER_TEXT, min_size=1, max_size=4),
+                        max_size=6),
+        st.lists(st.text(max_size=16), max_size=1),
+    )
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_generated_config_text(self, tmp_path, entries, junk):
+        # load_config returns a config of finite numbers and integral mesh
+        # sizes, or raises ConfigError; it never raises anything else
+        entries = {"initial.catalog": ["catenoid"], **entries}
+        text = _as_sections((k, " , ".join(v)) for k, v in entries.items())
+        text = "\n".join([text, *junk])
+        path = tmp_path / "fuzz.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = cli.load_config(path)
+        except ConfigError:
+            return
+        for name in ("r_inner", "r_outer", "delta", "tol_flux", "tol_period"):
+            assert math.isfinite(getattr(cfg, name))
+        for name in ("target_flux", "core", "export_t", "mesh"):
+            assert all(math.isfinite(v) for v in getattr(cfg, name))
+        assert all(isinstance(v, int) for v in cfg.mesh)
+        assert min(cfg.mesh) >= 2 and cfg.t_samples >= 2 and cfg.seed >= 0
 
     def test_prescribe_flux_requires_target(self):
         with pytest.raises(ConfigError, match="target_flux"):
@@ -317,6 +384,21 @@ class TestVerifyFluxTarget:
         residual = [ln for ln in lines if ln.startswith("flux_end_residual = ")]
         assert len(residual) == 1
         assert float(residual[0].split(" = ")[1]) <= 1e-8
+
+    def test_run_and_verify_report_one_residual(self, small_run, tmp_path):
+        # both verbs report the flux recomputed by isotopy.verify
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        code, err = verify_with_doc(tmp_path, doc, text)
+        assert code == 0, err
+
+        def residual_line(report):
+            return [ln for ln in report.read_text().splitlines()
+                    if ln.startswith("flux_end_residual = ")]
+
+        run_line = residual_line(out / "report.txt")
+        assert len(run_line) == 1
+        assert run_line == residual_line(tmp_path / "w" / "report.txt")
 
 
 class TestRunArtifacts:

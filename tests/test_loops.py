@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from minflux import isotopy as iso
 from minflux import loops as lp
 from minflux import nullquadric as nq
+from minflux import sprays as sp
 from minflux.errors import (
     EmptySegment,
     InvalidPair,
@@ -83,7 +84,7 @@ def central_difference_jacobian(values, controls, w, h=1e-6):
 
 class TestFlowJacobian:
     @given(
-        st.sampled_from(["driver", "default"]),
+        st.sampled_from(["driver", "default", "spray"]),
         st.integers(0, 2**16),
         st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 2.0 * np.pi)),
                  min_size=12, max_size=12),
@@ -93,13 +94,22 @@ class TestFlowJacobian:
         n = 256
         if family == "driver":
             controls = iso._driver_controls(n, seed=seed, jitter=0.1 * (seed % 3))
-        else:
+        elif family == "default":
             fixed = lp.Segment(0.3, 0.45) if seed % 2 else None
             controls = lp._default_controls(n, fixed, np.random.default_rng(seed))
-        assert {kind for kind, _ in controls} == set(lp._FLOW_SEQ)
-        w = np.array([r * np.exp(1j * phi) for r, phi in polar])
+        else:
+            # the kind sets of build_spray and build_spray_fixed_third
+            kinds = (("rotation_12", "rotation_13", "rotation_23"),
+                     ("rotation_12", "rotation_12"))[seed % 2]
+            controls = sp._make_controls(
+                [lp.Segment(0.0, 0.25)], n, np.random.default_rng(seed), kinds
+            )[0]
+        if family != "spray":
+            assert {kind for kind, _ in controls} == set(nq.FLOW_KINDS)
+        w = np.array([r * np.exp(1j * phi) for r, phi in polar])[: len(controls)]
         v = catenoid_boundary_loop(n)
         exact = lp._flow_jacobian(v, controls, w)
+        assert exact.shape == (3, len(controls)) and exact.flags.c_contiguous
         fd = central_difference_jacobian(v, controls, w)
         assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
 

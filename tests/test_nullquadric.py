@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minflux import nullquadric as nq
-from minflux.errors import NotOnQuadric, UndersampledLoop, ZeroBase, ZeroPoint
+from minflux.errors import (
+    NonFiniteValues,
+    NotOnQuadric,
+    UndersampledLoop,
+    ZeroBase,
+    ZeroPoint,
+)
 
 
 def spinors(max_mag=3.0):
@@ -127,6 +133,25 @@ class TestFlow:
             b = nq.flow(z0, kind, s + t)
             assert np.allclose(a, b)
 
+    @pytest.mark.parametrize("kind", nq.FLOW_KINDS)
+    def test_per_sample_times(self, kind):
+        # t broadcasts against z[..., 0]: sample k moves by its own t[k],
+        # exactly as the scalar flow at that time
+        rng = np.random.default_rng(11)
+        z = nq.spinor_to_null(
+            rng.normal(size=16) + 1j * rng.normal(size=16),
+            rng.normal(size=16) + 1j * rng.normal(size=16),
+        )
+        t = rng.normal(size=16) + 1j * rng.normal(size=16)
+        moved = nq.flow(z, kind, t)
+        for k in range(16):
+            assert np.array_equal(moved[k], nq.flow(z[k], kind, t[k]))
+        # a (16, 1) time column acts on a (16, 4, 3) stack sample by sample
+        stack = np.stack([z, 2 * z, 1j * z, -z], axis=1)
+        moved = nq.flow(stack, kind, t[:, None])
+        for c in range(4):
+            assert np.array_equal(moved[:, c], nq.flow(stack[:, c], kind, t))
+
 
 def _spinor_loop(n, winding_half_turns):
     x = np.arange(n) / n
@@ -164,3 +189,19 @@ class TestPi1Class:
         loop = np.zeros((64, 3), dtype=complex)
         with pytest.raises(ZeroPoint):
             nq.pi1_class(loop)
+
+    def test_non_finite_rejected(self):
+        # NaN passes both the quadric test and the margin test, so these
+        # loops used to get a class (0 and 1)
+        all_nan = np.full((64, 3), np.nan, dtype=complex)
+        x = np.arange(256) / 256
+        w = np.exp(2j * np.pi * x)
+        catenoid = np.stack(
+            [0.5 * (1.0 / w - w), 0.5j * (1.0 / w + w), np.ones(256, complex)],
+            axis=1,
+        )
+        assert nq.pi1_class(catenoid) == 1
+        catenoid[100, 0] = np.nan
+        for loop in (all_nan, catenoid):
+            with pytest.raises(NonFiniteValues):
+                nq.pi1_class(loop)

@@ -107,6 +107,24 @@ class TestFixedThird:
             sv = np.linalg.svd(J, compute_uv=False)
             assert sv[-1] > sp.SIGMA_MIN
 
+    def test_equals_gauss_map_formula(self, spray_fixed):
+        # oracle: the closed-form Gauss-map control, (z1 - i z2) e^(-t) and
+        # (-z1 - i z2) e^(t), is the 1-2 rotation at angle -i t, so
+        # deform(k, w) applies it with t = i w prof
+        rng = np.random.default_rng(5)
+        m = spray_fixed.dim_w
+        w = 0.3 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+        for k in range(spray_fixed.n_t):
+            vals = spray_fixed.base[0][k].copy()
+            for (_, prof), wj in zip(spray_fixed.controls[0], 1j * w):
+                t = wj * prof
+                u = (vals[:, 0] - 1j * vals[:, 1]) * np.exp(-t)
+                v = (-vals[:, 0] - 1j * vals[:, 1]) * np.exp(t)
+                vals[:, 0] = 0.5 * (u - v)
+                vals[:, 1] = 0.5j * (u + v)
+            out = spray_fixed.deform(k, w)[0]
+            assert np.max(np.abs(out - vals)) <= 1e-14 * np.max(np.abs(vals))
+
     def test_vanishing_third_rejected(self):
         # spinors a = 1, b = sin(2 pi x): third component 2ab has a zero
         # inside the segment while the loop stays nondegenerate there
@@ -116,6 +134,33 @@ class TestFixedThird:
         bad = np.stack([1.0 - b * b, 1j * (1.0 + b * b), 2.0 * b], axis=1)
         with pytest.raises(ThirdComponentVanishes):
             sp.build_spray_fixed_third([[bad]], SEG)
+
+
+class TestPeriodJacobian:
+    @pytest.mark.parametrize(
+        "build", [sp.build_spray, sp.build_spray_fixed_third]
+    )
+    def test_two_curves_block_diagonal_and_exact(self, build):
+        second = [2.0 * v for v in rotated_family()]
+        spray = build([rotated_family(), second], [SEG, lp.Segment(0.5, 0.75)])
+        rows = 2 if spray.fixed_third else 3
+        m0 = len(spray.controls[0])
+        rng = np.random.default_rng(8)
+        w = 0.1 * (rng.normal(size=spray.dim_w) + 1j * rng.normal(size=spray.dim_w))
+        h = 1e-6
+        for k in range(spray.n_t):
+            J = sp.period_jacobian(spray, k, w)
+            assert J.shape == (2 * rows, spray.dim_w)
+            # each curve's periods depend on its own controls only
+            assert np.all(J[:rows, m0:] == 0) and np.all(J[rows:, :m0] == 0)
+            fd = np.empty_like(J)
+            for col in range(spray.dim_w):
+                dw = np.zeros(spray.dim_w, dtype=complex)
+                dw[col] = h
+                plus = spray.periods(k, w + dw)[:, :rows].ravel()
+                minus = spray.periods(k, w - dw)[:, :rows].ravel()
+                fd[:, col] = (plus - minus) / (2.0 * h)
+            assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
 
 
 class TestSolveW:
