@@ -11,7 +11,10 @@ snake through the alternating openings (long), so the intrinsic distance
 to the boundary grows by a prescribed amount.  Distances are measured by
 Dijkstra runs on polar metric graphs.  Their flat-metric calibration needs
 no second run: on such a graph the flat distance from a node to a boundary
-circle is exactly the radial gap, which is read off the radii.
+circle is exactly the radial gap, which is read off the radii.  The endpoint
+distance uses a fine graph whose radii are spaced 1/(4N^3) apart in the
+chart of each band: a quarter of the wall width and of the clearance
+between walls, so no radial edge skips a wall.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ LAMBDA_MARGIN = 0.25
 
 #: Largest wall count a single step may request (2 N^2 walls per band).
 N_MAX = 50
+
+#: Fine-graph rings per 1/N^3 wall cell of a band.  Walls and the gaps
+#: between them are each half a cell wide, so at 4 rings per cell every
+#: wall holds at least two rings and every gap at least one.
+FINE_PER_CELL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +399,24 @@ def choose_params(f3t_family, g_family, bands, N, t_grid, margin=LAMBDA_MARGIN):
 # the Lopez-Ros transformation
 
 
+def _factors(params, t_grid):
+    """The Gauss-map factor 1 + lambda t on the walls, per t sample."""
+    return [1.0 + params.lam * float(t) for t in np.asarray(t_grid, dtype=float)]
+
+
+def _wall_mask(labyrinths, z):
+    """True at the physical points z that lie on a wall of any labyrinth."""
+    mask = np.zeros(z.shape, dtype=bool)
+    for lab in labyrinths:
+        mask |= lab.contains(z)
+    return mask
+
+
+def _grown(g_values, mask, factor):
+    """Values of the transformed Gauss map: g times factor on the walls."""
+    return g_values * np.where(mask, factor, 1.0)
+
+
 def lopez_ros(data_t, params, labyrinths, t_grid):
     """Per-t transformed data: g multiplied by 1 + lambda t on the walls.
 
@@ -400,15 +426,11 @@ def lopez_ros(data_t, params, labyrinths, t_grid):
     """
     t_grid = np.asarray(t_grid, dtype=float)
     out = []
-    for data, t in zip(data_t, t_grid):
-        factor = 1.0 + params.lam * float(t)
+    for data, t, factor in zip(data_t, t_grid, _factors(params, t_grid)):
 
         def g(z, base=data.g, fac=factor):
             z = np.asarray(z, dtype=complex)
-            mask = np.zeros(z.shape, dtype=bool)
-            for lab in labyrinths:
-                mask |= lab.contains(z)
-            return base(z) * np.where(mask, fac, 1.0)
+            return _grown(base(z), _wall_mask(labyrinths, z), fac)
 
         out.append(
             wz.WeierstrassData(
@@ -423,19 +445,62 @@ def lopez_ros(data_t, params, labyrinths, t_grid):
     return out
 
 
+class _PointSet:
+    """Base member values and the union wall mask on one fixed point set.
+
+    Each distinct base member's g, f3 and theta/dz are evaluated once.  A
+    transformed member, given by its base member and its factor, takes the
+    base values with g grown on the walls, exactly as its lopez_ros
+    callable computes them, so the results are the same bits.
+    """
+
+    def __init__(self, z, members):
+        self.z = np.asarray(z, dtype=complex)
+        self.base = {
+            id(m): (m.g(self.z), m.f3(self.z), m.theta_over_dz(self.z))
+            for m in _distinct(members)
+        }
+        self.mask = None
+
+    def walls(self, labyrinths):
+        """Evaluate the union wall mask; returns self."""
+        self.mask = _wall_mask(labyrinths, self.z)
+        return self
+
+    def gf3(self, m, factor=None):
+        """g and f3 of base member m, transformed by factor when one is given."""
+        g, f3, _ = self.base[id(m)]
+        return (g if factor is None else _grown(g, self.mask, factor)), f3
+
+    def f(self, m, factor=None):
+        return wz.null_triple(*self.gf3(m, factor))
+
+    def f_theta(self, m, factor=None):
+        return self.f(m, factor) * self.base[id(m)][2][..., None]
+
+    def density(self, m, factor=None):
+        return wz.density_from_f_theta(self.f_theta(m, factor))
+
+
 # ---------------------------------------------------------------------------
 # metric graphs and intrinsic distance
 
 
 @dataclass
 class MetricGraph:
-    """8-connected polar graph with precomputed edge geometry."""
+    """8-connected polar graph with precomputed edge geometry.
+
+    The edges are stored once, in CSR order: rows ascending, and columns
+    ascending within a row.  rows and cols give the two ends of each edge,
+    indptr the start of each row, all int32.
+    """
 
     nodes: np.ndarray  # complex positions, shape (n_r * n_th,)
     radii: np.ndarray
     n_th: int
     rows: np.ndarray
     cols: np.ndarray
+    indptr: np.ndarray
     lengths: np.ndarray
     source: int
     boundary: np.ndarray
@@ -445,10 +510,7 @@ class MetricGraph:
         rho = np.sqrt(np.abs(density_fn(self.nodes)))
         wts = 0.5 * (rho[self.rows] + rho[self.cols]) * self.lengths
         n = self.nodes.size
-        m = csr_matrix((wts, (self.rows, self.cols)), shape=(n, n))
-        # the matrix holds its own copy of the weights; free the arrays
-        # before the search, where the memory peak of a large graph lies
-        del rho, wts
+        m = csr_matrix((wts, self.cols, self.indptr), shape=(n, n))
         d = dijkstra(m, directed=False, indices=self.source)
         val = float(np.min(d[self.boundary]))
         if not np.isfinite(val):
@@ -494,7 +556,14 @@ class MetricGraph:
 
 def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
                        boundary="both"):
-    """Polar graph on the annulus r_in < |z| < r_out, 8-connected."""
+    """Polar graph on the annulus r_in < |z| < r_out, 8-connected.
+
+    Node i n_th + j sits at radius radii[i] and angle 2 pi j / n_th.  It has
+    one edge to its angular successor j + 1 and, below the outer circle,
+    three to the next circle out, at angles j - 1, j and j + 1 (mod n_th).
+    """
+    if n_th < 3:
+        raise ValueError("n_th must be at least 3")
     if radii is None:
         radii = np.linspace(r_in, r_out, n_r)
     radii = np.asarray(radii, dtype=float)
@@ -502,38 +571,35 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
     ang = 2.0 * np.pi * np.arange(n_th) / n_th
     nodes = (radii[:, None] * np.exp(1j * ang)[None, :]).ravel()
 
-    def nid(i, j):
-        return i * n_th + np.mod(j, n_th)
-
-    i_idx = np.arange(n_r)
-    j_idx = np.arange(n_th)
-    I, J = np.meshgrid(i_idx, j_idx, indexing="ij")
-    rows, cols = [], []
-    # angular edges
-    rows.append(nid(I, J).ravel())
-    cols.append(nid(I, J + 1).ravel())
-    # radial and diagonal edges
-    Ii, Ji = np.meshgrid(i_idx[:-1], j_idx, indexing="ij")
-    for dj in (-1, 0, 1):
-        rows.append(nid(Ii, Ji).ravel())
-        cols.append(nid(Ii + 1, Ji + dj).ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    # columns of one node's row, relative to the start of its circle: the
+    # angular successor, then the next circle's three neighbours, sorted
+    j = np.arange(n_th)
+    ahead = ((j + 1) % n_th)[:, None]
+    out = n_th + np.sort(np.stack([(j - 1) % n_th, j, (j + 1) % n_th], 1), 1)
+    start = (np.arange(n_r) * n_th)[:, None, None]
+    cols = np.concatenate([
+        (start[:-1] + np.concatenate([ahead, out], 1)).ravel(),
+        (start[-1] + ahead).ravel(),
+    ]).astype(np.int32)
+    degree = np.full(n_r * n_th, 4, dtype=np.int32)
+    degree[(n_r - 1) * n_th:] = 1
+    indptr = np.concatenate(([0], np.cumsum(degree))).astype(np.int32)
+    rows = np.repeat(np.arange(n_r * n_th, dtype=np.int32), degree)
     lengths = np.abs(nodes[rows] - nodes[cols])
     x0 = complex(x0)
     source = int(np.argmin(np.abs(nodes - x0)))
     b = []
     if boundary in ("both", "inner"):
-        b.append(nid(0, j_idx))
+        b.append(j)
     if boundary in ("both", "outer"):
-        b.append(nid(n_r - 1, j_idx))
+        b.append((n_r - 1) * n_th + j)
     if not b:
         raise ValueError("boundary must be 'inner', 'outer' or 'both'")
     resolution = float(np.max(np.diff(radii)))
     return MetricGraph(
         nodes=nodes, radii=radii, n_th=n_th, rows=rows, cols=cols,
-        lengths=lengths, source=source, boundary=np.concatenate(b),
-        resolution=resolution,
+        indptr=indptr, lengths=lengths, source=source,
+        boundary=np.concatenate(b), resolution=resolution,
     )
 
 
@@ -578,10 +644,15 @@ def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, radii=None,
                           calibration=calib)
 
 
+def _fine_spacing(N):
+    """Chart spacing of the fine radii inside a band of an N-labyrinth."""
+    return 1.0 / (FINE_PER_CELL * N**3)
+
+
 def _fine_radii(r_in, r_out, labyrinths, N, n_coarse=48):
-    """Radial node set resolving every labyrinth feature to 1/(16 N^3)."""
+    """Radial node set: coarse radii, plus each band at _fine_spacing(N)."""
     pieces = [np.linspace(r_in, r_out, n_coarse)]
-    h = 1.0 / (16.0 * N**3)
+    h = _fine_spacing(N)
     for lab in labyrinths:
         band = lab.band
         lo_c, hi_c = band.r, band.R
@@ -665,9 +736,9 @@ def complete_step(
     # distance of the input family; equal members share one evaluation
     distinct = _distinct(members)
     coarse = build_metric_graph(r_in, r_out, x0)
+    on_coarse = _PointSet(coarse.nodes, distinct)
     tau = min(
-        coarse.distance(lambda z, m=m: wz.metric_density(m, z))
-        for m in distinct
+        coarse.distance(lambda z, m=m: on_coarse.density(m)) for m in distinct
     )
     required = max(tau - delta, 1.0 / delta)
 
@@ -683,7 +754,9 @@ def complete_step(
 
     # first pass: wide bands fix a provisional epsilon and wall count N;
     # then narrow bands sized to N keep the fine graph small, and the
-    # crossing bound is re-verified with the final parameters
+    # crossing bound is re-verified with the final parameters.  A band
+    # clipped by its end to at most 2/N cannot hold the walls, so N rises
+    # until 2/N falls below the narrowest band.
     f3_family = [m.f3 for m in members]
     bands = find_bands(f3_family, ends, t_grid, brackets=brackets)
     params = choose_params(f3t_family, g_family, bands, 2, t_grid)
@@ -692,13 +765,25 @@ def complete_step(
         r_const = min(min(0.5, b.r) for b in bands)
         needed = (1.0 + est_margin) * required / (r_const * params.eps)
         if N >= needed:
-            break
-        N = max(int(np.ceil(needed)), 2)
-        if N > N_MAX:
-            raise EstimateNotMet(
-                f"required wall count N = {N} exceeds the supported budget "
-                f"{N_MAX}; the step cannot reach distance {required:.3g}"
-            )
+            w_min = min(b.R - b.r for b in bands)
+            if 2.0 / N < w_min:
+                break
+            N_fit = int(2.0 / w_min) + 1
+            if N_fit > N_MAX:
+                raise EstimateNotMet(
+                    f"band width {w_min:.3g} does not exceed 2/N = "
+                    f"{2.0 / N:.3g}, and the wall count N = {N_fit} that "
+                    f"fits exceeds the supported budget {N_MAX}"
+                )
+            N = N_fit
+        else:
+            N = max(int(np.ceil(needed)), 2)
+            if N > N_MAX:
+                raise EstimateNotMet(
+                    f"required wall count N = {N} exceeds the supported "
+                    f"budget {N_MAX}; the step cannot reach distance "
+                    f"{required:.3g}"
+                )
         bands = find_bands(
             f3_family, ends, t_grid, brackets=brackets, width=2.5 / N
         )
@@ -709,37 +794,48 @@ def complete_step(
         )
     labs = [build_labyrinth(b, N) for b in bands]
     transformed = lopez_ros(members, params, labs, t_grid)
+    factors = _factors(params, t_grid)
 
     report = {"N": N, "tau": tau, "delta": delta, "required": required,
               "lam": params.lam, "eps": params.eps, "c0": params.c0}
     passes = {}
 
+    # the checks below read each transformed member j, the base member
+    # members[j] grown by factors[j] on the walls, off one evaluation of the
+    # base members and the wall mask per point set
+    pairs = list(zip(members, factors))
+
     # (I) anchoring at t = 0 and (II) third components, exactly
-    probe_pts = data0.grid(n_r=16, n_th=64)
+    probe = _PointSet(data0.grid(n_r=16, n_th=64), members).walls(labs)
     passes["anchoring"] = bool(
-        np.array_equal(transformed[0].f(probe_pts), data0.f(probe_pts))
+        np.array_equal(probe.f(data0, factors[0]), probe.f(data0))
     )
     third_dev = max(
-        float(np.max(np.abs(h.f3(probe_pts) - m.f3(probe_pts))))
-        for h, m in zip(transformed, members)
+        float(np.max(np.abs(probe.gf3(m, fac)[1] - probe.gf3(m)[1])))
+        for m, fac in pairs
     )
     report["third_component_deviation"] = third_dev
     passes["third_components"] = third_dev <= 1e-10
 
     # (III) flux over the core generator
     circle = wz.circle(rho, 512)
+    on_circle = _PointSet(circle, members).walls(labs)
+
+    def flux(m, fac=None):
+        return wz.period_from_f_theta(on_circle.f_theta(m, fac), circle).imag
+
     flux_dev = max(
-        float(np.max(np.abs(wz.flux(h, circle) - wz.flux(m, circle))))
-        for h, m in zip(transformed, members)
+        float(np.max(np.abs(flux(m, fac) - flux(m)))) for m, fac in pairs
     )
     report["flux_deviation"] = flux_dev
     passes["flux_traces"] = flux_dev <= 1e-10
 
     # approximation on the core: the transform is the identity there
     core_pts = circle * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8)[:, None]
+    on_core = _PointSet(core_pts, members).walls(labs)
     core_dev = max(
-        float(np.max(np.abs(h.f(core_pts) - m.f(core_pts))))
-        for h, m in zip(transformed, members)
+        float(np.max(np.abs(on_core.f(m, fac) - on_core.f(m))))
+        for m, fac in pairs
     )
     report["core_deviation"] = core_dev
     passes["core_approximation"] = core_dev <= 1e-10
@@ -753,12 +849,15 @@ def complete_step(
         w_grid = band.chart_grid(96, 128)
         z_grid = band.end.from_chart(w_grid)
         inside = lab.contains_chart(w_grid)
+        chart_scale = np.abs(band.end.dz_dw(w_grid)) ** 2
         t_lo, t_hi = band.bracket
-        for t in (t_lo, 0.5 * (t_lo + t_hi), t_hi):
-            j = int(np.argmin(np.abs(t_grid - t)))
-            h = transformed[j]
-            dens = wz.metric_density(h, z_grid)
-            dens_chart = dens * np.abs(band.end.dz_dw(w_grid)) ** 2
+        js = [
+            int(np.argmin(np.abs(t_grid - t)))
+            for t in (t_lo, 0.5 * (t_lo + t_hi), t_hi)
+        ]
+        on_band = _PointSet(z_grid, [members[j] for j in js]).walls(labs)
+        for j in js:
+            dens_chart = on_band.density(members[j], factors[j]) * chart_scale
             if np.any(inside):
                 m1 = float(np.min(dens_chart[inside]))
                 est1_min = min(est1_min, m1 / (N**8 * params.eps**2))
@@ -772,10 +871,11 @@ def complete_step(
     passes["est2"] = est2_ok
 
     # (IV) per-t distances on the coarse graph
+    on_coarse.walls(labs)
     dists = np.array(
         [
-            coarse.distance(lambda z, h=h: wz.metric_density(h, z))
-            for h in transformed
+            coarse.distance(lambda z, m=m, fac=fac: on_coarse.density(m, fac))
+            for m, fac in pairs
         ]
     )
     report["min_distance_t"] = float(dists.min())
@@ -788,8 +888,8 @@ def complete_step(
     final = fine.distance(lambda z: dens_end)
     report["final_distance"] = final
     report["calibration"] = fine.flat_distance() / min(rho - r_in, r_out - rho)
-    # radial spacing inside the bands: a quarter of the smallest clearance
-    report["fine_resolution"] = 1.0 / (16.0 * N**3)
+    # radial spacing inside the bands: half the clearance between walls
+    report["fine_resolution"] = _fine_spacing(N)
     passes["conclusion_v"] = final > 1.0 / delta
 
     # est3: random crossing paths through each band

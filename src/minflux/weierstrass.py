@@ -206,21 +206,28 @@ def assemble_f(g, f3, grid=None, min_gauss=1e-12):
 
     def f(z):
         z = np.asarray(z, dtype=complex)
-        gz = g(z)
-        if np.any(gz == 0):
-            raise GaussMapVanishes("g vanishes at an evaluation point")
-        f3z = f3(z)
-        inv = 1.0 / gz
-        return np.stack(
-            [
-                0.5 * (inv - gz) * f3z,
-                0.5j * (inv + gz) * f3z,
-                f3z,
-            ],
-            axis=-1,
-        )
+        return null_triple(g(z), f3(z))
 
     return f
+
+
+def null_triple(gz, f3z):
+    """The null triple ((1/g - g) f3 / 2, i (1/g + g) f3 / 2, f3), shape (..., 3).
+
+    Takes values of g and f3 at the same points; raises GaussMapVanishes
+    where g is zero.
+    """
+    if np.any(gz == 0):
+        raise GaussMapVanishes("g vanishes at an evaluation point")
+    inv = 1.0 / gz
+    return np.stack(
+        [
+            0.5 * (inv - gz) * f3z,
+            0.5j * (inv + gz) * f3z,
+            f3z,
+        ],
+        axis=-1,
+    )
 
 
 def gauss_map(f, grid, threshold=1e-12, max_bad_fraction=0.01):
@@ -264,8 +271,12 @@ def conformality_residual(f_values):
 def loop_period(data, curve):
     """Complex loop period of f theta over a closed curve, by spectral quadrature."""
     z = _curve_samples(curve)
-    dz = _loop_derivative(z)
-    return (data.f_theta(z) * dz[:, None]).mean(axis=0)
+    return period_from_f_theta(data.f_theta(z), z)
+
+
+def period_from_f_theta(ft, z):
+    """Loop period from values ft of f theta/dz at the samples z of a loop."""
+    return (ft * _loop_derivative(z)[:, None]).mean(axis=0)
 
 
 def flux(data, curve):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from minflux import labyrinth as lb
 from minflux import weierstrass as wz
@@ -313,6 +315,124 @@ class TestFlatDistance:
         assert graph.flat_distance() == pytest.approx(flat, rel=1e-12, abs=0)
 
 
+def coo_edges(graph):
+    """The graph's edges as unsorted COO arrays (rows, cols, lengths).
+
+    The reference for the CSR edge pattern: node ids, edge order and edge
+    lengths are those of the original graph construction.
+    """
+    n_r, n_th = graph.radii.size, graph.n_th
+
+    def nid(i, j):
+        return i * n_th + np.mod(j, n_th)
+
+    i_idx, j_idx = np.arange(n_r), np.arange(n_th)
+    I, J = np.meshgrid(i_idx, j_idx, indexing="ij")
+    rows, cols = [nid(I, J).ravel()], [nid(I, J + 1).ravel()]
+    Ii, Ji = np.meshgrid(i_idx[:-1], j_idx, indexing="ij")
+    for dj in (-1, 0, 1):
+        rows.append(nid(Ii, Ji).ravel())
+        cols.append(nid(Ii + 1, Ji + dj).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return rows, cols, np.abs(graph.nodes[rows] - graph.nodes[cols])
+
+
+def coo_distance(graph, density_fn):
+    """MetricGraph.distance from the COO edges, converted to CSR per call."""
+    rows, cols, lengths = coo_edges(graph)
+    rho = np.sqrt(np.abs(density_fn(graph.nodes)))
+    wts = 0.5 * (rho[rows] + rho[cols]) * lengths
+    n = graph.nodes.size
+    m = csr_matrix((wts, (rows, cols)), shape=(n, n))
+    d = dijkstra(m, directed=False, indices=graph.source)
+    val = float(np.min(d[graph.boundary]))
+    if not np.isfinite(val):
+        raise DisconnectedGraph("no path from the source to the boundary")
+    return val
+
+
+class TestGraphPattern:
+    @given(
+        radii=st.lists(st.floats(0.1, 3.0), min_size=2, max_size=12,
+                       unique=True),
+        n_th=st.integers(3, 24),
+        boundary=st.sampled_from(["inner", "outer", "both"]),
+        x0=st.complex_numbers(max_magnitude=3.0, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+        walled=st.sets(st.integers(0, 11), max_size=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_distance_equals_coo_reference(
+        self, radii, n_th, boundary, x0, seed, walled
+    ):
+        radii = np.sort(radii)
+        n_r = radii.size
+        graph = lb.build_metric_graph(
+            radii[0], radii[-1], x0, radii=radii, n_th=n_th, boundary=boundary
+        )
+        assert graph.cols.dtype == graph.indptr.dtype == np.int32
+        rows, cols, lengths = coo_edges(graph)
+        n = graph.nodes.size
+        want = csr_matrix((lengths, (rows, cols)), shape=(n, n))
+        assert np.array_equal(graph.indptr, want.indptr)
+        assert np.array_equal(graph.cols, want.indices)
+        assert np.array_equal(graph.lengths, want.data)
+        degree = np.diff(want.indptr)
+        assert np.array_equal(graph.rows, np.repeat(np.arange(n), degree))
+        walled = sorted(i for i in walled if i < n_r)
+        dens = np.random.default_rng(seed).uniform(0.01, 10.0, (n_r, n_th))
+        dens[walled] = np.inf
+
+        def density(z):
+            return dens.ravel()
+
+        # a ring of infinite density blocks every path through it, so the
+        # graph is cut when one lies between the source ring and each
+        # boundary ring (inclusive) other than the source ring itself
+        i_src = graph.source // n_th
+        ends = {"inner": [0], "outer": [n_r - 1], "both": [0, n_r - 1]}
+        cut = all(
+            b != i_src
+            and any(min(i_src, b) <= k <= max(i_src, b) for k in walled)
+            for b in ends[boundary]
+        )
+        if cut:
+            with pytest.raises(DisconnectedGraph):
+                coo_distance(graph, density)
+            with pytest.raises(DisconnectedGraph):
+                graph.distance(density)
+        else:
+            assert graph.distance(density) == coo_distance(graph, density)
+
+    def test_too_few_angles_rejected(self):
+        with pytest.raises(ValueError):
+            lb.build_metric_graph(1.0, 2.0, 1.5, n_th=2)
+
+
+class TestFineRadii:
+    """Every wall and every gap between walls holds a fine-graph ring."""
+
+    @pytest.mark.parametrize("kind", ["identity", "inversion"])
+    @pytest.mark.parametrize("N", [2, 9, 19])
+    def test_walls_and_gaps_resolved(self, kind, N):
+        r_in, r_out = 0.2, 2.0
+        end = lb.AnnulusEnd(0, r_in, r_out, kind=kind, c=r_in * r_out)
+        band = lb.AnnulusBand(0, 0, 0.3, 1.9, end, (0.5, 1.0))
+        lab = lb.build_labyrinth(band, N)
+        radii = lb._fine_radii(r_in, r_out, [lab], N)
+        chart = np.sort(end.radius_in_chart(radii))
+
+        def rings(lo, hi, closed):
+            if closed:
+                return np.count_nonzero((chart >= lo) & (chart <= hi))
+            return np.count_nonzero((chart > lo) & (chart < hi))
+
+        for s in lab.sets:
+            assert rings(s.rad_lo, s.rad_hi, closed=True) >= 2
+        for outer, inner in zip(lab.sets, lab.sets[1:]):
+            assert rings(inner.rad_hi, outer.rad_lo, closed=False) >= 1
+
+
 def scalar_crossing_lengths(radii, n_th, rho, i_lo, i_hi, count, rng):
     """The est3 walk as a scalar loop, the reference for crossing_lengths."""
     out = []
@@ -397,6 +517,88 @@ def catenoid_step():
     return lb.complete_step(wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5)
 
 
+def naive_checks(members, res, core):
+    """tau, the per-t distances and the check values of complete_step,
+    evaluating every member through its own callables, one at a time."""
+    data0 = members[0]
+    rho = float(np.sqrt(data0.r_inner * data0.r_outer))
+    coarse = lb.build_metric_graph(data0.r_inner, data0.r_outer, complex(rho))
+    out = {
+        "tau": min(
+            coarse.distance(lambda z, m=m: wz.metric_density(m, z))
+            for m in lb._distinct(members)
+        ),
+        "distances": np.array([
+            coarse.distance(lambda z, h=h: wz.metric_density(h, z))
+            for h in res.members
+        ]),
+    }
+    pairs = list(zip(res.members, members))
+    probe = data0.grid(n_r=16, n_th=64)
+    out["anchoring"] = np.array_equal(res.members[0].f(probe), data0.f(probe))
+    out["third_component_deviation"] = max(
+        float(np.max(np.abs(h.f3(probe) - m.f3(probe)))) for h, m in pairs
+    )
+    circle = wz.circle(rho, 512)
+    out["flux_deviation"] = max(
+        float(np.max(np.abs(wz.flux(h, circle) - wz.flux(m, circle))))
+        for h, m in pairs
+    )
+    lo, hi = core
+    core_pts = circle * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8)[:, None]
+    out["core_deviation"] = max(
+        float(np.max(np.abs(h.f(core_pts) - m.f(core_pts)))) for h, m in pairs
+    )
+    eps, N = res.params.eps, res.N
+    est1, est2 = np.inf, np.inf
+    for lab in res.labyrinths:
+        band = lab.band
+        w_grid = band.chart_grid(96, 128)
+        z_grid = band.end.from_chart(w_grid)
+        inside = lab.contains_chart(w_grid)
+        t_lo, t_hi = band.bracket
+        for t in (t_lo, 0.5 * (t_lo + t_hi), t_hi):
+            h = res.members[int(np.argmin(np.abs(res.ts - t)))]
+            dens = wz.metric_density(h, z_grid)
+            dens_chart = dens * np.abs(band.end.dz_dw(w_grid)) ** 2
+            if np.any(inside):
+                m1 = float(np.min(dens_chart[inside]))
+                est1 = min(est1, m1 / (N**8 * eps**2))
+            est2 = min(est2, float(np.min(dens_chart)) / eps**2)
+    out["est1_ratio"], out["est2_ratio"] = est1, est2
+    return out
+
+
+class TestNodeSetEvaluation:
+    """complete_step evaluates each base member and wall mask once per
+    point set; every value must equal member-by-member evaluation."""
+
+    def assert_matches(self, members, res, core):
+        want = naive_checks(members, res, core)
+        assert res.tau == want.pop("tau")
+        assert np.array_equal(res.distances, want.pop("distances"))
+        assert res.report["passes"]["anchoring"] == want.pop("anchoring")
+        for key, value in want.items():
+            assert res.report[key] == value, key
+
+    def test_constant_family(self, catenoid_step):
+        members = [wz.catalog("catenoid")] * catenoid_step.ts.size
+        self.assert_matches(members, catenoid_step, (0.8, 1.3))
+
+    def test_distinct_members(self):
+        ts = np.linspace(0.0, 1.0, 4)
+        members = [
+            wz.WeierstrassData(
+                wz.LaurentSeries([1.0 + 0.05 * t], 1),
+                wz.LaurentSeries([1.0 + 0.1 * t], 0),
+                theta="dz/z",
+            )
+            for t in ts
+        ]
+        res = lb.complete_step(members, core=(0.8, 1.3), delta=0.5, ts=ts)
+        self.assert_matches(members, res, (0.8, 1.3))
+
+
 class TestCompleteStep:
     def test_all_checks_pass(self, catenoid_step):
         assert catenoid_step.ok
@@ -416,7 +618,7 @@ class TestCompleteStep:
     def test_wall_count_and_resolution(self, catenoid_step):
         r = catenoid_step
         assert r.N >= 2
-        assert r.report["fine_resolution"] == 1.0 / (16.0 * r.N**3)
+        assert r.report["fine_resolution"] == 1.0 / (lb.FINE_PER_CELL * r.N**3)
         for lab in r.labyrinths:
             assert len(lab.sets) == 2 * r.N**2
             assert 2.0 / r.N < lab.band.R - lab.band.r
@@ -439,6 +641,26 @@ class TestCompleteStep:
         with pytest.raises(FlatInput):
             lb.complete_step(
                 wz.catalog("flat_exponential"), core=(0.8, 1.3), delta=0.5
+            )
+
+    def test_band_clipped_below_two_over_n_raises_n(self):
+        # delta 1.5 asks for N = 7, but the inner end clips its band to
+        # 0.27 < 2/7; N must rise to 8, the least with 2/N below 0.27
+        r = lb.complete_step(
+            wz.catalog("catenoid"), core=(0.8, 1.3), delta=1.5,
+            ts=np.linspace(0.0, 1.0, 8),
+        )
+        assert r.N == 8
+        assert r.ok
+        for lab in r.labyrinths:
+            assert 2.0 / r.N < lab.band.R - lab.band.r
+
+    def test_band_too_thin_for_any_budgeted_n(self):
+        # the outer end is 0.01 wide, so no N up to N_MAX fits its band
+        with pytest.raises(EstimateNotMet, match=r"band width .* 2/N = "):
+            lb.complete_step(
+                wz.catalog("catenoid"), core=(0.8, 1.99), delta=0.5,
+                ts=np.linspace(0.0, 1.0, 8),
             )
 
     def test_unreachable_distance_raises(self):
