@@ -13,10 +13,6 @@ class ZeroPoint(MinfluxError):
     """The origin was passed where a point of the punctured quadric is required."""
 
 
-class ZeroBase(MinfluxError):
-    """Fiber construction requested over the zero vector."""
-
-
 class UndersampledLoop(MinfluxError):
     """Sign continuation of a spinor lift is ambiguous at the given sampling."""
 
@@ -31,18 +27,6 @@ class NotImmersion(MinfluxError):
 
 class RootNotFound(MinfluxError):
     """The zero-period solver failed even after the fallback grid search."""
-
-
-class SegmentOverlap(MinfluxError):
-    """Two circle segments required to be disjoint overlap."""
-
-
-class NonflatViolated(MinfluxError):
-    """A deformation failed to keep the required path nonflat after retries."""
-
-
-class PerturbationFailed(MinfluxError):
-    """Retried generic perturbations did not restore an immersion family."""
 
 
 class EmptySegment(MinfluxError):
@@ -71,10 +55,6 @@ class LeftDomain(MinfluxError):
 
 class GaussMapVanishes(MinfluxError):
     """The Gauss map is too small somewhere on the evaluation grid."""
-
-
-class DegenerateDenominator(MinfluxError):
-    """Gauss map extraction hit a near-vanishing denominator on the grid."""
 
 
 class RealPeriodNonzero(MinfluxError):

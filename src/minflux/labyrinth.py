@@ -810,9 +810,14 @@ def complete_step(
     passes["anchoring"] = bool(
         np.array_equal(probe.f(data0, factors[0]), probe.f(data0))
     )
+    # each returned member's own f3 against its base member's, once per
+    # distinct pair of f3 callables
+    f3_pairs = {
+        (id(tr.f3), id(m.f3)): (tr.f3, m) for tr, m in zip(transformed, members)
+    }
     third_dev = max(
-        float(np.max(np.abs(probe.gf3(m, fac)[1] - probe.gf3(m)[1])))
-        for m, fac in pairs
+        float(np.max(np.abs(f3(probe.z) - probe.gf3(m)[1])))
+        for f3, m in f3_pairs.values()
     )
     report["third_component_deviation"] = third_dev
     passes["third_components"] = third_dev <= 1e-10

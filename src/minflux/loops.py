@@ -3,10 +3,10 @@
 A conformal pair is a pair (g, h) of 1-periodic maps into R^3 with
 g.h' = 0 and |g| = |h'| > 0 everywhere; the combination h' + i*g is then a
 loop in the punctured null quadric with vanishing real period.  This module
-constructs such pairs with prescribed period of g: an exact zero-period
-pair near any immersed circle (built from an explicit three-parameter
-family plus a degree-one root search), period-prescribing isotopies driven
-by quadric-preserving flows, and supporting utilities (spectral quadrature,
+constructs an exact zero-period pair near any immersed circle (built from
+an explicit three-parameter family plus a degree-one root search), the
+continuation of flow coefficients along a ramp of loop periods that the
+flux drivers use, and supporting utilities (spectral quadrature,
 trigonometric resampling, nondegeneracy tests).
 """
 
@@ -21,11 +21,8 @@ from . import nullquadric as nq
 from .errors import (
     EmptySegment,
     InvalidPair,
-    NonflatViolated,
     NotImmersion,
-    PerturbationFailed,
     RootNotFound,
-    SegmentOverlap,
 )
 
 #: Default number of deformation-time samples.
@@ -166,11 +163,6 @@ class Segment:
         u = np.mod(np.asarray(x) - self.alpha, 1.0)
         return u <= self.length + 1e-15
 
-    def overlaps(self, other):
-        a = self.contains(np.array([other.alpha, other.beta % 1.0]))
-        b = other.contains(np.array([self.alpha, self.beta % 1.0]))
-        return bool(np.any(a) or np.any(b))
-
 
 def _require_nonempty(seg):
     if seg.length <= 0:
@@ -198,21 +190,6 @@ def smooth_bump(x, center, halfwidth):
     inside = np.abs(s) < 1.0
     si = s[inside]
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
-    return out
-
-
-def gaussian_bump(x, center, halfwidth):
-    """Compactly supported bump with near-Gaussian spectral decay.
-
-    A Gaussian scaled so its value at the support edge is below machine
-    epsilon, then truncated to exactly zero outside; the truncation is
-    invisible in double precision while the Fourier coefficients fall off
-    like a Gaussian until the rounding floor.
-    """
-    u = np.mod(np.asarray(x, dtype=float) - center + 0.5, 1.0) - 0.5
-    s = halfwidth / 6.1
-    out = np.exp(-((u / s) ** 2))
-    out[np.abs(u) >= halfwidth] = 0.0
     return out
 
 
@@ -274,29 +251,6 @@ class ConformalPair:
         return self
 
 
-def pair_to_loop(pair, tol=TOL_CONF):
-    """The loop h' + i*g in the punctured quadric attached to a pair."""
-    pair.validate(tol)
-    return PeriodicPath(pair.hprime + 1j * pair.g)
-
-
-def loop_to_pair(loop, basepoint=None):
-    """Inverse of pair_to_loop up to the free constant of integration.
-
-    Requires the real period of the loop to vanish (h must close up).
-    """
-    v = loop.values if isinstance(loop, PeriodicPath) else np.asarray(loop)
-    hp = v.real.copy()
-    g = v.imag.copy()
-    re_per = hp.mean(axis=0)
-    if np.linalg.norm(re_per) > 1e-8 * max(1.0, float(np.abs(v).max())):
-        raise InvalidPair("loop carries a nonzero real period")
-    h = antiderivative(hp - re_per)
-    if basepoint is not None:
-        h = h + np.asarray(basepoint, dtype=float)
-    return ConformalPair(h=h, g=g, hprime=hp)
-
-
 def nondegenerate_on(sigma, seg, gap=1e-8):
     """True when the loop is not contained in a single complex ray over seg.
 
@@ -341,17 +295,6 @@ def _rotation_to_e1(v):
 
 
 _A_MAT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-
-def zero_family_core_integral(p, eps, delta):
-    """Closed form of the two-interval contribution of the unscaled family.
-
-    Equals eps*delta*(A p - eps * p3^2 / (1 + eps*p1) * e1); used as an
-    independent oracle for the constructed family.
-    """
-    p = np.asarray(p, dtype=float)
-    corr = eps * p[2] ** 2 / (1.0 + eps * p[0])
-    return eps * delta * (_A_MAT @ p - corr * np.array([1.0, 0.0, 0.0]))
 
 
 def _transport_frame(unit_tangents, n1_start):
@@ -567,12 +510,6 @@ class _ZeroPeriodBuilder:
         mask = self.m_trans | self.m_ext
         return g[mask].sum(axis=0) / self.n
 
-    def core_integral(self, p, c=None):
-        """Quadrature of g over [0, delta] union [2 delta, 3 delta]."""
-        g = self.g_field(p, c)
-        mask = self.m_core | self.m_anti
-        return g[mask].sum(axis=0) / self.n
-
     def period(self, p, c=None):
         return self.g_field(p, c).mean(axis=0)
 
@@ -741,7 +678,7 @@ def _newton_root_ln(fun, q0, tol=1e-13, max_iter=80, fd=1e-7):
 
 
 # ---------------------------------------------------------------------------
-# flow-driven period prescription
+# flow-driven period continuation
 
 
 def _flow_deform(values, controls, w):
@@ -783,37 +720,14 @@ def _flow_jacobian(values, controls, w):
     return np.ascontiguousarray(state[1:].mean(axis=1).T)
 
 
-def _default_controls(n, fixed, rng, n_centers=3, halfwidth=0.11):
-    """Flow controls with smooth bump profiles supported off `fixed`."""
-    x = np.arange(n) / n
-    if fixed is None:
-        free_lo, free_len = 0.0, 1.0
-    else:
-        free_lo = fixed.beta % 1.0
-        free_len = 1.0 - fixed.length
-    hw = min(halfwidth, 0.4 * free_len / n_centers)
-    span = free_len - 2.0 * hw
-    centers = [
-        (free_lo + hw + span * (k + 0.5 + 0.25 * rng.uniform(-1, 1)) / n_centers)
-        % 1.0
-        for k in range(n_centers)
-    ]
-    controls = []
-    for c in centers:
-        prof = gaussian_bump(x, c, hw)
-        for kind in nq.FLOW_KINDS:
-            controls.append((kind, prof))
-    return controls
-
-
 def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
     """Solve for flow coefficients tracking a ramp of loop periods.
 
     targets: (n_t, 3) complex required periods, with targets[0] equal to the
     period of sigma0.  Newton steps use the exact period Jacobian of
     _flow_jacobian.  Returns the list of deformed sample arrays and the
-    coefficient path.  Raises NonflatViolated via callers on demand; raises
-    RootNotFound when Newton stalls even after sub-stepping.
+    coefficient path.  Raises RootNotFound when Newton stalls even after
+    sub-stepping.
     """
     v0 = np.asarray(sigma0, dtype=complex)
     n_t = targets.shape[0]
@@ -891,118 +805,3 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
         out.append(_flow_deform(v0, controls, w))
         w_path.append(w.copy())
     return out, w_path
-
-
-def prescribe_period_isotopy(
-    pair0,
-    v,
-    fixed,
-    nonflat_on,
-    n_t=N_T_DEFAULT,
-    seed=7,
-    tol=1e-12,
-    max_retries=4,
-):
-    """Isotopy of conformal pairs fixing a segment and steering the period.
-
-    Returns a list of n_t ConformalPair values, constant on `fixed`, whose
-    final member satisfies | integral of g_1 - v | below tolerance.  The
-    deformation is a composition of quadric-preserving flows with smooth
-    bump profiles vanishing on `fixed`, so the pointwise pair invariants are
-    exact at every stage; the period ramp is enforced by damped Newton
-    continuation in t.
-    """
-    _require_nonempty(fixed)
-    _require_nonempty(nonflat_on)
-    if fixed.overlaps(nonflat_on):
-        raise SegmentOverlap("fixed and nonflat segments overlap")
-    pair0.validate()
-    sigma0 = pair_to_loop(pair0)
-    if not nondegenerate_on(sigma0, nonflat_on):
-        raise NonflatViolated("the input pair is flat on the required segment")
-    n = pair0.n_samples
-    v = np.asarray(v, dtype=float)
-    p_start = period(sigma0)
-    p_end = 1j * v
-    ts = np.linspace(0.0, 1.0, n_t)
-    targets = (1.0 - ts)[:, None] * p_start[None, :] + ts[:, None] * p_end[None, :]
-
-    if float(np.linalg.norm(p_end - p_start)) < tol:
-        return [pair0] * n_t
-
-    rng = np.random.default_rng(seed)
-    last = None
-    for _ in range(max_retries):
-        controls = _default_controls(n, fixed, rng)
-        try:
-            deformed, _ = _period_continuation(
-                sigma0.values, targets, controls, tol=tol
-            )
-        except RootNotFound as exc:
-            last = exc
-            continue
-        pairs = [pair0]
-        ok = True
-        for vals in deformed[1:]:
-            re_mean = vals.real.mean(axis=0)
-            hp = vals.real
-            g = vals.imag
-            h = antiderivative(hp - re_mean) + pair0.h[0]
-            pr = ConformalPair(h=h, g=g, hprime=hp)
-            if not nondegenerate_on(PeriodicPath(vals), nonflat_on):
-                ok = False
-                break
-            pairs.append(pr)
-        if ok:
-            return pairs
-        last = NonflatViolated("deformation became flat on the watched segment")
-    raise last
-
-
-def connect_immersions(h0, h1, fixed=None, n_t=N_T_DEFAULT, seed=11, retries=5):
-    """Path of immersed circles from h0 to h1, frozen on an optional segment.
-
-    Linear interpolation, with a deterministic seeded transversal bump added
-    whenever the interpolated speed dips too low.
-    """
-    a = np.asarray(h0, dtype=float)
-    b = np.asarray(h1, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("endpoint paths must share a shape")
-    n = a.shape[0]
-    x = np.arange(n) / n
-    if fixed is not None:
-        mask = fixed.contains(x)
-        if np.max(np.linalg.norm(a[mask] - b[mask], axis=1)) > 1e-12:
-            raise ValueError("endpoints differ on the fixed segment")
-    da, db = fourier_derivative(a), fourier_derivative(b)
-    floor = 0.05 * min(
-        float(np.min(np.linalg.norm(da, axis=1))),
-        float(np.min(np.linalg.norm(db, axis=1))),
-    )
-    if floor <= 0:
-        raise NotImmersion("an endpoint is not an immersion")
-    ts = np.linspace(0.0, 1.0, n_t)
-    rng = np.random.default_rng(seed)
-    pert = np.zeros_like(a)
-    for attempt in range(retries + 1):
-        fam = []
-        ok = True
-        for t in ts:
-            ht = (1.0 - t) * a + t * b + (t * (1.0 - t)) * pert
-            dht = (1.0 - t) * da + t * db + (t * (1.0 - t)) * fourier_derivative(pert)
-            if float(np.min(np.linalg.norm(dht, axis=1))) <= floor:
-                ok = False
-                break
-            fam.append(ht)
-        if ok:
-            return fam
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        center = rng.uniform(0.0, 1.0)
-        if fixed is not None:
-            free_lo = fixed.beta % 1.0
-            center = (free_lo + (1.0 - fixed.length) * rng.uniform(0.1, 0.9)) % 1.0
-        amp = 0.5 * (attempt + 1) * floor
-        pert = amp * np.outer(smooth_bump(x, center, 0.1), direction)
-    raise PerturbationFailed("could not keep the family immersed")

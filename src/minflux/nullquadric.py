@@ -2,14 +2,12 @@
 
 The quadric is the set of complex triples with z1^2 + z2^2 + z3^2 = 0; the
 punctured quadric excludes the origin.  This module provides the standard
-spinor double cover, the circle fibers of the real projection, closed-form
-tangential flows, and the Z2 classifier of free homotopy classes of loops
-in the punctured quadric, computed as the sign holonomy of the spinor lift.
+spinor double cover, closed-form tangential flows, and the Z2 classifier of
+free homotopy classes of loops in the punctured quadric, computed as the
+sign holonomy of the spinor lift.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +15,6 @@ from .errors import (
     NonFiniteValues,
     NotOnQuadric,
     UndersampledLoop,
-    ZeroBase,
     ZeroPoint,
 )
 
@@ -26,57 +23,6 @@ TOL_NULL = 1e-10
 
 #: Names of the closed-form flows preserving the quadric.
 FLOW_KINDS = ("rotation_12", "rotation_13", "rotation_23", "scaling")
-
-
-@dataclass(frozen=True)
-class NullPoint:
-    """A point of the null quadric, stored as a complex triple."""
-
-    z: tuple
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        if z.shape != (3,):
-            raise ValueError("NullPoint needs exactly three complex entries")
-        r = null_residual(z)
-        if r > TOL_NULL * max(1.0, float(np.sum(np.abs(z) ** 2))):
-            raise NotOnQuadric(f"residual {r:g} exceeds tolerance")
-        object.__setattr__(self, "z", tuple(z))
-
-    def as_array(self):
-        return np.asarray(self.z, dtype=complex)
-
-
-@dataclass(frozen=True)
-class SpinorPair:
-    """Double cover coordinates (a, b); (a, b) -> (a^2-b^2, i(a^2+b^2), 2ab)."""
-
-    a: complex
-    b: complex
-
-
-@dataclass(frozen=True)
-class RealFiberPoint:
-    """A point xi + i*eta of the quadric over a nonzero real base xi."""
-
-    xi: tuple
-    eta: tuple
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        nx = np.linalg.norm(xi)
-        if nx == 0.0:
-            raise ZeroBase("fiber over the zero vector is undefined")
-        if abs(float(xi @ eta)) > TOL_NULL * nx * nx:
-            raise NotOnQuadric("xi and eta are not orthogonal")
-        if abs(np.linalg.norm(eta) - nx) > TOL_NULL * nx:
-            raise NotOnQuadric("|eta| differs from |xi|")
-        object.__setattr__(self, "xi", tuple(xi))
-        object.__setattr__(self, "eta", tuple(eta))
-
-    def as_null(self):
-        return np.asarray(self.xi, dtype=float) + 1j * np.asarray(self.eta, dtype=float)
 
 
 def null_residual(z):
@@ -92,14 +38,12 @@ def null_residual(z):
     return s
 
 
-def spinor_to_null(a, b=None):
-    """Map spinor coordinates to the quadric.
+def spinor_to_null(a, b):
+    """Map spinor coordinates (a, b) to (a^2-b^2, i(a^2+b^2), 2ab).
 
-    Accepts a SpinorPair, a pair of scalars, or broadcastable arrays.
-    The image satisfies the quadric equation exactly up to rounding.
+    Accepts a pair of scalars or broadcastable arrays.  The image satisfies
+    the quadric equation exactly up to rounding.
     """
-    if isinstance(a, SpinorPair):
-        a, b = a.a, a.b
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     a2, b2 = a * a, b * b
@@ -125,61 +69,6 @@ def _pointwise_spinor(z):
     b = np.where(use_a & (np.abs(a) > 0), z[..., 2] / (2.0 * safe_a), b)
     a = np.where(~use_a & (np.abs(b) > 0), z[..., 2] / (2.0 * safe_b), a)
     return a, b
-
-
-def _branch_sign(a, b):
-    """Global sign making Re a >= 0, ties by Im a >= 0, falling back to b."""
-    for lead in (a, b):
-        if lead.real > 0:
-            return 1.0
-        if lead.real < 0:
-            return -1.0
-        if lead.imag > 0:
-            return 1.0
-        if lead.imag < 0:
-            return -1.0
-    return 1.0
-
-
-def null_to_spinor(z):
-    """Deterministic spinor preimage of a single quadric point.
-
-    Raises NotOnQuadric / ZeroPoint for invalid input.  The returned pair
-    has Re a >= 0, with ties broken by Im a >= 0 (then the same rule on b).
-    """
-    z = np.asarray(z, dtype=complex)
-    nz2 = float(np.sum(np.abs(z) ** 2))
-    if nz2 == 0.0:
-        raise ZeroPoint("the origin has no spinor preimage in the punctured quadric")
-    if null_residual(z) > TOL_NULL * max(1.0, nz2):
-        raise NotOnQuadric("point is not on the quadric within tolerance")
-    a, b = _pointwise_spinor(z)
-    a, b = complex(a), complex(b)
-    s = _branch_sign(np.complex128(a), np.complex128(b))
-    return SpinorPair(s * a, s * b)
-
-
-def fiber_point(xi, phi):
-    """Point of the circle fiber over the real base xi, at fiber angle phi.
-
-    The fiber over xi consists of xi + i*eta with eta orthogonal to xi and
-    of the same length.  The frame of the orthogonal plane is built by
-    Gram-Schmidt from the standard basis vector least aligned with xi, so
-    the parametrization is deterministic.
-    """
-    xi = np.asarray(xi, dtype=float)
-    nx = np.linalg.norm(xi)
-    if nx == 0.0:
-        raise ZeroBase("fiber over the zero vector is undefined")
-    unit = xi / nx
-    k = int(np.argmin(np.abs(unit)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    n1 = e - (e @ unit) * unit
-    n1 /= np.linalg.norm(n1)
-    n2 = np.cross(unit, n1)
-    eta = nx * (np.cos(phi) * n1 + np.sin(phi) * n2)
-    return xi + 1j * eta
 
 
 def flow(z, field, t):

@@ -232,12 +232,12 @@ def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30, tikhonov=1e-12):
         raise ValueError("targets shape does not match the spray")
     m = spray.dim_w
 
-    def residual(k, w):
-        return (spray.periods(k, w)[:, :rows] - tv[k, :, :rows]).ravel()
+    def residual(k, target, w):
+        return (spray.periods(k, w)[:, :rows] - target[:, :rows]).ravel()
 
-    def solve_step(k, target_res_w, depth):
-        w = target_res_w.copy()
-        f = residual(k, w)
+    def solve_step(k, target, w_start):
+        w = w_start.copy()
+        f = residual(k, target, w)
         for _ in range(max_newton):
             r = float(np.linalg.norm(f))
             if r < tol:
@@ -252,22 +252,22 @@ def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30, tikhonov=1e-12):
             lam = 1.0
             while lam > 1e-8:
                 cand = w + lam * step
-                fc = residual(k, cand)
+                fc = residual(k, target, cand)
                 if np.linalg.norm(fc) < r:
                     w, f = cand, fc
                     break
                 lam *= 0.5
             else:
                 return None
-        return w if float(np.linalg.norm(residual(k, w))) < tol else None
+        return w if float(np.linalg.norm(residual(k, target, w))) < tol else None
 
     w = np.zeros(m, dtype=complex)
-    r0 = float(np.linalg.norm(residual(0, w)))
+    r0 = float(np.linalg.norm(residual(0, tv[0], w)))
     if r0 > tol:
         raise ValueError(f"targets not met at t = 0 with w = 0 (residual {r0:.3g})")
     path = [w.copy()]
     for k in range(1, n_t):
-        nxt = solve_step(k, w, 0)
+        nxt = solve_step(k, tv[k], w)
         if nxt is None:
             # sub-step through intermediate targets between samples
             ok = False
@@ -278,10 +278,7 @@ def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30, tikhonov=1e-12):
                 for s in range(1, steps + 1):
                     frac = s / steps
                     blend = (1 - frac) * tv[k - 1] + frac * tv[k]
-                    saved = tv[k].copy()
-                    tv[k] = blend
-                    cur2 = solve_step(k, cur, 0)
-                    tv[k] = saved
+                    cur2 = solve_step(k, blend, cur)
                     if cur2 is None:
                         good = False
                         break

@@ -4,9 +4,9 @@ A conformal minimal immersion u is recovered from a holomorphic triple
 f = (f1, f2, f3) with f1^2 + f2^2 + f3^2 = 0 as u = Re of the path integral
 of f theta.  The triple is assembled from a nonvanishing Gauss map g and a
 third component f3; the imaginary loop periods of f theta are the flux.
-This module provides the assembly, the Gauss map extraction, the induced
-metric density, flux and immersion integrals, conformality and flatness
-checks, and a catalog of standard examples on the annulus 1/2 < |z| < 2.
+This module provides the assembly, the induced metric density, flux and
+immersion integrals, conformality and flatness checks, and a catalog of
+standard examples on the annulus 1/2 < |z| < 2.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateDenominator,
     GaussMapVanishes,
     NonFiniteValues,
     RealPeriodNonzero,
@@ -178,7 +177,8 @@ class WeierstrassData:
 
     def f(self, z):
         """Assembled holomorphic triple at points z, shape (..., 3)."""
-        return assemble_f(self.g, self.f3)(z)
+        z = np.asarray(z, dtype=complex)
+        return null_triple(self.g(z), self.f3(z))
 
     def theta_over_dz(self, z):
         z = np.asarray(z, dtype=complex)
@@ -189,26 +189,6 @@ class WeierstrassData:
     def f_theta(self, z):
         """Values of f * (theta/dz), the integrand against dz."""
         return self.f(z) * self.theta_over_dz(z)[..., None]
-
-
-def assemble_f(g, f3, grid=None, min_gauss=1e-12):
-    """Holomorphic null triple from a nonvanishing Gauss map and f3.
-
-    Returns a callable z -> (..., 3).  When a verification grid is given,
-    raises GaussMapVanishes if |g| dips below the threshold there.
-    """
-    g = _as_callable(g)
-    f3 = _as_callable(f3)
-    if grid is not None:
-        gv = np.abs(g(np.asarray(grid, dtype=complex)))
-        if gv.size and float(gv.min()) < min_gauss:
-            raise GaussMapVanishes(f"min |g| = {gv.min():.3g} on the grid")
-
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        return null_triple(g(z), f3(z))
-
-    return f
 
 
 def null_triple(gz, f3z):
@@ -228,25 +208,6 @@ def null_triple(gz, f3z):
         ],
         axis=-1,
     )
-
-
-def gauss_map(f, grid, threshold=1e-12, max_bad_fraction=0.01):
-    """Stereographic Gauss map g = f3 / (f1 - i f2) on the given grid.
-
-    f: callable or precomputed array of shape (N, 3).  Raises
-    DegenerateDenominator when the denominator nearly vanishes on more than
-    the allowed fraction of grid points (flat or vertical data).
-    """
-    z = np.asarray(grid, dtype=complex)
-    vals = f(z) if callable(f) else np.asarray(f, dtype=complex)
-    den = vals[..., 0] - 1j * vals[..., 1]
-    scale = np.max(np.abs(vals))
-    bad = np.abs(den) < threshold * max(scale, 1e-300)
-    if np.mean(bad) > max_bad_fraction:
-        raise DegenerateDenominator(
-            f"{100 * np.mean(bad):.1f}% of grid points have |f1 - i f2| ~ 0"
-        )
-    return vals[..., 2] / den
 
 
 def density_from_f_theta(ft):

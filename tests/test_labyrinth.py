@@ -610,6 +610,24 @@ class TestCompleteStep:
         assert rep["flux_deviation"] <= 1e-10
         assert rep["core_deviation"] <= 1e-10
 
+    def test_third_component_change_detected(self, monkeypatch):
+        # check (II) reads the returned members' own f3
+        lopez_ros = lb.lopez_ros
+
+        def shifted(*args):
+            out = lopez_ros(*args)
+            for h in out:
+                h.f3 = lambda z, f3=h.f3: f3(z) + 1e-6
+            return out
+
+        monkeypatch.setattr(lb, "lopez_ros", shifted)
+        r = lb.complete_step(
+            wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5,
+            ts=np.linspace(0.0, 1.0, 8),
+        )
+        assert not r.report["passes"]["third_components"]
+        assert r.report["third_component_deviation"] == pytest.approx(1e-6)
+
     def test_distance_conclusions(self, catenoid_step):
         r = catenoid_step
         assert np.all(r.distances > r.tau - r.delta)

@@ -13,7 +13,6 @@ from minflux.errors import (
     EmptySegment,
     InvalidPair,
     NotImmersion,
-    SegmentOverlap,
 )
 
 
@@ -84,7 +83,7 @@ def central_difference_jacobian(values, controls, w, h=1e-6):
 
 class TestFlowJacobian:
     @given(
-        st.sampled_from(["driver", "default", "spray"]),
+        st.sampled_from(["driver", "spray"]),
         st.integers(0, 2**16),
         st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 2.0 * np.pi)),
                  min_size=12, max_size=12),
@@ -94,9 +93,6 @@ class TestFlowJacobian:
         n = 256
         if family == "driver":
             controls = iso._driver_controls(n, seed=seed, jitter=0.1 * (seed % 3))
-        elif family == "default":
-            fixed = lp.Segment(0.3, 0.45) if seed % 2 else None
-            controls = lp._default_controls(n, fixed, np.random.default_rng(seed))
         else:
             # the kind sets of build_spray and build_spray_fixed_third
             kinds = (("rotation_12", "rotation_13", "rotation_23"),
@@ -104,7 +100,7 @@ class TestFlowJacobian:
             controls = sp._make_controls(
                 [lp.Segment(0.0, 0.25)], n, np.random.default_rng(seed), kinds
             )[0]
-        if family != "spray":
+        if family == "driver":
             assert {kind for kind, _ in controls} == set(nq.FLOW_KINDS)
         w = np.array([r * np.exp(1j * phi) for r, phi in polar])[: len(controls)]
         v = catenoid_boundary_loop(n)
@@ -141,27 +137,22 @@ class TestSegments:
         assert seg.contains(0.95) and seg.contains(0.05)
         assert not seg.contains(0.5)
 
-    def test_overlap(self):
-        assert lp.Segment(0.1, 0.3).overlaps(lp.Segment(0.2, 0.4))
-        assert not lp.Segment(0.1, 0.3).overlaps(lp.Segment(0.4, 0.6))
-
 
 class TestConformalPair:
     def test_constant_pair_loop(self):
         n = 64
         hp = np.tile([1.0, 0.0, 0.0], (n, 1))
         g = np.tile([0.0, 1.0, 0.0], (n, 1))
-        pair = lp.ConformalPair(h=np.zeros((n, 3)), g=g, hprime=hp)
-        loop = lp.pair_to_loop(pair)
-        assert np.allclose(loop.values, [1, 1j, 0])
+        pair = lp.ConformalPair(h=np.zeros((n, 3)), g=g, hprime=hp).validate()
+        assert np.allclose(pair.hprime + 1j * pair.g, [1, 1j, 0])
 
     def test_circle_pair_on_quadric(self):
         n = 256
         h = circle_samples(n) / (2 * np.pi)
         hp = lp.fourier_derivative(h)
         g = np.stack([-hp[:, 1], hp[:, 0], hp[:, 2]], axis=1)
-        pair = lp.ConformalPair(h=h, g=g, hprime=hp)
-        loop = lp.pair_to_loop(pair)
+        pair = lp.ConformalPair(h=h, g=g, hprime=hp).validate()
+        loop = lp.PeriodicPath(pair.hprime + 1j * pair.g)
         assert np.max(nq.null_residual(loop.values)) < 1e-10
         assert np.linalg.norm(lp.period(loop).real) < 1e-12
 
@@ -171,7 +162,7 @@ class TestConformalPair:
         g = np.tile([0.5, 1.0, 0.0], (n, 1))
         pair = lp.ConformalPair(h=np.zeros((n, 3)), g=g, hprime=hp)
         with pytest.raises(InvalidPair):
-            lp.pair_to_loop(pair)
+            pair.validate()
 
 
 class TestNondegenerateOn:
@@ -196,19 +187,6 @@ class TestNondegenerateOn:
 
 
 class TestZeroPeriodPair:
-    def test_core_integral_vanishes_at_p_zero(self):
-        assert np.allclose(lp.zero_family_core_integral(np.zeros(3), 0.1, 0.05), 0.0)
-
-    def test_core_integral_formula(self):
-        p = np.array([0.2, -0.1, 0.4])
-        eps, delta = 0.1, 0.05
-        val = lp.zero_family_core_integral(p, eps, delta)
-        expect = eps * delta * (
-            np.array([-p[1], p[0], p[2]])
-            - eps * p[2] ** 2 / (1 + eps * p[0]) * np.array([1.0, 0.0, 0.0])
-        )
-        assert np.allclose(val, expect)
-
     def test_round_circle_spin_class_1(self):
         pair = lp.make_zero_period_pair(circle_samples(), spin_class=1, delta=0.05)
         orth, norm = pair.residuals()
@@ -395,74 +373,3 @@ class TestZeroPeriodBuilderMemo:
         b0, b1 = b.g_field(p0), b.g_field(p1)
         assert np.array_equal(a0, b0)
         assert np.array_equal(a1, b1)
-
-
-@pytest.fixture(scope="module")
-def catenoid_pair():
-    return lp.loop_to_pair(catenoid_boundary_loop())
-
-
-class TestPrescribePeriodIsotopy:
-    def test_already_met_target_constant_family(self, catenoid_pair):
-        v = catenoid_pair.g.mean(axis=0)
-        fam = lp.prescribe_period_isotopy(
-            catenoid_pair, v, fixed=lp.Segment(0.0, 0.25),
-            nonflat_on=lp.Segment(0.5, 0.75),
-        )
-        assert all(f is catenoid_pair for f in fam)
-
-    def test_catenoid_to_zero(self, catenoid_pair):
-        fixed = lp.Segment(0.3, 0.45)
-        fam = lp.prescribe_period_isotopy(
-            catenoid_pair, np.zeros(3), fixed=fixed,
-            nonflat_on=lp.Segment(0.6, 0.8),
-        )
-        assert len(fam) == 64
-        assert fam[0] is catenoid_pair
-        assert np.linalg.norm(fam[-1].g.mean(axis=0)) <= 1e-8
-        for f in fam:
-            orth, norm = f.residuals()
-            assert orth.max() <= 1e-9 and norm.max() <= 1e-9
-        # frozen segment
-        n = catenoid_pair.n_samples
-        x = np.arange(n) / n
-        mask = fixed.contains(x)
-        assert np.allclose(fam[-1].g[mask], catenoid_pair.g[mask], atol=1e-12)
-        assert np.allclose(fam[-1].hprime[mask], catenoid_pair.hprime[mask], atol=1e-12)
-
-    def test_overlapping_segments_rejected(self, catenoid_pair):
-        with pytest.raises(SegmentOverlap):
-            lp.prescribe_period_isotopy(
-                catenoid_pair, np.zeros(3), fixed=lp.Segment(0.0, 0.5),
-                nonflat_on=lp.Segment(0.4, 0.6),
-            )
-
-
-class TestConnectImmersions:
-    def test_identical_endpoints(self):
-        h = circle_samples()
-        fam = lp.connect_immersions(h, h)
-        assert np.array_equal(fam[0], h) and np.array_equal(fam[-1], h)
-        assert all(np.allclose(f, h, atol=1e-12) for f in fam)
-
-    def test_circle_to_double_circle(self):
-        h0 = circle_samples()
-        fam = lp.connect_immersions(h0, 2.0 * h0)
-        speeds = [
-            np.min(np.linalg.norm(lp.fourier_derivative(f), axis=1)) for f in fam
-        ]
-        assert min(speeds) >= 2 * np.pi - 1e-9
-
-    def test_circle_to_ellipse(self):
-        n = 256
-        x = np.arange(n) / n
-        ell = np.stack(
-            [np.cos(2 * np.pi * x), 2.0 * np.sin(2 * np.pi * x), np.zeros(n)], axis=1
-        )
-        fam = lp.connect_immersions(circle_samples(n), ell, n_t=64)
-        assert np.array_equal(fam[0], circle_samples(n))
-        assert np.array_equal(fam[-1], ell)
-        for f in fam:
-            fine = lp.resample(f, 1024)
-            speed = np.linalg.norm(lp.fourier_derivative(fine), axis=1)
-            assert speed.min() > 0.0

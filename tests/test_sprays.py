@@ -202,6 +202,25 @@ class TestSolveW:
         with pytest.raises((ContinuationStalled, LeftDomain)):
             sp.solve_w(spray, sp.PeriodTargets(targets))
 
+    def test_read_only_targets_left_unchanged(self, spray):
+        # one Newton step per solve forces sub-stepping through blended
+        # targets, which must not be written into the caller's array
+        rng = np.random.default_rng(3)
+        w_star = 0.2 * (rng.normal(size=spray.dim_w) + 1j * rng.normal(size=spray.dim_w))
+        fracs = np.linspace(0.0, 1.0, spray.n_t)
+        targets = np.stack(
+            [spray.periods(k, f * w_star) for k, f in enumerate(fracs)]
+        )
+        before = targets.copy()
+        targets.flags.writeable = False
+        try:
+            path = sp.solve_w(spray, sp.PeriodTargets(targets), max_newton=1)
+        except (ContinuationStalled, LeftDomain):
+            pass
+        else:
+            assert path.shape == (spray.n_t, spray.dim_w)
+        assert np.array_equal(targets, before)
+
     def test_targets_shape_normalization(self):
         flat = np.zeros((4, 3), dtype=complex)
         t = sp.PeriodTargets(flat)

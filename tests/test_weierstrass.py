@@ -6,7 +6,6 @@ import pytest
 from minflux import nullquadric as nq
 from minflux import weierstrass as wz
 from minflux.errors import (
-    DegenerateDenominator,
     GaussMapVanishes,
     RealPeriodNonzero,
     UnknownName,
@@ -45,11 +44,11 @@ class TestLaurentSeries:
 
 class TestAssembleF:
     def test_constant_example(self):
-        f = wz.assemble_f(1.0, 1.0)
+        f = wz.WeierstrassData(1.0, 1.0).f
         assert np.allclose(f(np.array([0.3 + 0.1j])), [[0, 1j, 1]])
 
     def test_catenoid_at_one(self):
-        f = wz.assemble_f(wz.LaurentSeries([1.0], 1), 1.0)
+        f = wz.WeierstrassData(wz.LaurentSeries([1.0], 1), 1.0).f
         assert np.allclose(f(np.array([1.0 + 0j])), [[0, 1j, 1]])
 
     def test_null_on_random_data(self):
@@ -57,35 +56,26 @@ class TestAssembleF:
         grid = wz.annulus_grid(n_r=16, n_th=64)
         g = wz.LaurentSeries(rng.normal(size=5) + 1j * rng.normal(size=5), -2) + 10.0
         f3 = wz.LaurentSeries(rng.normal(size=4), -1)
-        vals = wz.assemble_f(g, f3, grid=grid)(grid)
+        vals = wz.WeierstrassData(g, f3).f(grid)
         assert np.max(nq.null_residual(vals)) <= 1e-12 * np.max(np.abs(vals)) ** 2
 
     def test_vanishing_gauss_map_rejected(self):
-        grid = wz.annulus_grid(n_r=8, n_th=32)
         with pytest.raises(GaussMapVanishes):
-            wz.assemble_f(wz.LaurentSeries([1.0, -1.0], 0), 1.0, grid=grid)
+            wz.null_triple(np.array([1.0, 0.0, 2.0]), np.ones(3))
 
 
 class TestGaussMap:
-    def test_constant(self):
-        vals = np.tile(np.array([0, 1j, 1]), (16, 1))
-        g = wz.gauss_map(vals, np.ones(16, dtype=complex))
-        assert np.allclose(g, 1.0)
+    """The assembled triple gives back g as f3 / (f1 - i f2)."""
 
     def test_roundtrip_on_circle(self):
         zs = wz.circle(1.0, 256)
-        f = wz.assemble_f(wz.LaurentSeries([1.0], 1), 1.0)
-        assert np.max(np.abs(wz.gauss_map(f, zs) - zs)) < 1e-13
+        f = wz.WeierstrassData(wz.LaurentSeries([1.0], 1), 1.0).f(zs)
+        assert np.max(np.abs(f[:, 2] / (f[:, 0] - 1j * f[:, 1]) - zs)) < 1e-13
 
     def test_catenoid_boundary(self):
-        cat = wz.catalog("catenoid")
         zs = wz.circle(1.0, 256)
-        assert np.max(np.abs(wz.gauss_map(cat.f, zs) - zs)) < 1e-12
-
-    def test_degenerate_denominator(self):
-        vals = np.tile(np.array([1.0, -1j, 0.0]), (32, 1))  # f1 - i f2 = 0
-        with pytest.raises(DegenerateDenominator):
-            wz.gauss_map(vals, np.ones(32, dtype=complex))
+        f = wz.catalog("catenoid").f(zs)
+        assert np.max(np.abs(f[:, 2] / (f[:, 0] - 1j * f[:, 1]) - zs)) < 1e-12
 
 
 class TestMetricDensity:
