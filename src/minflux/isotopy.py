@@ -235,19 +235,16 @@ def _pin_extension(values, domain, theta, target, tol, max_iter=8):
         return LaurentMap(a, b, center=base.center, parity=base.parity,
                           scale=base.scale, meta=dict(base.meta))
 
-    delta = np.zeros(2 * len(_PIN_INDICES), dtype=complex)
+    def residual(delta):
+        return _extension_period(build(delta), theta) - target
+
+    zero = np.zeros(2 * len(_PIN_INDICES), dtype=complex)
+    delta = lp._newton(residual, lambda d: _pin_jacobian(build(d)), zero, tol, max_iter)
+    if delta is None:
+        r0 = float(np.linalg.norm(residual(zero)))
+        raise RootNotFound(f"period correction stalled from residual {r0:.3g}")
     ext = build(delta)
-    res = _extension_period(ext, theta) - target
-    for _ in range(max_iter):
-        if float(np.linalg.norm(res)) <= tol:
-            break
-        step = np.linalg.lstsq(_pin_jacobian(ext), -res, rcond=None)[0]
-        delta = delta + step
-        ext = build(delta)
-        res = _extension_period(ext, theta) - target
-    r = float(np.linalg.norm(res))
-    if r > tol:
-        raise RootNotFound(f"period correction stalled at residual {r:.3g}")
+    r = float(np.linalg.norm(_extension_period(ext, theta) - target))
     size = float(np.max(np.abs(delta)))
     ext.meta["pin_adjustment"] = size
     ext.meta["sup_error"] = ext.meta.get("sup_error", 0.0) + 4.0 * size

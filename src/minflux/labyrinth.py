@@ -36,7 +36,7 @@ from .errors import (
     NoBandFound,
 )
 
-#: Default deformation-time brackets over which band estimates are certified.
+#: Default deformation-time brackets over which band estimates are checked.
 DEFAULT_BRACKETS = ((0.5, 1.0),)
 
 #: Safety margin applied to the resolution inequality that selects N.
@@ -217,12 +217,12 @@ def _distinct(objs):
     return list({id(o): o for o in objs}.values())
 
 
-def _certified_min(fun, points, refine):
-    """Min of |fun| on the points and on a refined set; both must agree.
+def _sampled_min(fun, points, refine):
+    """Min of |fun| over the points and a refined point set.
 
-    Returns the smaller of the two minima; the refinement guards against
-    aliasing a zero between probe points (margin factor 2 in the probe
-    density).
+    Returns the smaller of the two sampled minima.  The refinement (twice
+    the probe density) makes a zero between probe points less likely to
+    be missed; it is not a lower bound between samples.
     """
     a = float(np.min(np.abs(fun(points))))
     b = float(np.min(np.abs(fun(refine))))
@@ -270,11 +270,12 @@ def find_bands(
     """Bands near each end where no member's third component vanishes.
 
     f3_family: list over t_grid of callables z -> f3(z).  For each end and
-    each bracket the band window with the largest certified minimum of
+    each bracket the band window with the largest sampled minimum of
     |f_t^3| is selected; windows across brackets of one end are disjoint.
-    A window counts only when the argument principle certifies it free of
-    zeros of every sampled member, so zeros between grid points are still
-    caught.  Raises NoBandFound when every candidate window fails.
+    A window counts only when a sampled argument-principle count finds it
+    free of zeros of every sampled member, so zeros between grid points
+    are still caught when the boundary circles are resolved.  Raises
+    NoBandFound when every candidate window fails.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     bands = []
@@ -303,7 +304,7 @@ def find_bands(
                     if not _window_zero_free(f3, cand):
                         m = -1.0
                         break
-                    m = min(m, _certified_min(f3, coarse, fine))
+                    m = min(m, _sampled_min(f3, coarse, fine))
                 scores[ci] = m
             best = float(np.max(scores))
             if best <= 0.0:
@@ -346,7 +347,7 @@ def choose_params(f3t_family, g_family, bands, N, t_grid, margin=LAMBDA_MARGIN):
     """Lopez-Ros parameters for the given bands and wall count N.
 
     f3t_family: per-t callables z -> f3(z) * theta/dz; g_family: per-t
-    callables z -> g(z).  epsilon is half the certified band minimum of
+    callables z -> g(z).  epsilon is half the sampled band minimum of
     |f^3 theta / dw| in chart units; lambda is the smallest value whose
     growth inequality (1 + lambda t) c0 > 2 N^4 (1 + margin) holds from
     the earliest bracket start onward.
@@ -362,12 +363,12 @@ def choose_params(f3t_family, g_family, bands, N, t_grid, margin=LAMBDA_MARGIN):
         sel = _bracket_samples(t_grid, band.bracket)
         for f3t in _distinct(f3t_family[j] for j in sel):
             eps_min = min(
-                eps_min, _certified_min(_band_f3theta(f3t, band), coarse, fine)
+                eps_min, _sampled_min(_band_f3theta(f3t, band), coarse, fine)
             )
         for g in _distinct(g_family[j] for j in sel):
-            c0 = min(c0, _certified_min(g, coarse, fine))
+            c0 = min(c0, _sampled_min(g, coarse, fine))
     if not np.isfinite(c0) or c0 < 1e-10:
-        raise GaussMapTooSmall(f"certified |g| lower bound {c0:.3g} on the bands")
+        raise GaussMapTooSmall(f"sampled min |g| {c0:.3g} on the bands, need >= 1e-10")
     eps = 0.5 * eps_min
     target = 2.0 * N**4 * (1.0 + margin)
     lam = max(0.0, (target / c0 - 1.0) / t0_min)

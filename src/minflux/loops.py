@@ -21,6 +21,7 @@ from . import nullquadric as nq
 from .errors import (
     EmptySegment,
     InvalidPair,
+    NonFiniteValues,
     NotImmersion,
     RootNotFound,
 )
@@ -269,6 +270,54 @@ def nondegenerate_on(sigma, seg, gap=1e-8):
 
 
 # ---------------------------------------------------------------------------
+# damped Newton
+
+
+def _newton(residual, jac, x0, tol, max_iter, cap=np.inf):
+    """Damped Newton for residual(x) = 0, real or complex x; None on failure.
+
+    Each step solves jac(x) step = -residual(x) in the least-norm sense, is
+    shortened to length cap, and is halved up to 30 times until the
+    residual norm drops.  An inf residual marks a point outside the domain.
+    """
+    x = np.array(x0)
+    f = residual(x)
+    for _ in range(max_iter):
+        r = float(np.linalg.norm(f))
+        if r < tol:
+            return x
+        step = np.linalg.lstsq(jac(x), -f, rcond=None)[0]
+        ns = float(np.linalg.norm(step))
+        if ns > cap:
+            step *= cap / ns
+        lam = 1.0
+        for _ in range(30):
+            cand = x + lam * step
+            fc = residual(cand)
+            if np.linalg.norm(fc) < r:
+                x, f = cand, fc
+                break
+            lam *= 0.5
+        else:
+            return None
+    return x if float(np.linalg.norm(f)) < tol else None
+
+
+def _substep(solve, a, b, x, depth=6):
+    """solve(b, x), where x solves target a, via midpoint targets on stalls.
+
+    solve(target, x) returns a solution or None; each stall halves the jump,
+    down to depth levels.
+    """
+    y = solve(b, x)
+    if y is not None or depth == 0:
+        return y
+    mid = 0.5 * (a + b)
+    y = _substep(solve, a, mid, x, depth - 1)
+    return None if y is None else _substep(solve, mid, b, y, depth - 1)
+
+
+# ---------------------------------------------------------------------------
 # zero-period pairs
 
 
@@ -504,12 +553,6 @@ class _ZeroPeriodBuilder:
         g[self.idx_ext] = vals[:-1]
         return g
 
-    def complement_integral(self, p, c=None):
-        """Quadrature of g over [delta, 2 delta] union [3 delta, 1)."""
-        g = self.g_field(p, c)
-        mask = self.m_trans | self.m_ext
-        return g[mask].sum(axis=0) / self.n
-
     def period(self, p, c=None):
         return self.g_field(p, c).mean(axis=0)
 
@@ -532,9 +575,16 @@ def make_zero_period_pair(
     elsewhere, and the parameter is found by damped Newton iteration with a
     grid fallback (a degree-one argument guarantees a root for small eps).
     """
+    for name, value in (("delta", delta), ("eps", eps)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if 3.0 * delta >= 1.0:
         raise ValueError("need 3*delta < 1")
     v0 = h0.values.real if isinstance(h0, PeriodicPath) else np.asarray(h0, float)
+    if v0.ndim != 2 or v0.shape[1] != 3:
+        raise ValueError(f"h0 must have shape (N, 3), got {v0.shape}")
+    if not np.all(np.isfinite(v0)):
+        raise NonFiniteValues("h0 has non-finite samples")
     v0 = resample(v0, n_samples) if v0.shape[0] != n_samples else v0.copy()
     x = np.arange(n_samples) / n_samples
     hp0 = fourier_derivative(v0)
@@ -562,10 +612,6 @@ def make_zero_period_pair(
     R = _rotation_to_e1(mid)
     wt = (scale * w) @ R.T
 
-    info = {"delta": delta, "eps_sequence": []}
-    probes = [np.eye(3)[k] for k in range(3)] + [-np.eye(3)[k] for k in range(3)]
-    probes.append(np.ones(3) / np.sqrt(3.0))
-
     last_err = "no attempt"
     for attempt in range(4):
         cur_eps = eps / (2.0**attempt)
@@ -586,38 +632,25 @@ def make_zero_period_pair(
         def residual(q):
             return builder.period(q[:3], q[3:])
 
-        # seed the two stall-bump angles by a coarse grid search; the
-        # remaining residual is well inside the Newton basin
-        angles = np.linspace(-np.pi, np.pi, 13)[:-1]
+        # seed the two stall-bump angles by a grid search, refined when
+        # Newton fails from the coarse seed
         best, best_val = np.zeros(3 + nc), np.inf
-        for a1 in angles:
-            for a2 in angles:
-                q0 = np.zeros(3 + nc)
-                q0[3], q0[3 + nc - 1] = a1, a2
-                r = float(np.linalg.norm(residual(q0)))
-                if r < best_val:
-                    best, best_val = q0, r
-        q = _newton_root_ln(residual, best, tol=tol)
-        if q is None:
-            # fallback: refine the seed on a finer two-angle grid
-            fine = np.linspace(-np.pi, np.pi, 49)[:-1]
-            for a1 in fine:
-                for a2 in fine:
+        for size in (13, 49):
+            angles = np.linspace(-np.pi, np.pi, size)[:-1]
+            for a1 in angles:
+                for a2 in angles:
                     q0 = np.zeros(3 + nc)
                     q0[3], q0[3 + nc - 1] = a1, a2
                     r = float(np.linalg.norm(residual(q0)))
                     if r < best_val:
                         best, best_val = q0, r
             q = _newton_root_ln(residual, best, tol=tol)
+            if q is not None:
+                break
         if q is None or np.linalg.norm(q[:3]) >= 1.0:
             last_err = f"no interior root at eps={cur_eps:g}"
             continue
         p, coeffs = q[:3], q[3:]
-        worst = max(
-            float(np.linalg.norm(builder.complement_integral(pp, coeffs)))
-            for pp in probes
-        )
-        info["eps_sequence"].append((cur_eps, builder.spins, worst))
 
         # assemble and rotate/scale back; rotations and dilations do not
         # change the homotopy class fixed above
@@ -629,7 +662,8 @@ def make_zero_period_pair(
         g_out = (g_rot @ R) / scale
         h_out = antiderivative(hp_out - hp_out.mean(axis=0)) + v0[0]
         pair = ConformalPair(h=h_out, g=g_out, hprime=hp_out)
-        info.update(
+        pair.meta = dict(
+            delta=delta,
             eps=cur_eps,
             p_root=p,
             angle_coeffs=coeffs,
@@ -638,7 +672,6 @@ def make_zero_period_pair(
             spin_class=cls,
             spins=builder.spins,
         )
-        pair.meta = info
         return pair.validate()
     raise RootNotFound(last_err)
 
@@ -647,34 +680,18 @@ def _newton_root_ln(fun, q0, tol=1e-13, max_iter=80, fd=1e-7):
     """Damped least-norm Newton for an underdetermined root problem.
 
     fun maps R^m to R^3; the first three entries of the argument are
-    constrained to the open unit ball.  Steps are least-norm solutions of
-    the finite-difference Jacobian system.
+    constrained to the ball of radius 0.98.  The Jacobian is taken by
+    central differences.  Returns None when Newton fails.
     """
-    q = np.asarray(q0, dtype=float).copy()
-    m = q.size
-    f = fun(q)
-    for _ in range(max_iter):
-        r = float(np.linalg.norm(f))
-        if r < tol:
-            return q
-        J = np.empty((3, m))
-        for j in range(m):
-            dq = np.zeros(m)
-            dq[j] = fd
-            J[:, j] = (fun(q + dq) - fun(q - dq)) / (2.0 * fd)
-        step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-        lam = 1.0
-        for _ in range(30):
-            cand = q + lam * step
-            if np.linalg.norm(cand[:3]) < 0.98:
-                fc = fun(cand)
-                if np.linalg.norm(fc) < r:
-                    q, f = cand, fc
-                    break
-            lam *= 0.5
-        else:
-            return None
-    return q if float(np.linalg.norm(fun(q))) < tol else None
+
+    def residual(q):
+        return fun(q) if np.linalg.norm(q[:3]) < 0.98 else np.full(3, np.inf)
+
+    def jac(q):
+        cols = [fun(q + dq) - fun(q - dq) for dq in fd * np.eye(q.size)]
+        return np.stack(cols, axis=1) / (2.0 * fd)
+
+    return _newton(residual, jac, np.asarray(q0, dtype=float), tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +748,7 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
     """
     v0 = np.asarray(sigma0, dtype=complex)
     n_t = targets.shape[0]
-    m = len(controls)
-    w = np.zeros(m, dtype=complex)
+    w = np.zeros(len(controls), dtype=complex)
     out = [v0.copy()]
     w_path = [w.copy()]
 
@@ -741,6 +757,11 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
 
     def jac(wv):
         return _flow_jacobian(v0, controls, wv)
+
+    def solve(target, wv):
+        # the period is holomorphic in the flow coefficients, so a
+        # complex least-norm Newton step is legitimate
+        return _newton(lambda x: per(x) - target, jac, wv, tol, max_newton)
 
     def recenter(wv, target, rounds=6):
         # pull the coefficients toward the minimal-norm solution of
@@ -753,52 +774,17 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
             nd = float(np.linalg.norm(d))
             if nd < 1e-10 or nd < 0.05 * float(np.linalg.norm(wv)):
                 return wv
-            lam = 0.5
-            improved = False
-            while lam > 1e-3:
-                cand = solve_to(target, wv - lam * d, depth=6)
+            for j in range(1, 10):  # pull-back fractions 1/2 down to 1/512
+                cand = solve(target, wv - 0.5**j * d)
                 if cand is not None and np.linalg.norm(cand) < np.linalg.norm(wv):
                     wv = cand
-                    improved = True
                     break
-                lam *= 0.5
-            if not improved:
+            else:
                 return wv
         return wv
 
-    def solve_to(target, w_start, depth=0):
-        wv = w_start.copy()
-        f = per(wv) - target
-        for _ in range(max_newton):
-            r = float(np.linalg.norm(f))
-            if r < tol:
-                return wv
-            # the period is holomorphic in the flow coefficients, so a
-            # complex least-norm Newton step is legitimate
-            step, *_ = np.linalg.lstsq(jac(wv), -f, rcond=None)
-            lam = 1.0
-            for _ in range(25):
-                q = wv + lam * step
-                fq = per(q) - target
-                if np.linalg.norm(fq) < r:
-                    wv, f = q, fq
-                    break
-                lam *= 0.5
-            else:
-                break
-        if float(np.linalg.norm(f)) < tol:
-            return wv
-        if depth >= 6:
-            return None
-        # sub-step: aim at the midpoint first
-        midpoint = 0.5 * (per(w_start) + target)
-        wm = solve_to(midpoint, w_start, depth + 1)
-        if wm is None:
-            return None
-        return solve_to(target, wm, depth + 1)
-
     for k in range(1, n_t):
-        w = solve_to(targets[k], w, 0)
+        w = _substep(solve, targets[k - 1], targets[k], w)
         if w is None:
             raise RootNotFound(f"period continuation stalled at step {k}")
         w = recenter(w, targets[k])

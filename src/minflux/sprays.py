@@ -10,6 +10,7 @@ ramp of period targets, solving for the controls by damped Newton steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .loops import (
     Segment,
     _flow_deform,
     _flow_jacobian,
+    _newton,
+    _substep,
     nondegenerate_on,
     raised_cosine,
 )
@@ -216,13 +219,14 @@ class PeriodTargets:
         object.__setattr__(self, "values", v)
 
 
-def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30, tikhonov=1e-12):
+def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30):
     """Continuation for the control path w(t) tracking the period targets.
 
     Starts from w(0) = 0 (targets must already be met there) and tracks the
-    ramp with damped Newton steps, sub-stepping on stalls.  The rows of the
-    period system follow period_jacobian.  Raises LeftDomain when |w|
-    exceeds the trust radius, ContinuationStalled when sub-stepping fails.
+    ramp with damped least-norm Newton steps, each at most a quarter of the
+    trust radius, sub-stepping on stalls.  The rows of the period system
+    follow period_jacobian.  Raises LeftDomain when |w| exceeds the trust
+    radius, ContinuationStalled when sub-stepping fails.
     """
     tv = targets.values if isinstance(targets, PeriodTargets) else targets
     tv = PeriodTargets(tv).values
@@ -230,66 +234,26 @@ def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30, tikhonov=1e-12):
     n_t = spray.n_t
     if tv.shape[0] != n_t or tv.shape[1] != spray.n_curves:
         raise ValueError("targets shape does not match the spray")
-    m = spray.dim_w
 
     def residual(k, target, w):
         return (spray.periods(k, w)[:, :rows] - target[:, :rows]).ravel()
 
-    def solve_step(k, target, w_start):
-        w = w_start.copy()
-        f = residual(k, target, w)
-        for _ in range(max_newton):
-            r = float(np.linalg.norm(f))
-            if r < tol:
-                return w
-            J = period_jacobian(spray, k, w)
-            A = J.conj().T @ J + tikhonov * np.eye(m)
-            step = -np.linalg.solve(A, J.conj().T @ f)
-            cap = 0.25 * spray.radius_w
-            ns = float(np.linalg.norm(step))
-            if ns > cap:
-                step *= cap / ns
-            lam = 1.0
-            while lam > 1e-8:
-                cand = w + lam * step
-                fc = residual(k, target, cand)
-                if np.linalg.norm(fc) < r:
-                    w, f = cand, fc
-                    break
-                lam *= 0.5
-            else:
-                return None
-        return w if float(np.linalg.norm(residual(k, target, w))) < tol else None
+    def solve(k, target, w):
+        return _newton(
+            lambda v: residual(k, target, v),
+            lambda v: period_jacobian(spray, k, v),
+            w, tol, max_newton, cap=0.25 * spray.radius_w,
+        )
 
-    w = np.zeros(m, dtype=complex)
+    w = np.zeros(spray.dim_w, dtype=complex)
     r0 = float(np.linalg.norm(residual(0, tv[0], w)))
     if r0 > tol:
         raise ValueError(f"targets not met at t = 0 with w = 0 (residual {r0:.3g})")
     path = [w.copy()]
     for k in range(1, n_t):
-        nxt = solve_step(k, tv[k], w)
+        nxt = _substep(partial(solve, k), tv[k - 1], tv[k], w)
         if nxt is None:
-            # sub-step through intermediate targets between samples
-            ok = False
-            for halves in range(1, 7):
-                steps = 2**halves
-                cur = w.copy()
-                good = True
-                for s in range(1, steps + 1):
-                    frac = s / steps
-                    blend = (1 - frac) * tv[k - 1] + frac * tv[k]
-                    cur2 = solve_step(k, blend, cur)
-                    if cur2 is None:
-                        good = False
-                        break
-                    cur = cur2
-                if good:
-                    nxt, ok = cur, True
-                    break
-            if not ok:
-                raise ContinuationStalled(
-                    f"continuation stalled at step {k} of {n_t}"
-                )
+            raise ContinuationStalled(f"continuation stalled at step {k} of {n_t}")
         if float(np.max(np.abs(nxt))) > spray.radius_w:
             raise LeftDomain(
                 f"|w| = {np.max(np.abs(nxt)):.3g} exceeds {spray.radius_w} at step {k}"

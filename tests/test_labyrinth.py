@@ -177,19 +177,19 @@ class TestChooseParams:
 
     @pytest.mark.parametrize("which", ["epsilon", "lambda"])
     def test_reverification_failure_is_typed(self, monkeypatch, which):
-        # an overestimated certified minimum makes the chosen parameter too
+        # an overestimated sampled minimum makes the chosen parameter too
         # bold; the fine-grid re-verification must catch it
         end = lb.AnnulusEnd(0, 1.3, 2.0)
         band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.5, 1.0))
         f3t, g, t = ones_families()
-        real = lb._certified_min
+        real = lb._sampled_min
 
         def overestimate(fun, points, refine):
             is_g = any(fun is h for h in g)
             scale = 2.0 if is_g == (which == "lambda") else 1.0
             return scale * real(fun, points, refine)
 
-        monkeypatch.setattr(lb, "_certified_min", overestimate)
+        monkeypatch.setattr(lb, "_sampled_min", overestimate)
         with pytest.raises(EstimateNotMet, match=f"{which} inequality"):
             lb.choose_params(f3t, g, [band], 2, t)
 
@@ -199,9 +199,9 @@ class TestChooseParams:
         end = lb.AnnulusEnd(0, 1.3, 2.0)
         band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.55, 0.6))
         f3t, g, t = ones_families(2)
-        real = lb._certified_min
+        real = lb._sampled_min
         monkeypatch.setattr(
-            lb, "_certified_min", lambda *a: 2.0 * real(*a)
+            lb, "_sampled_min", lambda *a: 2.0 * real(*a)
         )
         with pytest.raises(EstimateNotMet):
             lb.choose_params(f3t, g, [band], 2, t)

@@ -1,5 +1,7 @@
 """Tests for periodic paths, conformal pairs and the period lemmas."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from minflux import sprays as sp
 from minflux.errors import (
     EmptySegment,
     InvalidPair,
+    NonFiniteValues,
     NotImmersion,
 )
 
@@ -226,6 +229,122 @@ class TestZeroPeriodPair:
         bad = np.stack([np.cos(2 * np.pi * x) ** 2, np.zeros(n), np.zeros(n)], axis=1)
         with pytest.raises(NotImmersion):
             lp.make_zero_period_pair(bad, spin_class=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, error, match",
+        [
+            ({"delta": -0.1}, ValueError, "delta"),
+            ({"delta": 0.0}, ValueError, "delta"),
+            ({"delta": float("nan")}, ValueError, "delta"),
+            ({"eps": 0.0}, ValueError, "eps"),
+            ({"eps": -0.1}, ValueError, "eps"),
+            ({"h0": circle_samples()[:, 0]}, ValueError, "h0"),
+            ({"h0": circle_samples()[:, :2]}, ValueError, "h0"),
+            ({"h0": np.where(np.arange(256)[:, None] == 5, np.nan, circle_samples())},
+             NonFiniteValues, "h0"),
+        ],
+        ids=[
+            "delta_negative", "delta_zero", "delta_nan", "eps_zero",
+            "eps_negative", "h0_1d", "h0_two_columns", "h0_nan_sample",
+        ],
+    )
+    def test_bad_input_typed(self, kwargs, error, match):
+        # each bad input is rejected up front, before any FFT can warn
+        args = {"h0": circle_samples(), "spin_class": 0, **kwargs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                lp.make_zero_period_pair(**args)
+
+
+class TestNewton:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_step_is_least_norm(self, dtype):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(2, 5))
+        b = rng.normal(size=2)
+        if dtype is complex:
+            A = A + 1j * rng.normal(size=(2, 5))
+            b = b + 1j * rng.normal(size=2)
+        x = lp._newton(
+            lambda v: A @ v - b, lambda v: A, np.zeros(5, dtype), 1e-12, 1
+        )
+        assert x is not None and x.dtype == dtype
+        assert np.max(np.abs(x - np.linalg.pinv(A) @ b)) <= 1e-14
+
+    def test_unreachable_target_is_none(self):
+        # b is outside the range of A: the least-squares point is reached
+        # in one step, and no step can lower the residual below 1/sqrt(2)
+        A = np.array([[1.0, 0.0], [1.0, 0.0]])
+        b = np.array([0.0, 1.0])
+        x = lp._newton(lambda v: A @ v - b, lambda v: A, np.zeros(2), 1e-12, 40)
+        assert x is None
+
+    @pytest.mark.parametrize(
+        "target", [(0.5, 0.3), (0.99, 0.0), (1.0, 0.0), (2.0, 0.0), (-0.8, 0.9)]
+    )
+    def test_inf_residual_keeps_iterates_inside(self, target):
+        target = np.array(target)
+        inside = []
+
+        def residual(v):
+            if np.linalg.norm(v) >= 1.0:
+                return np.full(2, np.inf)
+            inside.append(v)
+            return v - target
+
+        x = lp._newton(residual, lambda v: np.eye(2), np.zeros(2), 1e-12, 60)
+        if np.linalg.norm(target) < 1.0:
+            assert x is not None and np.allclose(x, target, atol=1e-12)
+        elif np.linalg.norm(target) > 1.0:
+            assert x is None
+        # a target on the sphere is approached from inside, to within tol
+        assert x is None or np.linalg.norm(x) < 1.0
+        assert all(np.linalg.norm(v) < 1.0 for v in inside)
+
+    def test_cap_bounds_every_step(self):
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(2, 4))
+        b = 10.0 * rng.normal(size=2)
+        seen = []
+
+        def residual(v):
+            seen.append(v)
+            return A @ v - b
+
+        cap = 0.25
+        x = lp._newton(residual, lambda v: A, np.zeros(4), 1e-12, 200, cap=cap)
+        assert x is not None
+        assert np.max(np.abs(x - np.linalg.pinv(A) @ b)) <= 1e-12
+        # a linear residual accepts every capped step, so each evaluated
+        # point is the next iterate
+        jumps = np.linalg.norm(np.diff(np.array(seen), axis=0), axis=1)
+        assert len(jumps) > 4
+        assert np.max(jumps) <= cap * (1.0 + 1e-12)
+        assert np.isclose(jumps[0], cap)
+
+    @staticmethod
+    def short_jumps(limit, calls):
+        # a solver that only manages jumps of at most limit
+        def solve(target, x):
+            calls.append((x, target))
+            return target if abs(target - x) <= limit else None
+
+        return solve
+
+    def test_substep_reaches_b_through_midpoints(self):
+        calls = []
+        y = lp._substep(self.short_jumps(0.125, calls), 0.0, 1.0, 0.0)
+        assert y == 1.0
+        done = [(x, t) for x, t in calls if abs(t - x) <= 0.125]
+        assert [t for _, t in done] == [k / 8 for k in range(1, 9)]
+
+    def test_substep_none_once_depth_runs_out(self):
+        solve = self.short_jumps(1.0 / 128, [])
+        assert lp._substep(solve, 0.0, 1.0, 0.0) is None
+        assert lp._substep(solve, 0.0, 1.0, 0.0, depth=7) == 1.0
+        solve = self.short_jumps(0.125, [])
+        assert lp._substep(solve, 0.0, 1.0, 0.0, depth=2) is None
 
 
 def reference_transport_frame(unit_tangents, n1_start):
