@@ -505,7 +505,7 @@ def _run_family(cfg, outdir):
 def _run_complete_step(cfg, outdir):
     data = initial_data(cfg)
     result = lb.complete_step(
-        data, core=tuple(cfg.core), delta=cfg.delta, seed=cfg.seed,
+        data, core=tuple(cfg.core), delta=cfg.delta,
         ts=np.linspace(0.0, 1.0, cfg.t_samples),
     )
     write_labyrinth_csv(outdir / "labyrinth_polygons.csv", result)

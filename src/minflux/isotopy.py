@@ -223,7 +223,7 @@ def _pin_extension(values, domain, theta, target, tol, max_iter=8):
     coefficients removes the mismatch exactly.  The period is a quadratic
     polynomial in those coefficients, with the exact Jacobian of
     _pin_jacobian, so two iterations suffice.  Returns (extension,
-    coefficient adjustment size, residual).
+    coefficient adjustment size).
     """
     base = rm.runge_extend(PeriodicPath(values), domain)
 
@@ -244,11 +244,10 @@ def _pin_extension(values, domain, theta, target, tol, max_iter=8):
         r0 = float(np.linalg.norm(residual(zero)))
         raise RootNotFound(f"period correction stalled from residual {r0:.3g}")
     ext = build(delta)
-    r = float(np.linalg.norm(_extension_period(ext, theta) - target))
     size = float(np.max(np.abs(delta)))
     ext.meta["pin_adjustment"] = size
     ext.meta["sup_error"] = ext.meta.get("sup_error", 0.0) + 4.0 * size
-    return ext, size, r
+    return ext, size
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +343,7 @@ def _drive(
     for retry in range(4):
         controls = _driver_controls(n, seed=seed + retry, jitter=0.1 * retry)
         try:
-            deformed, _ = lp._period_continuation(
+            deformed = lp._period_continuation(
                 loop0.values, ramp, controls, tol=1e-12
             )
             break
@@ -359,7 +358,7 @@ def _drive(
     corr = 0.0
     for k in range(1, n_t):
         vals = deformed[k]
-        ext, size, res = _pin_extension(
+        ext, size = _pin_extension(
             vals, domain, data.theta, ramp[k], tol=0.1 * tol_period
         )
         corr = max(corr, size)

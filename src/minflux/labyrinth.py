@@ -507,16 +507,24 @@ class MetricGraph:
     boundary: np.ndarray
     resolution: float
 
-    def distance(self, density_fn):
+    def node_distances(self, density_fn):
+        """Graph distance from the source to every node, shape (n_r, n_th)."""
         rho = np.sqrt(np.abs(density_fn(self.nodes)))
         wts = 0.5 * (rho[self.rows] + rho[self.cols]) * self.lengths
         n = self.nodes.size
         m = csr_matrix((wts, self.cols, self.indptr), shape=(n, n))
         d = dijkstra(m, directed=False, indices=self.source)
-        val = float(np.min(d[self.boundary]))
+        return d.reshape(-1, self.n_th)
+
+    def boundary_distance(self, node_distances):
+        """The least of the node distances on the boundary circles."""
+        val = float(np.min(node_distances.ravel()[self.boundary]))
         if not np.isfinite(val):
             raise DisconnectedGraph("no path from the source to the boundary")
         return val
+
+    def distance(self, density_fn):
+        return self.boundary_distance(self.node_distances(density_fn))
 
     def flat_distance(self):
         """Graph distance from the source to the boundary in the flat metric.
@@ -529,30 +537,6 @@ class MetricGraph:
         r_src = self.radii[self.source // self.n_th]
         r_bnd = self.radii[self.boundary // self.n_th]
         return float(np.min(np.abs(r_bnd - r_src)))
-
-    def crossing_lengths(self, rho, i_lo, i_hi, count, rng):
-        """Lengths of count random walks from circle i_lo out to circle i_hi.
-
-        rho: metric factor at the nodes, shape (n_r, n_th).  Each walk
-        starts at a random angle and moves one circle outward per step,
-        shifting by at most one node in angle; its length is the
-        trapezoidal sum of rho along the steps.
-        """
-        nodes = self.nodes.reshape(-1, self.n_th)
-        i = np.arange(i_lo, i_hi)
-        out = []
-        for _ in range(count):
-            j0 = int(rng.integers(self.n_th))
-            dj = rng.integers(-1, 2, size=i.size)
-            js = (j0 + np.concatenate(([0], np.cumsum(dj)))) % self.n_th
-            dz = nodes[i + 1, js[1:]] - nodes[i, js[:-1]]
-            terms = (
-                0.5 * (rho[i, js[:-1]] + rho[i + 1, js[1:]])
-                * np.hypot(dz.real, dz.imag)
-            )
-            # cumsum adds left to right, as a scalar loop does
-            out.append(float(np.cumsum(terms)[-1]) if terms.size else 0.0)
-        return out
 
 
 def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
@@ -609,6 +593,7 @@ class DistanceResult:
     value: float
     resolution: float
     calibration: float
+    node_distances: np.ndarray = field(repr=False, compare=False)
 
     def __float__(self):
         return self.value
@@ -618,10 +603,11 @@ def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, radii=None,
                        graph=None):
     """Intrinsic distance from x0 to the boundary, by Dijkstra.
 
-    The metric is density^(1/2) |dz|.  The calibration factor is the same
-    graph's flat-metric distance divided by the exact flat distance from
-    x0; it quantifies the graph's overestimation and is reported, not
-    applied.  The graph's flat distance has a closed form
+    The metric is density^(1/2) |dz|.  The result keeps the graph distance
+    from x0 to every node, shape (n_r, n_th).  The calibration factor is
+    the same graph's flat-metric distance divided by the exact flat
+    distance from x0; it quantifies the graph's overestimation and is
+    reported, not applied.  The graph's flat distance has a closed form
     (MetricGraph.flat_distance), so the factor measures only the move of
     x0 to its nearest node.
     """
@@ -630,7 +616,8 @@ def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, radii=None,
             data.r_inner, data.r_outer, x0, radii=radii, n_r=n_r, n_th=n_th,
             boundary=boundary,
         )
-    val = graph.distance(lambda z: wz.metric_density(data, z))
+    dist = graph.node_distances(lambda z: wz.metric_density(data, z))
+    val = graph.boundary_distance(dist)
     flat = graph.flat_distance()
     r0 = abs(complex(x0))
     exact = []
@@ -640,9 +627,20 @@ def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, radii=None,
         exact.append(graph.radii[-1] - r0)
     flat_exact = min(e for e in exact if e > 0) if any(e > 0 for e in exact) \
         else max(exact)
-    calib = flat / flat_exact if flat_exact > 0 else 1.0
+    calib = float(flat / flat_exact) if flat_exact > 0 else 1.0
     return DistanceResult(value=val, resolution=graph.resolution,
-                          calibration=calib)
+                          calibration=calib, node_distances=dist)
+
+
+def _crossing_bound(d, i_near, i_far):
+    """Lower bound on every graph path from circle i_near to circle i_far.
+
+    d: one Dijkstra run's distance field, shape (n_r, n_th).  It changes by
+    at most an edge's length along the edge, and edges join only the same
+    or adjacent circles, so every path across the circles between the two
+    is at least d(b) - d(a) for some node a on i_near and b on i_far.
+    """
+    return float(np.min(d[i_far]) - np.max(d[i_near]))
 
 
 def _fine_spacing(N):
@@ -707,7 +705,6 @@ def complete_step(
     brackets=DEFAULT_BRACKETS,
     est_margin=EST_MARGIN,
     n_th_fine=128,
-    n_paths=100,
     seed=23,
 ):
     """One completeness induction step with full estimate verification.
@@ -716,7 +713,9 @@ def complete_step(
     family); core: (lo, hi) moduli of an annular core containing the
     homology circle; delta > 0 the step parameter.  Returns the
     transformed family and a verification report; raises EstimateNotMet
-    when a measured distance violates its required bound.
+    when a measured distance violates its required bound.  The step is
+    deterministic: seed is accepted for the perfbench workloads, which
+    pass it, and is not read.
     """
     members, t_grid = _as_members(family, ts)
     data0 = members[0]
@@ -890,32 +889,29 @@ def complete_step(
     # (V) endpoint distance on the labyrinth-resolving graph
     radii = _fine_radii(r_in, r_out, labs, N)
     fine = build_metric_graph(r_in, r_out, x0, radii=radii, n_th=n_th_fine)
-    dens_end = wz.metric_density(transformed[-1], fine.nodes)
-    final = fine.distance(lambda z: dens_end)
+    end = intrinsic_distance(transformed[-1], x0, graph=fine)
+    final = end.value
     report["final_distance"] = final
-    report["calibration"] = fine.flat_distance() / min(rho - r_in, r_out - rho)
+    report["calibration"] = end.calibration
     # radial spacing inside the bands: half the clearance between walls
     report["fine_resolution"] = _fine_spacing(N)
     passes["conclusion_v"] = final > 1.0 / delta
 
-    # est3: random crossing paths through each band
-    rng = np.random.default_rng(seed)
+    # est3: every graph crossing of each band, bounded below off the
+    # endpoint distance field; the core side is band.r in the chart, and
+    # radius_in_chart, an involution, maps chart radii to physical ones
     est3_ok = True
     est3_min = np.inf
-    rho_end = np.sqrt(np.abs(dens_end)).reshape(radii.size, n_th_fine)
     for lab in labs:
         band = lab.band
-        if band.end.kind == "identity":
-            p_lo, p_hi = band.r, band.R
-        else:
-            p_lo, p_hi = band.end.c / band.R, band.end.c / band.r
-        i_lo = int(np.searchsorted(radii, p_lo))
-        i_hi = int(np.searchsorted(radii, p_hi)) - 1
+        near, far = (
+            int(np.searchsorted(radii, band.end.radius_in_chart(x)))
+            for x in (band.r, band.R)
+        )
+        length = _crossing_bound(end.node_distances, near, far)
         bound = min(0.5, band.r) * params.eps * N
-        count = n_paths // len(labs) + 1
-        for length in fine.crossing_lengths(rho_end, i_lo, i_hi, count, rng):
-            est3_min = min(est3_min, length / bound)
-            est3_ok = est3_ok and length > bound
+        est3_min = min(est3_min, length / bound)
+        est3_ok = est3_ok and length > bound
     report["est3_ratio"] = est3_min
     passes["est3"] = est3_ok
 

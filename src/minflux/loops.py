@@ -742,15 +742,13 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
 
     targets: (n_t, 3) complex required periods, with targets[0] equal to the
     period of sigma0.  Newton steps use the exact period Jacobian of
-    _flow_jacobian.  Returns the list of deformed sample arrays and the
-    coefficient path.  Raises RootNotFound when Newton stalls even after
-    sub-stepping.
+    _flow_jacobian.  Returns the list of deformed sample arrays.  Raises
+    RootNotFound when Newton stalls even after sub-stepping.
     """
     v0 = np.asarray(sigma0, dtype=complex)
     n_t = targets.shape[0]
     w = np.zeros(len(controls), dtype=complex)
     out = [v0.copy()]
-    w_path = [w.copy()]
 
     def per(wv):
         return _flow_deform(v0, controls, wv).mean(axis=0)
@@ -789,5 +787,4 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
             raise RootNotFound(f"period continuation stalled at step {k}")
         w = recenter(w, targets[k])
         out.append(_flow_deform(v0, controls, w))
-        w_path.append(w.copy())
-    return out, w_path
+    return out

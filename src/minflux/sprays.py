@@ -128,6 +128,12 @@ def period_jacobian(spray, t_index, w=0):
 
 
 def _certify(spray, sigma_min=SIGMA_MIN):
+    """Smallest singular value of the period Jacobian over the t samples.
+
+    Stops at the first sample below sigma_min.  The value (stored as
+    meta["sigma_min"]) holds at the t samples only; it is not a bound on
+    the Jacobian between them.
+    """
     worst = np.inf
     for k in range(spray.n_t):
         s = np.linalg.svd(period_jacobian(spray, k), compute_uv=False)

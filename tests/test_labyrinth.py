@@ -433,43 +433,57 @@ class TestFineRadii:
             assert rings(inner.rad_hi, outer.rad_lo, closed=False) >= 1
 
 
-def scalar_crossing_lengths(radii, n_th, rho, i_lo, i_hi, count, rng):
-    """The est3 walk as a scalar loop, the reference for crossing_lengths."""
-    out = []
-    for _ in range(count):
-        j = int(rng.integers(n_th))
-        length = 0.0
-        for i in range(i_lo, i_hi):
-            dj = int(rng.integers(-1, 2))
-            j2 = (j + dj) % n_th
-            za = radii[i] * np.exp(2j * np.pi * j / n_th)
-            zb = radii[i + 1] * np.exp(2j * np.pi * j2 / n_th)
-            length += 0.5 * (rho[i, j] + rho[i + 1, j2]) * abs(za - zb)
-            j = j2
-        out.append(length)
-    return out
+def shortest_window_crossing(graph, dens, i_lo, i_hi):
+    """Shortest path from circle i_lo to circle i_hi inside the circles
+    between them: a multi-source Dijkstra on the window's sub-graph, built
+    from the COO reference edges."""
+    rows, cols, lengths = coo_edges(graph)
+    rho = np.sqrt(dens)
+    n, n_th = graph.nodes.size, graph.n_th
+    m = csr_matrix((0.5 * (rho[rows] + rho[cols]) * lengths, (rows, cols)),
+                   shape=(n, n))
+    a, b = i_lo * n_th, (i_hi + 1) * n_th
+    d = dijkstra(m[a:b, a:b], directed=False, indices=np.arange(n_th),
+                 min_only=True)
+    return float(np.min(d[-n_th:]))
 
 
-class TestCrossingLengths:
-    def test_bit_identical_to_scalar_walk(self):
-        rng = np.random.default_rng(3)
-        radii = np.unique(
-            np.concatenate([np.linspace(0.5, 2.0, 48), rng.uniform(0.5, 2.0, 200)])
-        )
-        n_th = 128
-        graph = lb.build_metric_graph(0.5, 2.0, 1.0, radii=radii, n_th=n_th)
-        rho = np.sqrt(rng.uniform(0.01, 50.0, graph.nodes.size)).reshape(
-            radii.size, n_th
-        )
-        # whole annulus, bands one radius wide (one step and none), inner band
-        windows = [(0, radii.size - 1), (40, 41), (7, 7), (100, 180)]
-        fast, slow = np.random.default_rng(23), np.random.default_rng(23)
-        for i_lo, i_hi in windows:
-            got = graph.crossing_lengths(rho, i_lo, i_hi, 51, fast)
-            want = scalar_crossing_lengths(radii, n_th, rho, i_lo, i_hi, 51, slow)
-            assert got == want
-        # both walks consumed the same random stream
-        assert fast.integers(2**62) == slow.integers(2**62)
+class TestCrossingBound:
+    @given(
+        n_r=st.integers(2, 40),
+        n_th=st.integers(3, 32),
+        window=st.tuples(st.integers(0, 39), st.integers(0, 39)),
+        x0=st.complex_numbers(max_magnitude=2.5, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_below_shortest_window_crossing(self, n_r, n_th, window, x0, seed):
+        i_lo, i_hi = sorted(min(i, n_r - 1) for i in window)
+        graph = lb.build_metric_graph(0.5, 2.0, x0, n_r=n_r, n_th=n_th)
+        # a factor per circle times one per node: walls of any height,
+        # so the bound is positive in about half of the cases
+        rng = np.random.default_rng(seed)
+        dens = (
+            10.0 ** rng.uniform(-2, 4, (n_r, 1))
+            * 10.0 ** rng.uniform(-1, 1, (n_r, n_th))
+        ).ravel()
+        field = graph.node_distances(lambda z: dens)
+        want = shortest_window_crossing(graph, dens, i_lo, i_hi)
+        # either circle may face the source; the relative slack covers
+        # the two runs summing edge weights in different orders
+        for near, far in ((i_lo, i_hi), (i_hi, i_lo)):
+            assert lb._crossing_bound(field, near, far) <= want * (1 + 1e-12)
+
+    def test_tight_when_near_circle_is_cheap(self):
+        # metric ~0 out to circle 2 and flat beyond: the whole near circle
+        # sits at distance ~0, so the bound meets the shortest crossing
+        graph = lb.build_metric_graph(1.0, 2.0, 1.0, n_r=11, n_th=64)
+        cheap = np.abs(graph.nodes) < 1.2 + 1e-9
+        dens = np.where(cheap, 1e-12, 1.0)
+        field = graph.node_distances(lambda z: dens)
+        want = shortest_window_crossing(graph, dens, 2, 7)
+        got = lb._crossing_bound(field, 2, 7)
+        assert want - 1e-4 < got <= want
 
 
 class TestIntrinsicDistance:
@@ -646,6 +660,30 @@ class TestCompleteStep:
         assert rep["est1_ratio"] > 1.0
         assert rep["est2_ratio"] > 1.0
         assert rep["est3_ratio"] > 1.0
+
+    def test_report_independent_of_seed(self, catenoid_step):
+        other = lb.complete_step(
+            wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5, seed=5
+        )
+        assert other.report == catenoid_step.report
+
+    def test_short_crossings_fail_est3(self, monkeypatch):
+        # the fine-graph metric scaled by 1e-6 shortens every distance on
+        # it 1000-fold: the band crossings fall to about 2.57, below
+        # min(0.5, r) eps N = 2.73, while the endpoint distance, also
+        # about 2.57, still exceeds 1/delta = 2
+        density = wz.metric_density
+        monkeypatch.setattr(
+            wz, "metric_density", lambda data, z: 1e-6 * density(data, z)
+        )
+        r = lb.complete_step(
+            wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5,
+            ts=np.linspace(0.0, 1.0, 8),
+        )
+        assert r.report["passes"]["conclusion_v"]
+        assert not r.report["passes"]["est3"]
+        assert r.report["est3_ratio"] < 1.0
+        assert not r.ok
 
     def test_growth_inequality_holds(self, catenoid_step):
         r = catenoid_step
