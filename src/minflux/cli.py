@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,6 @@ class RunConfig:
     tol_period: float = iso.TOL_PERIOD
     export_t: tuple = (0.0, 1.0)
     mesh: tuple = (24, 96)
-    meta: dict = field(default_factory=dict)
 
     def validate(self):
         for name in ("tol_flux", "tol_period"):
@@ -67,6 +66,8 @@ class RunConfig:
                 raise ConfigError(f"run.{name} must be finite and positive")
         if len(self.mesh) != 2 or min(self.mesh) < 2:
             raise ConfigError("run.mesh must give two sizes, each at least 2")
+        if not self.export_t:
+            raise ConfigError("run.export_t must give at least one t value")
         if self.t_samples < 2:
             raise ConfigError("run.t_samples must be at least 2")
         if self.seed < 0:

@@ -61,7 +61,6 @@ class ImmersionFamily:
     chart: object = None
     notice: str = ""
     meta: dict = field(default_factory=dict)
-    report: object = None
 
     def __len__(self):
         return len(self.members)
@@ -215,15 +214,15 @@ def _pin_jacobian(ext):
     return J
 
 
-def _pin_extension(values, domain, theta, target, tol, max_iter=8):
+def _pin_extension(values, domain, theta, target, tol):
     """Extend the loop and pin its exact coefficient period to the target.
 
     The truncated extension's period misses the loop period by the
     truncation tail; a least-norm Newton on a few low-order spinor
     coefficients removes the mismatch exactly.  The period is a quadratic
     polynomial in those coefficients, with the exact Jacobian of
-    _pin_jacobian, so two iterations suffice.  Returns (extension,
-    coefficient adjustment size).
+    _pin_jacobian, so two iterations suffice (eight are allowed).  Returns
+    (extension, coefficient adjustment size).
     """
     base = rm.runge_extend(PeriodicPath(values), domain)
 
@@ -239,7 +238,7 @@ def _pin_extension(values, domain, theta, target, tol, max_iter=8):
         return _extension_period(build(delta), theta) - target
 
     zero = np.zeros(2 * len(_PIN_INDICES), dtype=complex)
-    delta = lp._newton(residual, lambda d: _pin_jacobian(build(d)), zero, tol, max_iter)
+    delta = lp._newton(residual, lambda d: _pin_jacobian(build(d)), zero, tol, 8)
     if delta is None:
         r0 = float(np.linalg.norm(residual(zero)))
         raise RootNotFound(f"period correction stalled from residual {r0:.3g}")
@@ -410,13 +409,14 @@ def prescribe_flux(u0, p, n_t=N_T_DEFAULT, tol_flux=TOL_FLUX,
 
 
 def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
-           tol_null=TOL_NULL, target_flux=None):
+           target_flux=None):
     """Recompute all residuals of a family from scratch.
 
     resolution scales the verification grid and loop sampling relative to
-    the construction defaults (2 doubles them).  When target_flux is given,
-    the recomputed flux of the last member must lie within tol_flux of it.
-    The report is deterministic in the family.
+    the construction defaults (2 doubles them).  Conformality is checked
+    against TOL_NULL.  When target_flux is given, the recomputed flux of the
+    last member must lie within tol_flux of it.  The report is deterministic
+    in the family.
     """
     if len(family) == 0:
         return VerificationReport(
@@ -457,12 +457,12 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
             pi1_classes.append(None)
     flux_table = np.array(flux_table)
     thresholds = {
-        "conformality": tol_null,
+        "conformality": TOL_NULL,
         "real_period": tol_period,
         "metric_density": 0.0,
     }
     passes = {
-        "conformality": max_conf <= tol_null,
+        "conformality": max_conf <= TOL_NULL,
         "real_period": max_real <= tol_period,
         "metric_density": min_den > 0.0,
     }

@@ -36,8 +36,8 @@ from .errors import (
     NoBandFound,
 )
 
-#: Default deformation-time brackets over which band estimates are checked.
-DEFAULT_BRACKETS = ((0.5, 1.0),)
+#: Deformation-time brackets over which band estimates are checked.
+BRACKETS = ((0.5, 1.0),)
 
 #: Safety margin applied to the resolution inequality that selects N.
 EST_MARGIN = 0.25
@@ -162,12 +162,13 @@ class Labyrinth:
     def contains(self, z):
         return self.contains_chart(self.band.end.to_chart(z))
 
-    def polygons(self, n_arc=64):
-        """Wall outlines in the chart plane, one closed polyline per set."""
+    def polygons(self):
+        """Wall outlines in the chart plane, one closed polyline per set,
+        with 64 points on each arc."""
         out = []
         for s in self.sets:
             sign = -1.0 if s.n % 2 else 1.0
-            th = np.linspace(s.ang_gap, 2.0 * np.pi - s.ang_gap, n_arc)
+            th = np.linspace(s.ang_gap, 2.0 * np.pi - s.ang_gap, 64)
             inner = s.rad_lo * np.exp(1j * th)
             outer = s.rad_hi * np.exp(1j * th[::-1])
             poly = sign * np.concatenate([inner, outer, inner[:1]])
@@ -229,16 +230,17 @@ def _sampled_min(fun, points, refine):
     return min(a, b)
 
 
-def _window_zero_free(f3, band, n=256):
+def _window_zero_free(f3, band):
     """True when f3 has no zero in the closed band, by the argument principle.
 
     The zero count in the band annulus is the winding of f3 over the outer
-    chart circle minus the winding over the inner one; both circles must
-    stay clear of zero for the sampled winding to be trustworthy.
+    chart circle minus the winding over the inner one, each sampled at 256
+    points; both circles must stay clear of zero for the sampled winding to
+    be trustworthy.
     """
     from .riemann import winding_number
 
-    x = np.exp(2j * np.pi * np.arange(n) / n)
+    x = np.exp(2j * np.pi * np.arange(256) / 256)
     counts = []
     for radius in (band.r, band.R):
         vals = f3(band.end.from_chart(radius * x))
@@ -258,20 +260,14 @@ def _bracket_samples(t_grid, bracket):
     return sel
 
 
-def find_bands(
-    f3_family,
-    ends,
-    t_grid,
-    brackets=DEFAULT_BRACKETS,
-    width=None,
-    n_candidates=12,
-    pad_frac=0.05,
-):
+def find_bands(f3_family, ends, t_grid, width=None):
     """Bands near each end where no member's third component vanishes.
 
     f3_family: list over t_grid of callables z -> f3(z).  For each end and
-    each bracket the band window with the largest sampled minimum of
-    |f_t^3| is selected; windows across brackets of one end are disjoint.
+    each bracket of BRACKETS, the band window with the largest sampled
+    minimum of |f_t^3| is selected among 12 windows of the given width
+    (default: half the end's span less 5 % padding at each side); windows
+    across brackets of one end are disjoint.
     A window counts only when a sampled argument-principle count finds it
     free of zeros of every sampled member, so zeros between grid points
     are still caught when the boundary circles are resolved.  Raises
@@ -281,16 +277,14 @@ def find_bands(
     bands = []
     for end in ends:
         span = end.R - end.r
-        pad = pad_frac * span
+        pad = 0.05 * span
         w_band = width if width is not None else 0.5 * (span - 2 * pad)
         w_band = min(w_band, span - 2 * pad)
         used = []
-        for k, (t_lo, t_hi) in enumerate(brackets):
+        for k, (t_lo, t_hi) in enumerate(BRACKETS):
             idx = _bracket_samples(t_grid, (t_lo, t_hi))
-            starts = np.linspace(
-                end.r + pad, end.R - pad - w_band, n_candidates
-            )
-            scores = np.full(n_candidates, -1.0)
+            starts = np.linspace(end.r + pad, end.R - pad - w_band, 12)
+            scores = np.full(starts.size, -1.0)
             for ci, a in enumerate(starts):
                 if any(a < ub and a + w_band > ua for ua, ub in used):
                     continue
@@ -599,34 +593,33 @@ class DistanceResult:
         return self.value
 
 
-def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, radii=None,
-                       graph=None):
+def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, graph=None):
     """Intrinsic distance from x0 to the boundary, by Dijkstra.
 
-    The metric is density^(1/2) |dz|.  The result keeps the graph distance
-    from x0 to every node, shape (n_r, n_th).  The calibration factor is
-    the same graph's flat-metric distance divided by the exact flat
-    distance from x0; it quantifies the graph's overestimation and is
-    reported, not applied.  The graph's flat distance has a closed form
-    (MetricGraph.flat_distance), so the factor measures only the move of
-    x0 to its nearest node.
+    The metric is density^(1/2) |dz|, on the given graph, or else on an
+    n_r x n_th graph of the data's annulus with the given boundary.  The
+    result keeps the graph distance from x0 to every node, shape (n_r,
+    n_th).  The calibration factor is the graph's flat-metric distance
+    divided by the exact flat distance from x0 to the graph's boundary
+    circles (the least positive radial gap); it quantifies the graph's
+    overestimation and is reported, not applied.  The graph's flat distance
+    has a closed form (MetricGraph.flat_distance), so the factor measures
+    only the move of x0 to its nearest node.
     """
     if graph is None:
         graph = build_metric_graph(
-            data.r_inner, data.r_outer, x0, radii=radii, n_r=n_r, n_th=n_th,
+            data.r_inner, data.r_outer, x0, n_r=n_r, n_th=n_th,
             boundary=boundary,
         )
     dist = graph.node_distances(lambda z: wz.metric_density(data, z))
     val = graph.boundary_distance(dist)
     flat = graph.flat_distance()
     r0 = abs(complex(x0))
-    exact = []
-    if boundary in ("both", "inner"):
-        exact.append(r0 - graph.radii[0])
-    if boundary in ("both", "outer"):
-        exact.append(graph.radii[-1] - r0)
-    flat_exact = min(e for e in exact if e > 0) if any(e > 0 for e in exact) \
-        else max(exact)
+    # signed gap to each boundary circle, positive when x0 lies inside it
+    circles = np.unique(graph.boundary // graph.n_th)
+    r_bnd = graph.radii[circles]
+    gaps = np.where(circles == 0, r0 - r_bnd, r_bnd - r0)
+    flat_exact = np.min(gaps[gaps > 0]) if np.any(gaps > 0) else np.max(gaps)
     calib = float(flat / flat_exact) if flat_exact > 0 else 1.0
     return DistanceResult(value=val, resolution=graph.resolution,
                           calibration=calib, node_distances=dist)
@@ -648,17 +641,16 @@ def _fine_spacing(N):
     return 1.0 / (FINE_PER_CELL * N**3)
 
 
-def _fine_radii(r_in, r_out, labyrinths, N, n_coarse=48):
-    """Radial node set: coarse radii, plus each band at _fine_spacing(N)."""
-    pieces = [np.linspace(r_in, r_out, n_coarse)]
+def _fine_radii(r_in, r_out, labyrinths, N):
+    """Radial node set: 48 coarse radii, plus each band at _fine_spacing(N)."""
+    pieces = [np.linspace(r_in, r_out, 48)]
     h = _fine_spacing(N)
     for lab in labyrinths:
         band = lab.band
         lo_c, hi_c = band.r, band.R
         count = int(np.ceil((hi_c - lo_c) / h)) + 1
         chart_r = np.linspace(lo_c, hi_c, count)
-        phys = chart_r if band.end.kind == "identity" else band.end.c / chart_r
-        pieces.append(np.sort(phys))
+        pieces.append(np.sort(band.end.radius_in_chart(chart_r)))
     radii = np.unique(np.concatenate(pieces))
     return radii[(radii >= r_in) & (radii <= r_out)]
 
@@ -697,25 +689,17 @@ def _as_members(family, ts=None):
     return members, np.asarray(ts, dtype=float)
 
 
-def complete_step(
-    family,
-    core,
-    delta,
-    ts=None,
-    brackets=DEFAULT_BRACKETS,
-    est_margin=EST_MARGIN,
-    n_th_fine=128,
-    seed=23,
-):
+def complete_step(family, core, delta, ts=None, seed=23):
     """One completeness induction step with full estimate verification.
 
     family: per-t Weierstrass data (or a single datum for a constant
     family); core: (lo, hi) moduli of an annular core containing the
     homology circle; delta > 0 the step parameter.  Returns the
     transformed family and a verification report; raises EstimateNotMet
-    when a measured distance violates its required bound.  The step is
-    deterministic: seed is accepted for the perfbench workloads, which
-    pass it, and is not read.
+    when a measured distance violates its required bound.  Bands are
+    checked over BRACKETS, N keeps the EST_MARGIN safety margin, and the
+    endpoint graph has 128 angles.  The step is deterministic: seed is
+    accepted for the perfbench workloads, which pass it, and is not read.
     """
     members, t_grid = _as_members(family, ts)
     data0 = members[0]
@@ -758,12 +742,12 @@ def complete_step(
     # clipped by its end to at most 2/N cannot hold the walls, so N rises
     # until 2/N falls below the narrowest band.
     f3_family = [m.f3 for m in members]
-    bands = find_bands(f3_family, ends, t_grid, brackets=brackets)
+    bands = find_bands(f3_family, ends, t_grid)
     params = choose_params(f3t_family, g_family, bands, 2, t_grid)
     N = 2
     for _ in range(4):
         r_const = min(min(0.5, b.r) for b in bands)
-        needed = (1.0 + est_margin) * required / (r_const * params.eps)
+        needed = (1.0 + EST_MARGIN) * required / (r_const * params.eps)
         if N >= needed:
             w_min = min(b.R - b.r for b in bands)
             if 2.0 / N < w_min:
@@ -784,9 +768,7 @@ def complete_step(
                     f"budget {N_MAX}; the step cannot reach distance "
                     f"{required:.3g}"
                 )
-        bands = find_bands(
-            f3_family, ends, t_grid, brackets=brackets, width=2.5 / N
-        )
+        bands = find_bands(f3_family, ends, t_grid, width=2.5 / N)
         params = choose_params(f3t_family, g_family, bands, N, t_grid)
     else:
         raise EstimateNotMet(
@@ -888,7 +870,7 @@ def complete_step(
 
     # (V) endpoint distance on the labyrinth-resolving graph
     radii = _fine_radii(r_in, r_out, labs, N)
-    fine = build_metric_graph(r_in, r_out, x0, radii=radii, n_th=n_th_fine)
+    fine = build_metric_graph(r_in, r_out, x0, radii=radii, n_th=128)
     end = intrinsic_distance(transformed[-1], x0, graph=fine)
     final = end.value
     report["final_distance"] = final

@@ -240,23 +240,23 @@ class ConformalPair:
         scale = np.maximum(ng * nh, 1e-300)
         return dot / scale, np.abs(ng - nh) / np.maximum(nh, 1e-300)
 
-    def validate(self, tol=TOL_CONF):
+    def validate(self):
         orth, norm = self.residuals()
         if np.min(np.linalg.norm(self.hprime, axis=1)) <= 0:
             raise InvalidPair("h is not an immersion")
-        if np.max(orth) > tol or np.max(norm) > tol:
+        if np.max(orth) > TOL_CONF or np.max(norm) > TOL_CONF:
             raise InvalidPair(
                 f"pair residuals ({np.max(orth):.3g}, {np.max(norm):.3g}) "
-                f"exceed {tol:g}"
+                f"exceed {TOL_CONF:g}"
             )
         return self
 
 
-def nondegenerate_on(sigma, seg, gap=1e-8):
+def nondegenerate_on(sigma, seg):
     """True when the loop is not contained in a single complex ray over seg.
 
     Tested through the singular values of the sample matrix restricted to
-    the segment: rank at least two with relative gap above the threshold.
+    the segment: rank at least two with relative gap above 1e-8.
     """
     _require_nonempty(seg)
     v = sigma.values if isinstance(sigma, PeriodicPath) else np.asarray(sigma)
@@ -266,7 +266,7 @@ def nondegenerate_on(sigma, seg, gap=1e-8):
     if rows.shape[0] == 0:
         raise EmptySegment("segment contains no sample points")
     s = np.linalg.svd(rows, compute_uv=False)
-    return bool(s.size >= 2 and s[1] > gap * s[0])
+    return bool(s.size >= 2 and s[1] > 1e-8 * s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -557,23 +557,17 @@ class _ZeroPeriodBuilder:
         return self.g_field(p, c).mean(axis=0)
 
 
-def make_zero_period_pair(
-    h0,
-    spin_class=0,
-    delta=0.05,
-    n_samples=4096,
-    eps=0.1,
-    tol=1e-13,
-):
+def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
     """Conformal pair (g, h) with h near the given immersed circle and
     vanishing period of g, in the requested homotopy class of sections.
 
     h0: real array (N, 3) sampling a smooth immersed circle (or a
-    PeriodicPath with real values).  The derivative of the output h is made
-    constant on [0, 3*delta]; g is assembled from an explicit
-    three-parameter family there and a fast-spinning fiber extension
-    elsewhere, and the parameter is found by damped Newton iteration with a
-    grid fallback (a degree-one argument guarantees a root for small eps).
+    PeriodicPath with real values), resampled to 4096 points.  The
+    derivative of the output h is made constant on [0, 3*delta]; g is
+    assembled from an explicit three-parameter family there and a
+    fast-spinning fiber extension elsewhere, and the parameter is found by
+    damped Newton iteration with a grid fallback (a degree-one argument
+    guarantees a root for small eps).
     """
     for name, value in (("delta", delta), ("eps", eps)):
         if not value > 0.0:
@@ -585,6 +579,7 @@ def make_zero_period_pair(
         raise ValueError(f"h0 must have shape (N, 3), got {v0.shape}")
     if not np.all(np.isfinite(v0)):
         raise NonFiniteValues("h0 has non-finite samples")
+    n_samples = 4096
     v0 = resample(v0, n_samples) if v0.shape[0] != n_samples else v0.copy()
     x = np.arange(n_samples) / n_samples
     hp0 = fourier_derivative(v0)
@@ -644,7 +639,7 @@ def make_zero_period_pair(
                     r = float(np.linalg.norm(residual(q0)))
                     if r < best_val:
                         best, best_val = q0, r
-            q = _newton_root_ln(residual, best, tol=tol)
+            q = _newton_root_ln(residual, best)
             if q is not None:
                 break
         if q is None or np.linalg.norm(q[:3]) >= 1.0:
@@ -676,22 +671,23 @@ def make_zero_period_pair(
     raise RootNotFound(last_err)
 
 
-def _newton_root_ln(fun, q0, tol=1e-13, max_iter=80, fd=1e-7):
+def _newton_root_ln(fun, q0):
     """Damped least-norm Newton for an underdetermined root problem.
 
     fun maps R^m to R^3; the first three entries of the argument are
     constrained to the ball of radius 0.98.  The Jacobian is taken by
-    central differences.  Returns None when Newton fails.
+    central differences of step 1e-7.  Newton stops at residual norm 1e-13,
+    or returns None when 80 steps do not reach it.
     """
 
     def residual(q):
         return fun(q) if np.linalg.norm(q[:3]) < 0.98 else np.full(3, np.inf)
 
     def jac(q):
-        cols = [fun(q + dq) - fun(q - dq) for dq in fd * np.eye(q.size)]
-        return np.stack(cols, axis=1) / (2.0 * fd)
+        cols = [fun(q + dq) - fun(q - dq) for dq in 1e-7 * np.eye(q.size)]
+        return np.stack(cols, axis=1) / (2.0 * 1e-7)
 
-    return _newton(residual, jac, np.asarray(q0, dtype=float), tol, max_iter)
+    return _newton(residual, jac, np.asarray(q0, dtype=float), 1e-13, 80)
 
 
 # ---------------------------------------------------------------------------
@@ -737,13 +733,14 @@ def _flow_jacobian(values, controls, w):
     return np.ascontiguousarray(state[1:].mean(axis=1).T)
 
 
-def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
+def _period_continuation(sigma0, targets, controls, tol=1e-12):
     """Solve for flow coefficients tracking a ramp of loop periods.
 
     targets: (n_t, 3) complex required periods, with targets[0] equal to the
     period of sigma0.  Newton steps use the exact period Jacobian of
-    _flow_jacobian.  Returns the list of deformed sample arrays.  Raises
-    RootNotFound when Newton stalls even after sub-stepping.
+    _flow_jacobian, at most 40 per solve.  Returns the list of deformed
+    sample arrays.  Raises RootNotFound when Newton stalls even after
+    sub-stepping.
     """
     v0 = np.asarray(sigma0, dtype=complex)
     n_t = targets.shape[0]
@@ -759,7 +756,7 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12, max_newton=40):
     def solve(target, wv):
         # the period is holomorphic in the flow coefficients, so a
         # complex least-norm Newton step is legitimate
-        return _newton(lambda x: per(x) - target, jac, wv, tol, max_newton)
+        return _newton(lambda x: per(x) - target, jac, wv, tol, 40)
 
     def recenter(wv, target, rounds=6):
         # pull the coefficients toward the minimal-norm solution of

@@ -229,13 +229,15 @@ def _fit_block(samples, radius, degree):
     return LaurentSeries(coeffs, -degree)
 
 
-def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None, degree=None):
+def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None):
     """Holomorphic null extension of a loop given on the homology circle.
 
     loop: PeriodicPath of quadric values sampled on the basis curve of an
     annulus-like domain (one hole).  pclass optionally asserts the expected
-    homotopy class.  Returns a LaurentMap whose restriction to the curve is
-    sup-close to the input within the reported bound.
+    homotopy class.  The truncation degree doubles from DEGREE_START until
+    the sup error on the curve is at most tol, up to DEGREE_MAX.  Returns a
+    LaurentMap whose restriction to the curve is sup-close to the input
+    within the reported bound.
     """
     if domain.rank != 1:
         raise ValueError("extension implemented for domains with one hole")
@@ -244,8 +246,7 @@ def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None, degree=Non
     n0 = v0.shape[0]
     if grid is None:
         grid = domain.grid()
-    forced = degree is not None
-    degree = degree if forced else DEGREE_START
+    degree = DEGREE_START
     while degree <= DEGREE_MAX:
         # the loop is band-limited by convention, but its spinor lift is
         # not; oversample beyond the trial degree so the truncation error
@@ -289,8 +290,6 @@ def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None, degree=Non
                 max_null_residual=float(np.max(nq.null_residual(gv))),
             )
             return ext
-        if forced:
-            break
         degree *= 2
     raise ApproximationBudgetExceeded(
         f"sup error {sup_err:.3g} above {tol:g} at degree {DEGREE_MAX}"

@@ -68,7 +68,6 @@ class LoopSpray:
 
     base: list
     controls: list
-    radius_w: float = RADIUS_W
     fixed_third: bool = False
     meta: dict = field(default_factory=dict)
 
@@ -127,10 +126,10 @@ def period_jacobian(spray, t_index, w=0):
     return J
 
 
-def _certify(spray, sigma_min=SIGMA_MIN):
+def _certify(spray):
     """Smallest singular value of the period Jacobian over the t samples.
 
-    Stops at the first sample below sigma_min.  The value (stored as
+    Stops at the first sample below SIGMA_MIN.  The value (stored as
     meta["sigma_min"]) holds at the t samples only; it is not a bound on
     the Jacobian between them.
     """
@@ -138,7 +137,7 @@ def _certify(spray, sigma_min=SIGMA_MIN):
     for k in range(spray.n_t):
         s = np.linalg.svd(period_jacobian(spray, k), compute_uv=False)
         worst = min(worst, float(s[-1]))
-        if worst < sigma_min:
+        if worst < SIGMA_MIN:
             return worst
     return worst
 
@@ -157,7 +156,7 @@ def _make_controls(segments, n, rng, kinds):
     return controls
 
 
-def _build(sigma_t, segments, kinds, fixed_third, seed, max_retries=5):
+def _build(sigma_t, segments, kinds, fixed_third, seed):
     base = _as_family(sigma_t)
     if isinstance(segments, Segment):
         segments = [segments]
@@ -177,7 +176,7 @@ def _build(sigma_t, segments, kinds, fixed_third, seed, max_retries=5):
     n = base[0][0].shape[0]
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for _ in range(max_retries):
+    for _ in range(5):
         controls = _make_controls(segments, n, rng, kinds)
         spray = LoopSpray(base, controls, fixed_third=fixed_third)
         sv = _certify(spray)
@@ -190,15 +189,15 @@ def _build(sigma_t, segments, kinds, fixed_third, seed, max_retries=5):
     )
 
 
-def build_spray(sigma_t, segments, seed=17):
+def build_spray(sigma_t, segments):
     """Period-dominating spray with three flow controls per curve."""
     return _build(
         sigma_t, segments, ("rotation_12", "rotation_13", "rotation_23"),
-        fixed_third=False, seed=seed,
+        fixed_third=False, seed=17,
     )
 
 
-def build_spray_fixed_third(sigma_t, segments, seed=19):
+def build_spray_fixed_third(sigma_t, segments):
     """Spray deforming only the first two components, third kept exactly.
 
     Controls are rotations in the 1-2 plane: they scale z1 -+ i z2 by
@@ -208,7 +207,7 @@ def build_spray_fixed_third(sigma_t, segments, seed=19):
     """
     return _build(
         sigma_t, segments, ("rotation_12", "rotation_12"), fixed_third=True,
-        seed=seed,
+        seed=19,
     )
 
 
@@ -225,14 +224,15 @@ class PeriodTargets:
         object.__setattr__(self, "values", v)
 
 
-def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30):
+def solve_w(spray, targets, max_newton=30):
     """Continuation for the control path w(t) tracking the period targets.
 
     Starts from w(0) = 0 (targets must already be met there) and tracks the
-    ramp with damped least-norm Newton steps, each at most a quarter of the
-    trust radius, sub-stepping on stalls.  The rows of the period system
-    follow period_jacobian.  Raises LeftDomain when |w| exceeds the trust
-    radius, ContinuationStalled when sub-stepping fails.
+    ramp with damped least-norm Newton steps to residual TOL_PERIOD, each at
+    most a quarter of the trust radius RADIUS_W, sub-stepping on stalls.
+    The rows of the period system follow period_jacobian.  Raises LeftDomain
+    when |w| exceeds the trust radius, ContinuationStalled when sub-stepping
+    fails.
     """
     tv = targets.values if isinstance(targets, PeriodTargets) else targets
     tv = PeriodTargets(tv).values
@@ -248,21 +248,21 @@ def solve_w(spray, targets, tol=TOL_PERIOD, max_newton=30):
         return _newton(
             lambda v: residual(k, target, v),
             lambda v: period_jacobian(spray, k, v),
-            w, tol, max_newton, cap=0.25 * spray.radius_w,
+            w, TOL_PERIOD, max_newton, cap=0.25 * RADIUS_W,
         )
 
     w = np.zeros(spray.dim_w, dtype=complex)
     r0 = float(np.linalg.norm(residual(0, tv[0], w)))
-    if r0 > tol:
+    if r0 > TOL_PERIOD:
         raise ValueError(f"targets not met at t = 0 with w = 0 (residual {r0:.3g})")
     path = [w.copy()]
     for k in range(1, n_t):
         nxt = _substep(partial(solve, k), tv[k - 1], tv[k], w)
         if nxt is None:
             raise ContinuationStalled(f"continuation stalled at step {k} of {n_t}")
-        if float(np.max(np.abs(nxt))) > spray.radius_w:
+        if float(np.max(np.abs(nxt))) > RADIUS_W:
             raise LeftDomain(
-                f"|w| = {np.max(np.abs(nxt)):.3g} exceeds {spray.radius_w} at step {k}"
+                f"|w| = {np.max(np.abs(nxt)):.3g} exceeds {RADIUS_W} at step {k}"
             )
         w = nxt
         path.append(w.copy())

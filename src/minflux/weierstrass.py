@@ -105,9 +105,10 @@ class LaurentSeries:
         return self.coefficient(-1)
 
     @staticmethod
-    def exp_series(n_terms=40):
-        """Taylor series of e^z, accurate to machine precision for |z| <= 2."""
-        return LaurentSeries([1.0 / math.factorial(k) for k in range(n_terms)], 0)
+    def exp_series():
+        """Taylor series of e^z to degree 39, accurate to machine precision
+        for |z| <= 2."""
+        return LaurentSeries([1.0 / math.factorial(k) for k in range(40)], 0)
 
 
 def _as_callable(fun):
@@ -128,10 +129,10 @@ def annulus_grid(r_inner=R_INNER, r_outer=R_OUTER, n_r=GRID_RADIAL, n_th=GRID_AN
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
-def circle(radius=1.0, n=512, center=0.0):
-    """Equispaced samples of a circle traversed once counterclockwise."""
+def circle(radius=1.0, n=512):
+    """Equispaced samples of a circle about 0, traversed once counterclockwise."""
     x = np.arange(n) / n
-    return center + radius * np.exp(2j * np.pi * x)
+    return radius * np.exp(2j * np.pi * x)
 
 
 def _curve_samples(curve):
@@ -280,16 +281,17 @@ def _segment_integral(data, a, b, tol):
     return refine(a, b, first, 0).real
 
 
-def integrate_immersion(data, basepoint, value, targetpoint, path=None, tol=TOL_PERIOD):
+def integrate_immersion(data, basepoint, value, targetpoint, path=None):
     """Value of the immersion at targetpoint, integrating Re(f theta).
 
     path: optional sequence of complex waypoints from basepoint to
     targetpoint (piecewise straight); defaults to the direct segment.
     Raises RealPeriodNonzero when the annulus generator carries a real
-    period, which would make the result path-dependent.
+    period above TOL_PERIOD, which would make the result path-dependent;
+    each segment is integrated to TOL_PERIOD.
     """
     rp = real_period(data, homology_radius(data))
-    if np.linalg.norm(rp) > tol:
+    if np.linalg.norm(rp) > TOL_PERIOD:
         raise RealPeriodNonzero(
             f"|Re period| = {np.linalg.norm(rp):.3g} on the generator"
         )
@@ -301,11 +303,11 @@ def integrate_immersion(data, basepoint, value, targetpoint, path=None, tol=TOL_
     pts = [a] + [complex(p) for p in (path if path is not None else [])] + [b]
     for lo, hi in zip(pts[:-1], pts[1:]):
         if lo != hi:
-            out = out + _segment_integral(data, lo, hi, tol)
+            out = out + _segment_integral(data, lo, hi, TOL_PERIOD)
     return out
 
 
-def is_flat(f_values, gap=FLAT_GAP):
+def is_flat(f_values):
     """Flatness test on sampled f values; returns (flag, ray or None).
 
     Flat means the samples span a single complex ray; tested through the
@@ -315,7 +317,7 @@ def is_flat(f_values, gap=FLAT_GAP):
     v = np.asarray(f_values, dtype=complex).reshape(-1, 3)
     centered = v - v.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
-    if s[0] > 0 and s[1] > gap * s[0]:
+    if s[0] > 0 and s[1] > FLAT_GAP * s[0]:
         return False, None
     _, _, vh = np.linalg.svd(v, full_matrices=False)
     ray = vh[0]
@@ -327,19 +329,16 @@ def is_flat(f_values, gap=FLAT_GAP):
 
 @dataclass
 class MinimalImmersion:
-    """Weierstrass data anchored at a basepoint, with verified periods.
+    """Weierstrass data with verified periods.
 
     Stores the flux over the annulus generator; construction fails if the
     real period does not vanish or the metric degenerates on the grid.
     """
 
     data: WeierstrassData
-    basepoint: complex = 1.0
-    value: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    flux: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    flux: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=float)
         rp = real_period(self.data, homology_radius(self.data))
         if np.linalg.norm(rp) > TOL_PERIOD:
             raise RealPeriodNonzero(
@@ -349,11 +348,6 @@ class MinimalImmersion:
         if float(dens.min()) <= 0.0:
             raise GaussMapVanishes("metric density vanishes on the grid")
         self.flux = flux(self.data, homology_radius(self.data))
-
-    def at(self, targetpoint, path=None):
-        return integrate_immersion(
-            self.data, self.basepoint, self.value, targetpoint, path
-        )
 
 
 def catalog(name):

@@ -180,6 +180,15 @@ class TestExitCodes:
         assert "mesh" in err
         assert not list(tmp_path.glob("**/*.obj"))
 
+    def test_empty_export_t_exit_1_writes_nothing(self, tmp_path):
+        # an empty list would otherwise export no mesh and still exit 0
+        cfg = write_config(tmp_path, extra="export_t =\n")
+        out = tmp_path / "o"
+        code, _, err = run_cli(["export", "--config", cfg, "--out", str(out)])
+        assert code == 1
+        assert err.startswith("configuration error:") and "run.export_t" in err
+        assert not out.exists()
+
     def test_core_outside_domain_exit_1(self, tmp_path):
         text = CONFIG.replace(
             "name = flux_to_zero", "name = complete_step\ncore = 0.1, 0.3"

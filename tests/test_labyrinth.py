@@ -511,6 +511,13 @@ class TestIntrinsicDistance:
         assert 0.9 <= d.calibration <= 1.1
         assert d.resolution > 0
 
+    def test_calibration_follows_passed_graph(self):
+        # the exact flat distance is taken to the graph's own boundary
+        # circles, whatever the boundary argument says
+        graph = lb.build_metric_graph(1.0, 2.0, 1.05 + 0j, boundary="outer")
+        d = lb.intrinsic_distance(self.flat(), 1.05 + 0j, graph=graph)
+        assert 0.9 <= d.calibration <= 1.1
+
     def test_disconnected_graph(self):
         graph = lb.build_metric_graph(
             1.0, 2.0, 1.05 + 0j, n_r=32, n_th=64, boundary="outer"
