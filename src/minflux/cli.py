@@ -556,8 +556,9 @@ def _export(cfg, outdir):
         data = initial_data(cfg)
         members, ts = [data], np.array([0.0])
     n_r, n_th = cfg.mesh
-    for want in cfg.export_t:
-        k = int(np.argmin(np.abs(ts - want)))
+    picks = [int(np.argmin(np.abs(ts - want))) for want in cfg.export_t]
+    # export_t values that pick the same member write its mesh once
+    for k in dict.fromkeys(picks):
         verts = surface_grid(members[k], n_r=n_r, n_th=n_th)
         write_obj(outdir / f"mesh_t{k:03d}.obj", verts, ts[k])
     return 0

@@ -27,8 +27,10 @@ from .nullquadric import TOL_NULL
 from .riemann import LaurentMap
 from .weierstrass import (
     TOL_PERIOD,
+    LaurentQuotient,
     LaurentSeries,
     MinimalImmersion,
+    PolarGrid,
     WeierstrassData,
 )
 
@@ -156,16 +158,14 @@ def _member_from_extension(ext, theta, r_inner, r_outer):
     twists cancel), and f3 is an exact Laurent series; reassembly through
     the Weierstrass formula reproduces the extension in exact arithmetic.
     """
-    comps = _f_theta_series(ext, theta)
+    comps = _f_theta_series(ext, theta)  # checks that the chart is centered
     f3 = comps[2]
     if theta == "dz/z":
         f3 = f3 * LaurentSeries([1.0], 1)
-
-    def g(z):
-        w = np.asarray(z, dtype=complex) - ext.center
-        return ext.b(w) / ext.a(w)
-
-    return WeierstrassData(g, f3, theta=theta, r_inner=r_inner, r_outer=r_outer)
+    return WeierstrassData(
+        LaurentQuotient(ext.b, ext.a), f3, theta=theta, r_inner=r_inner,
+        r_outer=r_outer,
+    )
 
 
 def restrict_data(data, chart, n=N_S_DEFAULT):
@@ -222,7 +222,7 @@ def _pin_extension(values, domain, theta, target, tol):
     coefficients removes the mismatch exactly.  The period is a quadratic
     polynomial in those coefficients, with the exact Jacobian of
     _pin_jacobian, so two iterations suffice (eight are allowed).  Returns
-    (extension, coefficient adjustment size).
+    (extension, coefficient adjustment size, exact period of the extension).
     """
     base = rm.runge_extend(PeriodicPath(values), domain)
 
@@ -234,8 +234,11 @@ def _pin_extension(values, domain, theta, target, tol):
         return LaurentMap(a, b, center=base.center, parity=base.parity,
                           scale=base.scale, meta=dict(base.meta))
 
+    last = {}
+
     def residual(delta):
-        return _extension_period(build(delta), theta) - target
+        last["period"] = _extension_period(build(delta), theta)
+        return last["period"] - target
 
     zero = np.zeros(2 * len(_PIN_INDICES), dtype=complex)
     delta = lp._newton(residual, lambda d: _pin_jacobian(build(d)), zero, tol, 8)
@@ -246,7 +249,8 @@ def _pin_extension(values, domain, theta, target, tol):
     size = float(np.max(np.abs(delta)))
     ext.meta["pin_adjustment"] = size
     ext.meta["sup_error"] = ext.meta.get("sup_error", 0.0) + 4.0 * size
-    return ext, size
+    # _newton returns the point of its last residual call
+    return ext, size, last["period"]
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +346,7 @@ def _drive(
     for retry in range(4):
         controls = _driver_controls(n, seed=seed + retry, jitter=0.1 * retry)
         try:
-            deformed = lp._period_continuation(
-                loop0.values, ramp, controls, tol=1e-12
-            )
+            deformed = lp._period_continuation(loop0.values, ramp, controls)
             break
         except RootNotFound as exc:
             last = exc
@@ -357,7 +359,7 @@ def _drive(
     corr = 0.0
     for k in range(1, n_t):
         vals = deformed[k]
-        ext, size = _pin_extension(
+        ext, size, period = _pin_extension(
             vals, domain, data.theta, ramp[k], tol=0.1 * tol_period
         )
         corr = max(corr, size)
@@ -365,7 +367,7 @@ def _drive(
             _member_from_extension(ext, data.theta, data.r_inner, data.r_outer)
         )
         lmaps.append(ext)
-        periods.append(_extension_period(ext, data.theta))
+        periods.append(period)
 
     fam = ImmersionFamily(
         ts=ts,
@@ -414,9 +416,10 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
 
     resolution scales the verification grid and loop sampling relative to
     the construction defaults (2 doubles them).  Conformality is checked
-    against TOL_NULL.  When target_flux is given, the recomputed flux of the
-    last member must lie within tol_flux of it.  The report is deterministic
-    in the family.
+    against TOL_NULL.  Every member's boundary loop must have the pi1 class
+    of member 0's (spin_class).  When target_flux is given, the recomputed
+    flux of the last member must lie within tol_flux of it.  The report is
+    deterministic in the family.
     """
     if len(family) == 0:
         return VerificationReport(
@@ -433,7 +436,8 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     flat_flags = []
     pi1_classes = []
     for t, data in zip(family.ts, family.members):
-        grid = data.grid(n_r=n_r, n_th=n_th)
+        radii = np.linspace(data.r_inner, data.r_outer, n_r + 2)[1:-1]
+        grid = PolarGrid(radii, n_th)
         fv = data.f(grid)
         # NaN would slip through the min/max reductions below unnoticed
         if not np.all(np.isfinite(fv)):
@@ -442,7 +446,7 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
                 "verification grid"
             )
         max_conf = max(max_conf, wz.conformality_residual(fv))
-        ft = fv * data.theta_over_dz(grid)[..., None]
+        ft = fv * data.theta_over_dz(grid.points)[..., None]
         min_den = min(min_den, float(wz.density_from_f_theta(ft).min()))
         flat_flags.append(bool(wz.is_flat(fv)[0]))
         loop = restrict_data(data, family.chart, n=n_loop)
@@ -465,6 +469,9 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         "conformality": max_conf <= TOL_NULL,
         "real_period": max_real <= tol_period,
         "metric_density": min_den > 0.0,
+        # an isotopy keeps the homotopy class of the boundary loop
+        "spin_class": pi1_classes[0] is not None
+        and all(c == pi1_classes[0] for c in pi1_classes),
     }
     flux_end = None
     if target_flux is not None:

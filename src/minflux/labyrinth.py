@@ -107,7 +107,7 @@ class AnnulusBand:
         if not (self.end.r < self.r < self.R < self.end.R):
             raise ValueError("band not contained in its end")
 
-    def chart_grid(self, n_r=48, n_th=96):
+    def chart_grid(self, n_r, n_th):
         radii = np.linspace(self.r, self.R, n_r)
         ang = np.exp(2j * np.pi * np.arange(n_th) / n_th)
         return (radii[:, None] * ang[None, :]).ravel()

@@ -733,14 +733,14 @@ def _flow_jacobian(values, controls, w):
     return np.ascontiguousarray(state[1:].mean(axis=1).T)
 
 
-def _period_continuation(sigma0, targets, controls, tol=1e-12):
+def _period_continuation(sigma0, targets, controls):
     """Solve for flow coefficients tracking a ramp of loop periods.
 
     targets: (n_t, 3) complex required periods, with targets[0] equal to the
     period of sigma0.  Newton steps use the exact period Jacobian of
-    _flow_jacobian, at most 40 per solve.  Returns the list of deformed
-    sample arrays.  Raises RootNotFound when Newton stalls even after
-    sub-stepping.
+    _flow_jacobian, at most 40 per solve, down to a residual of 1e-12.
+    Returns the list of deformed sample arrays.  Raises RootNotFound when
+    Newton stalls even after sub-stepping.
     """
     v0 = np.asarray(sigma0, dtype=complex)
     n_t = targets.shape[0]
@@ -756,7 +756,7 @@ def _period_continuation(sigma0, targets, controls, tol=1e-12):
     def solve(target, wv):
         # the period is holomorphic in the flow coefficients, so a
         # complex least-norm Newton step is legitimate
-        return _newton(lambda x: per(x) - target, jac, wv, tol, 40)
+        return _newton(lambda x: per(x) - target, jac, wv, 1e-12, 40)
 
     def recenter(wv, target, rounds=6):
         # pull the coefficients toward the minimal-norm solution of

@@ -21,7 +21,7 @@ from . import nullquadric as nq
 from .errors import ApproximationBudgetExceeded, NoClearance, VanishingOnDomain
 from .loops import PeriodicPath, resample
 from .nullquadric import _lift_loop
-from .weierstrass import LaurentSeries
+from .weierstrass import GRID_ANGULAR, GRID_RADIAL, LaurentSeries, PolarGrid
 
 #: Sup-norm tolerance of the extension on the generator curves.
 TOL_RUNGE = 1e-6
@@ -78,12 +78,17 @@ class CircularDomain:
             ok &= np.abs(z - h.center) > h.radius
         return ok
 
-    def grid(self, n_r=64, n_th=256):
+    def _hole_radii(self, h, n_r):
+        """Radii of grid() around hole h: n_r, between the hole and the
+        outer circle."""
+        reach = self.outer.radius - abs(h.center - self.outer.center)
+        return np.linspace(h.radius, reach, n_r + 2)[1:-1]
+
+    def grid(self, n_r=GRID_RADIAL, n_th=GRID_ANGULAR):
         """Points of a polar grid around each hole, clipped to the domain."""
         pts = []
         for h in self.holes:
-            reach = self.outer.radius - abs(h.center - self.outer.center)
-            radii = np.linspace(h.radius, reach, n_r + 2)[1:-1]
+            radii = self._hole_radii(h, n_r)
             ang = np.exp(2j * np.pi * np.arange(n_th) / n_th)
             pts.append((h.center + radii[:, None] * ang[None, :]).ravel())
         if not self.holes:
@@ -195,8 +200,15 @@ class LaurentMap:
     meta: dict = field(default_factory=dict)
 
     def __call__(self, z):
-        w = np.asarray(z, dtype=complex) - self.center
-        av, bv = self.a(w), self.b(w)
+        """The triple at points z, or flat on a PolarGrid about 0."""
+        if isinstance(z, PolarGrid):
+            if self.center != 0:
+                raise ValueError("a PolarGrid is centered at 0, the map is not")
+            w = z.points
+            av, bv = self.a(z), self.b(z)
+        else:
+            w = np.asarray(z, dtype=complex) - self.center
+            av, bv = self.a(w), self.b(w)
         a2, b2 = av * av, bv * bv
         ab = av * bv
         if self.parity:
@@ -237,14 +249,19 @@ def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None):
     homotopy class.  The truncation degree doubles from DEGREE_START until
     the sup error on the curve is at most tol, up to DEGREE_MAX.  Returns a
     LaurentMap whose restriction to the curve is sup-close to the input
-    within the reported bound.
+    within the reported bound.  The extension is checked not to vanish on
+    grid, by default the points of domain.grid(), as a PolarGrid when the
+    hole is centered at 0.
     """
     if domain.rank != 1:
         raise ValueError("extension implemented for domains with one hole")
     chart = homology_basis(domain)[0]
     v0 = loop.values if isinstance(loop, PeriodicPath) else np.asarray(loop)
     n0 = v0.shape[0]
-    if grid is None:
+    if grid is None and chart.center == 0:
+        radii = domain._hole_radii(domain.holes[0], GRID_RADIAL)
+        grid = PolarGrid(radii, GRID_ANGULAR)
+    elif grid is None:
         grid = domain.grid()
     degree = DEGREE_START
     while degree <= DEGREE_MAX:
@@ -267,8 +284,8 @@ def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None):
         ext = LaurentMap(
             sa, sb, center=chart.center, parity=parity, scale=chart.radius
         )
-        w_curve = chart.points(n) - chart.center
-        av, bv = sa(w_curve), sb(w_curve)
+        curve = PolarGrid([chart.radius], n)
+        av, bv = sa(curve), sb(curve)
         if parity:
             tw = np.exp(1j * np.pi * x)
             av, bv = av * tw, bv * tw

@@ -7,6 +7,10 @@ third component f3; the imaginary loop periods of f theta are the flux.
 This module provides the assembly, the induced metric density, flux and
 immersion integrals, conformality and flatness checks, and a catalog of
 standard examples on the annulus 1/2 < |z| < 2.
+
+Exact Laurent data (LaurentSeries, LaurentQuotient) evaluate on a polar
+product grid (PolarGrid) by one inverse FFT per radius, and on any other
+points by Horner's scheme; every other callable sees plain points.
 """
 
 from __future__ import annotations
@@ -47,8 +51,12 @@ FLAT_GAP = 1e-8
 class LaurentSeries:
     """Finite Laurent series sum of coeffs[j] * z^(k_min + j).
 
-    Evaluation uses Horner's scheme on the polynomial part after factoring
-    out z^k_min, which is stable on annuli bounded away from 0.
+    On an array of points, evaluation uses Horner's scheme on the
+    polynomial part after factoring out z^k_min, which is stable on annuli
+    bounded away from 0.  On a PolarGrid r_i e^(2 pi i j / n) the series is
+    an inverse DFT in j of the coefficients c_k r_i^k folded modulo n, so
+    each radius costs one FFT of length n and the values come back flat in
+    the grid's point order.
     """
 
     coeffs: np.ndarray
@@ -63,13 +71,29 @@ class LaurentSeries:
         return self.k_min + self.coeffs.size - 1
 
     def __call__(self, z):
+        if isinstance(z, PolarGrid):
+            return self._on_polar_grid(z)
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
         for c in self.coeffs[::-1]:
-            acc = acc * z + c
+            acc *= z
+            acc += c
         if self.k_min != 0:
             acc = acc * z ** float(self.k_min)
         return acc
+
+    def _on_polar_grid(self, grid):
+        n = grid.n_th
+        k = self.k_min + np.arange(self.coeffs.size)
+        scaled = self.coeffs * grid.radii[:, None] ** k
+        # z^k and z^(k + n) agree in angle on the grid: sum the coefficients
+        # into residues modulo n, laid out as m rows of n
+        start = self.k_min % n
+        m = -(-(start + k.size) // n)
+        folded = np.zeros((grid.radii.size, m * n), dtype=complex)
+        folded[:, start : start + k.size] = scaled
+        folded = folded.reshape(-1, m, n).sum(axis=1)
+        return np.fft.ifft(folded, axis=1, norm="forward").ravel()
 
     def derivative(self):
         k = self.k_min + np.arange(self.coeffs.size)
@@ -111,6 +135,20 @@ class LaurentSeries:
         return LaurentSeries([1.0 / math.factorial(k) for k in range(40)], 0)
 
 
+@dataclass(frozen=True)
+class LaurentQuotient:
+    """The quotient num/den of two Laurent series, e.g. a Gauss map b/a.
+
+    Passes its argument, points or PolarGrid, to both series.
+    """
+
+    num: LaurentSeries
+    den: LaurentSeries
+
+    def __call__(self, z):
+        return self.num(z) / self.den(z)
+
+
 def _as_callable(fun):
     if callable(fun):
         return fun
@@ -122,11 +160,25 @@ def _as_callable(fun):
 # domains, grids and curves
 
 
+class PolarGrid:
+    """Polar product grid radii[i] * e^(2 pi i j / n_th) about 0.
+
+    points holds the samples as a flat complex array, radius by radius.
+    Exact Laurent data evaluate on the grid itself; everything else
+    evaluates on points.
+    """
+
+    def __init__(self, radii, n_th):
+        self.radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        self.n_th = int(n_th)
+        angles = np.arange(self.n_th) / self.n_th * 2.0 * np.pi
+        self.points = (self.radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+
+
 def annulus_grid(r_inner=R_INNER, r_outer=R_OUTER, n_r=GRID_RADIAL, n_th=GRID_ANGULAR):
     """Polar product grid on the open annulus, as a flat complex array."""
     radii = np.linspace(r_inner, r_outer, n_r + 2)[1:-1]
-    angles = np.arange(n_th) / n_th * 2.0 * np.pi
-    return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    return PolarGrid(radii, n_th).points
 
 
 def circle(radius=1.0, n=512):
@@ -157,7 +209,8 @@ class WeierstrassData:
     """Gauss map g, third component f3 and reference 1-form theta.
 
     theta is 'dz' or 'dz/z'; g must be nonvanishing on the domain closure.
-    g and f3 are callables on complex arrays (LaurentSeries qualifies).
+    g and f3 are callables on complex arrays; LaurentSeries and
+    LaurentQuotient qualify, and also evaluate on a PolarGrid.
     """
 
     g: object
@@ -177,9 +230,14 @@ class WeierstrassData:
         return annulus_grid(self.r_inner, self.r_outer, n_r, n_th)
 
     def f(self, z):
-        """Assembled holomorphic triple at points z, shape (..., 3)."""
-        z = np.asarray(z, dtype=complex)
-        return null_triple(self.g(z), self.f3(z))
+        """Assembled holomorphic triple at points z, shape (..., 3).
+
+        z may be a PolarGrid: exact Laurent g and f3 evaluate on it by FFT,
+        any other callable on its points.
+        """
+        if not isinstance(z, PolarGrid):
+            z = np.asarray(z, dtype=complex)
+        return null_triple(_evaluate(self.g, z), _evaluate(self.f3, z))
 
     def theta_over_dz(self, z):
         z = np.asarray(z, dtype=complex)
@@ -190,6 +248,11 @@ class WeierstrassData:
     def f_theta(self, z):
         """Values of f * (theta/dz), the integrand against dz."""
         return self.f(z) * self.theta_over_dz(z)[..., None]
+
+
+def _evaluate(fun, z):
+    exact = isinstance(fun, (LaurentSeries, LaurentQuotient))
+    return fun(z.points if isinstance(z, PolarGrid) and not exact else z)
 
 
 def null_triple(gz, f3z):

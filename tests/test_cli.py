@@ -498,6 +498,27 @@ class TestExport:
         idx = np.array([[int(i) for i in f] for f in faces])
         assert idx.min() >= 1 and idx.max() <= n_v
 
+    def test_member_picked_twice_exported_once(self, tmp_path, monkeypatch):
+        # complete_step exports its input alone, so both default export_t
+        # values 0 and 1 pick member 0
+        text = CONFIG.replace(
+            "name = flux_to_zero", "name = complete_step\ndelta = 0.5\ncore = 0.8, 1.3"
+        )
+        cfg = write_config(tmp_path, text)
+        calls = []
+        surface_grid = cli.surface_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return surface_grid(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "surface_grid", counted)
+        out = tmp_path / "o"
+        code, _, err = run_cli(["export", "--config", cfg, "--out", str(out)])
+        assert code == 0, err
+        assert len(calls) == 1
+        assert [p.name for p in out.glob("mesh_t*.obj")] == ["mesh_t000.obj"]
+
     def test_vertices_finite_and_catenoid_like(self, run_dir, tmp_path):
         from minflux import weierstrass as wz
 

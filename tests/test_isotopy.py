@@ -51,6 +51,10 @@ class TestPinJacobian:
 
 
 class TestFluxToZero:
+    def test_periods_are_exact_extension_periods(self, fam_zero):
+        for ext, per in zip(fam_zero.lmaps[1:], fam_zero.periods[1:]):
+            assert iso._extension_period(ext, "dz/z").tobytes() == per.tobytes()
+
     def test_rerun_bit_identical(self, catenoid, fam_zero):
         again = iso.flux_to_zero(catenoid)
         assert again.periods.tobytes() == fam_zero.periods.tobytes()
@@ -158,6 +162,24 @@ class TestVerify:
         )
         rep = iso.verify(fam)
         assert rep.passes == {} and rep.flux_table.shape == (0, 3)
+
+    def test_spin_class_gated(self, fam_zero):
+        class OffQuadric(wz.WeierstrassData):
+            def f(self, z):
+                return super().f(z) + np.array([0.05, 0.0, 0.0])
+
+        z = wz.LaurentSeries([1.0], 1)
+        # g = z, f3 = z, theta = dz/z is a valid member whose boundary loop
+        # has class 0, against the catenoid's 1; off the quadric, the class
+        # is undefined
+        for member, cls in ((wz.WeierstrassData(z, z, theta="dz/z"), 0),
+                            (OffQuadric(z, 1.0, theta="dz/z"), None)):
+            bad = copy.copy(fam_zero)
+            bad.members = list(fam_zero.members)
+            bad.members[10] = member
+            rep = iso.verify(bad)
+            assert rep.pi1_classes[10] == cls
+            assert not rep.passes["spin_class"]
 
     def test_fault_injection_flagged(self, fam_zero):
         class Corrupt:

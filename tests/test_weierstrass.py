@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minflux import nullquadric as nq
+from minflux import riemann as rm
 from minflux import weierstrass as wz
 from minflux.errors import (
     GaussMapVanishes,
@@ -40,6 +43,94 @@ class TestLaurentSeries:
         e = wz.LaurentSeries.exp_series()
         z = np.array([2.0, -2.0, 1j, 0.5 - 1.5j])
         assert np.allclose(e(z), np.exp(z), atol=1e-14)
+
+
+def _random_series(rng, size, k_min):
+    return wz.LaurentSeries(rng.normal(size=size) + 1j * rng.normal(size=size), k_min)
+
+
+def _abs_sum(series, grid):
+    """sum |c_k| r^k at each grid point: the scale of evaluation round-off."""
+    k = series.k_min + np.arange(series.coeffs.size)
+    per_radius = np.abs(series.coeffs) @ (grid.radii[:, None] ** k).T
+    return np.repeat(per_radius, grid.n_th)
+
+
+class TestPolarGrid:
+    """Evaluation on a PolarGrid (by FFT) agrees with Horner on its points."""
+
+    def test_points_are_annulus_grid(self):
+        radii = np.linspace(0.5, 2.0, 10)[1:-1]
+        grid = wz.PolarGrid(radii, 32)
+        assert grid.points.tobytes() == wz.annulus_grid(0.5, 2.0, 8, 32).tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k_min=st.integers(-80, 80),
+        size=st.integers(1, 160),
+        n_th=st.sampled_from([1, 3, 8, 17, 64]),
+        r_in=st.floats(0.5, 1.0),
+        r_out=st.floats(1.0, 2.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_series_matches_horner(self, seed, k_min, size, n_th, r_in, r_out):
+        # size up to 160 against n_th down to 1 folds many powers together
+        s = _random_series(np.random.default_rng(seed), size, k_min)
+        grid = wz.PolarGrid(np.linspace(r_in, r_out, 4), n_th)
+        err = np.abs(s(grid) - s(grid.points))
+        assert np.all(err <= 1e-12 * _abs_sum(s, grid))
+
+    @given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0.52, 1.98))
+    @settings(max_examples=10, deadline=None)
+    def test_degree_512_block(self, seed, radius):
+        # the largest spinor block runge_extend fits
+        s = _random_series(np.random.default_rng(seed), 1025, -512)
+        grid = wz.PolarGrid([radius], 256)
+        err = np.abs(s(grid) - s(grid.points))
+        assert np.all(err <= 1e-12 * _abs_sum(s, grid))
+
+    @given(seed=st.integers(0, 2**32 - 1), parity=st.sampled_from([0, 1]))
+    @settings(max_examples=20, deadline=None)
+    def test_laurent_map(self, seed, parity):
+        rng = np.random.default_rng(seed)
+        a, b = _random_series(rng, 21, -10), _random_series(rng, 17, -8)
+        m = rm.LaurentMap(a, b, parity=parity, scale=1.3)
+        grid = wz.PolarGrid(np.linspace(0.55, 1.95, 5), 64)
+        twist = (np.abs(grid.points) / m.scale) ** parity
+        scale = (_abs_sum(a, grid) ** 2 + _abs_sum(b, grid) ** 2) * twist
+        err = np.abs(m(grid) - m(grid.points))
+        assert np.all(err <= 1e-12 * scale[:, None])
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_quotient(self, seed):
+        # b / a with a bounded away from 0 on the annulus
+        rng = np.random.default_rng(seed)
+        a = _random_series(rng, 9, -4) * 0.05 + 1.0
+        b = _random_series(rng, 9, -4)
+        q = wz.LaurentQuotient(b, a)
+        grid = wz.PolarGrid(np.linspace(0.55, 1.95, 5), 64)
+        ref = q(grid.points)
+        av = np.abs(a(grid.points))
+        scale = (_abs_sum(b, grid) + np.abs(ref) * _abs_sum(a, grid)) / av
+        assert np.all(np.abs(q(grid) - ref) <= 1e-12 * scale)
+
+    def test_other_callables_see_points(self):
+        seen = []
+
+        def g(z):
+            seen.append(type(z))
+            return np.full(np.shape(z), 2.0, dtype=complex)
+
+        grid = wz.PolarGrid([0.7, 1.4], 16)
+        data = wz.WeierstrassData(g, 1.0)
+        assert data.f(grid).tobytes() == data.f(grid.points).tobytes()
+        assert seen == [np.ndarray, np.ndarray]
+
+    def test_map_off_center_rejected(self):
+        m = rm.LaurentMap(wz.LaurentSeries([1.0]), wz.LaurentSeries([1.0]), center=0.1)
+        with pytest.raises(ValueError):
+            m(wz.PolarGrid([1.0], 8))
 
 
 class TestAssembleF:
