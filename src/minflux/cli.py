@@ -400,7 +400,7 @@ def surface_grid(data, n_r=24, n_th=96):
     the closing mismatch around each circle is the (verified small) real
     period of the data.
     """
-    radii = np.linspace(data.r_inner, data.r_outer, n_r + 2)[1:-1]
+    radii = wz._open_radii(data.r_inner, data.r_outer, n_r)
     u0 = np.array(
         [
             wz.integrate_immersion(data, radii[0], np.zeros(3), complex(r))

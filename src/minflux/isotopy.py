@@ -32,6 +32,7 @@ from .weierstrass import (
     MinimalImmersion,
     PolarGrid,
     WeierstrassData,
+    _open_radii,
 )
 
 #: Default flux tolerance of the drivers.
@@ -249,7 +250,7 @@ def _pin_extension(values, domain, theta, target, tol):
     size = float(np.max(np.abs(delta)))
     ext.meta["pin_adjustment"] = size
     ext.meta["sup_error"] = ext.meta.get("sup_error", 0.0) + 4.0 * size
-    # _newton returns the point of its last residual call
+    # on success, _newton's last residual call was at the returned delta
     return ext, size, last["period"]
 
 
@@ -436,8 +437,7 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     flat_flags = []
     pi1_classes = []
     for t, data in zip(family.ts, family.members):
-        radii = np.linspace(data.r_inner, data.r_outer, n_r + 2)[1:-1]
-        grid = PolarGrid(radii, n_th)
+        grid = PolarGrid(_open_radii(data.r_inner, data.r_outer, n_r), n_th)
         fv = data.f(grid)
         # NaN would slip through the min/max reductions below unnoticed
         if not np.all(np.isfinite(fv)):

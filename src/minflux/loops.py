@@ -279,6 +279,7 @@ def _newton(residual, jac, x0, tol, max_iter, cap=np.inf):
     Each step solves jac(x) step = -residual(x) in the least-norm sense, is
     shortened to length cap, and is halved up to 30 times until the
     residual norm drops.  An inf residual marks a point outside the domain.
+    On success, the last residual call was at the returned x.
     """
     x = np.array(x0)
     f = residual(x)

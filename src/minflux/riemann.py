@@ -21,7 +21,13 @@ from . import nullquadric as nq
 from .errors import ApproximationBudgetExceeded, NoClearance, VanishingOnDomain
 from .loops import PeriodicPath, resample
 from .nullquadric import _lift_loop
-from .weierstrass import GRID_ANGULAR, GRID_RADIAL, LaurentSeries, PolarGrid
+from .weierstrass import (
+    GRID_ANGULAR,
+    GRID_RADIAL,
+    LaurentSeries,
+    PolarGrid,
+    _open_radii,
+)
 
 #: Sup-norm tolerance of the extension on the generator curves.
 TOL_RUNGE = 1e-6
@@ -82,7 +88,7 @@ class CircularDomain:
         """Radii of grid() around hole h: n_r, between the hole and the
         outer circle."""
         reach = self.outer.radius - abs(h.center - self.outer.center)
-        return np.linspace(h.radius, reach, n_r + 2)[1:-1]
+        return _open_radii(h.radius, reach, n_r)
 
     def grid(self, n_r=GRID_RADIAL, n_th=GRID_ANGULAR):
         """Points of a polar grid around each hole, clipped to the domain."""
@@ -92,7 +98,7 @@ class CircularDomain:
             ang = np.exp(2j * np.pi * np.arange(n_th) / n_th)
             pts.append((h.center + radii[:, None] * ang[None, :]).ravel())
         if not self.holes:
-            radii = np.linspace(0, self.outer.radius, n_r + 2)[1:-1]
+            radii = _open_radii(0, self.outer.radius, n_r)
             ang = np.exp(2j * np.pi * np.arange(n_th) / n_th)
             pts.append((self.outer.center + radii[:, None] * ang[None, :]).ravel())
         z = np.concatenate(pts)
@@ -200,10 +206,8 @@ class LaurentMap:
     meta: dict = field(default_factory=dict)
 
     def __call__(self, z):
-        """The triple at points z, or flat on a PolarGrid about 0."""
+        """The triple at points z, or flat on a PolarGrid in z - center."""
         if isinstance(z, PolarGrid):
-            if self.center != 0:
-                raise ValueError("a PolarGrid is centered at 0, the map is not")
             w = z.points
             av, bv = self.a(z), self.b(z)
         else:
@@ -250,19 +254,17 @@ def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None):
     the sup error on the curve is at most tol, up to DEGREE_MAX.  Returns a
     LaurentMap whose restriction to the curve is sup-close to the input
     within the reported bound.  The extension is checked not to vanish on
-    grid, by default the points of domain.grid(), as a PolarGrid when the
-    hole is centered at 0.
+    grid: points z, or a PolarGrid in z - center; by default the PolarGrid
+    of domain.grid()'s radii and angles about the hole.
     """
     if domain.rank != 1:
         raise ValueError("extension implemented for domains with one hole")
     chart = homology_basis(domain)[0]
     v0 = loop.values if isinstance(loop, PeriodicPath) else np.asarray(loop)
     n0 = v0.shape[0]
-    if grid is None and chart.center == 0:
+    if grid is None:
         radii = domain._hole_radii(domain.holes[0], GRID_RADIAL)
         grid = PolarGrid(radii, GRID_ANGULAR)
-    elif grid is None:
-        grid = domain.grid()
     degree = DEGREE_START
     while degree <= DEGREE_MAX:
         # the loop is band-limited by convention, but its spinor lift is

@@ -175,10 +175,14 @@ class PolarGrid:
         self.points = (self.radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
+def _open_radii(lo, hi, n):
+    """n equispaced radii strictly between lo and hi."""
+    return np.linspace(lo, hi, n + 2)[1:-1]
+
+
 def annulus_grid(r_inner=R_INNER, r_outer=R_OUTER, n_r=GRID_RADIAL, n_th=GRID_ANGULAR):
     """Polar product grid on the open annulus, as a flat complex array."""
-    radii = np.linspace(r_inner, r_outer, n_r + 2)[1:-1]
-    return PolarGrid(radii, n_th).points
+    return PolarGrid(_open_radii(r_inner, r_outer, n_r), n_th).points
 
 
 def circle(radius=1.0, n=512):

@@ -150,6 +150,17 @@ class TestRungeExtend:
         scale = np.max(np.abs(vals)) ** 2
         assert np.max(nq.null_residual(vals)) <= 1e-12 * scale
 
+    def test_off_center_hole_checked_on_domain_grid(self):
+        dom = rm.CircularDomain(rm.Disk(0.0, 2.0), (rm.Disk(0.3, 0.4),))
+        chart = rm.homology_basis(dom)[0]
+        m = rm.LaurentMap(
+            wz.LaurentSeries([1.0]), wz.LaurentSeries([0.2, 0.5]), center=0.3
+        )
+        ext = rm.runge_extend(lp.PeriodicPath(m(chart.points(256))), dom)
+        # the default grid, in z - center, is domain.grid() about the hole
+        mods = np.sum(np.abs(ext(dom.grid())) ** 2, axis=-1)
+        assert ext.meta["min_grid_mod"] == pytest.approx(mods.min(), rel=1e-12)
+
     def test_period_matches_quadrature(self):
         dom = rm.annulus()
         chart = rm.homology_basis(dom)[0]

@@ -127,11 +127,6 @@ class TestPolarGrid:
         assert data.f(grid).tobytes() == data.f(grid.points).tobytes()
         assert seen == [np.ndarray, np.ndarray]
 
-    def test_map_off_center_rejected(self):
-        m = rm.LaurentMap(wz.LaurentSeries([1.0]), wz.LaurentSeries([1.0]), center=0.1)
-        with pytest.raises(ValueError):
-            m(wz.PolarGrid([1.0], 8))
-
 
 class TestAssembleF:
     def test_constant_example(self):
