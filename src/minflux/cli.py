@@ -463,12 +463,12 @@ def _family_for(cfg):
     if cfg.driver == "flux_to_zero":
         return iso.flux_to_zero(
             data, n_t=cfg.t_samples, tol_flux=cfg.tol_flux,
-            tol_period=cfg.tol_period, seed=cfg.seed,
+            tol_period=cfg.tol_period,
         )
     if cfg.driver == "prescribe_flux":
         return iso.prescribe_flux(
             data, np.asarray(cfg.target_flux, dtype=float), n_t=cfg.t_samples,
-            tol_flux=cfg.tol_flux, tol_period=cfg.tol_period, seed=cfg.seed,
+            tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
         )
     raise ConfigError(f"driver {cfg.driver} does not produce a stored family")
 
@@ -492,6 +492,7 @@ def _run_family(cfg, outdir):
     items = {
         "driver": cfg.driver,
         "flux_end_residual": _fmt(rep.flux_end_residual),
+        "continuity": _fmt(rep.continuity),
         "max_conformality": _fmt(rep.max_conformality),
         "max_real_period": _fmt(rep.max_real_period),
         "min_density": _fmt(rep.min_density),
@@ -570,6 +571,7 @@ def _verify(cfg, outdir):
     rep = iso.verify(fam, tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
                      target_flux=_target_flux(cfg))
     items = {
+        "continuity": _fmt(rep.continuity),
         "max_conformality": _fmt(rep.max_conformality),
         "max_real_period": _fmt(rep.max_real_period),
         "min_density": _fmt(rep.min_density),

@@ -41,6 +41,10 @@ TOL_FLUX = 1e-8
 #: Loop sample count used on the homology circle.
 N_S_DEFAULT = 512
 
+#: Bound on verify's continuity measure: the largest member step
+#: max|f(t_k+1) - f(t_k)| / max|f(t_k)|, times n_t - 1.
+CONTINUITY_BOUND = 20.0
+
 
 # ---------------------------------------------------------------------------
 # family and report containers
@@ -109,6 +113,7 @@ class VerificationReport:
     max_real_period: float
     flux_table: np.ndarray
     min_density: float
+    continuity: float
     flat_flags: list
     pi1_classes: list
     thresholds: dict
@@ -276,7 +281,7 @@ def _constant_family(data, chart, n_t, period0, notice=""):
     )
 
 
-def _driver_controls(n, seed=7, jitter=0.0):
+def _driver_controls(n):
     """Quadric flows with low-degree trigonometric profiles.
 
     The profiles are restrictions of entire functions, so the deformed
@@ -291,12 +296,6 @@ def _driver_controls(n, seed=7, jitter=0.0):
         np.cos(2.0 * np.pi * x),
         np.sin(2.0 * np.pi * x),
     ]
-    if jitter > 0.0:
-        rng = np.random.default_rng(seed)
-        profs = [
-            p + jitter * rng.uniform(-1, 1) * np.cos(4.0 * np.pi * x + rng.uniform(0, 2 * np.pi))
-            for p in profs
-        ]
     return [(k, p) for p in profs for k in nq.FLOW_KINDS]
 
 
@@ -306,7 +305,6 @@ def _drive(
     n_t=N_T_DEFAULT,
     tol_flux=TOL_FLUX,
     tol_period=TOL_PERIOD,
-    seed=7,
 ):
     u0 = _as_immersion(u0)
     data = u0.data
@@ -342,17 +340,8 @@ def _drive(
         (1.0 - ts)[:, None] * period0[None, :]
         + ts[:, None] * (1j * target)[None, :]
     )
-    n = loop0.values.shape[0]
-    last = None
-    for retry in range(4):
-        controls = _driver_controls(n, seed=seed + retry, jitter=0.1 * retry)
-        try:
-            deformed = lp._period_continuation(loop0.values, ramp, controls)
-            break
-        except RootNotFound as exc:
-            last = exc
-    else:
-        raise last
+    controls = _driver_controls(loop0.values.shape[0])
+    deformed = lp._period_continuation(loop0.values, ramp, controls)
 
     members = [data]
     lmaps = [None]
@@ -386,7 +375,7 @@ def _drive(
     return fam
 
 
-def flux_to_zero(u0, n_t=N_T_DEFAULT, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD, **kw):
+def flux_to_zero(u0, n_t=N_T_DEFAULT, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD):
     """Isotopy from u0 to an immersion with vanishing flux.
 
     At t = 1 the full complex periods of f theta vanish, so the endpoint is
@@ -394,15 +383,15 @@ def flux_to_zero(u0, n_t=N_T_DEFAULT, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD, 
     null_curve method.
     """
     fam = _drive(u0, np.zeros(3), n_t=n_t, tol_flux=tol_flux,
-                 tol_period=tol_period, **kw)
+                 tol_period=tol_period)
     fam.meta["driver"] = "flux_to_zero"
     return fam
 
 
 def prescribe_flux(u0, p, n_t=N_T_DEFAULT, tol_flux=TOL_FLUX,
-                   tol_period=TOL_PERIOD, **kw):
+                   tol_period=TOL_PERIOD):
     """Isotopy from u0 to an immersion with flux vector p over the generator."""
-    fam = _drive(u0, p, n_t=n_t, tol_flux=tol_flux, tol_period=tol_period, **kw)
+    fam = _drive(u0, p, n_t=n_t, tol_flux=tol_flux, tol_period=tol_period)
     fam.meta["driver"] = "prescribe_flux"
     return fam
 
@@ -418,21 +407,26 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     resolution scales the verification grid and loop sampling relative to
     the construction defaults (2 doubles them).  Conformality is checked
     against TOL_NULL.  Every member's boundary loop must have the pi1 class
-    of member 0's (spin_class).  When target_flux is given, the recomputed
-    flux of the last member must lie within tol_flux of it.  The report is
+    of member 0's (spin_class).  The largest member step, scaled by n_t - 1,
+    must stay below CONTINUITY_BOUND (continuity), and no member may be
+    flat unless every member is members[0], the constant family of a flat
+    input (nonflat).  When target_flux is given, the recomputed flux of the
+    last member must lie within tol_flux of it.  The report is
     deterministic in the family.
     """
     if len(family) == 0:
         return VerificationReport(
             ts=np.array([]), max_conformality=0.0, max_real_period=0.0,
-            flux_table=np.zeros((0, 3)), min_density=np.inf, flat_flags=[],
-            pi1_classes=[], thresholds={}, passes={},
+            flux_table=np.zeros((0, 3)), min_density=np.inf, continuity=0.0,
+            flat_flags=[], pi1_classes=[], thresholds={}, passes={},
         )
     n_r, n_th = 32 * resolution, 128 * resolution
     n_loop = N_S_DEFAULT * resolution
     max_conf = 0.0
     max_real = 0.0
     min_den = np.inf
+    max_step = 0.0
+    prev = None
     flux_table = []
     flat_flags = []
     pi1_classes = []
@@ -449,6 +443,10 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         ft = fv * data.theta_over_dz(grid.points)[..., None]
         min_den = min(min_den, float(wz.density_from_f_theta(ft).min()))
         flat_flags.append(bool(wz.is_flat(fv)[0]))
+        if prev is not None:
+            step = np.max(np.abs(fv - prev)) / np.max(np.abs(prev))
+            max_step = max(max_step, float(step))
+        prev = fv
         loop = restrict_data(data, family.chart, n=n_loop)
         per = lp.period(loop)
         max_real = max(max_real, float(np.linalg.norm(per.real)))
@@ -460,10 +458,12 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
             # residual check flags the member
             pi1_classes.append(None)
     flux_table = np.array(flux_table)
+    continuity = max_step * (len(family) - 1)
     thresholds = {
         "conformality": TOL_NULL,
         "real_period": tol_period,
         "metric_density": 0.0,
+        "continuity": CONTINUITY_BOUND,
     }
     passes = {
         "conformality": max_conf <= TOL_NULL,
@@ -472,6 +472,9 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         # an isotopy keeps the homotopy class of the boundary loop
         "spin_class": pi1_classes[0] is not None
         and all(c == pi1_classes[0] for c in pi1_classes),
+        "continuity": continuity <= CONTINUITY_BOUND,
+        "nonflat": not any(flat_flags)
+        or all(m is family.members[0] for m in family.members),
     }
     flux_end = None
     if target_flux is not None:
@@ -485,6 +488,7 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         max_real_period=float(max_real),
         flux_table=flux_table,
         min_density=float(min_den),
+        continuity=continuity,
         flat_flags=flat_flags,
         pi1_classes=pi1_classes,
         thresholds=thresholds,

@@ -70,10 +70,11 @@ def period(path):
     """Integral over one period by the trapezoid rule.
 
     For equispaced samples of a periodic function this is the sample mean,
-    which is spectrally accurate for smooth integrands.
+    which is spectrally accurate for smooth integrands.  Samples run along
+    the second-to-last axis, so stacked loops give stacked periods.
     """
     v = path.values if isinstance(path, PeriodicPath) else np.asarray(path)
-    return v.mean(axis=0)
+    return v.mean(axis=-2)
 
 
 def resample(values, m):
@@ -708,14 +709,15 @@ def _flow_deform(values, controls, w):
     return out
 
 
-def _flow_jacobian(values, controls, w):
-    """Exact complex Jacobian (3, m) of the period of _flow_deform in w.
+def _flow_jacobian(values, controls, w, readout=period):
+    """Exact complex Jacobian (r, m) in w of readout(_flow_deform(...)).
 
-    One sweep composes the flows and carries one tangent per control: at
-    control k the new tangent is prof_k * G_k * out_k, with G_k the plane
-    rotation generator or the identity (scaling), and every later control
-    acts on the earlier tangents as it acts on the loop.  The sample means
-    of the tangents are the columns.
+    readout maps samples (..., N, 3) linearly to (..., r); the default is
+    the period.  One sweep composes the flows and carries one tangent per
+    control: at control k the new tangent is prof_k * G_k * out_k, with G_k
+    the plane rotation generator or the identity (scaling), and every later
+    control acts on the earlier tangents as it acts on the loop.  The
+    readouts of the tangents are the columns.
     """
     v = np.asarray(values, dtype=complex)
     # state[0] is the deformed loop, state[k + 1] tangent k
@@ -731,58 +733,44 @@ def _flow_jacobian(values, controls, w):
             state[k + 1, :, i] = -prof * loop[:, j]
             state[k + 1, :, j] = prof * loop[:, i]
     # C order: callers' products with this matrix round as for a fresh array
-    return np.ascontiguousarray(state[1:].mean(axis=1).T)
+    return np.ascontiguousarray(readout(state[1:]).T)
 
 
 def _period_continuation(sigma0, targets, controls):
     """Solve for flow coefficients tracking a ramp of loop periods.
 
     targets: (n_t, 3) complex required periods, with targets[0] equal to the
-    period of sigma0.  Newton steps use the exact period Jacobian of
-    _flow_jacobian, at most 40 per solve, down to a residual of 1e-12.
-    Returns the list of deformed sample arrays.  Raises RootNotFound when
-    Newton stalls even after sub-stepping.
+    period of sigma0.  Two normalisation rows pin the e^(2 pi i x)-weighted
+    means of loop components 1 and 2 at their t = 0 values; they remove the
+    scaling direction, along which a least-norm path would shrink the loop
+    toward a point and leave the branch before t = 1.  Newton steps use the
+    exact Jacobian of _flow_jacobian, at most 40 per solve, down to a
+    residual of 1e-12.  Returns the list of deformed sample arrays.  Raises
+    RootNotFound when Newton stalls even after sub-stepping.
     """
     v0 = np.asarray(sigma0, dtype=complex)
-    n_t = targets.shape[0]
+    e = np.exp(2j * np.pi * np.arange(v0.shape[0]) / v0.shape[0])
+
+    def readout(s):
+        # the period, then the two pinned weighted means; linear in s
+        return np.concatenate([period(s), period(e[:, None] * s[..., :2])], -1)
+
+    goals = np.hstack([targets, np.tile(readout(v0)[3:], (len(targets), 1))])
+
+    def solve(goal, wv):
+        # the readout is holomorphic in the flow coefficients, so a
+        # complex least-norm Newton step is legitimate
+        return _newton(
+            lambda x: readout(_flow_deform(v0, controls, x)) - goal,
+            lambda x: _flow_jacobian(v0, controls, x, readout),
+            wv, 1e-12, 40,
+        )
+
     w = np.zeros(len(controls), dtype=complex)
     out = [v0.copy()]
-
-    def per(wv):
-        return _flow_deform(v0, controls, wv).mean(axis=0)
-
-    def jac(wv):
-        return _flow_jacobian(v0, controls, wv)
-
-    def solve(target, wv):
-        # the period is holomorphic in the flow coefficients, so a
-        # complex least-norm Newton step is legitimate
-        return _newton(lambda x: per(x) - target, jac, wv, 1e-12, 40)
-
-    def recenter(wv, target, rounds=6):
-        # pull the coefficients toward the minimal-norm solution of
-        # per(w) = target; without this the continuation drifts onto a
-        # runaway branch where the coefficients blow up
-        for _ in range(rounds):
-            J = jac(wv)
-            coef, *_ = np.linalg.lstsq(J.conj().T, wv, rcond=None)
-            d = wv - J.conj().T @ coef  # null-space component of w
-            nd = float(np.linalg.norm(d))
-            if nd < 1e-10 or nd < 0.05 * float(np.linalg.norm(wv)):
-                return wv
-            for j in range(1, 10):  # pull-back fractions 1/2 down to 1/512
-                cand = solve(target, wv - 0.5**j * d)
-                if cand is not None and np.linalg.norm(cand) < np.linalg.norm(wv):
-                    wv = cand
-                    break
-            else:
-                return wv
-        return wv
-
-    for k in range(1, n_t):
-        w = _substep(solve, targets[k - 1], targets[k], w)
+    for k in range(1, len(goals)):
+        w = _substep(solve, goals[k - 1], goals[k], w)
         if w is None:
             raise RootNotFound(f"period continuation stalled at step {k}")
-        w = recenter(w, targets[k])
         out.append(_flow_deform(v0, controls, w))
     return out

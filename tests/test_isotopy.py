@@ -1,14 +1,18 @@
 """Tests for the end-to-end flux-steering drivers and verification."""
 
 import copy
+import io
 
 import numpy as np
 import pytest
 
+from minflux import cli
 from minflux import isotopy as iso
+from minflux import loops as lp
 from minflux import weierstrass as wz
-from minflux.errors import FlatInput
+from minflux.errors import FlatInput, RootNotFound
 from minflux.riemann import LaurentMap
+from minflux.weierstrass import PolarGrid, _open_radii
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +23,16 @@ def catenoid():
 @pytest.fixture(scope="module")
 def fam_zero(catenoid):
     return iso.flux_to_zero(catenoid)
+
+
+def member_steps(fam):
+    """max|f(t_k+1) - f(t_k)| / max|f(t_k)| on a 32 x 128 grid, and the
+    last member's max|f|."""
+    fvs = [m.f(PolarGrid(_open_radii(m.r_inner, m.r_outer, 32), 128))
+           for m in fam.members]
+    steps = [np.max(np.abs(b - a)) / np.max(np.abs(a))
+             for a, b in zip(fvs, fvs[1:])]
+    return np.array(steps), float(np.max(np.abs(fvs[-1])))
 
 
 class TestPinJacobian:
@@ -108,6 +122,56 @@ class TestFluxToZero:
         fam = iso.flux_to_zero(fl)
         assert "flat" in fam.notice
         assert np.linalg.norm(fam.flux_trace[-1]) <= 1e-12
+        assert iso.verify(fam).ok
+
+    def test_continuous_under_refinement(self, catenoid, fam_zero):
+        # the normalisation rows keep the path on one branch up to t = 1:
+        # no member step jumps, and the endpoint does not move with n_t
+        coarse = iso.flux_to_zero(catenoid, n_t=32)
+        s64, end64 = member_steps(fam_zero)
+        s32, end32 = member_steps(coarse)
+        assert max(s64.max(), s32.max()) <= 0.1
+        assert abs(end64 - end32) <= 0.05 * end64
+        assert iso.verify(coarse).ok
+
+    @pytest.mark.parametrize("lam", [0.7, 1.5])
+    def test_second_input_passes_verify(self, lam):
+        # g = lam z, f3 = 1, theta = dz/z carries nonzero flux for lam != 1
+        data = wz.WeierstrassData(wz.LaurentSeries([lam], 1),
+                                  wz.LaurentSeries([1.0], 0), theta="dz/z")
+        fam = iso.flux_to_zero(data, n_t=32)
+        rep = iso.verify(fam, target_flux=np.zeros(3))
+        assert np.linalg.norm(rep.flux_table[0]) > 1.0
+        assert rep.ok, rep.passes
+
+
+class TestNoRetry:
+    @pytest.fixture
+    def stalled(self, monkeypatch):
+        calls = []
+        continuation = lp._period_continuation
+
+        def counted(*args):
+            calls.append(args)
+            return continuation(*args)
+
+        monkeypatch.setattr(lp, "_newton", lambda *args, **kw: None)
+        monkeypatch.setattr(lp, "_period_continuation", counted)
+        return calls
+
+    def test_stall_raises_after_one_continuation(self, catenoid, stalled):
+        with pytest.raises(RootNotFound):
+            iso.flux_to_zero(catenoid)
+        assert len(stalled) == 1
+
+    def test_stall_exits_2(self, tmp_path, stalled):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text("[initial]\ncatalog = catenoid\n"
+                       "[driver]\nname = flux_to_zero\n")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)],
+                        stdout=io.StringIO(), stderr=io.StringIO())
+        assert code == 2
+        assert len(stalled) == 1
 
 
 class TestPrescribeFlux:
@@ -180,6 +244,31 @@ class TestVerify:
             rep = iso.verify(bad)
             assert rep.pi1_classes[10] == cls
             assert not rep.passes["spin_class"]
+
+    def test_continuity_gated(self, fam_zero):
+        rep = iso.verify(fam_zero)
+        assert rep.continuity <= rep.thresholds["continuity"]
+        # a scaled copy is still a conformal minimal immersion with zero
+        # periods, but the family jumps to it at the last step
+        last = fam_zero.members[-1]
+        bad = copy.copy(fam_zero)
+        bad.members = list(fam_zero.members)
+        bad.members[-1] = wz.WeierstrassData(
+            last.g, last.f3 * wz.LaurentSeries([3.0], 0), theta=last.theta,
+            r_inner=last.r_inner, r_outer=last.r_outer,
+        )
+        rep = iso.verify(bad)
+        assert rep.continuity > rep.thresholds["continuity"]
+        assert not rep.passes["continuity"]
+        assert rep.passes["conformality"] and rep.passes["real_period"]
+
+    def test_nonflat_gated(self, fam_zero):
+        bad = copy.copy(fam_zero)
+        bad.members = list(fam_zero.members)
+        bad.members[10] = wz.catalog("vertical_plane")
+        rep = iso.verify(bad)
+        assert rep.flat_flags[10]
+        assert not rep.passes["nonflat"]
 
     def test_fault_injection_flagged(self, fam_zero):
         class Corrupt:
