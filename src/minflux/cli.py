@@ -526,6 +526,7 @@ def _run_complete_step(cfg, outdir):
         if k != "passes"
     }
     items["driver"] = cfg.driver
+    items["notice"] = lb.SURROGATE_NOTICE
     ok = write_report(outdir / "report.txt", items, result.report["passes"])
     return 0 if ok else 2
 

@@ -36,6 +36,13 @@ from .errors import (
     NoBandFound,
 )
 
+#: The notice of a complete_step report: what its transformed members are.
+SURROGATE_NOTICE = (
+    "transformed members are the piecewise gauge surrogate g*(1 + lambda*t) "
+    "on the walls and are not holomorphic; anchoring, third_components, "
+    "flux_traces and core_approximation hold by construction"
+)
+
 #: Deformation-time brackets over which band estimates are checked.
 BRACKETS = ((0.5, 1.0),)
 

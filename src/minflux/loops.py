@@ -13,6 +13,7 @@ trigonometric resampling, nondegeneracy tests).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,9 @@ N_T_DEFAULT = 64
 
 #: Relative tolerance for the pointwise conformal-pair invariants.
 TOL_CONF = 1e-10
+
+#: Samples per period of a zero-period pair.
+PAIR_SAMPLES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -348,35 +352,77 @@ def _rotation_to_e1(v):
 _A_MAT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _transport_frame(unit_tangents, n1_start):
+def _transport_frame(unit_tangents, n1_start, tangent=None):
     """Propagate an orthonormal frame of the planes normal to a unit field.
 
     unit_tangents: (m, 3); n1_start: vector orthogonal to the first tangent.
     Returns n1, n2 arrays of shape (m, 3) with n2 = tangent x n1.
+
+    The transport is n1[0] proportional to P_0 n1_start and n1[k] to
+    P_k n1[k-1], with P_k = I - u_k u_k^T the projection normal to tangent
+    k, so n1[k] is M_k n1_start normalised once, M_k = P_k ... P_0.  The
+    prefix products are formed by ceil(log2 m) batched doubling steps
+    (a prefix scan; Blelloch, CMU-CS-90-190, 1990).  On smooth fields,
+    consecutive tangents a few degrees apart as the zero-period builder
+    passes, this agrees with the sequential recurrence to rounding; on
+    rough fields the products are nearly rank one and rounding grows.
+
+    tangent = (du, dstart), of shapes (k, m, 3) and (k, 3), carries k
+    directional derivatives of the inputs: the scan then carries (M, dM)
+    by the product rule, and dn1, dn2 of shape (k, m, 3) are returned
+    after n1 and n2.
     """
-    # math.sqrt(v @ v) is what np.linalg.norm computes for a real 1-D
-    # vector, bit for bit, without its dispatch cost
-    m = unit_tangents.shape[0]
-    n1 = np.empty((m, 3))
-    v = n1_start - (n1_start @ unit_tangents[0]) * unit_tangents[0]
-    n1[0] = v / math.sqrt(v @ v)
-    for k in range(1, m):
-        u = unit_tangents[k]
-        v = n1[k - 1] - (n1[k - 1] @ u) * u
-        n1[k] = v / math.sqrt(v @ v)
-    n2 = np.cross(unit_tangents, n1)
-    return n1, n2
+    u = unit_tangents
+    m = u.shape[0]
+    M = np.eye(3) - u[:, :, None] * u[:, None, :]
+    if tangent is not None:
+        du, dstart = tangent
+        dM = -(du[..., :, None] * u[:, None, :] + u[:, :, None] * du[..., None, :])
+    step = 1
+    while step < m:
+        if tangent is not None:
+            dM[:, step:] = dM[:, step:] @ M[:-step] + M[step:] @ dM[:, :-step]
+        M[step:] = M[step:] @ M[:-step]
+        step *= 2
+    y = M @ n1_start
+    # P_k is a projection, so applying it once more changes nothing but
+    # the rounding left by the nearly rank-one products of rough fields
+    y -= np.sum(y * u, axis=1)[:, None] * u
+    r = np.sqrt(np.sum(y * y, axis=1))[:, None]
+    n1 = y / r
+    n2 = np.cross(u, n1)
+    if tangent is None:
+        return n1, n2
+    dy = dM @ n1_start + (M @ dstart[:, None, :, None])[..., 0]
+    dn1 = (dy - n1 * np.sum(n1 * dy, axis=-1)[..., None]) / r
+    dn2 = np.cross(du, n1) + np.cross(u, dn1)
+    return n1, n2, dn1, dn2
+
+
+def _angle_tangent(a, b, da, db):
+    """Derivative of arctan2(b, a) along (da, db); the branch is fixed."""
+    return (a * db - b * da) / (a * a + b * b)
 
 
 @dataclass(frozen=True)
 class _PPart:
-    """The part of g that depends on p alone (see _ZeroPeriodBuilder)."""
+    """The part of g that depends on p alone (see _ZeroPeriodBuilder).
+
+    Arrays along the long extension leave out its wrap point x = 1.  The
+    p-tangents hold one row per component of p.
+    """
 
     g: np.ndarray  # g off the long extension, (N, 3)
+    g_off: np.ndarray  # sum of g off the long extension, (3,)
     alpha0: np.ndarray  # extension spin angle before the corrections
     amp: np.ndarray  # |h'| along the extension
     n1: np.ndarray  # transported frame along the extension
     n2: np.ndarray
+    dg_off: np.ndarray  # (3, 3)
+    dspin: np.ndarray  # (3,), alpha0 = spin * ss_ext
+    damp: np.ndarray  # (3, T) on the p-dependent tail of the extension
+    dn1: np.ndarray  # (3, T, 3) on the tail
+    dn2: np.ndarray
 
 
 class _ZeroPeriodBuilder:
@@ -385,14 +431,15 @@ class _ZeroPeriodBuilder:
     g depends on the three-parameter p and on the angle-correction
     coefficients c.  Everything that needs p alone (h', the two frame
     transports, their branch-fixed end angles, g outside the long extension
-    and its base spin angle) is the p-part; g_field adds the c-dependent
-    corrections to it.  The root search varies c far more often than p (the
-    whole seed grid sits at p = 0, and four of the seven Jacobian columns
-    move c only), so the p-part of the most recent (p, net_winding) is
-    memoised.  One entry keeps memory flat; the winding is part of the key
-    because the spin-class search evaluates p = 0 under both windings.  The
-    arctan2 branch references are fixed at p = 0 on construction, so the
-    memo, and g_field, are pure functions of their arguments.
+    and its base spin angle), together with its p-tangents, is the p-part;
+    g_field adds the c-dependent corrections to it, and period and jacobian
+    reduce them in closed form without assembling g.  The root search
+    varies c far more often than p (the whole seed grid sits at p = 0), so
+    the p-part of the most recent (p, net_winding) is memoised.  One entry
+    keeps memory flat; the winding is part of the key because the
+    spin-class search evaluates p = 0 under both windings.  The arctan2
+    branch references are fixed at p = 0 on construction, so the memo,
+    g_field, period and jacobian are pure functions of their arguments.
     """
 
     def __init__(self, w_tilde, delta, eps, n_samples):
@@ -410,18 +457,20 @@ class _ZeroPeriodBuilder:
         beta += 1.0 - smooth_step((x - d) / (d / 3.0))
         rise = smooth_step((x - (1.0 - d / 2.0)) / (d / 4.0))
         beta = np.maximum(beta, rise)
-        self.beta = beta
         # compensating bump keeping h periodic, supported in (4d/3, 2d)
         gam = smooth_bump(x, 5.0 * d / 3.0, d / 4.0)
-        self.gamma = gam
-        self.int_beta = beta.mean()
-        self.int_gamma = gam.mean()
+        # h' = w + eps * kappa p is affine in p, and kappa has mean zero
+        self.kappa = beta - gam * (beta.mean() / gam.mean())
         # region masks
         self.m_core = (x >= 0.0) & (x < d)
         self.m_trans = (x >= d) & (x < 2.0 * d)
         self.m_anti = (x >= 2.0 * d) & (x < 3.0 * d)
         self.m_ext = x >= 3.0 * d
         self.spins = (8, 32)
+        # the transition frame runs one sample past each end of [d, 2d)
+        idx = np.where(self.m_trans)[0]
+        self.idx_trans = np.concatenate([[idx[0] - 1], idx, [idx[-1] + 1]])
+        self.ss_trans = smooth_step((x[self.idx_trans] - d) / d)
         # the tangent field is p-independent on [3 delta, 1 - delta/2), so
         # the transported frame over that prefix is computed once
         idx_ext = np.where(self.m_ext)[0]
@@ -432,30 +481,38 @@ class _ZeroPeriodBuilder:
         self.n1_pre, self.n2_pre = _transport_frame(
             upre, np.array([0.0, -1.0, 0.0])
         )
-        # extension parameter and its correction profiles, p-independent
+        # the p-dependent tail, from the last prefix sample to the wrap x = 1
+        self.tail = np.concatenate([idx_ext[self.cut - 1 :], [0]])
+        # extension parameter and its spin and correction profiles,
+        # p-independent; the wrap point x = 1 is dropped after profiling
         xs = np.concatenate([x[idx_ext], [1.0]])
         self.u_ext = (xs - 3.0 * d) / (1.0 - 3.0 * d)
-        self.bumps = self._correction_bumps(self.u_ext)
+        self.ss_ext = smooth_step(self.u_ext)[:-1]
+        self.bumps = self._correction_bumps(self.u_ext)[:-1]
+        # columns: the spin profile, then the correction bumps
+        self.profiles = np.column_stack([self.ss_ext, self.bumps])
         # the first p-part, at p = 0, fixes the arctan2 branch references
         self._angle_ref = {}
         self._memo = None
         self._p_part(np.zeros(3))
 
     def hprime(self, p):
-        q = -p * (self.int_beta / self.int_gamma)
-        pert = self.eps * (
-            self.beta[:, None] * p[None, :] + self.gamma[:, None] * q[None, :]
-        )
-        return self.w + pert
+        return self.w + self.eps * self.kappa[:, None] * p[None, :]
 
     def _core_g(self, p):
-        """Unit-interval value of g on [0, delta] (constant there)."""
+        """Unit-interval value of g on [0, delta] (constant there), and its
+        Jacobian in p."""
         eps = self.eps
-        corr = eps * eps * p[2] ** 2 / (1.0 + eps * p[0])
+        den = 1.0 + eps * p[0]
+        corr = eps * eps * p[2] ** 2 / den
         gt = np.array([0.0, 1.0, 0.0]) + eps * (_A_MAT @ p)
         gt[0] -= corr
         e1p = np.array([1.0 + eps * p[0], eps * p[1], eps * p[2]])
-        return (np.linalg.norm(e1p) / np.linalg.norm(gt)) * gt
+        a, b = np.linalg.norm(e1p), np.linalg.norm(gt)
+        dgt = eps * _A_MAT
+        dgt[0] -= [-eps * corr / den, 0.0, 2.0 * eps * eps * p[2] / den]
+        ds = eps * e1p / (a * b) - (a / b**3) * (gt @ dgt)
+        return (a / b) * gt, np.outer(gt, ds) + (a / b) * dgt
 
     #: number of angle-correction bumps in the long extension
     N_CORR = 4
@@ -466,9 +523,10 @@ class _ZeroPeriodBuilder:
         """Branch of an angle kept coherent across nearby parameters.
 
         arctan2 jumps by 2 pi across its cut; without a fixed reference the
-        jump would make the family discontinuous in p and poison the
-        finite-difference Jacobians.  The reference is the raw angle at
-        p = 0, recorded by the constructor's first call.
+        jump would make the family discontinuous in p, and the exact
+        Jacobian, which takes the branch offset as locally constant, would
+        not be its derivative.  The reference is the raw angle at p = 0,
+        recorded by the constructor's first call.
         """
         base = self._angle_ref.setdefault(key, raw)
         return base + (raw - base + np.pi) % (2.0 * np.pi) - np.pi
@@ -486,52 +544,77 @@ class _ZeroPeriodBuilder:
         b_s2 = smooth_step((u - 0.06) / 0.12) * smooth_step((0.55 - u) / 0.2)
         return np.stack([b_s, b_s2, b_s2[::-1], b_s[::-1]], axis=1)
 
+    def _h_tangents(self, hp, idx):
+        """|h'| and unit h' at samples idx, with their p-tangents."""
+        h = hp[idx]
+        nh = np.linalg.norm(h, axis=1)
+        unit = h / nh[:, None]
+        k = self.eps * self.kappa[idx]
+        dnh = k * unit.T
+        dunit = (k / nh)[None, :, None] * (
+            np.eye(3)[:, None, :] - unit.T[:, :, None] * unit[None, :, :]
+        )
+        return nh, unit, dnh, dunit
+
     def _p_part(self, p):
-        """The memoised p-dependent part of g_field."""
+        """The memoised p-dependent part of g_field, with its p-tangents."""
         key = (p.tobytes(), self.net_winding)
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1]
-        n, d, x = self.n, self.delta, self.x
         hp = self.hprime(p)
-        nh = np.linalg.norm(hp, axis=1)
-        unit = hp / nh[:, None]
-        g = np.empty((n, 3))
-        g_core = self._core_g(p)
+        g = np.empty((self.n, 3))
+        g_core, dg_core = self._core_g(p)
         g[self.m_core] = g_core
         g[self.m_anti] = np.array([0.0, -1.0, 0.0])
         m_spin_1, m_spin_2 = self.spins
 
         # transition [delta, 2 delta]: spin from the core value to -e2
-        idx = np.where(self.m_trans)[0]
-        idx = np.concatenate([[idx[0] - 1], idx, [idx[-1] + 1]])
-        n1, n2 = _transport_frame(unit[idx], g_core)
+        idx = self.idx_trans
+        nh, unit, dnh, dunit = self._h_tangents(hp, idx)
+        n1, n2, dn1, dn2 = _transport_frame(unit, g_core, (dunit, dg_core.T))
+        # the target -e2 in the end frame; at p = 0 it lies on the arctan2
+        # cut, and the dot products fix the sign of its zero component
         target = np.array([0.0, -1.0, 0.0])
-        th = self._stable_angle(
-            "trans", np.arctan2(target @ n2[-1], target @ n1[-1])
-        )
-        u = (x[idx] - d) / d
-        alpha = (th + 2.0 * np.pi * m_spin_1) * smooth_step(u)
-        vals = nh[idx, None] * (
-            np.cos(alpha)[:, None] * n1 + np.sin(alpha)[:, None] * n2
-        )
+        a, b = target @ n1[-1], target @ n2[-1]
+        th = self._stable_angle("trans", np.arctan2(b, a))
+        dth = _angle_tangent(a, b, dn1[:, -1] @ target, dn2[:, -1] @ target)
+        alpha = (th + 2.0 * np.pi * m_spin_1) * self.ss_trans
+        ca, sa = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
+        frame = ca * n1 + sa * n2
+        vals = nh[:, None] * frame
         g[idx[1:-1]] = vals[1:-1]
+        # p-tangent of the transition samples, summed over [delta, 2 delta)
+        dvals = (
+            dnh[:, :, None] * frame
+            + (dth[:, None] * self.ss_trans * nh)[:, :, None] * (ca * n2 - sa * n1)
+            + nh[:, None] * (ca * dn1 + sa * dn2)
+        )
+        dg_off = self.m_core.sum() * dg_core.T + dvals[:, 1:-1].sum(axis=1)
 
         # long extension [3 delta, 1): spin from -e2 back to the core value
-        idx2 = np.concatenate([self.idx_ext, [0]])  # wrap to x = 1
-        tail = idx2[self.cut - 1 :] % n
-        t1, t2 = _transport_frame(unit[tail], self.n1_pre[self.cut - 1])
-        n1 = np.concatenate([self.n1_pre[: self.cut - 1], t1], axis=0)
-        n2 = np.concatenate([self.n2_pre[: self.cut - 1], t2], axis=0)
-        th = self._stable_angle(
-            "ext", np.arctan2(g_core @ n2[-1], g_core @ n1[-1])
+        amp_t, unit_t, damp, dunit_t = self._h_tangents(hp, self.tail)
+        t1, t2, dt1, dt2 = _transport_frame(
+            unit_t, self.n1_pre[self.cut - 1], (dunit_t, np.zeros((3, 3)))
         )
+        a, b = g_core @ t1[-1], g_core @ t2[-1]
+        th = self._stable_angle("ext", np.arctan2(b, a))
+        dth = _angle_tangent(a, b, dg_core.T @ t1[-1] + dt1[:, -1] @ g_core,
+                             dg_core.T @ t2[-1] + dt2[:, -1] @ g_core)
         spin = th + 2.0 * np.pi * (m_spin_2 + self.net_winding)
+        head = self.cut - 1
         part = _PPart(
             g=g,
-            alpha0=spin * smooth_step(self.u_ext),
-            amp=np.linalg.norm(hp[idx2 % n], axis=1),
-            n1=n1,
-            n2=n2,
+            g_off=g[~self.m_ext].sum(axis=0),
+            alpha0=spin * self.ss_ext,
+            amp=np.concatenate([np.linalg.norm(hp[self.idx_ext[:head]], axis=1),
+                                amp_t[:-1]]),
+            n1=np.concatenate([self.n1_pre[:head], t1[:-1]], axis=0),
+            n2=np.concatenate([self.n2_pre[:head], t2[:-1]], axis=0),
+            dg_off=dg_off,
+            dspin=dth,
+            damp=damp[:, :-1],
+            dn1=dt1[:, :-1],
+            dn2=dt2[:, :-1],
         )
         self._memo = (key, part)
         return part
@@ -552,11 +635,38 @@ class _ZeroPeriodBuilder:
             np.cos(alpha)[:, None] * part.n1 + np.sin(alpha)[:, None] * part.n2
         )
         g = part.g.copy()
-        g[self.idx_ext] = vals[:-1]
+        g[self.idx_ext] = vals
         return g
 
-    def period(self, p, c=None):
-        return self.g_field(p, c).mean(axis=0)
+    def period(self, p, c):
+        """Mean of g_field(p, c) over the period, without assembling g.
+
+        c may be stacked, of shape (k, N_CORR); the result is then (k, 3).
+        """
+        part = self._p_part(p)
+        alpha = part.alpha0 + np.asarray(c) @ self.bumps.T
+        ext = (part.amp * np.cos(alpha)) @ part.n1
+        ext += (part.amp * np.sin(alpha)) @ part.n2
+        return (part.g_off + ext) / self.n
+
+    def jacobian(self, p, c):
+        """Exact Jacobian (3, 3 + N_CORR) of period(p, c) in (p, c)."""
+        part = self._p_part(p)
+        alpha = part.alpha0 + self.bumps @ c
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        # derivative of the extension sum along each angle profile
+        q = (part.n2.T * (part.amp * ca) - part.n1.T * (part.amp * sa)) @ self.profiles
+        t = slice(self.cut - 1, None)
+        ct, st = ca[t], sa[t]
+        jp = (
+            part.dg_off
+            + np.outer(part.dspin, q[:, 0])
+            + (part.damp * ct) @ part.n1[t]
+            + (part.damp * st) @ part.n2[t]
+            + (part.amp[t] * ct) @ part.dn1
+            + (part.amp[t] * st) @ part.dn2
+        )
+        return np.hstack([jp.T, q[:, 1:]]) / self.n
 
 
 def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
@@ -571,17 +681,30 @@ def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
     damped Newton iteration with a grid fallback (a degree-one argument
     guarantees a root for small eps).
     """
+    if not (isinstance(spin_class, (int, np.integer)) and spin_class in (0, 1)):
+        raise ValueError(f"spin_class must be 0 or 1, got {spin_class!r}")
     for name, value in (("delta", delta), ("eps", eps)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    if 3.0 * delta >= 1.0:
-        raise ValueError("need 3*delta < 1")
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    # the narrowest window the builder indexes is the support of the
+    # compensating bump, (17 delta/12, 23 delta/12); wider than the grid
+    # spacing 1/n, it holds a sample wherever it sits.  The flattened
+    # window [-delta/2, 3.5 delta] must stay off the support (0.35, 0.75)
+    # of the drift bump below, or h' is not constant on the core.
+    lo = 2.0 / PAIR_SAMPLES
+    if not lo < delta <= 0.1:
+        raise ValueError(
+            f"delta must lie in ({lo:g}, 0.1] so that every window holds a "
+            f"sample and the flattened window misses the drift bump, "
+            f"got {delta!r}"
+        )
     v0 = h0.values.real if isinstance(h0, PeriodicPath) else np.asarray(h0, float)
     if v0.ndim != 2 or v0.shape[1] != 3:
         raise ValueError(f"h0 must have shape (N, 3), got {v0.shape}")
     if not np.all(np.isfinite(v0)):
         raise NonFiniteValues("h0 has non-finite samples")
-    n_samples = 4096
+    n_samples = PAIR_SAMPLES
     v0 = resample(v0, n_samples) if v0.shape[0] != n_samples else v0.copy()
     x = np.arange(n_samples) / n_samples
     hp0 = fourier_derivative(v0)
@@ -618,30 +741,27 @@ def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
         for extra in (0, 1):
             builder.net_winding = extra
             z0 = builder.hprime(np.zeros(3)) + 1j * builder.g_field(np.zeros(3))
-            if nq.pi1_class(z0) == spin_class % 2:
+            if nq.pi1_class(z0) == spin_class:
                 break
         else:
             last_err = f"neither winding realizes the class at eps={cur_eps:g}"
             continue
 
-        nc = builder.N_CORR
-
-        def residual(q):
-            return builder.period(q[:3], q[3:])
-
         # seed the two stall-bump angles by a grid search, refined when
-        # Newton fails from the coarse seed
-        best, best_val = np.zeros(3 + nc), np.inf
+        # Newton fails from the coarse seed; one period call per grid row
+        p0 = np.zeros(3)
+        best, best_val = np.zeros(3 + builder.N_CORR), np.inf
         for size in (13, 49):
             angles = np.linspace(-np.pi, np.pi, size)[:-1]
+            rows = np.zeros((angles.size, builder.N_CORR))
+            rows[:, -1] = angles
             for a1 in angles:
-                for a2 in angles:
-                    q0 = np.zeros(3 + nc)
-                    q0[3], q0[3 + nc - 1] = a1, a2
-                    r = float(np.linalg.norm(residual(q0)))
-                    if r < best_val:
-                        best, best_val = q0, r
-            q = _newton_root_ln(residual, best)
+                rows[:, 0] = a1
+                r = np.linalg.norm(builder.period(p0, rows), axis=1)
+                k = int(np.argmin(r))
+                if r[k] < best_val:
+                    best, best_val = np.concatenate([p0, rows[k]]), r[k]
+            q = _newton_root_ln(builder, best)
             if q is not None:
                 break
         if q is None or np.linalg.norm(q[:3]) >= 1.0:
@@ -673,23 +793,25 @@ def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
     raise RootNotFound(last_err)
 
 
-def _newton_root_ln(fun, q0):
-    """Damped least-norm Newton for an underdetermined root problem.
+def _newton_root_ln(builder, q0):
+    """Damped least-norm Newton for builder.period(p, c) = 0, q = (p, c).
 
-    fun maps R^m to R^3; the first three entries of the argument are
-    constrained to the ball of radius 0.98.  The Jacobian is taken by
-    central differences of step 1e-7.  Newton stops at residual norm 1e-13,
-    or returns None when 80 steps do not reach it.
+    The root problem is underdetermined (3 equations, 3 + N_CORR unknowns);
+    p is constrained to the ball of radius 0.98.  The Jacobian is the
+    builder's exact one.  Newton stops at residual norm 1e-13, or returns
+    None when 80 steps do not reach it.
     """
 
     def residual(q):
-        return fun(q) if np.linalg.norm(q[:3]) < 0.98 else np.full(3, np.inf)
+        if np.linalg.norm(q[:3]) >= 0.98:
+            return np.full(3, np.inf)
+        return builder.period(q[:3], q[3:])
 
-    def jac(q):
-        cols = [fun(q + dq) - fun(q - dq) for dq in 1e-7 * np.eye(q.size)]
-        return np.stack(cols, axis=1) / (2.0 * 1e-7)
-
-    return _newton(residual, jac, np.asarray(q0, dtype=float), 1e-13, 80)
+    return _newton(
+        residual,
+        lambda q: builder.jacobian(q[:3], q[3:]),
+        np.asarray(q0, dtype=float), 1e-13, 80,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -532,20 +532,37 @@ class TestExport:
             assert np.ptp(rad[i]) <= 1e-6 * max(1.0, rad[i].max())
 
 
+@pytest.fixture(scope="module")
+def complete_step_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("complete_step")
+    text = CONFIG.replace(
+        "name = flux_to_zero", "name = complete_step\ndelta = 0.5\ncore = 0.8, 1.3"
+    )
+    cfg = write_config(tmp, text)
+    code, _, err = run_cli(["run", "--config", cfg, "--out", str(tmp / "o")])
+    assert code == 0, err
+    return tmp
+
+
 class TestCompleteStepRun:
-    def test_run_writes_labyrinth_csv(self, tmp_path):
-        text = CONFIG.replace(
-            "name = flux_to_zero", "name = complete_step\ndelta = 0.5\ncore = 0.8, 1.3"
-        )
-        cfg = write_config(tmp_path, text)
-        code, _, err = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == 0, err
-        lab = (tmp_path / "o" / "labyrinth_polygons.csv").read_text().splitlines()
+    def test_run_writes_labyrinth_csv(self, complete_step_dir):
+        out = complete_step_dir / "o"
+        lab = (out / "labyrinth_polygons.csv").read_text().splitlines()
         assert lab[0] == "hole,band,set,vertex,re,im"
         assert len(lab) > 100
-        report = (tmp_path / "o" / "report.txt").read_text()
+        report = (out / "report.txt").read_text()
         assert "overall = PASS" in report
-        rows = (tmp_path / "o" / "trace.csv").read_text().strip().splitlines()
+        rows = (out / "trace.csv").read_text().strip().splitlines()
         last = dict(zip(rows[0].split(","), rows[-1].split(",")))
         # flux is invariant under the completeness step
         assert float(last["flux_target_residual"]) <= 1e-10
+
+    def test_report_names_the_surrogate(self, complete_step_dir):
+        lines = (complete_step_dir / "o" / "report.txt").read_text().splitlines()
+        notice = [line for line in lines if line.startswith("notice = ")]
+        assert notice == [
+            "notice = transformed members are the piecewise gauge surrogate "
+            "g*(1 + lambda*t) on the walls and are not holomorphic; anchoring, "
+            "third_components, flux_traces and core_approximation hold by "
+            "construction"
+        ]
