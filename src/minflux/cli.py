@@ -238,7 +238,8 @@ def write_coefficients(path, family, cfg):
             {
                 "a": _series_dict(ext.a),
                 "b": _series_dict(ext.b),
-                "center": [ext.center.real, ext.center.imag],
+                # charts are centred at 0; the entry keeps the file format
+                "center": [0.0, 0.0],
                 "parity": int(ext.parity),
                 "scale": float(ext.scale),
             }
@@ -310,15 +311,13 @@ def _extension(entry, where):
             f"coefficients file: {where}parity must be 0 or 1 and "
             f"{where}scale positive"
         )
-    center = _complex(_entry(entry, "center", where), where + "center")
-    if center != 0:
+    if _complex(_entry(entry, "center", where), where + "center") != 0:
         raise ConfigError(
             f"coefficients file: {where}center must be 0 (the chart is centered)"
         )
     return LaurentMap(
         _series(_entry(entry, "a", where), f"{where}a."),
         _series(_entry(entry, "b", where), f"{where}b."),
-        center=center,
         parity=parity,
         scale=scale,
     )
@@ -482,24 +481,39 @@ def _target_flux(cfg):
     return None
 
 
-def _run_family(cfg, outdir):
-    fam = _family_for(cfg)
-    target = _target_flux(cfg)
-    write_coefficients(outdir / "family_coefficients.json", fam, cfg)
-    write_trace_csv(outdir / "trace.csv", fam, target=target)
+def _stored_family(cfg, outdir):
+    """The family of family_coefficients.json in outdir, else a driver rerun."""
+    coeff = outdir / "family_coefficients.json"
+    return load_family(coeff) if coeff.exists() else _family_for(cfg)
+
+
+def _verify_family(cfg, fam):
+    """verify's report on the family, and the report items run and verify
+    share."""
     rep = iso.verify(fam, tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
-                     target_flux=target)
+                     target_flux=_target_flux(cfg))
     items = {
-        "driver": cfg.driver,
-        "flux_end_residual": _fmt(rep.flux_end_residual),
         "continuity": _fmt(rep.continuity),
         "max_conformality": _fmt(rep.max_conformality),
         "max_real_period": _fmt(rep.max_real_period),
         "min_density": _fmt(rep.min_density),
-        "notice": fam.notice or "none",
-        "pi1_classes": " ".join(str(c) for c in sorted(set(rep.pi1_classes))),
         "t_samples": len(fam),
     }
+    if rep.flux_end_residual is not None:
+        items["flux_end_residual"] = _fmt(rep.flux_end_residual)
+    return rep, items
+
+
+def _run_family(cfg, outdir):
+    fam = _family_for(cfg)
+    write_coefficients(outdir / "family_coefficients.json", fam, cfg)
+    write_trace_csv(outdir / "trace.csv", fam, target=_target_flux(cfg))
+    rep, items = _verify_family(cfg, fam)
+    items.update(
+        driver=cfg.driver,
+        notice=fam.notice or "none",
+        pi1_classes=" ".join(str(c) for c in sorted(set(rep.pi1_classes))),
+    )
     ok = write_report(outdir / "report.txt", items, rep.passes)
     return 0 if ok else 2
 
@@ -551,8 +565,7 @@ def _classify(cfg, stream):
 
 def _export(cfg, outdir):
     if cfg.driver in ("flux_to_zero", "prescribe_flux"):
-        coeff = outdir / "family_coefficients.json"
-        fam = load_family(coeff) if coeff.exists() else _family_for(cfg)
+        fam = _stored_family(cfg, outdir)
         members, ts = fam.members, np.asarray(fam.ts)
     else:
         data = initial_data(cfg)
@@ -567,19 +580,7 @@ def _export(cfg, outdir):
 
 
 def _verify(cfg, outdir):
-    coeff = outdir / "family_coefficients.json"
-    fam = load_family(coeff) if coeff.exists() else _family_for(cfg)
-    rep = iso.verify(fam, tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
-                     target_flux=_target_flux(cfg))
-    items = {
-        "continuity": _fmt(rep.continuity),
-        "max_conformality": _fmt(rep.max_conformality),
-        "max_real_period": _fmt(rep.max_real_period),
-        "min_density": _fmt(rep.min_density),
-        "t_samples": len(fam),
-    }
-    if rep.flux_end_residual is not None:
-        items["flux_end_residual"] = _fmt(rep.flux_end_residual)
+    rep, items = _verify_family(cfg, _stored_family(cfg, outdir))
     ok = write_report(outdir / "report.txt", items, rep.passes)
     return 0 if ok else 2
 

@@ -65,10 +65,6 @@ class UnknownName(MinfluxError):
     """No catalog entry under the requested name."""
 
 
-class NoClearance(MinfluxError):
-    """Excluded disks are too crowded for disjoint homology circles."""
-
-
 class ApproximationBudgetExceeded(MinfluxError):
     """Holomorphic approximation could not reach tolerance at max degree."""
 

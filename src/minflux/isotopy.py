@@ -13,6 +13,7 @@ with u1 = Re F is emitted.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,11 +135,9 @@ def _f_theta_series(ext, theta):
     """Components of f * theta/dz as Laurent series, from a loop extension.
 
     The extension represents the loop f * theta/d(zeta) sampled through the
-    chart z = c + r e^(2 pi i zeta), so f theta/dz is the extension divided
-    by 2 pi i (z - c); charts here are centered at 0.
+    chart z = r e^(2 pi i zeta), so f theta/dz is the extension divided by
+    2 pi i z.
     """
-    if abs(ext.center) > 0:
-        raise ValueError("extensions are expected on centered charts")
     shift = LaurentSeries([1.0 / (2j * np.pi)], -1)
     return tuple(c * shift for c in ext.components())
 
@@ -164,7 +163,7 @@ def _member_from_extension(ext, theta, r_inner, r_outer):
     twists cancel), and f3 is an exact Laurent series; reassembly through
     the Weierstrass formula reproduces the extension in exact arithmetic.
     """
-    comps = _f_theta_series(ext, theta)  # checks that the chart is centered
+    comps = _f_theta_series(ext, theta)
     f3 = comps[2]
     if theta == "dz/z":
         f3 = f3 * LaurentSeries([1.0], 1)
@@ -237,8 +236,8 @@ def _pin_extension(values, domain, theta, target, tol):
         for i, idx in enumerate(_PIN_INDICES):
             a = _shift_series(a, idx, delta[i])
             b = _shift_series(b, idx, delta[i + len(_PIN_INDICES)])
-        return LaurentMap(a, b, center=base.center, parity=base.parity,
-                          scale=base.scale, meta=dict(base.meta))
+        return LaurentMap(a, b, parity=base.parity, scale=base.scale,
+                          meta=dict(base.meta))
 
     last = {}
 
@@ -275,7 +274,7 @@ def _constant_family(data, chart, n_t, period0, notice=""):
         members=[data] * n_t,
         lmaps=[None] * n_t,
         periods=periods,
-        basepoint=complex(chart.center + chart.radius),
+        basepoint=complex(chart.radius),
         chart=chart,
         notice=notice,
     )
@@ -306,12 +305,16 @@ def _drive(
     tol_flux=TOL_FLUX,
     tol_period=TOL_PERIOD,
 ):
+    if not (isinstance(n_t, numbers.Integral) and n_t >= 2):
+        raise ValueError(f"n_t must be an integer of at least 2, got {n_t!r}")
+    target = np.asarray(target, dtype=float)
+    if target.shape != (3,) or not np.all(np.isfinite(target)):
+        raise ValueError(f"target must be three finite numbers, got {target!r}")
     u0 = _as_immersion(u0)
     data = u0.data
-    target = np.asarray(target, dtype=float)
     domain = rm.annulus(data.r_inner, data.r_outer)
     chart = rm.homology_basis(domain)[0]
-    z0 = complex(chart.center + chart.radius)
+    z0 = complex(chart.radius)
 
     loop0 = restrict_data(data, chart, n=N_S_DEFAULT)
     period0 = lp.period(loop0)

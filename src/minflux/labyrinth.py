@@ -19,6 +19,8 @@ between walls, so no radial edge skips a wall.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -708,7 +710,15 @@ def complete_step(family, core, delta, ts=None, seed=23):
     endpoint graph has 128 angles.  The step is deterministic: seed is
     accepted for the perfbench workloads, which pass it, and is not read.
     """
+    if not (isinstance(delta, numbers.Real) and math.isfinite(delta)
+            and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     members, t_grid = _as_members(family, ts)
+    if not members or t_grid.shape != (len(members),):
+        raise ValueError(
+            f"family and ts must be nonempty and of one length, got "
+            f"{len(members)} members and ts of shape {t_grid.shape}"
+        )
     data0 = members[0]
     r_in, r_out = data0.r_inner, data0.r_outer
     lo, hi = core

@@ -1,14 +1,14 @@
-"""Circular planar domains, homology bases and holomorphic extension.
+"""The annulus, its homology generator and holomorphic extension.
 
-A circular domain is a round disk minus finitely many disjoint closed round
-subdisks; its first homology is generated by one circle around each hole.
+The domain is the centred annulus r_inner < |z| < r_outer; its first
+homology is generated by the circle |z| = sqrt(r_inner r_outer).
 The extension stage reconstructs a holomorphic map into the punctured null
-quadric from its restriction to a homology circle: the loop is lifted to
+quadric from its restriction to that circle: the loop is lifted to
 spinor coordinates, sign-continued, periodized (with a half-integer twist
 when the homotopy class is odd), truncated to a Laurent polynomial by FFT,
 and squared back to the quadric.  Squaring after truncation keeps the
-result exactly null; the price is a parity tag per generator, which is the
-complete obstruction on these domains.
+result exactly null; the price is a parity tag, which is the complete
+obstruction on the annulus.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nullquadric as nq
-from .errors import ApproximationBudgetExceeded, NoClearance, VanishingOnDomain
+from .errors import ApproximationBudgetExceeded, VanishingOnDomain
 from .loops import PeriodicPath, resample
 from .nullquadric import _lift_loop
 from .weierstrass import (
@@ -27,9 +27,10 @@ from .weierstrass import (
     LaurentSeries,
     PolarGrid,
     _open_radii,
+    homology_radius,
 )
 
-#: Sup-norm tolerance of the extension on the generator curves.
+#: Sup-norm tolerance of the extension on the generator circle.
 TOL_RUNGE = 1e-6
 
 #: Truncation degrees tried per spinor block.
@@ -38,128 +39,48 @@ DEGREE_MAX = 512
 
 
 # ---------------------------------------------------------------------------
-# domains
+# the domain
 
 
 @dataclass(frozen=True)
-class Disk:
-    center: complex
-    radius: float
+class Annulus:
+    """The annulus r_inner < |z| < r_outer about 0."""
+
+    r_inner: float
+    r_outer: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("disk radius must be positive")
-        object.__setattr__(self, "center", complex(self.center))
-
-
-@dataclass(frozen=True)
-class CircularDomain:
-    """A round disk minus pairwise disjoint closed round subdisks."""
-
-    outer: Disk
-    holes: tuple = ()
-
-    def __post_init__(self):
-        holes = tuple(self.holes)
-        for h in holes:
-            gap = self.outer.radius - abs(h.center - self.outer.center) - h.radius
-            if gap <= 0:
-                raise ValueError("hole not contained in the outer disk")
-        for i in range(len(holes)):
-            for j in range(i + 1, len(holes)):
-                d = abs(holes[i].center - holes[j].center)
-                if d <= holes[i].radius + holes[j].radius:
-                    raise ValueError("holes overlap")
-        object.__setattr__(self, "holes", holes)
-
-    @property
-    def rank(self):
-        """Rank of the first homology (number of holes)."""
-        return len(self.holes)
-
-    def contains(self, z):
-        z = np.asarray(z, dtype=complex)
-        ok = np.abs(z - self.outer.center) < self.outer.radius
-        for h in self.holes:
-            ok &= np.abs(z - h.center) > h.radius
-        return ok
-
-    def _hole_radii(self, h, n_r):
-        """Radii of grid() around hole h: n_r, between the hole and the
-        outer circle."""
-        reach = self.outer.radius - abs(h.center - self.outer.center)
-        return _open_radii(h.radius, reach, n_r)
-
-    def grid(self, n_r=GRID_RADIAL, n_th=GRID_ANGULAR):
-        """Points of a polar grid around each hole, clipped to the domain."""
-        pts = []
-        for h in self.holes:
-            radii = self._hole_radii(h, n_r)
-            ang = np.exp(2j * np.pi * np.arange(n_th) / n_th)
-            pts.append((h.center + radii[:, None] * ang[None, :]).ravel())
-        if not self.holes:
-            radii = _open_radii(0, self.outer.radius, n_r)
-            ang = np.exp(2j * np.pi * np.arange(n_th) / n_th)
-            pts.append((self.outer.center + radii[:, None] * ang[None, :]).ravel())
-        z = np.concatenate(pts)
-        return z[self.contains(z)]
+        if not 0 < self.r_inner < self.r_outer:
+            raise ValueError("annulus needs 0 < r_inner < r_outer")
 
 
 def annulus(r_inner=0.5, r_outer=2.0):
-    """The standard annulus r_inner < |z| < r_outer as a CircularDomain."""
-    return CircularDomain(Disk(0.0, r_outer), (Disk(0.0, r_inner),))
+    """The annulus r_inner < |z| < r_outer."""
+    return Annulus(r_inner, r_outer)
 
 
 @dataclass(frozen=True)
 class CurveChart:
-    """A positively oriented analytic circle with a uniformizing coordinate.
+    """The circle |z| = radius with its uniformizing coordinate.
 
-    The chart coordinate zeta satisfies z = center + radius*e^(2 pi i zeta),
-    so d(zeta) = dz / (2 pi i (z - center)); loops restricted through the
-    chart are sampled against d(zeta).  tube_inner/tube_outer bound the
-    annulus of analyticity around the curve.
+    The chart coordinate zeta satisfies z = radius*e^(2 pi i zeta), so
+    d(zeta) = dz / (2 pi i z); loops restricted through the chart are
+    sampled against d(zeta).
     """
 
-    center: complex
     radius: float
-    tube_inner: float
-    tube_outer: float
 
     def points(self, n=256):
         x = np.arange(n) / n
-        return self.center + self.radius * np.exp(2j * np.pi * x)
+        return self.radius * np.exp(2j * np.pi * x)
 
     def dz_dzeta(self, z):
-        return 2j * np.pi * (np.asarray(z, dtype=complex) - self.center)
+        return 2j * np.pi * np.asarray(z, dtype=complex)
 
 
 def homology_basis(domain):
-    """One disjoint circle around each hole, at the conformal midpoint.
-
-    The radius around each hole is the geometric mean of the hole radius
-    and the largest clearance radius; the curves must come out pairwise
-    disjoint and disjoint from all holes, else NoClearance.
-    """
-    charts = []
-    for i, h in enumerate(domain.holes):
-        reach = domain.outer.radius - abs(h.center - domain.outer.center)
-        for j, o in enumerate(domain.holes):
-            if j != i:
-                reach = min(reach, abs(h.center - o.center) - o.radius)
-        if reach <= h.radius:
-            raise NoClearance(f"no room for a circle around hole {i}")
-        r = float(np.sqrt(h.radius * reach))
-        charts.append(CurveChart(h.center, r, h.radius, reach))
-    for i in range(len(charts)):
-        for j in range(i + 1, len(charts)):
-            a, b = charts[i], charts[j]
-            if abs(a.center - b.center) <= a.radius + b.radius:
-                raise NoClearance(f"basis circles around holes {i} and {j} meet")
-        for j, h in enumerate(domain.holes):
-            a = charts[i]
-            if j != i and abs(a.center - h.center) <= a.radius + h.radius:
-                raise NoClearance(f"circle around hole {i} crosses hole {j}")
-    return charts
+    """The generator circle of the annulus, at the conformal midpoint."""
+    return [CurveChart(homology_radius(domain))]
 
 
 def winding_number(curve_points, z0):
@@ -170,7 +91,7 @@ def winding_number(curve_points, z0):
 
 
 def restrict_to_curve(F, chart, theta="dz", n=256):
-    """Sample a holomorphic triple along a basis curve, against the chart form.
+    """Sample a holomorphic triple along the generator, against the chart form.
 
     Returns the PeriodicPath x -> F(z(x)) * theta/d(zeta); its period equals
     the contour integral of F theta over the curve.
@@ -193,26 +114,24 @@ def restrict_to_curve(F, chart, theta="dz", n=256):
 class LaurentMap:
     """A holomorphic map to the null quadric, as exact squares of spinors.
 
-    a and b are Laurent polynomials in z - center; parity 1 means both
-    spinor blocks carry an extra factor ((z - center)/scale)^(1/2), whose
-    square is integer and keeps the assembled triple single-valued.
+    a and b are Laurent polynomials in z; parity 1 means both spinor blocks
+    carry an extra factor (z/scale)^(1/2), whose square is integer and
+    keeps the assembled triple single-valued.
     """
 
     a: LaurentSeries
     b: LaurentSeries
-    center: complex = 0.0
     parity: int = 0
     scale: float = 1.0
     meta: dict = field(default_factory=dict)
 
     def __call__(self, z):
-        """The triple at points z, or flat on a PolarGrid in z - center."""
+        """The triple at points z, or flat on a PolarGrid."""
         if isinstance(z, PolarGrid):
             w = z.points
-            av, bv = self.a(z), self.b(z)
         else:
-            w = np.asarray(z, dtype=complex) - self.center
-            av, bv = self.a(w), self.b(w)
+            z = w = np.asarray(z, dtype=complex)
+        av, bv = self.a(z), self.b(z)
         a2, b2 = av * av, bv * bv
         ab = av * bv
         if self.parity:
@@ -220,7 +139,7 @@ class LaurentMap:
         return np.stack([a2 - b2, 1j * (a2 + b2), 2.0 * ab], axis=-1)
 
     def components(self):
-        """The triple as integer Laurent series in z - center."""
+        """The triple as integer Laurent series in z."""
         a2 = self.a * self.a
         b2 = self.b * self.b
         ab = self.a * self.b
@@ -228,10 +147,6 @@ class LaurentMap:
             shift = LaurentSeries([1.0 / self.scale], 1)
             a2, b2, ab = a2 * shift, b2 * shift, ab * shift
         return (a2 + (-1.0) * b2, 1j * (a2 + b2), 2.0 * ab)
-
-    def period(self):
-        """Exact contour integral of the triple (dz) over a circle |z-c|=r."""
-        return 2j * np.pi * np.array([c.residue for c in self.components()])
 
 
 def _fit_block(samples, radius, degree):
@@ -245,25 +160,22 @@ def _fit_block(samples, radius, degree):
     return LaurentSeries(coeffs, -degree)
 
 
-def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None):
+def runge_extend(loop, domain, tol=TOL_RUNGE, grid=None):
     """Holomorphic null extension of a loop given on the homology circle.
 
-    loop: PeriodicPath of quadric values sampled on the basis curve of an
-    annulus-like domain (one hole).  pclass optionally asserts the expected
-    homotopy class.  The truncation degree doubles from DEGREE_START until
-    the sup error on the curve is at most tol, up to DEGREE_MAX.  Returns a
-    LaurentMap whose restriction to the curve is sup-close to the input
-    within the reported bound.  The extension is checked not to vanish on
-    grid: points z, or a PolarGrid in z - center; by default the PolarGrid
-    of domain.grid()'s radii and angles about the hole.
+    loop: PeriodicPath of quadric values sampled on the generator circle of
+    the annulus domain.  The truncation degree doubles from DEGREE_START
+    until the sup error on the curve is at most tol, up to DEGREE_MAX.
+    Returns a LaurentMap whose restriction to the curve is sup-close to the
+    input within the reported bound.  The extension is checked not to
+    vanish on grid: points z, or a PolarGrid; by default the PolarGrid of
+    GRID_RADIAL open radii and GRID_ANGULAR angles on the annulus.
     """
-    if domain.rank != 1:
-        raise ValueError("extension implemented for domains with one hole")
     chart = homology_basis(domain)[0]
     v0 = loop.values if isinstance(loop, PeriodicPath) else np.asarray(loop)
     n0 = v0.shape[0]
     if grid is None:
-        radii = domain._hole_radii(domain.holes[0], GRID_RADIAL)
+        radii = _open_radii(domain.r_inner, domain.r_outer, GRID_RADIAL)
         grid = PolarGrid(radii, GRID_ANGULAR)
     degree = DEGREE_START
     while degree <= DEGREE_MAX:
@@ -274,18 +186,12 @@ def runge_extend(loop, domain, pclass=None, tol=TOL_RUNGE, grid=None):
         v = resample(v0, n) if n != n0 else v0
         x = np.arange(n) / n
         a, b, parity = _lift_loop(v)
-        if pclass is not None and parity != pclass % 2:
-            raise ValueError(
-                f"loop class {parity} does not match requested {pclass}"
-            )
         if parity:
             twist = np.exp(-1j * np.pi * x)
             a, b = a * twist, b * twist
         sa = _fit_block(a, chart.radius, degree)
         sb = _fit_block(b, chart.radius, degree)
-        ext = LaurentMap(
-            sa, sb, center=chart.center, parity=parity, scale=chart.radius
-        )
+        ext = LaurentMap(sa, sb, parity=parity, scale=chart.radius)
         curve = PolarGrid([chart.radius], n)
         av, bv = sa(curve), sb(curve)
         if parity:

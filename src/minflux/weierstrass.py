@@ -1,4 +1,4 @@
-"""Weierstrass representation on circular planar domains.
+"""Weierstrass representation on annuli.
 
 A conformal minimal immersion u is recovered from a holomorphic triple
 f = (f1, f2, f3) with f1^2 + f2^2 + f3^2 = 0 as u = Re of the path integral

@@ -426,14 +426,19 @@ class TestRunArtifacts:
         assert "overall = PASS" in text
         assert "check conformality = pass" in text
 
-    def test_coefficients_round_trip(self, run_dir):
-        fam = cli.load_family(run_dir / "out" / "family_coefficients.json")
+    def test_coefficients_round_trip(self, run_dir, tmp_path):
+        path = run_dir / "out" / "family_coefficients.json"
+        fam = cli.load_family(path)
         assert len(fam) == 64
         assert np.linalg.norm(fam.flux_trace[-1]) <= 1e-8
-        doc = json.loads(
-            (run_dir / "out" / "family_coefficients.json").read_text()
-        )
-        assert doc["members"][0] is None  # the anchored input member
+        text = path.read_text()
+        assert json.loads(text)["members"][0] is None  # the anchored input
+        # the format keeps a centre entry on each other member, the origin
+        assert text.count('"center": [\n    0.0,\n    0.0\n   ]') == 63
+        # loading and writing again reproduces the file byte for byte
+        cfg = cli.load_config(write_config(tmp_path))
+        cli.write_coefficients(tmp_path / "again.json", fam, cfg)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_determinism_byte_identical(self, run_dir, tmp_path):
         cfg = write_config(tmp_path)

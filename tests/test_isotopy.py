@@ -197,6 +197,25 @@ class TestPrescribeFlux:
             iso.prescribe_flux(fl, np.array([0.0, 0.0, 1.0]))
 
 
+class TestDriverInput:
+    @pytest.mark.parametrize(
+        "kw, name",
+        [
+            ({"n_t": 1}, "n_t"),
+            ({"n_t": 0}, "n_t"),
+            ({"p": [0.0, 0.0, float("nan")]}, "target"),
+            ({"p": [0.0, float("inf"), 1.0]}, "target"),
+            ({"p": [0.0, 1.0]}, "target"),
+        ],
+    )
+    def test_bad_input_typed(self, catenoid, kw, name):
+        with pytest.raises(ValueError, match=name):
+            if "p" in kw:
+                iso.prescribe_flux(catenoid, n_t=8, **kw)
+            else:
+                iso.flux_to_zero(catenoid, **kw)
+
+
 class TestVerify:
     def test_residuals_within_thresholds(self, fam_zero):
         rep = iso.verify(fam_zero)

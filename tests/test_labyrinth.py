@@ -700,6 +700,25 @@ class TestCompleteStep:
         with pytest.raises(ValueError):
             lb.complete_step(wz.catalog("catenoid"), core=(1.1, 1.3), delta=0.5)
 
+    @pytest.mark.parametrize(
+        "n_members, n_ts, delta, name",
+        [
+            (1, 8, 0.0, "delta"),
+            (1, 8, float("nan"), "delta"),
+            (1, 8, float("inf"), "delta"),
+            (1, 8, -1.0, "delta"),
+            (3, 64, 0.5, "family and ts"),
+            (64, 3, 0.5, "family and ts"),
+            (0, None, 0.5, "family and ts"),
+        ],
+    )
+    def test_bad_input_typed(self, n_members, n_ts, delta, name):
+        cat = wz.catalog("catenoid")
+        family = cat if n_members == 1 else [cat] * n_members
+        ts = None if n_ts is None else np.linspace(0.0, 1.0, n_ts)
+        with pytest.raises(ValueError, match=name):
+            lb.complete_step(family, core=(0.8, 1.3), delta=delta, ts=ts)
+
     def test_flat_family_rejected(self):
         with pytest.raises(FlatInput):
             lb.complete_step(

@@ -1,4 +1,4 @@
-"""Tests for circular domains, homology bases and the loop extension."""
+"""Tests for the annulus, its homology generator and the loop extension."""
 
 import numpy as np
 import pytest
@@ -16,73 +16,34 @@ def catenoid_restriction(n=256):
     return rm.restrict_to_curve(cat.f, chart, theta=cat.theta, n=n)
 
 
-class TestCircularDomain:
-    def test_annulus_rank_and_contains(self):
-        dom = rm.annulus()
-        assert dom.rank == 1
-        assert dom.contains(np.array([1.0 + 0j]))[0]
-        assert not dom.contains(np.array([0.1 + 0j]))[0]
-        assert not dom.contains(np.array([3.0 + 0j]))[0]
-
-    def test_hole_outside_rejected(self):
+class TestAnnulus:
+    @pytest.mark.parametrize(
+        "r_inner, r_outer", [(0.0, 2.0), (-0.5, 2.0), (2.0, 1.0), (1.0, 1.0),
+                             (float("nan"), 2.0)]
+    )
+    def test_bad_radii_rejected(self, r_inner, r_outer):
         with pytest.raises(ValueError):
-            rm.CircularDomain(rm.Disk(0.0, 1.0), (rm.Disk(2.0, 0.5),))
+            rm.annulus(r_inner, r_outer)
 
-    def test_overlapping_holes_rejected(self):
-        with pytest.raises(ValueError):
-            rm.CircularDomain(
-                rm.Disk(0.0, 5.0), (rm.Disk(-0.4, 0.5), rm.Disk(0.4, 0.5))
-            )
-
-    def test_grid_inside_domain(self):
-        dom = rm.CircularDomain(
-            rm.Disk(0.0, 4.0), (rm.Disk(-1.5, 0.4), rm.Disk(1.5, 0.4))
-        )
-        grid = dom.grid(n_r=16, n_th=64)
-        assert grid.size > 0 and np.all(dom.contains(grid))
+    def test_frozen(self):
+        dom = rm.annulus(0.5, 2.0)
+        assert dom == rm.Annulus(0.5, 2.0)
+        with pytest.raises(AttributeError):
+            dom.r_inner = 0.1
 
 
 class TestHomologyBasis:
     def test_annulus_midpoint_radius(self):
-        chart = rm.homology_basis(rm.annulus(0.5, 2.0))[0]
-        assert chart.center == 0.0
+        (chart,) = rm.homology_basis(rm.annulus(0.5, 2.0))
         assert np.isclose(chart.radius, 1.0)  # geometric mean of 0.5 and 2
 
-    def test_two_holes_disjoint_charts(self):
-        dom = rm.CircularDomain(
-            rm.Disk(0.0, 6.0), (rm.Disk(-2.0, 0.3), rm.Disk(2.0, 0.3))
-        )
-        charts = rm.homology_basis(dom)
-        assert len(charts) == 2
-        a, b = charts
-        assert abs(a.center - b.center) > a.radius + b.radius
-
     def test_winding_matrix_is_identity(self):
-        dom = rm.CircularDomain(
-            rm.Disk(0.0, 6.0), (rm.Disk(-2.0, 0.3), rm.Disk(2.0, 0.3))
-        )
-        charts = rm.homology_basis(dom)
-        for i, ch in enumerate(charts):
-            pts = ch.points(256)
-            for j, h in enumerate(dom.holes):
-                assert rm.winding_number(pts, h.center) == (1 if i == j else 0)
-
-    def test_crowded_domains_still_get_disjoint_circles(self):
-        # the geometric-mean radius keeps basis circles disjoint whenever
-        # the domain itself is valid, even with nearly touching holes
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            gap = 10.0 ** rng.uniform(-6, -1)
-            r1, r2 = rng.uniform(0.1, 0.6, size=2)
-            d = r1 + r2 + gap
-            dom = rm.CircularDomain(
-                rm.Disk(0.0, 4.0 * d), (rm.Disk(-d / 2, r1), rm.Disk(d / 2, r2))
-            )
-            a, b = rm.homology_basis(dom)
-            assert abs(a.center - b.center) > a.radius + b.radius
-
-    def test_empty_domain_no_charts(self):
-        assert rm.homology_basis(rm.CircularDomain(rm.Disk(0.0, 1.0))) == []
+        # the generator winds once around the hole and not around the
+        # outer complement
+        pts = rm.homology_basis(rm.annulus(0.3, 3.0))[0].points(256)
+        assert rm.winding_number(pts, 0.0) == 1
+        assert rm.winding_number(pts, 0.2) == 1
+        assert rm.winding_number(pts, 3.5) == 0
 
 
 class TestWindingNumber:
@@ -138,37 +99,27 @@ class TestRungeExtend:
         target = cat.f(z) * fac[:, None]
         assert np.max(np.abs(ext(z) - target)) <= 1e-8
         # whole-annulus grid agreement
-        grid = dom.grid(n_r=32, n_th=128)
+        grid = wz.annulus_grid(dom.r_inner, dom.r_outer, n_r=32, n_th=128)
         fac_g = chart.dz_dzeta(grid) / grid
         assert np.max(np.abs(ext(grid) - cat.f(grid) * fac_g[:, None])) <= 1e-6
 
     def test_extension_is_exactly_null(self):
         dom = rm.annulus()
         ext = rm.runge_extend(catenoid_restriction(), dom)
-        grid = dom.grid(n_r=16, n_th=64)
+        grid = wz.annulus_grid(dom.r_inner, dom.r_outer, n_r=16, n_th=64)
         vals = ext(grid)
         scale = np.max(np.abs(vals)) ** 2
         assert np.max(nq.null_residual(vals)) <= 1e-12 * scale
 
-    def test_off_center_hole_checked_on_domain_grid(self):
-        dom = rm.CircularDomain(rm.Disk(0.0, 2.0), (rm.Disk(0.3, 0.4),))
+    def test_default_grid_is_annulus_grid(self):
+        dom = rm.annulus(0.6, 1.8)
         chart = rm.homology_basis(dom)[0]
-        m = rm.LaurentMap(
-            wz.LaurentSeries([1.0]), wz.LaurentSeries([0.2, 0.5]), center=0.3
-        )
+        m = rm.LaurentMap(wz.LaurentSeries([1.0]), wz.LaurentSeries([0.2, 0.5]))
         ext = rm.runge_extend(lp.PeriodicPath(m(chart.points(256))), dom)
-        # the default grid, in z - center, is domain.grid() about the hole
-        mods = np.sum(np.abs(ext(dom.grid())) ** 2, axis=-1)
+        # the default grid is the annulus grid of the weierstrass module
+        grid = wz.annulus_grid(dom.r_inner, dom.r_outer)
+        mods = np.sum(np.abs(ext(grid)) ** 2, axis=-1)
         assert ext.meta["min_grid_mod"] == pytest.approx(mods.min(), rel=1e-12)
-
-    def test_period_matches_quadrature(self):
-        dom = rm.annulus()
-        chart = rm.homology_basis(dom)[0]
-        loop = catenoid_restriction()
-        ext = rm.runge_extend(loop, dom)
-        z = chart.points(1024)
-        quad = (ext(z) * chart.dz_dzeta(z)[:, None]).mean(axis=0)
-        assert np.linalg.norm(ext.period() - quad) < 1e-10
 
     def test_idempotence(self):
         dom = rm.annulus()
@@ -204,14 +155,6 @@ class TestRungeExtend:
         assert ext.meta["sup_error"] <= 1e-6
         assert ext.parity == 1
 
-    def test_pclass_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rm.runge_extend(catenoid_restriction(), rm.annulus(), pclass=0)
-
-    def test_pclass_match_accepted(self):
-        ext = rm.runge_extend(catenoid_restriction(), rm.annulus(), pclass=1)
-        assert ext.parity == 1
-
     def test_budget_exceeded_on_rough_loop(self):
         loop = catenoid_restriction().values.copy()
         x = np.arange(loop.shape[0]) / loop.shape[0]
@@ -232,11 +175,6 @@ class TestRungeExtend:
         grid = np.array([0.8 + 0j, 1.0 + 0j])
         with pytest.raises(VanishingOnDomain):
             rm.runge_extend(loop, rm.annulus(), grid=grid)
-
-    def test_rank_guard(self):
-        dom = rm.CircularDomain(rm.Disk(0.0, 2.0))
-        with pytest.raises(ValueError):
-            rm.runge_extend(catenoid_restriction(), dom)
 
 
 class TestLaurentMap:
@@ -263,9 +201,12 @@ class TestLaurentMap:
             assert np.allclose(comp, m(z), atol=1e-13)
 
     def test_period_is_residue(self):
+        # isotopy._extension_period reads the period off these residues
         a = wz.LaurentSeries([1.0, 0.5], -1)
         b = wz.LaurentSeries([0.3, 2.0], 0)
-        m = rm.LaurentMap(a, b)
-        z = np.exp(2j * np.pi * np.arange(512) / 512)
-        quad = (m(z) * (2j * np.pi * z)[:, None]).mean(axis=0)
-        assert np.linalg.norm(m.period() - quad) < 1e-12
+        z = 1.2 * np.exp(2j * np.pi * np.arange(512) / 512)
+        for parity in (0, 1):
+            m = rm.LaurentMap(a, b, parity=parity, scale=1.3)
+            quad = (m(z) * (2j * np.pi * z)[:, None]).mean(axis=0)
+            res = 2j * np.pi * np.array([c.residue for c in m.components()])
+            assert np.linalg.norm(res - quad) < 1e-12
