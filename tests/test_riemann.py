@@ -121,6 +121,16 @@ class TestRungeExtend:
         mods = np.sum(np.abs(ext(grid)) ** 2, axis=-1)
         assert ext.meta["min_grid_mod"] == pytest.approx(mods.min(), rel=1e-12)
 
+    def test_period_matches_quadrature(self):
+        dom = rm.annulus()
+        chart = rm.homology_basis(dom)[0]
+        loop = catenoid_restriction()
+        ext = rm.runge_extend(loop, dom)
+        z = chart.points(1024)
+        quad = (ext(z) * chart.dz_dzeta(z)[:, None]).mean(axis=0)
+        period = 2j * np.pi * np.array([c.residue for c in ext.components()])
+        assert np.linalg.norm(period - quad) < 1e-10
+
     def test_idempotence(self):
         dom = rm.annulus()
         chart = rm.homology_basis(dom)[0]
