@@ -33,6 +33,8 @@ from .riemann import LaurentMap
 from .weierstrass import LaurentSeries
 
 DRIVERS = ("flux_to_zero", "prescribe_flux", "complete_step", "classify")
+#: the drivers whose run stores a family in family_coefficients.json
+FLUX_DRIVERS = DRIVERS[:2]
 
 _FLOAT = "%.17g"
 
@@ -323,17 +325,24 @@ def _extension(entry, where):
     )
 
 
-def load_family(path):
+def load_family(path, driver=None):
     """The ImmersionFamily stored by write_coefficients.
 
     A missing or ill-typed entry, a non-finite number, an unknown catalog
-    name, or an out-of-range theta, radius, parity or scale raises
-    ConfigError.
+    name, an out-of-range theta, radius, parity or scale, or a recorded
+    driver other than the given driver raises ConfigError.
     """
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read coefficients file: {exc}") from None
+    if driver is not None and isinstance(doc, dict):
+        recorded = doc.get("driver", driver)
+        if recorded != driver:
+            raise ConfigError(
+                f"coefficients file records driver {recorded!r}, the "
+                f"configuration names {driver!r}"
+            )
     theta = _entry(doc, "theta")
     if theta not in ("dz", "dz/z"):
         raise ConfigError("coefficients file: theta must be 'dz' or 'dz/z'")
@@ -458,18 +467,17 @@ def write_labyrinth_csv(path, result):
 
 
 def _family_for(cfg):
+    """The family of the configured flux driver, one of FLUX_DRIVERS."""
     data = initial_data(cfg)
     if cfg.driver == "flux_to_zero":
         return iso.flux_to_zero(
             data, n_t=cfg.t_samples, tol_flux=cfg.tol_flux,
             tol_period=cfg.tol_period,
         )
-    if cfg.driver == "prescribe_flux":
-        return iso.prescribe_flux(
-            data, np.asarray(cfg.target_flux, dtype=float), n_t=cfg.t_samples,
-            tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
-        )
-    raise ConfigError(f"driver {cfg.driver} does not produce a stored family")
+    return iso.prescribe_flux(
+        data, np.asarray(cfg.target_flux, dtype=float), n_t=cfg.t_samples,
+        tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
+    )
 
 
 def _target_flux(cfg):
@@ -482,9 +490,17 @@ def _target_flux(cfg):
 
 
 def _stored_family(cfg, outdir):
-    """The family of family_coefficients.json in outdir, else a driver rerun."""
+    """The family of family_coefficients.json in outdir, else a driver rerun.
+
+    Only the flux drivers store a family, and the file must record the
+    configured driver; otherwise ConfigError.
+    """
+    if cfg.driver not in FLUX_DRIVERS:
+        raise ConfigError(f"driver {cfg.driver} stores no family")
     coeff = outdir / "family_coefficients.json"
-    return load_family(coeff) if coeff.exists() else _family_for(cfg)
+    if coeff.exists():
+        return load_family(coeff, driver=cfg.driver)
+    return _family_for(cfg)
 
 
 def _verify_family(cfg, fam):
@@ -564,7 +580,7 @@ def _classify(cfg, stream):
 
 
 def _export(cfg, outdir):
-    if cfg.driver in ("flux_to_zero", "prescribe_flux"):
+    if cfg.driver in FLUX_DRIVERS:
         fam = _stored_family(cfg, outdir)
         members, ts = fam.members, np.asarray(fam.ts)
     else:

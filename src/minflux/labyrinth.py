@@ -688,7 +688,13 @@ class CompleteStepResult:
 
 def _as_members(family, ts=None):
     if hasattr(family, "members"):
-        return list(family.members), np.asarray(family.ts, dtype=float)
+        own = np.asarray(family.ts, dtype=float)
+        if ts is not None and not np.array_equal(np.asarray(ts, float), own):
+            raise ValueError(
+                "family and ts disagree: a family carries its own ts, so ts "
+                "must equal them or be left out"
+            )
+        return list(family.members), own
     if isinstance(family, wz.WeierstrassData):
         ts = np.linspace(0.0, 1.0, 64) if ts is None else np.asarray(ts)
         return [family] * ts.size, ts

@@ -491,6 +491,13 @@ class _ZeroPeriodBuilder:
         self.bumps = self._correction_bumps(self.u_ext)[:-1]
         # columns: the spin profile, then the correction bumps
         self.profiles = np.column_stack([self.ss_ext, self.bumps])
+        # the seed grid moves the first and last corrections only; the first
+        # vanishes from grid_split[0] on, the last before grid_split[1]
+        lo = int(np.flatnonzero(self.bumps[:, 0])[-1]) + 1
+        hi = int(np.flatnonzero(self.bumps[:, -1])[0])
+        if lo > hi:
+            raise ValueError("the first and last correction bumps overlap")
+        self.grid_split = (lo, hi)
         # the first p-part, at p = 0, fixes the arctan2 branch references
         self._angle_ref = {}
         self._memo = None
@@ -639,15 +646,32 @@ class _ZeroPeriodBuilder:
         return g
 
     def period(self, p, c):
-        """Mean of g_field(p, c) over the period, without assembling g.
-
-        c may be stacked, of shape (k, N_CORR); the result is then (k, 3).
-        """
+        """Mean of g_field(p, c) over the period, without assembling g."""
         part = self._p_part(p)
-        alpha = part.alpha0 + np.asarray(c) @ self.bumps.T
+        alpha = part.alpha0 + self.bumps @ c
         ext = (part.amp * np.cos(alpha)) @ part.n1
         ext += (part.amp * np.sin(alpha)) @ part.n2
         return (part.g_off + ext) / self.n
+
+    def seed_grid(self, angles):
+        """period(0, (a1, 0, 0, a4)) for a1, a4 over angles, shape (k, k, 3).
+
+        The two moving corrections have disjoint supports, so each angle
+        costs one partial sum over each support, and the rest of the
+        extension one sum at the base angle.
+        """
+        part = self._p_part(np.zeros(3))
+        lo, hi = self.grid_split
+
+        def ext_sum(s, shift=0.0):
+            alpha, amp = part.alpha0[s] + shift, part.amp[s]
+            return ((amp * np.cos(alpha)) @ part.n1[s]
+                    + (amp * np.sin(alpha)) @ part.n2[s])
+
+        rows = ext_sum(slice(None, lo), np.outer(angles, self.bumps[:lo, 0]))
+        cols = ext_sum(slice(hi, None), np.outer(angles, self.bumps[hi:, -1]))
+        rest = ext_sum(slice(lo, hi))
+        return (part.g_off + rest + rows[:, None] + cols[None, :]) / self.n
 
     def jacobian(self, p, c):
         """Exact Jacobian (3, 3 + N_CORR) of period(p, c) in (p, c)."""
@@ -747,20 +771,16 @@ def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
             last_err = f"neither winding realizes the class at eps={cur_eps:g}"
             continue
 
-        # seed the two stall-bump angles by a grid search, refined when
-        # Newton fails from the coarse seed; one period call per grid row
-        p0 = np.zeros(3)
+        # seed the two stall-bump angles by a grid search at p = 0, refined
+        # when Newton fails from the coarse seed
         best, best_val = np.zeros(3 + builder.N_CORR), np.inf
         for size in (13, 49):
             angles = np.linspace(-np.pi, np.pi, size)[:-1]
-            rows = np.zeros((angles.size, builder.N_CORR))
-            rows[:, -1] = angles
-            for a1 in angles:
-                rows[:, 0] = a1
-                r = np.linalg.norm(builder.period(p0, rows), axis=1)
-                k = int(np.argmin(r))
-                if r[k] < best_val:
-                    best, best_val = np.concatenate([p0, rows[k]]), r[k]
+            r = np.linalg.norm(builder.seed_grid(angles), axis=-1)
+            i, j = np.unravel_index(np.argmin(r), r.shape)
+            if r[i, j] < best_val:
+                best, best_val = np.zeros(3 + builder.N_CORR), r[i, j]
+                best[3], best[-1] = angles[i], angles[j]
             q = _newton_root_ln(builder, best)
             if q is not None:
                 break
@@ -878,12 +898,22 @@ def _period_continuation(sigma0, targets, controls):
         return np.concatenate([period(s), period(e[:, None] * s[..., :2])], -1)
 
     goals = np.hstack([targets, np.tile(readout(v0)[3:], (len(targets), 1))])
+    last = {}
+
+    def deform(x):
+        # _newton's last residual call is at the solution it returns, which
+        # is the member emitted and the next solve's first point: keeping
+        # the latest deformation saves two flow sweeps a step
+        key = x.tobytes()
+        if last.get("key") != key:
+            last["key"], last["loop"] = key, _flow_deform(v0, controls, x)
+        return last["loop"]
 
     def solve(goal, wv):
         # the readout is holomorphic in the flow coefficients, so a
         # complex least-norm Newton step is legitimate
         return _newton(
-            lambda x: readout(_flow_deform(v0, controls, x)) - goal,
+            lambda x: readout(deform(x)) - goal,
             lambda x: _flow_jacobian(v0, controls, x, readout),
             wv, 1e-12, 40,
         )
@@ -894,5 +924,5 @@ def _period_continuation(sigma0, targets, controls):
         w = _substep(solve, goals[k - 1], goals[k], w)
         if w is None:
             raise RootNotFound(f"period continuation stalled at step {k}")
-        out.append(_flow_deform(v0, controls, w))
+        out.append(deform(w))
     return out

@@ -537,12 +537,47 @@ class TestExport:
             assert np.ptp(rad[i]) <= 1e-6 * max(1.0, rad[i].max())
 
 
+class TestStoredFamilyDriver:
+    """verify and export read only a family that the configured flux driver
+    stored."""
+
+    def test_complete_step_verify_exit_1(self, small_run, tmp_path):
+        # a flux family left in the directory is not the step's output
+        out, _ = small_run
+        work = tmp_path / "w"
+        work.mkdir()
+        (work / COEFFS).write_bytes((out / COEFFS).read_bytes())
+        cfg = write_config(tmp_path, COMPLETE_STEP)
+        code, _, err = run_cli(["verify", "--config", cfg, "--out", str(work)])
+        assert code == 1
+        assert err == "configuration error: driver complete_step stores no family\n"
+        assert sorted(p.name for p in work.iterdir()) == [COEFFS]
+
+    def test_driver_mismatch_exit_1(self, small_run, tmp_path):
+        out, _ = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        assert doc["driver"] == "prescribe_flux"
+        for verb in ("verify", "export"):
+            work = tmp_path / verb
+            work.mkdir()
+            (work / COEFFS).write_text(json.dumps(doc))
+            cfg = write_config(tmp_path, CONFIG)
+            code, _, err = run_cli([verb, "--config", cfg, "--out", str(work)])
+            assert code == 1
+            assert "records driver 'prescribe_flux'" in err
+            assert "names 'flux_to_zero'" in err
+            assert sorted(p.name for p in work.iterdir()) == [COEFFS]
+
+
+COMPLETE_STEP = CONFIG.replace(
+    "name = flux_to_zero", "name = complete_step\ndelta = 0.5\ncore = 0.8, 1.3"
+)
+
+
 @pytest.fixture(scope="module")
 def complete_step_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("complete_step")
-    text = CONFIG.replace(
-        "name = flux_to_zero", "name = complete_step\ndelta = 0.5\ncore = 0.8, 1.3"
-    )
+    text = COMPLETE_STEP
     cfg = write_config(tmp, text)
     code, _, err = run_cli(["run", "--config", cfg, "--out", str(tmp / "o")])
     assert code == 0, err

@@ -196,6 +196,41 @@ class TestPrescribeFlux:
         with pytest.raises(FlatInput):
             iso.prescribe_flux(fl, np.array([0.0, 0.0, 1.0]))
 
+    def test_one_flow_sweep_per_newton_point(self, catenoid, monkeypatch):
+        # the continuation deforms the loop once at each point its Newton
+        # solves visit: a solve ends at its last residual point, which is
+        # the member emitted and the next solve's first point
+        points, sweeps, inside = set(), [], []
+        newton, deform = lp._newton, lp._flow_deform
+        continuation = lp._period_continuation
+
+        def traced_newton(residual, *args):
+            def recorded(x):
+                if inside:
+                    points.add(x.tobytes())
+                return residual(x)
+
+            return newton(recorded, *args)
+
+        def traced_deform(values, controls, w):
+            sweeps.append(w.tobytes())
+            return deform(values, controls, w)
+
+        def traced_continuation(*args):
+            inside.append(True)
+            try:
+                return continuation(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(lp, "_newton", traced_newton)
+        monkeypatch.setattr(lp, "_flow_deform", traced_deform)
+        monkeypatch.setattr(lp, "_period_continuation", traced_continuation)
+        iso.prescribe_flux(catenoid, np.array([0.3, -0.2, 4.0 * np.pi]), n_t=16)
+        assert len(points) > 15
+        assert len(sweeps) == len(points)
+        assert set(sweeps) == points
+
 
 class TestDriverInput:
     @pytest.mark.parametrize(

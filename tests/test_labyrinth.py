@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from minflux import isotopy as iso
 from minflux import labyrinth as lb
 from minflux import weierstrass as wz
 from minflux.errors import (
@@ -718,6 +719,21 @@ class TestCompleteStep:
         ts = None if n_ts is None else np.linspace(0.0, 1.0, n_ts)
         with pytest.raises(ValueError, match=name):
             lb.complete_step(family, core=(0.8, 1.3), delta=delta, ts=ts)
+
+    def test_family_with_foreign_ts_rejected(self):
+        cat = wz.catalog("catenoid")
+        ts = np.linspace(0.0, 1.0, 4)
+        fam = iso.ImmersionFamily(
+            ts=ts, members=[cat] * 4, lmaps=[None] * 4,
+            periods=np.zeros((4, 3), complex), basepoint=1.0,
+        )
+        for other in (np.linspace(0.0, 1.0, 9), ts[::-1]):
+            with pytest.raises(ValueError, match="family and ts"):
+                lb.complete_step(fam, core=(0.8, 1.3), delta=0.5, ts=other)
+        # the family's own ts, or none, are taken as given
+        for same in (ts, None, list(ts)):
+            members, got = lb._as_members(fam, same)
+            assert members == [cat] * 4 and np.array_equal(got, ts)
 
     def test_flat_family_rejected(self):
         with pytest.raises(FlatInput):

@@ -299,9 +299,9 @@ class TestZeroPeriodPair:
         assert np.linalg.norm(pair.g.mean(axis=0)) <= 1e-10
 
     def test_work_counts(self, monkeypatch):
-        # one transport for the fixed prefix and two per p-part; one period
-        # call per seed-grid row and per Newton residual; the Jacobian is
-        # the builder's own, one per Newton step
+        # one transport for the fixed prefix and two per p-part; one
+        # seed_grid call for the coarse grid and one period call per Newton
+        # residual; the Jacobian is the builder's own, one per Newton step
         counts = {}
 
         def count(owner, name):
@@ -315,9 +315,12 @@ class TestZeroPeriodPair:
 
         count(lp, "_transport_frame")
         count(lp._ZeroPeriodBuilder, "period")
+        count(lp._ZeroPeriodBuilder, "seed_grid")
         count(lp._ZeroPeriodBuilder, "jacobian")
         lp.make_zero_period_pair(circle_samples(), spin_class=1)
-        assert counts == {"_transport_frame": 13, "period": 17, "jacobian": 4}
+        assert counts == {
+            "_transport_frame": 13, "period": 5, "seed_grid": 1, "jacobian": 4,
+        }
 
 
 class TestNewton:
@@ -571,18 +574,31 @@ class TestZeroPeriodBuilderArithmetic:
         got = b.period(p, np.array(c))
         assert np.max(np.abs(got - g.mean(axis=0))) <= 1e-14 * np.abs(g).mean()
 
-    @given(_p_vectors, st.lists(_coeffs, min_size=1, max_size=5),
-           st.integers(0, 1))
-    @example(P_POOL[3], [[0.0] * 4, [1.0, -2.0, 0.5, 3.0]], 1)
-    @settings(max_examples=30, deadline=None)
-    def test_stacked_rows_equal_single_calls(self, p, rows, winding):
+    @pytest.mark.parametrize("size", [13, 49])
+    @pytest.mark.parametrize("winding", [0, 1])
+    def test_seed_grid_equals_period_rows(self, winding, size):
         b = fresh_builder()
         b.net_winding = winding
-        stacked = b.period(p, np.array(rows))
-        assert stacked.shape == (len(rows), 3)
-        for got, c in zip(stacked, rows):
-            want = b.period(p, np.array(c))
-            assert np.max(np.abs(got - want)) <= 1e-15
+        angles = np.linspace(-np.pi, np.pi, size)[:-1]
+        got = b.seed_grid(angles)
+        want = np.array([
+            [b.period(np.zeros(3), np.array([a1, 0.0, 0.0, a4])) for a4 in angles]
+            for a1 in angles
+        ])
+        assert got.shape == want.shape == (size - 1, size - 1, 3)
+        scale = np.abs(b.g_field(np.zeros(3))).mean()
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        r_got = np.linalg.norm(got, axis=-1)
+        r_want = np.linalg.norm(want, axis=-1)
+        assert np.argmin(r_got) == np.argmin(r_want)
+
+    @pytest.mark.parametrize("delta", [np.nextafter(DELTA_LO, 1.0), 0.05, DELTA_HI])
+    def test_seed_grid_split_separates_the_moving_bumps(self, delta):
+        b = fresh_builder(n=4096, delta=delta)
+        lo, hi = b.grid_split
+        assert 0 < lo <= hi < len(b.bumps)
+        assert not b.bumps[lo:, 0].any() and b.bumps[lo - 1, 0] > 0
+        assert not b.bumps[:hi, -1].any() and b.bumps[hi, -1] > 0
 
     @given(_p_vectors, _coeffs, st.integers(0, 1))
     @example(P_POOL[3], [0.0] * 4, 0)
