@@ -176,16 +176,22 @@ def load_config(path):
     return config_from_mapping(parse_config_text(text))
 
 
-def initial_data(cfg):
+def _input(cfg):
+    """The configured input data, the catalog name its family records (""
+    for none), and the extension backing it (None for a catalog member)."""
     if cfg.catalog:
         try:
             data = wz.catalog(cfg.catalog)
         except UnknownName as exc:
             raise ConfigError(f"initial.catalog: {exc}") from None
         data.r_inner, data.r_outer = cfg.r_inner, cfg.r_outer
-        return data
-    fam = load_family(cfg.coefficients)
-    return fam.members[-1]
+        return data, cfg.catalog, None
+    src = load_family(cfg.coefficients)
+    return src.members[-1], src.meta["catalog"], src.lmaps[-1]
+
+
+def initial_data(cfg):
+    return _input(cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +237,17 @@ def _series_dict(series):
 
 
 def write_coefficients(path, family, cfg):
+    """The family as JSON; a null member stands for the catalog member
+    family.meta["catalog"] on the family's annulus."""
+    catalog = family.meta.get("catalog", "")
     members = []
-    for ext in family.lmaps:
+    for k, ext in enumerate(family.lmaps):
         if ext is None:
+            if not catalog:
+                raise ValueError(
+                    f"member {k} has no extension and the family names no "
+                    "catalog member"
+                )
             members.append(None)
             continue
         members.append(
@@ -248,12 +262,12 @@ def write_coefficients(path, family, cfg):
         )
     doc = {
         "basepoint": [family.basepoint.real, family.basepoint.imag],
-        "catalog": cfg.catalog,
+        "catalog": catalog,
         "driver": cfg.driver,
         "members": members,
         "notice": family.notice,
-        "r_inner": cfg.r_inner,
-        "r_outer": cfg.r_outer,
+        "r_inner": family.members[0].r_inner,
+        "r_outer": family.members[0].r_outer,
         "theta": family.members[0].theta,
         "ts": [float(t) for t in family.ts],
     }
@@ -365,6 +379,8 @@ def load_family(path, driver=None):
         base = wz.catalog(catalog) if catalog else None
     except UnknownName as exc:
         raise ConfigError(f"coefficients file: catalog: {exc}") from None
+    if base is not None:
+        base.r_inner, base.r_outer = r_in, r_out
     chart = rm.homology_basis(rm.annulus(r_in, r_out))[0]
     members, lmaps, periods = [], [], []
     for k, entry in enumerate(entries):
@@ -388,6 +404,7 @@ def load_family(path, driver=None):
         basepoint=basepoint,
         chart=chart,
         notice=notice,
+        meta={"catalog": catalog},
     )
 
 
@@ -467,17 +484,25 @@ def write_labyrinth_csv(path, result):
 
 
 def _family_for(cfg):
-    """The family of the configured flux driver, one of FLUX_DRIVERS."""
-    data = initial_data(cfg)
+    """The family of the configured flux driver, one of FLUX_DRIVERS.
+
+    Members the driver anchors to the input (member 0, or every member of a
+    constant family) take the input's extension, if one backs it.
+    """
+    data, catalog, anchor = _input(cfg)
     if cfg.driver == "flux_to_zero":
-        return iso.flux_to_zero(
+        fam = iso.flux_to_zero(
             data, n_t=cfg.t_samples, tol_flux=cfg.tol_flux,
             tol_period=cfg.tol_period,
         )
-    return iso.prescribe_flux(
-        data, np.asarray(cfg.target_flux, dtype=float), n_t=cfg.t_samples,
-        tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
-    )
+    else:
+        fam = iso.prescribe_flux(
+            data, np.asarray(cfg.target_flux, dtype=float), n_t=cfg.t_samples,
+            tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
+        )
+    fam.lmaps = [anchor if ext is None else ext for ext in fam.lmaps]
+    fam.meta["catalog"] = catalog
+    return fam
 
 
 def _target_flux(cfg):

@@ -4,9 +4,11 @@ The drivers deform a conformal minimal immersion of an annulus through
 conformal minimal immersions until its flux vector reaches a prescribed
 value (zero by default).  The deformation happens at the level of the
 boundary loop of the derivative data: the loop period is steered along a
-linear ramp by quadric-preserving flows, each intermediate loop is
-extended holomorphically to the annulus, and a small flow correction pins
-the exact coefficient period of the extension to the ramp.  At the zero
+linear ramp by quadric-preserving flows, and each intermediate loop is
+extended holomorphically to the annulus with sup error at most
+min(TOL_RUNGE, tol_period / 10) on the homology circle.  The exact
+coefficient period of an extension is the mean of its samples there, so
+it lies within that sup error plus 1e-12 of the ramp.  At the zero
 endpoint the full complex periods vanish and a holomorphic null curve
 with u1 = Re F is emitted.
 """
@@ -22,10 +24,10 @@ from . import loops as lp
 from . import nullquadric as nq
 from . import riemann as rm
 from . import weierstrass as wz
-from .errors import FlatInput, NonFiniteValues, NotOnQuadric, RootNotFound
+from .errors import EstimateNotMet, FlatInput, NonFiniteValues, NotOnQuadric
 from .loops import N_T_DEFAULT, PeriodicPath
 from .nullquadric import TOL_NULL
-from .riemann import LaurentMap
+from .riemann import TOL_RUNGE
 from .weierstrass import (
     TOL_PERIOD,
     LaurentQuotient,
@@ -187,75 +189,29 @@ def _extension_period(ext, theta):
 
 
 # ---------------------------------------------------------------------------
-# the exact-period correction
-
-
-def _shift_series(series, index, delta):
-    """Copy of a Laurent series with delta added to the coefficient of z^index."""
-    coeffs = series.coeffs.copy()
-    coeffs[index - series.k_min] += delta
-    return LaurentSeries(coeffs, series.k_min)
-
-
-_PIN_INDICES = (-1, 0, 1)
-
-
-def _pin_jacobian(ext):
-    """Exact (3, 6) Jacobian of the extension period in the pinned coefficients.
-
-    With n = -parity the period is (A - B, i (A + B), 2 C) for the z^n
-    coefficients A, B, C of a^2, b^2 and a b, divided by scale^parity.
-    Columns are the a coefficients at _PIN_INDICES, then the b ones; the
-    derivative in the z^idx coefficient reads the z^(n - idx) ones.
-    """
-    n = -ext.parity
-    fac = 2.0 / ext.scale**ext.parity
-    J = np.empty((3, 2 * len(_PIN_INDICES)), dtype=complex)
-    for col, idx in enumerate(_PIN_INDICES):
-        a = ext.a.coefficient(n - idx)
-        b = ext.b.coefficient(n - idx)
-        J[:, col] = fac * np.array([a, 1j * a, b])
-        J[:, col + len(_PIN_INDICES)] = fac * np.array([-b, 1j * b, a])
-    return J
+# the member extension
 
 
 def _pin_extension(values, domain, theta, target, tol):
-    """Extend the loop and pin its exact coefficient period to the target.
+    """Extend a deformed loop to sup error min(TOL_RUNGE, tol) on the curve.
 
-    The truncated extension's period misses the loop period by the
-    truncation tail; a least-norm Newton on a few low-order spinor
-    coefficients removes the mismatch exactly.  The period is a quadratic
-    polynomial in those coefficients, with the exact Jacobian of
-    _pin_jacobian, so two iterations suffice (eight are allowed).  Returns
-    (extension, coefficient adjustment size, exact period of the extension).
+    The exact period of the extension (from the z^0 coefficients of its
+    components) is the mean of its samples on the curve, so it misses the
+    loop period by at most the sup error that runge_extend reports, and
+    the continuation has put the loop period within 1e-12 of target.
+    Returns (extension, exact period); raises EstimateNotMet if the period
+    misses target by more than the sup error plus 1e-12.
     """
-    base = rm.runge_extend(PeriodicPath(values), domain)
-
-    def build(delta):
-        a, b = base.a, base.b
-        for i, idx in enumerate(_PIN_INDICES):
-            a = _shift_series(a, idx, delta[i])
-            b = _shift_series(b, idx, delta[i + len(_PIN_INDICES)])
-        return LaurentMap(a, b, parity=base.parity, scale=base.scale,
-                          meta=dict(base.meta))
-
-    last = {}
-
-    def residual(delta):
-        last["period"] = _extension_period(build(delta), theta)
-        return last["period"] - target
-
-    zero = np.zeros(2 * len(_PIN_INDICES), dtype=complex)
-    delta = lp._newton(residual, lambda d: _pin_jacobian(build(d)), zero, tol, 8)
-    if delta is None:
-        r0 = float(np.linalg.norm(residual(zero)))
-        raise RootNotFound(f"period correction stalled from residual {r0:.3g}")
-    ext = build(delta)
-    size = float(np.max(np.abs(delta)))
-    ext.meta["pin_adjustment"] = size
-    ext.meta["sup_error"] = ext.meta.get("sup_error", 0.0) + 4.0 * size
-    # on success, _newton's last residual call was at the returned delta
-    return ext, size, last["period"]
+    ext = rm.runge_extend(PeriodicPath(values), domain, tol=min(TOL_RUNGE, tol))
+    period = _extension_period(ext, theta)
+    miss = float(np.max(np.abs(period - target)))
+    bound = ext.meta["sup_error"] + 1e-12
+    if miss > bound:
+        raise EstimateNotMet(
+            f"member extension period misses the ramp by {miss:.3g}, above "
+            f"the bound {bound:.3g} (sup error + 1e-12)"
+        )
+    return ext, period
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +305,10 @@ def _drive(
     members = [data]
     lmaps = [None]
     periods = [period0]
-    corr = 0.0
     for k in range(1, n_t):
-        vals = deformed[k]
-        ext, size, period = _pin_extension(
-            vals, domain, data.theta, ramp[k], tol=0.1 * tol_period
+        ext, period = _pin_extension(
+            deformed[k], domain, data.theta, ramp[k], tol=0.1 * tol_period
         )
-        corr = max(corr, size)
         members.append(
             _member_from_extension(ext, data.theta, data.r_inner, data.r_outer)
         )
@@ -369,11 +322,7 @@ def _drive(
         periods=np.array(periods),
         basepoint=z0,
         chart=chart,
-        meta={
-            "max_correction": corr,
-            "tol_flux": tol_flux,
-            "tol_period": tol_period,
-        },
+        meta={"tol_flux": tol_flux, "tol_period": tol_period},
     )
     return fam
 
@@ -414,15 +363,11 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     must stay below CONTINUITY_BOUND (continuity), and no member may be
     flat unless every member is members[0], the constant family of a flat
     input (nonflat).  When target_flux is given, the recomputed flux of the
-    last member must lie within tol_flux of it.  The report is
-    deterministic in the family.
+    last member must lie within tol_flux of it.  An empty family raises
+    ValueError.  The report is deterministic in the family.
     """
     if len(family) == 0:
-        return VerificationReport(
-            ts=np.array([]), max_conformality=0.0, max_real_period=0.0,
-            flux_table=np.zeros((0, 3)), min_density=np.inf, continuity=0.0,
-            flat_flags=[], pi1_classes=[], thresholds={}, passes={},
-        )
+        raise ValueError("cannot verify an empty family")
     n_r, n_th = 32 * resolution, 128 * resolution
     n_loop = N_S_DEFAULT * resolution
     max_conf = 0.0

@@ -698,12 +698,12 @@ def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
     vanishing period of g, in the requested homotopy class of sections.
 
     h0: real array (N, 3) sampling a smooth immersed circle (or a
-    PeriodicPath with real values), resampled to 4096 points.  The
-    derivative of the output h is made constant on [0, 3*delta]; g is
-    assembled from an explicit three-parameter family there and a
-    fast-spinning fiber extension elsewhere, and the parameter is found by
-    damped Newton iteration with a grid fallback (a degree-one argument
-    guarantees a root for small eps).
+    PeriodicPath with real values), resampled to 4096 points; a nonzero
+    imaginary part raises ValueError.  The derivative of the output h is
+    made constant on [0, 3*delta]; g is assembled from an explicit
+    three-parameter family there and a fast-spinning fiber extension
+    elsewhere, and the parameter is found by damped Newton iteration with a
+    grid fallback (a degree-one argument guarantees a root for small eps).
     """
     if not (isinstance(spin_class, (int, np.integer)) and spin_class in (0, 1)):
         raise ValueError(f"spin_class must be 0 or 1, got {spin_class!r}")
@@ -723,11 +723,17 @@ def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
             f"sample and the flattened window misses the drift bump, "
             f"got {delta!r}"
         )
-    v0 = h0.values.real if isinstance(h0, PeriodicPath) else np.asarray(h0, float)
+    v0 = np.asarray(h0.values if isinstance(h0, PeriodicPath) else h0, complex)
     if v0.ndim != 2 or v0.shape[1] != 3:
         raise ValueError(f"h0 must have shape (N, 3), got {v0.shape}")
     if not np.all(np.isfinite(v0)):
         raise NonFiniteValues("h0 has non-finite samples")
+    if np.any(v0.imag != 0):
+        raise ValueError(
+            "h0 must be real, got imaginary parts up to "
+            f"{float(np.max(np.abs(v0.imag))):.3g}"
+        )
+    v0 = v0.real
     n_samples = PAIR_SAMPLES
     v0 = resample(v0, n_samples) if v0.shape[0] != n_samples else v0.copy()
     x = np.arange(n_samples) / n_samples

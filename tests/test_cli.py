@@ -569,6 +569,85 @@ class TestStoredFamilyDriver:
             assert sorted(p.name for p in work.iterdir()) == [COEFFS]
 
 
+#: a 16-sample prescribe_flux run on a domain other than the default
+WIDE = (PRESCRIBED % (3 * np.pi)).replace(
+    "r_inner = 0.5\nr_outer = 2.0", "r_inner = 0.4\nr_outer = 2.5"
+)
+
+#: flux_to_zero from a coefficients file, under the default [domain]
+CHAINED = CONFIG.replace(
+    "catalog = catenoid", "coefficients = {}"
+).replace("t_samples = 64", "t_samples = 16")
+
+
+@pytest.fixture(scope="module")
+def wide_run(tmp_path_factory):
+    """The WIDE run directory, and its report.txt as run wrote it."""
+    tmp = tmp_path_factory.mktemp("wide_run")
+    cfg = write_config(tmp, WIDE)
+    code, _, err = run_cli(["run", "--config", cfg, "--out", str(tmp / "out")])
+    assert code == 0, err
+    return tmp / "out", (tmp / "out" / "report.txt").read_text()
+
+
+@pytest.fixture(scope="module")
+def chained_run(tmp_path_factory, wide_run):
+    """A flux_to_zero run whose input is the WIDE run's coefficients file."""
+    tmp = tmp_path_factory.mktemp("chained_run")
+    cfg = write_config(tmp, CHAINED.format(wide_run[0] / COEFFS))
+    code, _, err = run_cli(["run", "--config", cfg, "--out", str(tmp / "out")])
+    assert code == 0, err
+    return tmp / "out", cfg
+
+
+class TestCoefficientsDomain:
+    """Coefficients files keep the family's annulus and its anchor member."""
+
+    def test_run_and_verify_reports_agree(self, wide_run, tmp_path):
+        out, run_report = wide_run
+        work = tmp_path / "w"
+        work.mkdir()
+        (work / COEFFS).write_bytes((out / COEFFS).read_bytes())
+        cfg = write_config(tmp_path, WIDE)
+        code, _, err = run_cli(["verify", "--config", cfg, "--out", str(work)])
+        assert code == 0, err
+        verify_lines = (work / "report.txt").read_text().splitlines()
+        assert "t_samples = 16" in verify_lines
+        assert set(verify_lines) <= set(run_report.splitlines())
+
+    def test_anchored_member_takes_the_file_radii(self, wide_run):
+        fam = cli.load_family(wide_run[0] / COEFFS)
+        assert fam.lmaps[0] is None
+        assert {(m.r_inner, m.r_outer) for m in fam.members} == {(0.4, 2.5)}
+
+    def test_chained_run_verifies_and_exports(self, chained_run):
+        out, cfg = chained_run
+        for verb in ("verify", "export"):
+            code, _, err = run_cli([verb, "--config", cfg, "--out", str(out)])
+            assert code == 0, err
+        assert "overall = PASS" in (out / "report.txt").read_text()
+        assert (out / "mesh_t000.obj").exists()
+
+    def test_chained_file_records_the_members(self, wide_run, chained_run):
+        doc = json.loads((chained_run[0] / COEFFS).read_text())
+        fam = cli.load_family(chained_run[0] / COEFFS)
+        assert (doc["r_inner"], doc["r_outer"]) == (0.4, 2.5)
+        assert {(m.r_inner, m.r_outer) for m in fam.members} == {(0.4, 2.5)}
+        # member 0 is stored: the input file's last member, coefficient for
+        # coefficient
+        assert doc["members"][0] is not None
+        assert doc["members"][0] == json.loads(
+            (wide_run[0] / COEFFS).read_text())["members"][-1]
+
+    def test_unanchored_member_without_catalog_rejected(self, wide_run,
+                                                        tmp_path):
+        fam = cli.load_family(wide_run[0] / COEFFS)
+        fam.meta["catalog"] = ""
+        cfg = cli.load_config(write_config(tmp_path, WIDE))
+        with pytest.raises(ValueError, match="member 0 has no extension"):
+            cli.write_coefficients(tmp_path / COEFFS, fam, cfg)
+
+
 COMPLETE_STEP = CONFIG.replace(
     "name = flux_to_zero", "name = complete_step\ndelta = 0.5\ncore = 0.8, 1.3"
 )

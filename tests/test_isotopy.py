@@ -2,6 +2,7 @@
 
 import copy
 import io
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,19 @@ import pytest
 from minflux import cli
 from minflux import isotopy as iso
 from minflux import loops as lp
+from minflux import riemann as rm
 from minflux import weierstrass as wz
-from minflux.errors import FlatInput, RootNotFound
-from minflux.riemann import LaurentMap
+from minflux.errors import (
+    ApproximationBudgetExceeded,
+    EstimateNotMet,
+    FlatInput,
+    RootNotFound,
+)
+from minflux.riemann import TOL_RUNGE
 from minflux.weierstrass import PolarGrid, _open_radii
+
+#: a prescribe_flux target off the catenoid's vertical axis
+PRESCRIBED_TARGET = np.array([0.3, -0.2, 4.0 * np.pi])
 
 
 @pytest.fixture(scope="module")
@@ -35,33 +45,62 @@ def member_steps(fam):
     return np.array(steps), float(np.max(np.abs(fvs[-1])))
 
 
-class TestPinJacobian:
-    @pytest.mark.parametrize("parity", [0, 1])
-    def test_matches_central_difference(self, parity):
-        rng = np.random.default_rng(5 + parity)
+def ramp(fam, target):
+    """The scheduled periods (1 - t) P_0 + t i target of a family."""
+    ts = fam.ts[:, None]
+    return (1.0 - ts) * fam.periods[0][None, :] + ts * (1j * target)[None, :]
 
-        def series():
-            c = rng.normal(size=11) + 1j * rng.normal(size=11)
-            return wz.LaurentSeries(c, -5)
 
-        ext = LaurentMap(series(), series(), parity=parity, scale=1.3)
-        exact = iso._pin_jacobian(ext)
-        h = 1e-6
-        k = len(iso._PIN_INDICES)
-        for col in range(2 * k):
-            idx = iso._PIN_INDICES[col % k]
+class TestMemberExtension:
+    @pytest.fixture(scope="class")
+    def fam_prescribed(self, catenoid):
+        return iso.prescribe_flux(catenoid, PRESCRIBED_TARGET, n_t=16)
 
-            def period(d):
-                a, b = ext.a, ext.b
-                if col < k:
-                    a = iso._shift_series(a, idx, d)
-                else:
-                    b = iso._shift_series(b, idx, d)
-                shifted = LaurentMap(a, b, parity=parity, scale=ext.scale)
-                return iso._extension_period(shifted, "dz/z")
+    @pytest.mark.parametrize("which", ["flux_to_zero", "prescribe_flux"])
+    def test_period_within_sup_error_of_ramp(self, which, fam_zero,
+                                             fam_prescribed):
+        fam, target = {
+            "flux_to_zero": (fam_zero, np.zeros(3)),
+            "prescribe_flux": (fam_prescribed, PRESCRIBED_TARGET),
+        }[which]
+        bound = min(TOL_RUNGE, 0.1 * fam.meta["tol_period"])
+        sched = ramp(fam, target)
+        for k in range(1, len(fam)):
+            sup = fam.lmaps[k].meta["sup_error"]
+            assert sup <= bound
+            assert np.max(np.abs(fam.periods[k] - sched[k])) <= sup + 1e-12
 
-            fd = (period(h) - period(-h)) / (2.0 * h)
-            assert np.max(np.abs(exact[:, col] - fd)) <= 1e-6 * np.max(np.abs(exact))
+    def test_period_miss_beyond_bound_raises(self, catenoid):
+        data = catenoid.data
+        dom = rm.annulus(data.r_inner, data.r_outer)
+        loop = iso.restrict_data(data, rm.homology_basis(dom)[0])
+        period = lp.period(loop)
+        ext, got = iso._pin_extension(loop.values, dom, data.theta, period,
+                                      tol=1e-10)
+        assert np.max(np.abs(got - period)) <= ext.meta["sup_error"] + 1e-12
+        with pytest.raises(EstimateNotMet, match=r"misses the ramp by 1e-09"
+                           r".*above the bound"):
+            iso._pin_extension(loop.values, dom, data.theta, period + 1e-9,
+                               tol=1e-10)
+
+    def test_unreachable_period_tolerance_typed(self, catenoid):
+        # no degree up to DEGREE_MAX extends to 1e-17
+        with pytest.raises(ApproximationBudgetExceeded,
+                           match=r"sup error \S+ above 1e-17 at degree 512"):
+            iso.flux_to_zero(catenoid, n_t=4, tol_period=1e-16)
+
+    def test_unreachable_period_tolerance_exits_2(self, tmp_path):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text("[initial]\ncatalog = catenoid\n"
+                       "[driver]\nname = flux_to_zero\n"
+                       "[run]\nt_samples = 4\n")
+        err = io.StringIO()
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                         "--tol-period", "1e-16"],
+                        stdout=io.StringIO(), stderr=err)
+        assert code == 2
+        assert re.search(r"ApproximationBudgetExceeded.*sup error \S+ "
+                         r"above 1e-17", err.getvalue())
 
 
 class TestFluxToZero:
@@ -273,13 +312,13 @@ class TestVerify:
         assert r2.max_conformality <= 10 * max(r1.max_conformality, floor)
         assert r2.max_real_period <= 10 * max(r1.max_real_period, floor)
 
-    def test_empty_family_empty_report(self):
+    def test_empty_family_raises(self):
         fam = iso.ImmersionFamily(
             ts=np.array([]), members=[], lmaps=[],
             periods=np.zeros((0, 3)), basepoint=1.0,
         )
-        rep = iso.verify(fam)
-        assert rep.passes == {} and rep.flux_table.shape == (0, 3)
+        with pytest.raises(ValueError, match="empty family"):
+            iso.verify(fam)
 
     def test_spin_class_gated(self, fam_zero):
         class OffQuadric(wz.WeierstrassData):

@@ -287,6 +287,27 @@ class TestZeroPeriodPair:
             with pytest.raises(error, match=match):
                 lp.make_zero_period_pair(**args)
 
+    @pytest.mark.parametrize("as_path", [False, True], ids=["array", "path"])
+    def test_non_real_h0_rejected(self, as_path):
+        # a third component with imaginary part 0.3 cos 2 pi x used to be
+        # dropped silently (a PeriodicPath) or with a ComplexWarning
+        x = np.arange(256) / 256
+        h0 = circle_samples().astype(complex)
+        h0[:, 2] += 0.3j * np.cos(2 * np.pi * x)
+        if as_path:
+            h0 = lp.PeriodicPath(h0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="h0 must be real"):
+                lp.make_zero_period_pair(h0, spin_class=0)
+
+    def test_real_path_equals_real_array(self):
+        p1 = lp.make_zero_period_pair(circle_samples(), spin_class=0)
+        p2 = lp.make_zero_period_pair(lp.PeriodicPath(circle_samples()),
+                                      spin_class=0)
+        assert p1.g.tobytes() == p2.g.tobytes()
+        assert p1.h.tobytes() == p2.h.tobytes()
+
     @pytest.mark.parametrize(
         "delta", [np.nextafter(DELTA_LO, 1.0), DELTA_HI],
         ids=["above_lower_bound", "at_upper_bound"],
