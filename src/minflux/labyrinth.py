@@ -36,6 +36,7 @@ from .errors import (
     GaussMapTooSmall,
     InvalidCore,
     NoBandFound,
+    NonFiniteValues,
 )
 
 #: The notice of a complete_step report: what its transformed members are.
@@ -156,17 +157,20 @@ class Labyrinth:
         width 1/N^3 below the outer band radius, so membership reduces to
         one floor division instead of a loop over 2N^2 sets.
         """
-        w = np.asarray(w, dtype=complex)
+        shape = np.shape(w)
+        w = np.asarray(w, dtype=complex).ravel()
         N = self.N
         u = (self.band.R - np.abs(w)) * N**3
         cell = np.floor(u)
         frac = u - cell
         n = cell + 1.0
         ok = (frac >= 0.25) & (frac <= 0.75) & (n >= 1) & (n <= 2 * N**2)
-        sign = np.where(np.mod(n, 2.0) == 1.0, -1.0, 1.0)
-        ang = np.mod(np.angle(sign * w), 2.0 * np.pi)
+        # the angular test only where the radial one passes
+        sign = np.where(np.mod(n[ok], 2.0) == 1.0, -1.0, 1.0)
+        ang = np.mod(np.angle(sign * w[ok]), 2.0 * np.pi)
         gap = 1.0 / N**2
-        return ok & (ang >= gap) & (ang <= 2.0 * np.pi - gap)
+        ok[ok] = (ang >= gap) & (ang <= 2.0 * np.pi - gap)
+        return ok.reshape(shape)[()]  # a scalar for a scalar w
 
     def contains(self, z):
         return self.contains_chart(self.band.end.to_chart(z))
@@ -452,10 +456,13 @@ def lopez_ros(data_t, params, labyrinths, t_grid):
 class _PointSet:
     """Base member values and the union wall mask on one fixed point set.
 
-    Each distinct base member's g, f3 and theta/dz are evaluated once.  A
-    transformed member, given by its base member and its factor, takes the
-    base values with g grown on the walls, exactly as its lopez_ros
-    callable computes them, so the results are the same bits.
+    Each distinct base member's g, f3 and theta/dz are evaluated once, and
+    so is its density.  A transformed member, given by its base member and
+    its factor, takes the base values with g grown on the walls, exactly as
+    its lopez_ros callable computes them, so the results are the same bits.
+    Its density is the base density with only the points under the mask
+    recomputed: every operation acts point by point, and off the walls g is
+    multiplied by 1.0, so the other points keep their base density bits.
     """
 
     def __init__(self, z, members):
@@ -464,6 +471,7 @@ class _PointSet:
             id(m): (m.g(self.z), m.f3(self.z), m.theta_over_dz(self.z))
             for m in _distinct(members)
         }
+        self.base_density = {}
         self.mask = None
 
     def walls(self, labyrinths):
@@ -483,7 +491,21 @@ class _PointSet:
         return self.f(m, factor) * self.base[id(m)][2][..., None]
 
     def density(self, m, factor=None):
-        return wz.density_from_f_theta(self.f_theta(m, factor))
+        base = self.base_density.get(id(m))
+        if base is None:
+            base = self.base_density[id(m)] = wz.density_from_f_theta(
+                self.f_theta(m)
+            )
+        if factor is None:
+            return base
+        g, f3, theta = self.base[id(m)]
+        on = self.mask
+        out = base.copy()
+        out[on] = wz.density_from_f_theta(
+            wz.null_triple(g[on] * factor, f3[on])
+            * theta[on][..., None]
+        )
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +532,26 @@ class MetricGraph:
     boundary: np.ndarray
     resolution: float
 
-    def node_distances(self, density_fn):
-        """Graph distance from the source to every node, shape (n_r, n_th)."""
+    def _weighted(self, density_fn):
+        """Node values of density^(1/2) and the CSR matrix of edge weights.
+
+        An edge weighs its length times the mean of its ends' values.  An
+        infinite density is a wall no path crosses; a NaN density raises
+        NonFiniteValues, since it would act as a wall without saying so.
+        """
         rho = np.sqrt(np.abs(density_fn(self.nodes)))
+        bad = int(np.count_nonzero(np.isnan(rho)))
+        if bad:
+            raise NonFiniteValues(
+                f"metric density is NaN at {bad} of {rho.size} graph nodes"
+            )
         wts = 0.5 * (rho[self.rows] + rho[self.cols]) * self.lengths
         n = self.nodes.size
-        m = csr_matrix((wts, self.cols, self.indptr), shape=(n, n))
+        return rho, csr_matrix((wts, self.cols, self.indptr), shape=(n, n))
+
+    def node_distances(self, density_fn):
+        """Graph distance from the source to every node, shape (n_r, n_th)."""
+        _, m = self._weighted(density_fn)
         d = dijkstra(m, directed=False, indices=self.source)
         return d.reshape(-1, self.n_th)
 
@@ -527,7 +563,30 @@ class MetricGraph:
         return val
 
     def distance(self, density_fn):
-        return self.boundary_distance(self.node_distances(density_fn))
+        """Graph distance from the source to the boundary circles.
+
+        The search stops at the cost of the straight radial path from the
+        source, along its angle, to the nearer-costing boundary circle,
+        times 1 + 1e-9.  That path is a graph path, so the least boundary
+        distance lies within the limit, and Dijkstra settles every node up
+        to the limit with the same value as a full search: the result is
+        the same bits.  Only the circles in the boundary bound the search,
+        and an infinite path cost leaves it unbounded.
+        """
+        rho, m = self._weighted(density_fn)
+        i, j = divmod(self.source, self.n_th)
+        spoke = self.nodes.reshape(-1, self.n_th)[:, j]
+        r = rho.reshape(-1, self.n_th)[:, j]
+        step = 0.5 * (r[:-1] + r[1:]) * np.abs(spoke[:-1] - spoke[1:])
+        circles = self.boundary // self.n_th
+        cost = min(
+            (float(np.sum(step[:i])) if np.any(circles == 0) else np.inf),
+            (float(np.sum(step[i:])) if np.any(circles == r.size - 1)
+             else np.inf),
+        )
+        limit = cost * (1.0 + 1e-9) if math.isfinite(cost) else np.inf
+        d = dijkstra(m, directed=False, indices=self.source, limit=limit)
+        return self.boundary_distance(d)
 
     def flat_distance(self):
         """Graph distance from the source to the boundary in the flat metric.
@@ -557,13 +616,15 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
     radii = np.asarray(radii, dtype=float)
     n_r = radii.size
     ang = 2.0 * np.pi * np.arange(n_th) / n_th
-    nodes = (radii[:, None] * np.exp(1j * ang)[None, :]).ravel()
+    grid = radii[:, None] * np.exp(1j * ang)[None, :]
+    nodes = grid.ravel()
 
     # columns of one node's row, relative to the start of its circle: the
     # angular successor, then the next circle's three neighbours, sorted
     j = np.arange(n_th)
     ahead = ((j + 1) % n_th)[:, None]
-    out = n_th + np.sort(np.stack([(j - 1) % n_th, j, (j + 1) % n_th], 1), 1)
+    around = np.sort(np.stack([(j - 1) % n_th, j, (j + 1) % n_th], 1), 1)
+    out = n_th + around
     start = (np.arange(n_r) * n_th)[:, None, None]
     cols = np.concatenate([
         (start[:-1] + np.concatenate([ahead, out], 1)).ravel(),
@@ -573,7 +634,15 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
     degree[(n_r - 1) * n_th:] = 1
     indptr = np.concatenate(([0], np.cumsum(degree))).astype(np.int32)
     rows = np.repeat(np.arange(n_r * n_th, dtype=np.int32), degree)
-    lengths = np.abs(nodes[rows] - nodes[cols])
+    # edge lengths in the same order, |node(row) - node(col)|, written in
+    # place from column-permuted copies of the node grid, one edge slot
+    # at a time, instead of gathering both ends of every edge
+    lengths = np.empty(rows.size)
+    slots = lengths[:-n_th].reshape(n_r - 1, n_th, 4)
+    np.abs(grid[:-1] - grid[:-1, ahead[:, 0]], out=slots[..., 0])
+    for k in range(3):
+        np.abs(grid[:-1] - grid[1:, around[:, k]], out=slots[..., k + 1])
+    np.abs(grid[-1] - grid[-1, ahead[:, 0]], out=lengths[-n_th:])
     x0 = complex(x0)
     source = int(np.argmin(np.abs(nodes - x0)))
     b = []
@@ -890,6 +959,10 @@ def complete_step(family, core, delta, ts=None, seed=23):
     )
     report["min_distance_t"] = float(dists.min())
     passes["conclusion_iv"] = bool(np.all(dists > tau - delta))
+
+    # the endpoint graph sets the step's peak memory: release the point
+    # sets, with their cached densities, before it is built
+    del on_coarse, on_band
 
     # (V) endpoint distance on the labyrinth-resolving graph
     radii = _fine_radii(r_in, r_out, labs, N)

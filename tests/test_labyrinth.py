@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -17,6 +17,7 @@ from minflux.errors import (
     FlatInput,
     GaussMapTooSmall,
     NoBandFound,
+    NonFiniteValues,
 )
 
 
@@ -292,6 +293,19 @@ class TestLopezRos:
         for h in self.out:
             assert np.array_equal(wz.flux(h, circle), wz.flux(self.cat, circle))
 
+    def test_point_set_density_matches_members(self):
+        # the point set recomputes only the wall points per factor; every
+        # transformed member's density must equal its own callables' bits
+        z = lb.build_metric_graph(1.3, 2.0, 1.6, n_r=96, n_th=64).nodes
+        points = lb._PointSet(z, [self.cat]).walls([self.lab])
+        assert 0 < np.count_nonzero(points.mask) < z.size
+        for h, fac in zip(self.out, lb._factors(self.params, self.t)):
+            want = wz.metric_density(h, z)
+            assert np.array_equal(points.density(self.cat, fac), want)
+        assert np.array_equal(
+            points.density(self.cat), wz.metric_density(self.cat, z)
+        )
+
 
 class TestFlatDistance:
     @given(
@@ -408,6 +422,73 @@ class TestGraphPattern:
     def test_too_few_angles_rejected(self):
         with pytest.raises(ValueError):
             lb.build_metric_graph(1.0, 2.0, 1.5, n_th=2)
+
+
+class TestBoundedDistance:
+    """distance stops its search at the radial path's cost; the result must
+    be the bits of the boundary minimum of a full search."""
+
+    @given(
+        n_r=st.integers(2, 12),
+        n_th=st.integers(3, 24),
+        boundary=st.sampled_from(["inner", "outer", "both"]),
+        ring=st.integers(0, 11),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+        walled=st.sets(st.integers(0, 11), max_size=3),
+    )
+    # a cheap inward path must not bound an outward-only search
+    @example(n_r=8, n_th=16, boundary="outer", ring=1, angle=0.0, seed=0,
+             walled=set())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_full_search(
+        self, n_r, n_th, boundary, ring, angle, seed, walled
+    ):
+        ring = min(ring, n_r - 1)
+        radii = np.linspace(0.5, 2.0, n_r)
+        x0 = radii[ring] * np.exp(1j * angle)
+        graph = lb.build_metric_graph(
+            0.5, 2.0, x0, radii=radii, n_th=n_th, boundary=boundary
+        )
+        dens = np.random.default_rng(seed).uniform(0.01, 10.0, (n_r, n_th))
+        if boundary == "outer":
+            dens[:ring] = 1e-6  # the inward path is the cheap one
+        dens[sorted(i for i in walled if i < n_r)] = np.inf
+
+        def density(z):
+            return dens.ravel()
+
+        try:
+            want = graph.boundary_distance(graph.node_distances(density))
+        except DisconnectedGraph:
+            with pytest.raises(DisconnectedGraph):
+                graph.distance(density)
+        else:
+            assert graph.distance(density) == want
+
+
+class TestNonFiniteDensity:
+    def graph(self):
+        return lb.build_metric_graph(1.0, 2.0, 1.5, n_r=16, n_th=32)
+
+    @pytest.mark.parametrize("where, count", [("ring", 32), ("node", 1)])
+    @pytest.mark.parametrize("method", ["distance", "node_distances"])
+    def test_nan_density_raises(self, where, count, method):
+        graph = self.graph()
+        dens = np.ones((16, 32))
+        if where == "ring":
+            dens[3] = np.nan  # the circle |z| = 1.2
+        else:
+            dens[3, 0] = np.nan
+        with pytest.raises(NonFiniteValues, match=f"NaN at {count} of 512"):
+            getattr(graph, method)(lambda z: dens.ravel())
+
+    def test_inf_ring_is_a_wall(self):
+        graph = self.graph()
+        dens = np.ones((16, 32))
+        dens[3] = dens[12] = np.inf
+        with pytest.raises(DisconnectedGraph):
+            graph.distance(lambda z: dens.ravel())
 
 
 class TestFineRadii:
@@ -545,15 +626,15 @@ def naive_checks(members, res, core):
     data0 = members[0]
     rho = float(np.sqrt(data0.r_inner * data0.r_outer))
     coarse = lb.build_metric_graph(data0.r_inner, data0.r_outer, complex(rho))
+
+    def full_search(data):
+        # every node settled: the reference for the bounded distance
+        field = coarse.node_distances(lambda z: wz.metric_density(data, z))
+        return coarse.boundary_distance(field)
+
     out = {
-        "tau": min(
-            coarse.distance(lambda z, m=m: wz.metric_density(m, z))
-            for m in lb._distinct(members)
-        ),
-        "distances": np.array([
-            coarse.distance(lambda z, h=h: wz.metric_density(h, z))
-            for h in res.members
-        ]),
+        "tau": min(full_search(m) for m in lb._distinct(members)),
+        "distances": np.array([full_search(h) for h in res.members]),
     }
     pairs = list(zip(res.members, members))
     probe = data0.grid(n_r=16, n_th=64)
