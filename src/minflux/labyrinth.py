@@ -13,8 +13,10 @@ Dijkstra runs on polar metric graphs.  Their flat-metric calibration needs
 no second run: on such a graph the flat distance from a node to a boundary
 circle is exactly the radial gap, which is read off the radii.  The endpoint
 distance uses a fine graph whose radii are spaced 1/(4N^3) apart in the
-chart of each band: a quarter of the wall width and of the clearance
-between walls, so no radial edge skips a wall.
+chart of each band: half the wall width and half the clearance between
+walls.  The rings sit half a spacing off the wall edges, so the wall mask
+gives every wall and every gap between walls two rings, and no radial edge
+skips a wall.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ LAMBDA_MARGIN = 0.25
 N_MAX = 50
 
 #: Fine-graph rings per 1/N^3 wall cell of a band.  Walls and the gaps
-#: between them are each half a cell wide, so at 4 rings per cell every
-#: wall holds at least two rings and every gap at least one.
+#: between them are each half a cell wide, and the rings sit half a
+#: spacing off their edges, so at 4 rings per cell every wall and every gap
+#: holds at least two rings, whichever way rounding decides at an edge.
 FINE_PER_CELL = 4
 
 
@@ -720,14 +723,21 @@ def _fine_spacing(N):
 
 
 def _fine_radii(r_in, r_out, labyrinths, N):
-    """Radial node set: 48 coarse radii, plus each band at _fine_spacing(N)."""
+    """Radial node set: 48 coarse radii, plus each band at _fine_spacing(N).
+
+    A band gets its edge circles r and R, where est3 reads its crossing
+    bound, and the rings R - (k + 1/2) h inside, h = _fine_spacing(N).
+    The innermost of these lies 1.5 h to 2.5 h above r, below every wall.
+    """
     pieces = [np.linspace(r_in, r_out, 48)]
     h = _fine_spacing(N)
     for lab in labyrinths:
         band = lab.band
-        lo_c, hi_c = band.r, band.R
-        count = int(np.ceil((hi_c - lo_c) / h)) + 1
-        chart_r = np.linspace(lo_c, hi_c, count)
+        count = int(np.ceil((band.R - band.r) / h)) + 1
+        # the band's edge circles, and between them rings half a spacing
+        # off the wall edges, which lie at R - k h for integers k
+        inner = band.R - (np.arange(count - 2) + 0.5) * h
+        chart_r = np.concatenate(([band.r], inner, [band.R]))
         pieces.append(np.sort(band.end.radius_in_chart(chart_r)))
     radii = np.unique(np.concatenate(pieces))
     return radii[(radii >= r_in) & (radii <= r_out)]

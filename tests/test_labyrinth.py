@@ -492,7 +492,7 @@ class TestNonFiniteDensity:
 
 
 class TestFineRadii:
-    """Every wall and every gap between walls holds a fine-graph ring."""
+    """Every wall and every gap between walls holds fine-graph rings."""
 
     @pytest.mark.parametrize("kind", ["identity", "inversion"])
     @pytest.mark.parametrize("N", [2, 9, 19])
@@ -512,7 +512,24 @@ class TestFineRadii:
         for s in lab.sets:
             assert rings(s.rad_lo, s.rad_hi, closed=True) >= 2
         for outer, inner in zip(lab.sets, lab.sets[1:]):
-            assert rings(inner.rad_hi, outer.rad_lo, closed=False) >= 1
+            assert rings(inner.rad_hi, outer.rad_lo, closed=False) >= 2
+
+    def test_mask_gives_every_wall_two_rings(self, catenoid_step):
+        # counted with the wall mask itself on the endpoint graph's nodes,
+        # along each ray that meets a wall: a ring on a wall edge may fall
+        # either way, so the rings must sit clear of the edges
+        r = catenoid_step
+        cat = wz.catalog("catenoid")
+        radii = lb._fine_radii(cat.r_inner, cat.r_outer, r.labyrinths, r.N)
+        nodes = lb.build_metric_graph(
+            cat.r_inner, cat.r_outer, 1.0, radii=radii, n_th=128
+        ).nodes.reshape(radii.size, 128)
+        for lab in r.labyrinths:
+            ring, ray = np.nonzero(lab.contains(nodes))
+            u = lab.band.R - np.abs(lab.band.end.to_chart(nodes[ring, ray]))
+            wall = np.floor(u * r.N**3).astype(int) + 1
+            per_ray = np.bincount(wall * 128 + ray)
+            assert np.all(per_ray[per_ray > 0] >= 2)
 
 
 def shortest_window_crossing(graph, dens, i_lo, i_hi):
