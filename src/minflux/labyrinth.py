@@ -625,12 +625,12 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
     # columns of one node's row, relative to the start of its circle: the
     # angular successor, then the next circle's three neighbours, sorted
     j = np.arange(n_th)
-    ahead = ((j + 1) % n_th)[:, None]
+    ahead = (j + 1) % n_th
     around = np.sort(np.stack([(j - 1) % n_th, j, (j + 1) % n_th], 1), 1)
     out = n_th + around
     start = (np.arange(n_r) * n_th)[:, None, None]
     cols = np.concatenate([
-        (start[:-1] + np.concatenate([ahead, out], 1)).ravel(),
+        (start[:-1] + np.concatenate([ahead[:, None], out], 1)).ravel(),
         (start[-1] + ahead).ravel(),
     ]).astype(np.int32)
     degree = np.full(n_r * n_th, 4, dtype=np.int32)
@@ -642,10 +642,10 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
     # at a time, instead of gathering both ends of every edge
     lengths = np.empty(rows.size)
     slots = lengths[:-n_th].reshape(n_r - 1, n_th, 4)
-    np.abs(grid[:-1] - grid[:-1, ahead[:, 0]], out=slots[..., 0])
+    np.abs(grid[:-1] - grid[:-1, ahead], out=slots[..., 0])
     for k in range(3):
         np.abs(grid[:-1] - grid[1:, around[:, k]], out=slots[..., k + 1])
-    np.abs(grid[-1] - grid[-1, ahead[:, 0]], out=lengths[-n_th:])
+    np.abs(grid[-1] - grid[-1, ahead], out=lengths[-n_th:])
     x0 = complex(x0)
     source = int(np.argmin(np.abs(nodes - x0)))
     b = []

@@ -468,13 +468,13 @@ class TestBoundedDistance:
 
 
 class TestNonFiniteDensity:
-    def graph(self):
-        return lb.build_metric_graph(1.0, 2.0, 1.5, n_r=16, n_th=32)
+    """A NaN density raises; an infinite one is a wall (see
+    TestIntrinsicDistance.test_disconnected_graph)."""
 
     @pytest.mark.parametrize("where, count", [("ring", 32), ("node", 1)])
     @pytest.mark.parametrize("method", ["distance", "node_distances"])
     def test_nan_density_raises(self, where, count, method):
-        graph = self.graph()
+        graph = lb.build_metric_graph(1.0, 2.0, 1.5, n_r=16, n_th=32)
         dens = np.ones((16, 32))
         if where == "ring":
             dens[3] = np.nan  # the circle |z| = 1.2
@@ -482,13 +482,6 @@ class TestNonFiniteDensity:
             dens[3, 0] = np.nan
         with pytest.raises(NonFiniteValues, match=f"NaN at {count} of 512"):
             getattr(graph, method)(lambda z: dens.ravel())
-
-    def test_inf_ring_is_a_wall(self):
-        graph = self.graph()
-        dens = np.ones((16, 32))
-        dens[3] = dens[12] = np.inf
-        with pytest.raises(DisconnectedGraph):
-            graph.distance(lambda z: dens.ravel())
 
 
 class TestFineRadii:
