@@ -17,6 +17,16 @@ chart of each band: half the wall width and half the clearance between
 walls.  The rings sit half a spacing off the wall edges, so the wall mask
 gives every wall and every gap between walls two rings, and no radial edge
 skips a wall.
+
+Conclusion (IV) needs the coarse-graph distance of every transformed
+member, but a transformed member's densities differ from its base member's
+only on the walls, so a search of the same base member is reused when it
+provably gives the same bits: when its wall densities are equal, or when
+its shortest path touches no wall and the new wall densities are no
+smaller.  Dijkstra returns the least float sum over graph paths, and every
+step from node densities to edge weights is monotone in floats, so no path
+got cheaper while the recorded one kept its cost.  With a factor growing in
+t, one search serves every t > 0.
 """
 
 from __future__ import annotations
@@ -65,6 +75,9 @@ N_MAX = 50
 #: spacing off their edges, so at 4 rings per cell every wall and every gap
 #: holds at least two rings, whichever way rounding decides at an edge.
 FINE_PER_CELL = 4
+
+#: Graph nodes per metric-density evaluation in intrinsic_distance.
+DENSITY_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +561,12 @@ class MetricGraph:
             raise NonFiniteValues(
                 f"metric density is NaN at {bad} of {rho.size} graph nodes"
             )
-        wts = 0.5 * (rho[self.rows] + rho[self.cols]) * self.lengths
+        # formed in place, the operations of 0.5 (rho_a + rho_b) length in
+        # the same order, so the bits are the same with fewer temporaries
+        wts = rho[self.rows]
+        wts += rho[self.cols]
+        wts *= 0.5
+        wts *= self.lengths
         n = self.nodes.size
         return rho, csr_matrix((wts, self.cols, self.indptr), shape=(n, n))
 
@@ -566,7 +584,12 @@ class MetricGraph:
         return val
 
     def distance(self, density_fn):
-        """Graph distance from the source to the boundary circles.
+        """Graph distance from the source to the boundary circles: the value
+        of shortest_path."""
+        return self.shortest_path(density_fn)[0]
+
+    def shortest_path(self, density_fn):
+        """Boundary distance, and the nodes of a shortest path that attains it.
 
         The search stops at the cost of the straight radial path from the
         source, along its angle, to the nearer-costing boundary circle,
@@ -574,7 +597,10 @@ class MetricGraph:
         distance lies within the limit, and Dijkstra settles every node up
         to the limit with the same value as a full search: the result is
         the same bits.  Only the circles in the boundary bound the search,
-        and an infinite path cost leaves it unbounded.
+        and an infinite path cost leaves it unbounded.  The path runs from
+        the nearest boundary node back to the source along the search's
+        predecessors; the value is its edge weights summed in that order
+        from the source.
         """
         rho, m = self._weighted(density_fn)
         i, j = divmod(self.source, self.n_th)
@@ -588,8 +614,15 @@ class MetricGraph:
              else np.inf),
         )
         limit = cost * (1.0 + 1e-9) if math.isfinite(cost) else np.inf
-        d = dijkstra(m, directed=False, indices=self.source, limit=limit)
-        return self.boundary_distance(d)
+        d, pred = dijkstra(m, directed=False, indices=self.source, limit=limit,
+                           return_predecessors=True)
+        value = self.boundary_distance(d)
+        node = int(self.boundary[np.argmin(d[self.boundary])])
+        path = [node]
+        while node != self.source:
+            node = int(pred[node])
+            path.append(node)
+        return value, np.array(path)
 
     def flat_distance(self):
         """Graph distance from the source to the boundary in the flat metric.
@@ -685,14 +718,26 @@ def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, graph=None):
     circles (the least positive radial gap); it quantifies the graph's
     overestimation and is reported, not applied.  The graph's flat distance
     has a closed form (MetricGraph.flat_distance), so the factor measures
-    only the move of x0 to its nearest node.
+    only the move of x0 to its nearest node.  The density is evaluated
+    DENSITY_BLOCK nodes at a time, rounded down to whole rings.
     """
     if graph is None:
         graph = build_metric_graph(
             data.r_inner, data.r_outer, x0, n_r=n_r, n_th=n_th,
             boundary=boundary,
         )
-    dist = graph.node_distances(lambda z: wz.metric_density(data, z))
+    rings = max(1, DENSITY_BLOCK // graph.n_th)
+
+    def density(z):
+        # a block of rings at a time: the density acts point by point, so
+        # the bits are those of one call, and the peak memory is a block's
+        out = np.empty(z.shape)
+        for k in range(0, z.size, rings * graph.n_th):
+            block = slice(k, k + rings * graph.n_th)
+            out[block] = wz.metric_density(data, z[block])
+        return out
+
+    dist = graph.node_distances(density)
     val = graph.boundary_distance(dist)
     flat = graph.flat_distance()
     r0 = abs(complex(x0))
@@ -704,6 +749,37 @@ def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, graph=None):
     calib = float(flat / flat_exact) if flat_exact > 0 else 1.0
     return DistanceResult(value=val, resolution=graph.resolution,
                           calibration=calib, node_distances=dist)
+
+
+def _recorded_distance(graph, dens, records, walls):
+    """graph's boundary distance under the node densities dens.
+
+    records: (densities, value, path) of earlier searches on graph, whose
+    densities agree with dens bit for bit off the node mask walls; path is
+    None where the search kept none.  A record's value is returned when it
+    provably equals a search of dens bit for bit; otherwise dens is
+    searched, and the search is added to records, which keep dens itself,
+    so it must not change afterwards.  A record carries over when
+    - its densities on the walls equal those of dens: the graph is the same;
+    - or its path touches no wall and the wall densities of dens are
+      elementwise at least its own.  Dijkstra returns the least float sum,
+      taken from the source, over graph paths; abs, sqrt, + and products
+      with the nonnegative lengths are monotone in floats, so no path costs
+      less than it did, and the recorded path, whose edges all keep their
+      weights, still costs the recorded value.
+    A NaN fails both comparisons, and its search raises NonFiniteValues.
+    """
+    new = dens[walls]
+    for old, value, path in records:
+        was = old[walls]
+        if np.array_equal(new, was) or (
+            path is not None and not np.any(walls[path])
+            and np.all(new >= was)
+        ):
+            return value
+    value, path = graph.shortest_path(lambda z: dens)
+    records.append((dens, value, path))
+    return value
 
 
 def _crossing_bound(d, i_near, i_far):
@@ -823,9 +899,13 @@ def complete_step(family, core, delta, ts=None, seed=23):
     distinct = _distinct(members)
     coarse = build_metric_graph(r_in, r_out, x0)
     on_coarse = _PointSet(coarse.nodes, distinct)
-    tau = min(
-        coarse.distance(lambda z, m=m: on_coarse.density(m)) for m in distinct
-    )
+    # each base member's searches, kept for reuse by conclusion (IV); tau's
+    # keep no path, so they carry over only to equal wall densities
+    searched = {}
+    for m in distinct:
+        dens = on_coarse.density(m)
+        searched[id(m)] = [(dens, coarse.distance(lambda z: dens), None)]
+    tau = min(records[0][1] for records in searched.values())
     required = max(tau - delta, 1.0 / delta)
 
     ends = [
@@ -959,11 +1039,16 @@ def complete_step(family, core, delta, ts=None, seed=23):
     passes["est1"] = est1_ok
     passes["est2"] = est2_ok
 
-    # (IV) per-t distances on the coarse graph
+    # (IV) per-t distances on the coarse graph, in t order: the t = 0 pair
+    # takes tau's search of its base member, and while the factor grows,
+    # one search whose path avoids the walls serves every later t
     on_coarse.walls(labs)
     dists = np.array(
         [
-            coarse.distance(lambda z, m=m, fac=fac: on_coarse.density(m, fac))
+            _recorded_distance(
+                coarse, on_coarse.density(m, fac), searched[id(m)],
+                on_coarse.mask,
+            )
             for m, fac in pairs
         ]
     )
@@ -972,7 +1057,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
 
     # the endpoint graph sets the step's peak memory: release the point
     # sets, with their cached densities, before it is built
-    del on_coarse, on_band
+    del on_coarse, on_band, searched
 
     # (V) endpoint distance on the labyrinth-resolving graph
     radii = _fine_radii(r_in, r_out, labs, N)

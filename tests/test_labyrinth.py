@@ -467,6 +467,123 @@ class TestBoundedDistance:
             assert graph.distance(density) == want
 
 
+def full_distance(graph, dens):
+    """Boundary distance of a search that settles every node."""
+    return graph.boundary_distance(graph.node_distances(lambda z: dens))
+
+
+class TestRecordedDistance:
+    """_recorded_distance returns a recorded search only where a new search
+    gives the same bits."""
+
+    @given(
+        n_r=st.integers(2, 10),
+        n_th=st.integers(3, 16),
+        boundary=st.sampled_from(["inner", "outer", "both"]),
+        ring=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.floats(0.0, 0.5),
+        factors=st.lists(
+            st.one_of(st.just(1.0), st.floats(0.25, 4.0)), min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_full_search(
+        self, n_r, n_th, boundary, ring, seed, share, factors
+    ):
+        radii = np.linspace(0.5, 2.0, n_r)
+        graph = lb.build_metric_graph(
+            0.5, 2.0, radii[min(ring, n_r - 1)], radii=radii, n_th=n_th,
+            boundary=boundary,
+        )
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.01, 10.0, graph.nodes.size)
+        walls = rng.uniform(size=base.size) < share
+        # tau's search, kept without a path, as complete_step keeps it
+        tau = graph.distance(lambda z: base)
+        assert tau == full_distance(graph, base)
+        records = [(base, tau, None)]
+        # factors in any order, some below 1, as complete_step's would be
+        # in t order if the Gauss-map growth were not monotone
+        for fac in factors:
+            dens = base.copy()
+            dens[walls] *= fac * fac
+            got = lb._recorded_distance(graph, dens, records, walls)
+            assert got == full_distance(graph, dens)
+
+    @staticmethod
+    def spoke_graph():
+        """4 rings of 8 nodes, the source node 0 on the inner ring, the
+        boundary the outer ring, and density 1 everywhere."""
+        graph = lb.build_metric_graph(0.5, 2.0, 0.5, n_r=4, n_th=8,
+                                      boundary="outer")
+        return graph, np.ones(graph.nodes.size)
+
+    def test_path_through_wall_searched_again(self):
+        graph, base = self.spoke_graph()
+        walls = np.zeros(base.size, dtype=bool)
+        walls[[8, 16]] = True  # the straight spoke from the source
+        records = []
+        first = lb._recorded_distance(graph, base.copy(), records, walls)
+        assert np.any(walls[records[0][2]])
+        dens = base.copy()
+        dens[walls] = 16.0
+        got = lb._recorded_distance(graph, dens, records, walls)
+        assert got == full_distance(graph, dens) > first
+        assert len(records) == 2
+
+    def test_pathless_record_carries_over_only_when_equal(self):
+        graph, base = self.spoke_graph()
+        walls = np.zeros(base.size, dtype=bool)
+        walls[20] = True  # ring 2, opposite the spoke
+        records = [(base, graph.distance(lambda z: base), None)]
+        assert lb._recorded_distance(graph, base.copy(), records, walls) == (
+            records[0][1]
+        )
+        assert len(records) == 1
+        dens = base.copy()
+        dens[walls] = 4.0
+        got = lb._recorded_distance(graph, dens, records, walls)
+        assert got == full_distance(graph, dens)
+        assert len(records) == 2
+
+    def test_infinite_walls(self):
+        graph, base = self.spoke_graph()
+        walls = np.zeros(base.size, dtype=bool)
+        walls[8:15] = True  # ring 1 but for one opening
+        records = []
+        dens = base.copy()
+        dens[walls] = np.inf
+        # the first search goes through the opening, the second pair equals
+        # it on the walls and takes its value
+        for _ in range(2):
+            got = lb._recorded_distance(graph, dens, records, walls)
+            assert got == full_distance(graph, dens)
+        assert len(records) == 1
+        walls[15] = True  # a closed ring cuts the graph
+        dens = base.copy()  # records keep the arrays they were given
+        dens[walls] = np.inf
+        with pytest.raises(DisconnectedGraph):
+            lb._recorded_distance(graph, dens, records, walls)
+
+    def test_nan_wall_density_raises(self):
+        graph, base = self.spoke_graph()
+        walls = np.zeros(base.size, dtype=bool)
+        walls[20] = True  # ring 2, opposite the spoke the path takes
+        records = []
+        for grown in (2.0, 4.0):  # the second carries over, unsearched
+            dens = base.copy()
+            dens[walls] = grown
+            got = lb._recorded_distance(graph, dens, records, walls)
+            assert got == full_distance(graph, dens)
+        assert len(records) == 1
+        dens = base.copy()
+        dens[walls] = np.nan
+        with pytest.raises(NonFiniteValues, match="NaN at 1 of 32"):
+            lb._recorded_distance(graph, dens, records, walls)
+
+
 class TestNonFiniteDensity:
     """A NaN density raises; an infinite one is a wall (see
     TestIntrinsicDistance.test_disconnected_graph)."""
@@ -625,6 +742,20 @@ class TestIntrinsicDistance:
             graph.distance(blocked)
 
 
+def distinct_family():
+    """Four members that differ in g and f3, and their ts."""
+    ts = np.linspace(0.0, 1.0, 4)
+    members = [
+        wz.WeierstrassData(
+            wz.LaurentSeries([1.0 + 0.05 * t], 1),
+            wz.LaurentSeries([1.0 + 0.1 * t], 0),
+            theta="dz/z",
+        )
+        for t in ts
+    ]
+    return members, ts
+
+
 @pytest.fixture(scope="module")
 def catenoid_step():
     return lb.complete_step(wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5)
@@ -699,17 +830,61 @@ class TestNodeSetEvaluation:
         self.assert_matches(members, catenoid_step, (0.8, 1.3))
 
     def test_distinct_members(self):
-        ts = np.linspace(0.0, 1.0, 4)
-        members = [
-            wz.WeierstrassData(
-                wz.LaurentSeries([1.0 + 0.05 * t], 1),
-                wz.LaurentSeries([1.0 + 0.1 * t], 0),
-                theta="dz/z",
-            )
-            for t in ts
-        ]
+        members, ts = distinct_family()
         res = lb.complete_step(members, core=(0.8, 1.3), delta=0.5, ts=ts)
         self.assert_matches(members, res, (0.8, 1.3))
+
+
+class TestDistanceReuse:
+    """complete_step searches conclusion (IV) only where no recorded search
+    provably carries over; naive_checks searches every pair."""
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        sizes = []
+        dijkstra = lb.dijkstra
+
+        def counted(graph, *args, **kwargs):
+            sizes.append(graph.shape[0])
+            return dijkstra(graph, *args, **kwargs)
+
+        monkeypatch.setattr(lb, "dijkstra", counted)
+        return sizes
+
+    def test_catalog_step_searches_three_times(self, monkeypatch):
+        sizes = self.count_searches(monkeypatch)
+        res = lb.complete_step(wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5)
+        assert res.ok
+        # tau and one (IV) search on the 64 x 256 coarse graph, then the
+        # endpoint on the fine graph
+        assert sizes[:2] == [64 * 256] * 2
+        assert len(sizes) == 3 and sizes[2] > 64 * 256
+
+    @pytest.mark.parametrize("family, searches", [("constant", 4), ("distinct", 8)])
+    def test_factor_dip_searched(self, monkeypatch, family, searches):
+        # one factor below its predecessor's, and below 1: its wall
+        # densities fall, so no recorded search carries over to it.  Each
+        # distinct member has one pair, so only its t = 0 pair reuses tau.
+        factors = lb._factors
+
+        def dipped(params, t_grid):
+            out = factors(params, t_grid)
+            out[len(out) // 2] = 0.5
+            return out
+
+        monkeypatch.setattr(lb, "_factors", dipped)
+        if family == "constant":
+            ts = np.linspace(0.0, 1.0, 8)
+            members = [wz.catalog("catenoid")] * ts.size
+        else:
+            members, ts = distinct_family()
+        sizes = self.count_searches(monkeypatch)
+        res = lb.complete_step(members, core=(0.8, 1.3), delta=0.5, ts=ts)
+        # the constant family searches tau, the first t > 0 and the dip, one
+        # more than without the dip; the distinct one tau of each member and
+        # every t > 0; each then the endpoint
+        assert len(sizes) == searches
+        TestNodeSetEvaluation().assert_matches(members, res, (0.8, 1.3))
 
 
 class TestCompleteStep:
