@@ -58,8 +58,8 @@ SURROGATE_NOTICE = (
     "flux_traces and core_approximation hold by construction"
 )
 
-#: Deformation-time brackets over which band estimates are checked.
-BRACKETS = ((0.5, 1.0),)
+#: Deformation-time bracket over which band estimates are checked.
+BRACKET = (0.5, 1.0)
 
 #: Safety margin applied to the resolution inequality that selects N.
 EST_MARGIN = 0.25
@@ -292,56 +292,48 @@ def _bracket_samples(t_grid, bracket):
 def find_bands(f3_family, ends, t_grid, width=None):
     """Bands near each end where no member's third component vanishes.
 
-    f3_family: list over t_grid of callables z -> f3(z).  For each end and
-    each bracket of BRACKETS, the band window with the largest sampled
-    minimum of |f_t^3| is selected among 12 windows of the given width
-    (default: half the end's span less 5 % padding at each side); windows
-    across brackets of one end are disjoint.
+    f3_family: list over t_grid of callables z -> f3(z).  For each end, the
+    band window with the largest sampled minimum of |f_t^3| over the
+    members in BRACKET is selected among 12 windows of the given width
+    (default: half the end's span less 5 % padding at each side).
     A window counts only when a sampled argument-principle count finds it
     free of zeros of every sampled member, so zeros between grid points
     are still caught when the boundary circles are resolved.  Raises
     NoBandFound when every candidate window fails.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    idx = _bracket_samples(t_grid, BRACKET)
     bands = []
     for end in ends:
         span = end.R - end.r
         pad = 0.05 * span
         w_band = width if width is not None else 0.5 * (span - 2 * pad)
         w_band = min(w_band, span - 2 * pad)
-        used = []
-        for k, (t_lo, t_hi) in enumerate(BRACKETS):
-            idx = _bracket_samples(t_grid, (t_lo, t_hi))
-            starts = np.linspace(end.r + pad, end.R - pad - w_band, 12)
-            scores = np.full(starts.size, -1.0)
-            for ci, a in enumerate(starts):
-                if any(a < ub and a + w_band > ua for ua, ub in used):
-                    continue
-                cand = AnnulusBand(
-                    end.hole, k, float(a), float(a + w_band), end, (t_lo, t_hi)
-                )
-                coarse = end.from_chart(cand.chart_grid(24, 48))
-                fine = end.from_chart(cand.chart_grid(48, 96))
-                m = np.inf
-                for f3 in _distinct(f3_family[j] for j in idx):
-                    if not _window_zero_free(f3, cand):
-                        m = -1.0
-                        break
-                    m = min(m, _sampled_min(f3, coarse, fine))
-                scores[ci] = m
-            best = float(np.max(scores))
-            if best <= 0.0:
-                raise NoBandFound(
-                    f"third component vanishes on every candidate band of "
-                    f"end {end.hole} for t in [{t_lo}, {t_hi}]"
-                )
-            good = np.nonzero(scores >= best * (1.0 - 1e-9))[0]
-            ci = int(good[len(good) // 2])  # middle of the tied best windows
-            a = float(starts[ci])
-            used.append((a, a + w_band))
-            bands.append(
-                AnnulusBand(end.hole, k, a, a + w_band, end, (t_lo, t_hi))
+        starts = np.linspace(end.r + pad, end.R - pad - w_band, 12)
+        scores = np.full(starts.size, -1.0)
+        for ci, a in enumerate(starts):
+            cand = AnnulusBand(
+                end.hole, 0, float(a), float(a + w_band), end, BRACKET
             )
+            coarse = end.from_chart(cand.chart_grid(24, 48))
+            fine = end.from_chart(cand.chart_grid(48, 96))
+            m = np.inf
+            for f3 in _distinct(f3_family[j] for j in idx):
+                if not _window_zero_free(f3, cand):
+                    m = -1.0
+                    break
+                m = min(m, _sampled_min(f3, coarse, fine))
+            scores[ci] = m
+        best = float(np.max(scores))
+        if best <= 0.0:
+            raise NoBandFound(
+                f"third component vanishes on every candidate band of "
+                f"end {end.hole} for t in [{BRACKET[0]}, {BRACKET[1]}]"
+            )
+        good = np.nonzero(scores >= best * (1.0 - 1e-9))[0]
+        ci = int(good[len(good) // 2])  # middle of the tied best windows
+        a = float(starts[ci])
+        bands.append(AnnulusBand(end.hole, 0, a, a + w_band, end, BRACKET))
     return bands
 
 
@@ -366,14 +358,14 @@ def _band_f3theta(f3t, band):
     return fun
 
 
-def choose_params(f3t_family, g_family, bands, N, t_grid, margin=LAMBDA_MARGIN):
+def choose_params(f3t_family, g_family, bands, N, t_grid):
     """Lopez-Ros parameters for the given bands and wall count N.
 
     f3t_family: per-t callables z -> f3(z) * theta/dz; g_family: per-t
     callables z -> g(z).  epsilon is half the sampled band minimum of
     |f^3 theta / dw| in chart units; lambda is the smallest value whose
-    growth inequality (1 + lambda t) c0 > 2 N^4 (1 + margin) holds from
-    the earliest bracket start onward.
+    growth inequality (1 + lambda t) c0 > 2 N^4 (1 + LAMBDA_MARGIN) holds
+    from the earliest bracket start onward.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     eps_min = np.inf
@@ -393,7 +385,7 @@ def choose_params(f3t_family, g_family, bands, N, t_grid, margin=LAMBDA_MARGIN):
     if not np.isfinite(c0) or c0 < 1e-10:
         raise GaussMapTooSmall(f"sampled min |g| {c0:.3g} on the bands, need >= 1e-10")
     eps = 0.5 * eps_min
-    target = 2.0 * N**4 * (1.0 + margin)
+    target = 2.0 * N**4 * (1.0 + LAMBDA_MARGIN)
     lam = max(0.0, (target / c0 - 1.0) / t0_min)
     params = LopezRosParams(lam=lam, eps=eps, c0=c0)
     # re-verify both inequalities on the fine grids; 1 + lambda t > 0 and
@@ -545,8 +537,7 @@ class MetricGraph:
     indptr: np.ndarray
     lengths: np.ndarray
     source: int
-    boundary: np.ndarray
-    resolution: float
+    boundary: np.ndarray  # the nodes of the inner and the outer circle
 
     def _weighted(self, density_fn):
         """Node values of density^(1/2) and the CSR matrix of edge weights.
@@ -596,23 +587,17 @@ class MetricGraph:
         times 1 + 1e-9.  That path is a graph path, so the least boundary
         distance lies within the limit, and Dijkstra settles every node up
         to the limit with the same value as a full search: the result is
-        the same bits.  Only the circles in the boundary bound the search,
-        and an infinite path cost leaves it unbounded.  The path runs from
-        the nearest boundary node back to the source along the search's
-        predecessors; the value is its edge weights summed in that order
-        from the source.
+        the same bits.  An infinite path cost leaves the search unbounded.
+        The path runs from the nearest boundary node back to the source
+        along the search's predecessors; the value is its edge weights
+        summed in that order from the source.
         """
         rho, m = self._weighted(density_fn)
         i, j = divmod(self.source, self.n_th)
         spoke = self.nodes.reshape(-1, self.n_th)[:, j]
         r = rho.reshape(-1, self.n_th)[:, j]
         step = 0.5 * (r[:-1] + r[1:]) * np.abs(spoke[:-1] - spoke[1:])
-        circles = self.boundary // self.n_th
-        cost = min(
-            (float(np.sum(step[:i])) if np.any(circles == 0) else np.inf),
-            (float(np.sum(step[i:])) if np.any(circles == r.size - 1)
-             else np.inf),
-        )
+        cost = min(float(np.sum(step[:i])), float(np.sum(step[i:])))
         limit = cost * (1.0 + 1e-9) if math.isfinite(cost) else np.inf
         d, pred = dijkstra(m, directed=False, indices=self.source, limit=limit,
                            return_predecessors=True)
@@ -633,22 +618,22 @@ class MetricGraph:
         source attains that gap.
         """
         r_src = self.radii[self.source // self.n_th]
-        r_bnd = self.radii[self.boundary // self.n_th]
-        return float(np.min(np.abs(r_bnd - r_src)))
+        return float(min(r_src - self.radii[0], self.radii[-1] - r_src))
 
 
-def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
-                       boundary="both"):
+def build_metric_graph(r_in, r_out, x0, radii=None, n_th=256):
     """Polar graph on the annulus r_in < |z| < r_out, 8-connected.
 
-    Node i n_th + j sits at radius radii[i] and angle 2 pi j / n_th.  It has
-    one edge to its angular successor j + 1 and, below the outer circle,
-    three to the next circle out, at angles j - 1, j and j + 1 (mod n_th).
+    Node i n_th + j sits at radius radii[i] (default: 64 radii from r_in to
+    r_out) and angle 2 pi j / n_th.  It has one edge to its angular
+    successor j + 1 and, below the outer circle, three to the next circle
+    out, at angles j - 1, j and j + 1 (mod n_th).  The boundary is the
+    inner and the outer circle.
     """
     if n_th < 3:
         raise ValueError("n_th must be at least 3")
     if radii is None:
-        radii = np.linspace(r_in, r_out, n_r)
+        radii = np.linspace(r_in, r_out, 64)
     radii = np.asarray(radii, dtype=float)
     n_r = radii.size
     ang = 2.0 * np.pi * np.arange(n_th) / n_th
@@ -681,25 +666,16 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_r=64, n_th=256,
     np.abs(grid[-1] - grid[-1, ahead], out=lengths[-n_th:])
     x0 = complex(x0)
     source = int(np.argmin(np.abs(nodes - x0)))
-    b = []
-    if boundary in ("both", "inner"):
-        b.append(j)
-    if boundary in ("both", "outer"):
-        b.append((n_r - 1) * n_th + j)
-    if not b:
-        raise ValueError("boundary must be 'inner', 'outer' or 'both'")
-    resolution = float(np.max(np.diff(radii)))
     return MetricGraph(
         nodes=nodes, radii=radii, n_th=n_th, rows=rows, cols=cols,
         indptr=indptr, lengths=lengths, source=source,
-        boundary=np.concatenate(b), resolution=resolution,
+        boundary=np.concatenate([j, (n_r - 1) * n_th + j]),
     )
 
 
 @dataclass(frozen=True)
 class DistanceResult:
     value: float
-    resolution: float
     calibration: float
     node_distances: np.ndarray = field(repr=False, compare=False)
 
@@ -707,24 +683,26 @@ class DistanceResult:
         return self.value
 
 
-def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, graph=None):
-    """Intrinsic distance from x0 to the boundary, by Dijkstra.
+def intrinsic_distance(data, x0, graph):
+    """Intrinsic distance from x0 to both boundary circles, by Dijkstra.
 
-    The metric is density^(1/2) |dz|, on the given graph, or else on an
-    n_r x n_th graph of the data's annulus with the given boundary.  The
-    result keeps the graph distance from x0 to every node, shape (n_r,
-    n_th).  The calibration factor is the graph's flat-metric distance
-    divided by the exact flat distance from x0 to the graph's boundary
-    circles (the least positive radial gap); it quantifies the graph's
-    overestimation and is reported, not applied.  The graph's flat distance
-    has a closed form (MetricGraph.flat_distance), so the factor measures
-    only the move of x0 to its nearest node.  The density is evaluated
-    DENSITY_BLOCK nodes at a time, rounded down to whole rings.
+    The metric is density^(1/2) |dz| on the graph, whose inner and outer
+    radii must enclose |x0| strictly (ValueError otherwise).  The result
+    keeps the graph distance from x0 to every node, shape (n_r, n_th).  The
+    calibration factor is the graph's flat-metric distance divided by the
+    exact flat distance from x0 to the nearer boundary circle; it
+    quantifies the graph's overestimation and is reported, not applied.
+    The graph's flat distance has a closed form (MetricGraph.flat_distance),
+    so the factor measures only the move of x0 to its nearest node.  The
+    density is evaluated DENSITY_BLOCK nodes at a time, rounded down to
+    whole rings.
     """
-    if graph is None:
-        graph = build_metric_graph(
-            data.r_inner, data.r_outer, x0, n_r=n_r, n_th=n_th,
-            boundary=boundary,
+    r0 = abs(complex(x0))
+    flat_exact = min(r0 - graph.radii[0], graph.radii[-1] - r0)
+    if not flat_exact > 0:
+        raise ValueError(
+            f"|x0| = {r0:g} must lie strictly inside the graph's radii "
+            f"[{graph.radii[0]:g}, {graph.radii[-1]:g}]"
         )
     rings = max(1, DENSITY_BLOCK // graph.n_th)
 
@@ -739,16 +717,8 @@ def intrinsic_distance(data, x0, boundary="both", n_r=64, n_th=256, graph=None):
 
     dist = graph.node_distances(density)
     val = graph.boundary_distance(dist)
-    flat = graph.flat_distance()
-    r0 = abs(complex(x0))
-    # signed gap to each boundary circle, positive when x0 lies inside it
-    circles = np.unique(graph.boundary // graph.n_th)
-    r_bnd = graph.radii[circles]
-    gaps = np.where(circles == 0, r0 - r_bnd, r_bnd - r0)
-    flat_exact = np.min(gaps[gaps > 0]) if np.any(gaps > 0) else np.max(gaps)
-    calib = float(flat / flat_exact) if flat_exact > 0 else 1.0
-    return DistanceResult(value=val, resolution=graph.resolution,
-                          calibration=calib, node_distances=dist)
+    calib = float(graph.flat_distance() / flat_exact)
+    return DistanceResult(value=val, calibration=calib, node_distances=dist)
 
 
 def _recorded_distance(graph, dens, records, walls):
@@ -867,7 +837,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     homology circle; delta > 0 the step parameter.  Returns the
     transformed family and a verification report; raises EstimateNotMet
     when a measured distance violates its required bound.  Bands are
-    checked over BRACKETS, N keeps the EST_MARGIN safety margin, and the
+    checked over BRACKET, N keeps the EST_MARGIN safety margin, and the
     endpoint graph has 128 angles.  The step is deterministic: seed is
     accepted for the perfbench workloads, which pass it, and is not read.
     """

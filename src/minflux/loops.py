@@ -12,8 +12,6 @@ trigonometric resampling, nondegeneracy tests).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +33,18 @@ TOL_CONF = 1e-10
 
 #: Samples per period of a zero-period pair.
 PAIR_SAMPLES = 4096
+
+#: Width parameter delta of a zero-period pair: h' is made constant on
+#: [0, 3 delta].  The narrowest window _ZeroPeriodBuilder indexes is the
+#: support of the compensating bump, (17 delta/12, 23 delta/12); wider than
+#: the grid spacing 1/PAIR_SAMPLES, it holds a sample wherever it sits.
+#: The flattened window [-delta/2, 3.5 delta] stays off the support
+#: (0.35, 0.75) of the drift bump, so h' is constant on the core.
+PAIR_DELTA = 0.05
+
+#: Initial size eps of the pair's three-parameter perturbation, halved on
+#: each failed attempt.
+PAIR_EPS = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -693,36 +703,21 @@ class _ZeroPeriodBuilder:
         return np.hstack([jp.T, q[:, 1:]]) / self.n
 
 
-def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
+def make_zero_period_pair(h0, spin_class=0):
     """Conformal pair (g, h) with h near the given immersed circle and
     vanishing period of g, in the requested homotopy class of sections.
 
     h0: real array (N, 3) sampling a smooth immersed circle (or a
     PeriodicPath with real values), resampled to 4096 points; a nonzero
     imaginary part raises ValueError.  The derivative of the output h is
-    made constant on [0, 3*delta]; g is assembled from an explicit
+    made constant on [0, 3 PAIR_DELTA]; g is assembled from an explicit
     three-parameter family there and a fast-spinning fiber extension
     elsewhere, and the parameter is found by damped Newton iteration with a
-    grid fallback (a degree-one argument guarantees a root for small eps).
+    grid fallback (a degree-one argument guarantees a root for small eps,
+    which starts at PAIR_EPS and halves on each failed attempt).
     """
     if not (isinstance(spin_class, (int, np.integer)) and spin_class in (0, 1)):
         raise ValueError(f"spin_class must be 0 or 1, got {spin_class!r}")
-    for name, value in (("delta", delta), ("eps", eps)):
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    # the narrowest window the builder indexes is the support of the
-    # compensating bump, (17 delta/12, 23 delta/12); wider than the grid
-    # spacing 1/n, it holds a sample wherever it sits.  The flattened
-    # window [-delta/2, 3.5 delta] must stay off the support (0.35, 0.75)
-    # of the drift bump below, or h' is not constant on the core.
-    lo = 2.0 / PAIR_SAMPLES
-    if not lo < delta <= 0.1:
-        raise ValueError(
-            f"delta must lie in ({lo:g}, 0.1] so that every window holds a "
-            f"sample and the flattened window misses the drift bump, "
-            f"got {delta!r}"
-        )
     v0 = np.asarray(h0.values if isinstance(h0, PeriodicPath) else h0, complex)
     if v0.ndim != 2 or v0.shape[1] != 3:
         raise ValueError(f"h0 must have shape (N, 3), got {v0.shape}")
@@ -743,7 +738,7 @@ def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
     if min_speed <= 1e-6 * float(np.max(speeds)):
         raise NotImmersion("the input circle has a vanishing derivative")
 
-    d = delta
+    d = PAIR_DELTA
     # flatten the derivative on [-delta/2, 3 delta + delta/2]
     phi = smooth_step((x + d / 2.0) / (d / 2.0)) * smooth_step(
         (3.0 * d + d / 2.0 - x) / (d / 2.0)
@@ -764,8 +759,8 @@ def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
 
     last_err = "no attempt"
     for attempt in range(4):
-        cur_eps = eps / (2.0**attempt)
-        builder = _ZeroPeriodBuilder(wt, delta, cur_eps, n_samples)
+        cur_eps = PAIR_EPS / (2.0**attempt)
+        builder = _ZeroPeriodBuilder(wt, PAIR_DELTA, cur_eps, n_samples)
         # pick the extension winding realizing the requested class; the
         # class depends neither on p nor on the correction coefficients
         for extra in (0, 1):
@@ -806,7 +801,7 @@ def make_zero_period_pair(h0, spin_class=0, delta=0.05, eps=0.1):
         h_out = antiderivative(hp_out - hp_out.mean(axis=0)) + v0[0]
         pair = ConformalPair(h=h_out, g=g_out, hprime=hp_out)
         pair.meta = dict(
-            delta=delta,
+            delta=PAIR_DELTA,
             eps=cur_eps,
             p_root=p,
             angle_coeffs=coeffs,

@@ -160,7 +160,7 @@ def _fit_block(samples, radius, degree):
     return LaurentSeries(coeffs, -degree)
 
 
-def runge_extend(loop, domain, tol=TOL_RUNGE, grid=None):
+def runge_extend(loop, domain, tol=TOL_RUNGE):
     """Holomorphic null extension of a loop given on the homology circle.
 
     loop: PeriodicPath of quadric values sampled on the generator circle of
@@ -168,15 +168,14 @@ def runge_extend(loop, domain, tol=TOL_RUNGE, grid=None):
     until the sup error on the curve is at most tol, up to DEGREE_MAX.
     Returns a LaurentMap whose restriction to the curve is sup-close to the
     input within the reported bound.  The extension is checked not to
-    vanish on grid: points z, or a PolarGrid; by default the PolarGrid of
-    GRID_RADIAL open radii and GRID_ANGULAR angles on the annulus.
+    vanish on the PolarGrid of GRID_RADIAL open radii and GRID_ANGULAR
+    angles on the annulus.
     """
     chart = homology_basis(domain)[0]
     v0 = loop.values if isinstance(loop, PeriodicPath) else np.asarray(loop)
     n0 = v0.shape[0]
-    if grid is None:
-        radii = _open_radii(domain.r_inner, domain.r_outer, GRID_RADIAL)
-        grid = PolarGrid(radii, GRID_ANGULAR)
+    radii = _open_radii(domain.r_inner, domain.r_outer, GRID_RADIAL)
+    grid = PolarGrid(radii, GRID_ANGULAR)
     degree = DEGREE_START
     while degree <= DEGREE_MAX:
         # the loop is band-limited by convention, but its spinor lift is
@@ -209,10 +208,7 @@ def runge_extend(loop, domain, tol=TOL_RUNGE, grid=None):
                     "extension vanishes on the verification grid"
                 )
             ext.meta.update(
-                sup_error=sup_err,
-                degree=degree,
-                min_grid_mod=min_mod,
-                max_null_residual=float(np.max(nq.null_residual(gv))),
+                sup_error=sup_err, degree=degree, min_grid_mod=min_mod
             )
             return ext
         degree *= 2

@@ -224,12 +224,13 @@ class PeriodTargets:
         object.__setattr__(self, "values", v)
 
 
-def solve_w(spray, targets, max_newton=30):
+def solve_w(spray, targets):
     """Continuation for the control path w(t) tracking the period targets.
 
     Starts from w(0) = 0 (targets must already be met there) and tracks the
-    ramp with damped least-norm Newton steps to residual TOL_PERIOD, each at
-    most a quarter of the trust radius RADIUS_W, sub-stepping on stalls.
+    ramp with damped least-norm Newton steps to residual TOL_PERIOD, at
+    most 30 per solve and each at most a quarter of the trust radius
+    RADIUS_W, sub-stepping on stalls.
     The rows of the period system follow period_jacobian.  Raises LeftDomain
     when |w| exceeds the trust radius, ContinuationStalled when sub-stepping
     fails.
@@ -248,7 +249,7 @@ def solve_w(spray, targets, max_newton=30):
         return _newton(
             lambda v: residual(k, target, v),
             lambda v: period_jacobian(spray, k, v),
-            w, TOL_PERIOD, max_newton, cap=0.25 * RADIUS_W,
+            w, TOL_PERIOD, 30, cap=0.25 * RADIUS_W,
         )
 
     w = np.zeros(spray.dim_w, dtype=complex)

@@ -95,10 +95,6 @@ class LaurentSeries:
         folded = folded.reshape(-1, m, n).sum(axis=1)
         return np.fft.ifft(folded, axis=1, norm="forward").ravel()
 
-    def derivative(self):
-        k = self.k_min + np.arange(self.coeffs.size)
-        return LaurentSeries(self.coeffs * k, self.k_min - 1)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return LaurentSeries(self.coeffs * other, self.k_min)

@@ -1,11 +1,23 @@
 """Every module-level function and class of minflux is used or documented,
-and every defaulted parameter is set by some call."""
+every method is referenced, and every defaulted parameter is set by some
+call of the program or of the acceptance tests."""
 
 import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def program_files():
+    """The files whose calls count as uses: the library, the benchmark and
+    the acceptance tests.  Other tests do not make a parameter or a method
+    part of the program."""
+    return [
+        *sorted((ROOT / "src" / "minflux").glob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
 
 
 def unreferenced_definitions():
@@ -43,6 +55,44 @@ def unreferenced_definitions():
 
 def test_no_unreferenced_definitions():
     assert unreferenced_definitions() == []
+
+
+def unreferenced_methods():
+    """Methods of module-level classes of src/minflux, other than dunder
+    methods, whose name no program file refers to outside the method's own
+    body."""
+    trees = {path: ast.parse(path.read_text()) for path in program_files()}
+    refs = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    methods = [
+        (f"{path.stem}.{cls.name}.{fn.name}", fn)
+        for path, tree in trees.items()
+        if path.parent.name == "minflux"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+    ]
+    unused = []
+    for label, fn in methods:
+        inside = {id(n) for n in ast.walk(fn)}
+        if not any(
+            getattr(r, "id", getattr(r, "attr", None)) == fn.name
+            and id(r) not in inside
+            for r in refs
+        ):
+            unused.append(label)
+    return unused
+
+
+def test_every_method_is_referenced():
+    # a method only its own test calls is not part of the program
+    assert unreferenced_methods() == []
 
 
 def defaulted_parameters():
@@ -101,15 +151,10 @@ def sets(call, position, name):
 
 
 def unset_defaults():
-    """Defaulted parameters that no call in src/minflux, perfbench/ or
-    tests/ sets, matching calls by the callee's bare name."""
-    files = [
-        p
-        for d in (ROOT / "src" / "minflux", ROOT / "perfbench", ROOT / "tests")
-        for p in sorted(d.glob("*.py"))
-    ]
+    """Defaulted parameters that no call in the program files sets,
+    matching calls by the callee's bare name."""
     calls = {}
-    for path in files:
+    for path in program_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -149,13 +149,14 @@ class TestFindBands:
 
 class TestChooseParams:
     def test_lambda_oracle(self):
-        # N = 2, c0 = 1, bracket start 1/2, margin 0: the growth target is
-        # 2 N^4 = 32 and the smallest admissible lambda is 62
+        # N = 2, c0 = 1, bracket start 1/2, margin LAMBDA_MARGIN = 1/4: the
+        # growth target is 2 N^4 (1 + 1/4) = 40 and the smallest admissible
+        # lambda is 78
         end = lb.AnnulusEnd(0, 1.3, 2.0)
         band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.5, 1.0))
         f3t, g, t = ones_families()
-        p = lb.choose_params(f3t, g, [band], 2, t, margin=0.0)
-        assert p.lam == pytest.approx(62.0, abs=1e-12)
+        p = lb.choose_params(f3t, g, [band], 2, t)
+        assert p.lam == pytest.approx(78.0, abs=1e-12)
         assert p.c0 == pytest.approx(1.0, abs=1e-12)
         assert p.eps == pytest.approx(0.5, abs=1e-12)
 
@@ -296,7 +297,9 @@ class TestLopezRos:
     def test_point_set_density_matches_members(self):
         # the point set recomputes only the wall points per factor; every
         # transformed member's density must equal its own callables' bits
-        z = lb.build_metric_graph(1.3, 2.0, 1.6, n_r=96, n_th=64).nodes
+        z = lb.build_metric_graph(
+            1.3, 2.0, 1.6, radii=np.linspace(1.3, 2.0, 96), n_th=64
+        ).nodes
         points = lb._PointSet(z, [self.cat]).walls([self.lab])
         assert 0 < np.count_nonzero(points.mask) < z.size
         for h, fac in zip(self.out, lb._factors(self.params, self.t)):
@@ -313,18 +316,17 @@ class TestFlatDistance:
         width=st.floats(0.05, 2.0),
         s=st.floats(0.0, 1.0),
         angle=st.floats(0.0, 2.0 * np.pi),
-        boundary=st.sampled_from(["inner", "outer", "both"]),
         n_r=st.integers(2, 32),
         n_th=st.integers(3, 64),
     )
     @settings(max_examples=60, deadline=None)
     def test_closed_form_matches_flat_dijkstra(
-        self, r_in, width, s, angle, boundary, n_r, n_th
+        self, r_in, width, s, angle, n_r, n_th
     ):
         r_out = r_in + width
         x0 = (r_in + s * width) * np.exp(1j * angle)
         graph = lb.build_metric_graph(
-            r_in, r_out, x0, n_r=n_r, n_th=n_th, boundary=boundary
+            r_in, r_out, x0, radii=np.linspace(r_in, r_out, n_r), n_th=n_th
         )
         flat = graph.distance(lambda z: np.ones(np.asarray(z).shape))
         assert graph.flat_distance() == pytest.approx(flat, rel=1e-12, abs=0)
@@ -371,19 +373,16 @@ class TestGraphPattern:
         radii=st.lists(st.floats(0.1, 3.0), min_size=2, max_size=12,
                        unique=True),
         n_th=st.integers(3, 24),
-        boundary=st.sampled_from(["inner", "outer", "both"]),
         x0=st.complex_numbers(max_magnitude=3.0, allow_nan=False),
         seed=st.integers(0, 2**32 - 1),
         walled=st.sets(st.integers(0, 11), max_size=3),
     )
     @settings(max_examples=80, deadline=None)
-    def test_distance_equals_coo_reference(
-        self, radii, n_th, boundary, x0, seed, walled
-    ):
+    def test_distance_equals_coo_reference(self, radii, n_th, x0, seed, walled):
         radii = np.sort(radii)
         n_r = radii.size
         graph = lb.build_metric_graph(
-            radii[0], radii[-1], x0, radii=radii, n_th=n_th, boundary=boundary
+            radii[0], radii[-1], x0, radii=radii, n_th=n_th
         )
         assert graph.cols.dtype == graph.indptr.dtype == np.int32
         rows, cols, lengths = coo_edges(graph)
@@ -405,11 +404,10 @@ class TestGraphPattern:
         # graph is cut when one lies between the source ring and each
         # boundary ring (inclusive) other than the source ring itself
         i_src = graph.source // n_th
-        ends = {"inner": [0], "outer": [n_r - 1], "both": [0, n_r - 1]}
         cut = all(
             b != i_src
             and any(min(i_src, b) <= k <= max(i_src, b) for k in walled)
-            for b in ends[boundary]
+            for b in (0, n_r - 1)
         )
         if cut:
             with pytest.raises(DisconnectedGraph):
@@ -431,28 +429,18 @@ class TestBoundedDistance:
     @given(
         n_r=st.integers(2, 12),
         n_th=st.integers(3, 24),
-        boundary=st.sampled_from(["inner", "outer", "both"]),
         ring=st.integers(0, 11),
         angle=st.floats(0.0, 2.0 * np.pi),
         seed=st.integers(0, 2**32 - 1),
         walled=st.sets(st.integers(0, 11), max_size=3),
     )
-    # a cheap inward path must not bound an outward-only search
-    @example(n_r=8, n_th=16, boundary="outer", ring=1, angle=0.0, seed=0,
-             walled=set())
     @settings(max_examples=80, deadline=None)
-    def test_equals_full_search(
-        self, n_r, n_th, boundary, ring, angle, seed, walled
-    ):
+    def test_equals_full_search(self, n_r, n_th, ring, angle, seed, walled):
         ring = min(ring, n_r - 1)
         radii = np.linspace(0.5, 2.0, n_r)
         x0 = radii[ring] * np.exp(1j * angle)
-        graph = lb.build_metric_graph(
-            0.5, 2.0, x0, radii=radii, n_th=n_th, boundary=boundary
-        )
+        graph = lb.build_metric_graph(0.5, 2.0, x0, radii=radii, n_th=n_th)
         dens = np.random.default_rng(seed).uniform(0.01, 10.0, (n_r, n_th))
-        if boundary == "outer":
-            dens[:ring] = 1e-6  # the inward path is the cheap one
         dens[sorted(i for i in walled if i < n_r)] = np.inf
 
         def density(z):
@@ -479,7 +467,6 @@ class TestRecordedDistance:
     @given(
         n_r=st.integers(2, 10),
         n_th=st.integers(3, 16),
-        boundary=st.sampled_from(["inner", "outer", "both"]),
         ring=st.integers(0, 9),
         seed=st.integers(0, 2**32 - 1),
         share=st.floats(0.0, 0.5),
@@ -489,13 +476,10 @@ class TestRecordedDistance:
         ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_equals_full_search(
-        self, n_r, n_th, boundary, ring, seed, share, factors
-    ):
+    def test_equals_full_search(self, n_r, n_th, ring, seed, share, factors):
         radii = np.linspace(0.5, 2.0, n_r)
         graph = lb.build_metric_graph(
-            0.5, 2.0, radii[min(ring, n_r - 1)], radii=radii, n_th=n_th,
-            boundary=boundary,
+            0.5, 2.0, radii[min(ring, n_r - 1)], radii=radii, n_th=n_th
         )
         rng = np.random.default_rng(seed)
         base = rng.uniform(0.01, 10.0, graph.nodes.size)
@@ -514,16 +498,18 @@ class TestRecordedDistance:
 
     @staticmethod
     def spoke_graph():
-        """4 rings of 8 nodes, the source node 0 on the inner ring, the
-        boundary the outer ring, and density 1 everywhere."""
-        graph = lb.build_metric_graph(0.5, 2.0, 0.5, n_r=4, n_th=8,
-                                      boundary="outer")
+        """4 rings of 8 nodes at radii 0.5, 1, 1.5 and 2, the source node 8
+        on ring 1, and density 1 everywhere: the shortest path is the
+        spoke in to node 0 on the inner circle."""
+        graph = lb.build_metric_graph(
+            0.5, 2.0, 1.0, radii=np.linspace(0.5, 2.0, 4), n_th=8
+        )
         return graph, np.ones(graph.nodes.size)
 
     def test_path_through_wall_searched_again(self):
         graph, base = self.spoke_graph()
         walls = np.zeros(base.size, dtype=bool)
-        walls[[8, 16]] = True  # the straight spoke from the source
+        walls[0] = True  # the inner end of the spoke from the source
         records = []
         first = lb._recorded_distance(graph, base.copy(), records, walls)
         assert np.any(walls[records[0][2]])
@@ -551,7 +537,8 @@ class TestRecordedDistance:
     def test_infinite_walls(self):
         graph, base = self.spoke_graph()
         walls = np.zeros(base.size, dtype=bool)
-        walls[8:15] = True  # ring 1 but for one opening
+        walls[:8] = True  # the inner circle
+        walls[16:23] = True  # ring 2 but for one opening
         records = []
         dens = base.copy()
         dens[walls] = np.inf
@@ -561,7 +548,7 @@ class TestRecordedDistance:
             got = lb._recorded_distance(graph, dens, records, walls)
             assert got == full_distance(graph, dens)
         assert len(records) == 1
-        walls[15] = True  # a closed ring cuts the graph
+        walls[23] = True  # a closed ring cuts the graph
         dens = base.copy()  # records keep the arrays they were given
         dens[walls] = np.inf
         with pytest.raises(DisconnectedGraph):
@@ -591,7 +578,9 @@ class TestNonFiniteDensity:
     @pytest.mark.parametrize("where, count", [("ring", 32), ("node", 1)])
     @pytest.mark.parametrize("method", ["distance", "node_distances"])
     def test_nan_density_raises(self, where, count, method):
-        graph = lb.build_metric_graph(1.0, 2.0, 1.5, n_r=16, n_th=32)
+        graph = lb.build_metric_graph(
+            1.0, 2.0, 1.5, radii=np.linspace(1.0, 2.0, 16), n_th=32
+        )
         dens = np.ones((16, 32))
         if where == "ring":
             dens[3] = np.nan  # the circle |z| = 1.2
@@ -668,7 +657,9 @@ class TestCrossingBound:
     @settings(max_examples=80, deadline=None)
     def test_below_shortest_window_crossing(self, n_r, n_th, window, x0, seed):
         i_lo, i_hi = sorted(min(i, n_r - 1) for i in window)
-        graph = lb.build_metric_graph(0.5, 2.0, x0, n_r=n_r, n_th=n_th)
+        graph = lb.build_metric_graph(
+            0.5, 2.0, x0, radii=np.linspace(0.5, 2.0, n_r), n_th=n_th
+        )
         # a factor per circle times one per node: walls of any height,
         # so the bound is positive in about half of the cases
         rng = np.random.default_rng(seed)
@@ -686,7 +677,9 @@ class TestCrossingBound:
     def test_tight_when_near_circle_is_cheap(self):
         # metric ~0 out to circle 2 and flat beyond: the whole near circle
         # sits at distance ~0, so the bound meets the shortest crossing
-        graph = lb.build_metric_graph(1.0, 2.0, 1.0, n_r=11, n_th=64)
+        graph = lb.build_metric_graph(
+            1.0, 2.0, 1.0, radii=np.linspace(1.0, 2.0, 11), n_th=64
+        )
         cheap = np.abs(graph.nodes) < 1.2 + 1e-9
         dens = np.where(cheap, 1e-12, 1.0)
         field = graph.node_distances(lambda z: dens)
@@ -697,44 +690,56 @@ class TestCrossingBound:
 
 class TestIntrinsicDistance:
     def flat(self, f3=1.0):
-        return wz.WeierstrassData(1.0, f3, theta="dz", r_inner=1.0, r_outer=2.0)
+        return wz.WeierstrassData(1.0, f3, theta="dz", r_inner=0.5, r_outer=2.0)
+
+    def distance(self, data, x0, **graph_args):
+        graph = lb.build_metric_graph(0.5, 2.0, x0, **graph_args)
+        return lb.intrinsic_distance(data, x0, graph)
 
     def test_flat_radial_distance(self):
-        d = lb.intrinsic_distance(self.flat(), 1.0 + 0j, boundary="outer")
-        assert d.value == pytest.approx(1.0, rel=0.02)
+        # to the nearer circle, the inner one
+        d = self.distance(self.flat(), 1.0 + 0j)
+        assert d.value == pytest.approx(0.5, rel=0.02)
 
     def test_refinement_stable(self):
-        d1 = lb.intrinsic_distance(self.flat(), 1.0 + 0j, boundary="outer")
-        d2 = lb.intrinsic_distance(
-            self.flat(), 1.0 + 0j, boundary="outer", n_r=128, n_th=512
+        d1 = self.distance(self.flat(), 1.0 + 0j)
+        d2 = self.distance(
+            self.flat(), 1.0 + 0j, radii=np.linspace(0.5, 2.0, 128), n_th=512
         )
         assert abs(d2.value - d1.value) <= 0.01 * d1.value
 
     def test_density_scaling(self):
-        d1 = lb.intrinsic_distance(self.flat(), 1.0 + 0j, boundary="outer")
-        d4 = lb.intrinsic_distance(self.flat(2.0), 1.0 + 0j, boundary="outer")
+        d1 = self.distance(self.flat(), 1.0 + 0j)
+        d4 = self.distance(self.flat(2.0), 1.0 + 0j)
         assert d4.value == pytest.approx(2.0 * d1.value, rel=1e-12)
 
     def test_calibration_reported(self):
-        d = lb.intrinsic_distance(self.flat(), 1.2 + 0j, boundary="both")
+        d = self.distance(self.flat(), 1.2 + 0j)
+        assert d.value == pytest.approx(0.7, rel=0.02)
         assert 0.9 <= d.calibration <= 1.1
-        assert d.resolution > 0
 
     def test_calibration_follows_passed_graph(self):
         # the exact flat distance is taken to the graph's own boundary
-        # circles, whatever the boundary argument says
-        graph = lb.build_metric_graph(1.0, 2.0, 1.05 + 0j, boundary="outer")
-        d = lb.intrinsic_distance(self.flat(), 1.05 + 0j, graph=graph)
+        # circles (0.05 from x0), not to the data's annulus (0.55)
+        graph = lb.build_metric_graph(1.0, 2.0, 1.05 + 0j)
+        d = lb.intrinsic_distance(self.flat(), 1.05 + 0j, graph)
         assert 0.9 <= d.calibration <= 1.1
+
+    @pytest.mark.parametrize("x0", [0.8, 1.0, 2.5])
+    def test_x0_outside_graph_rejected(self, x0):
+        graph = lb.build_metric_graph(1.0, 2.0, 1.5)
+        with pytest.raises(ValueError, match="strictly inside"):
+            lb.intrinsic_distance(self.flat(), x0, graph)
 
     def test_disconnected_graph(self):
         graph = lb.build_metric_graph(
-            1.0, 2.0, 1.05 + 0j, n_r=32, n_th=64, boundary="outer"
+            1.0, 2.0, 1.05 + 0j, radii=np.linspace(1.0, 2.0, 32), n_th=64
         )
 
         def blocked(z):
+            # walls on the inner circle and on a ring beyond the source
             dens = np.ones(np.asarray(z).shape)
-            ring = np.abs(np.abs(z) - 1.5) < 0.1
+            ring = (np.abs(np.abs(z) - 1.5) < 0.1) | (np.abs(z) < 1.02)
             dens[ring] = np.inf
             return dens
 

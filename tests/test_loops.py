@@ -19,9 +19,9 @@ from minflux.errors import (
 )
 
 
-#: make_zero_period_pair takes DELTA_LO < delta <= DELTA_HI: above DELTA_LO
-#: every window of the builder holds a sample of the 4096-point grid, and up
-#: to DELTA_HI the flattened window misses the drift-correcting bump
+#: _ZeroPeriodBuilder's windows suit DELTA_LO < delta <= DELTA_HI: above
+#: DELTA_LO every window holds a sample of the 4096-point grid, and up to
+#: DELTA_HI the flattened window misses the drift-correcting bump
 DELTA_LO = 2.0 / 4096
 DELTA_HI = 0.1
 
@@ -209,14 +209,14 @@ class TestNondegenerateOn:
 
 class TestZeroPeriodPair:
     def test_round_circle_spin_class_1(self):
-        pair = lp.make_zero_period_pair(circle_samples(), spin_class=1, delta=0.05)
+        pair = lp.make_zero_period_pair(circle_samples(), spin_class=1)
         orth, norm = pair.residuals()
         assert orth.max() <= 1e-10 and norm.max() <= 1e-10
         assert np.linalg.norm(pair.g.mean(axis=0)) <= 1e-10
         assert nq.pi1_class(pair.hprime + 1j * pair.g) == 1
 
     def test_round_circle_spin_class_0(self):
-        pair = lp.make_zero_period_pair(circle_samples(), spin_class=0, delta=0.05)
+        pair = lp.make_zero_period_pair(circle_samples(), spin_class=0)
         assert nq.pi1_class(pair.hprime + 1j * pair.g) == 0
         assert np.linalg.norm(pair.g.mean(axis=0)) <= 1e-10
 
@@ -229,8 +229,8 @@ class TestZeroPeriodPair:
 
     def test_derivative_constant_on_core_windows(self):
         # h' is one constant on [0, delta] and another on [2 delta, 3 delta]
-        delta = 0.05
-        pair = lp.make_zero_period_pair(circle_samples(), spin_class=0, delta=delta)
+        delta = lp.PAIR_DELTA
+        pair = lp.make_zero_period_pair(circle_samples(), spin_class=0)
         n = pair.n_samples
         x = np.arange(n) / n
         for lo, hi in ((0.0, delta), (2 * delta, 3 * delta)):
@@ -251,11 +251,6 @@ class TestZeroPeriodPair:
     @pytest.mark.parametrize(
         "kwargs, error, match",
         [
-            ({"delta": -0.1}, ValueError, "delta"),
-            ({"delta": 0.0}, ValueError, "delta"),
-            ({"delta": float("nan")}, ValueError, "delta"),
-            ({"eps": 0.0}, ValueError, "eps"),
-            ({"eps": -0.1}, ValueError, "eps"),
             ({"h0": circle_samples()[:, 0]}, ValueError, "h0"),
             ({"h0": circle_samples()[:, :2]}, ValueError, "h0"),
             ({"h0": np.where(np.arange(256)[:, None] == 5, np.nan, circle_samples())},
@@ -265,18 +260,11 @@ class TestZeroPeriodPair:
             ({"spin_class": 0.5}, ValueError, "spin_class"),
             ({"spin_class": "1"}, ValueError, "spin_class"),
             ({"spin_class": None}, ValueError, "spin_class"),
-            ({"eps": float("inf")}, ValueError, "eps"),
-            ({"delta": float("inf")}, ValueError, "delta"),
-            ({"delta": 1e-5}, ValueError, "delta"),
-            ({"delta": DELTA_LO}, ValueError, "delta"),
-            ({"delta": np.nextafter(DELTA_HI, 1.0)}, ValueError, "delta"),
         ],
         ids=[
-            "delta_negative", "delta_zero", "delta_nan", "eps_zero",
-            "eps_negative", "h0_1d", "h0_two_columns", "h0_nan_sample",
-            "spin_class_2", "spin_class_minus_1", "spin_class_half",
-            "spin_class_str", "spin_class_none", "eps_inf", "delta_inf",
-            "delta_tiny", "delta_at_lower_bound", "delta_above_upper_bound",
+            "h0_1d", "h0_two_columns", "h0_nan_sample", "spin_class_2",
+            "spin_class_minus_1", "spin_class_half", "spin_class_str",
+            "spin_class_none",
         ],
     )
     def test_bad_input_typed(self, kwargs, error, match):
@@ -307,17 +295,6 @@ class TestZeroPeriodPair:
                                       spin_class=0)
         assert p1.g.tobytes() == p2.g.tobytes()
         assert p1.h.tobytes() == p2.h.tobytes()
-
-    @pytest.mark.parametrize(
-        "delta", [np.nextafter(DELTA_LO, 1.0), DELTA_HI],
-        ids=["above_lower_bound", "at_upper_bound"],
-    )
-    def test_delta_just_inside_bounds_makes_a_pair(self, delta):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pair = lp.make_zero_period_pair(circle_samples(), delta=delta)
-        assert max(r.max() for r in pair.residuals()) <= 1e-10
-        assert np.linalg.norm(pair.g.mean(axis=0)) <= 1e-10
 
     def test_work_counts(self, monkeypatch):
         # one transport for the fixed prefix and two per p-part; one

@@ -177,14 +177,15 @@ class TestRungeExtend:
             rm.runge_extend(lp.PeriodicPath(loop), rm.annulus(), tol=1e-13)
 
     def test_vanishing_extension_rejected(self):
-        # spinor blocks with a common zero at z = 0.8 inside the annulus
-        a = wz.LaurentSeries([-0.8, 1.0], 0)  # z - 0.8
-        b = wz.LaurentSeries([-0.8j, 1j], 0)  # i(z - 0.8)
+        # spinor blocks with a common zero on a node of the verification
+        # grid: open radius 13 of the annulus, at angle 0
+        z0 = wz._open_radii(0.5, 2.0, wz.GRID_RADIAL)[13]
+        a = wz.LaurentSeries([-z0, 1.0], 0)  # z - z0
+        b = wz.LaurentSeries([-1j * z0, 1j], 0)  # i(z - z0)
         m = rm.LaurentMap(a, b)
         loop = lp.PeriodicPath(m(rm.homology_basis(rm.annulus())[0].points(256)))
-        grid = np.array([0.8 + 0j, 1.0 + 0j])
         with pytest.raises(VanishingOnDomain):
-            rm.runge_extend(loop, rm.annulus(), grid=grid)
+            rm.runge_extend(loop, rm.annulus())
 
 
 class TestLaurentMap:

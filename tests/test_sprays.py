@@ -202,23 +202,38 @@ class TestSolveW:
         with pytest.raises((ContinuationStalled, LeftDomain)):
             sp.solve_w(spray, sp.PeriodTargets(targets))
 
-    def test_read_only_targets_left_unchanged(self, spray):
-        # one Newton step per solve forces sub-stepping through blended
-        # targets, which must not be written into the caller's array
+    def test_read_only_targets_left_unchanged(self, spray, monkeypatch):
+        # the full-step solve of each step fails once, which forces
+        # sub-stepping through blended targets; they must not be written
+        # into the caller's array.  loops._substep recurses into itself, so
+        # the patch sees each step's first call only.
+        substep, solves = sp._substep, []
+
+        def full_step_fails(solve, a, b, x):
+            calls = []
+
+            def failing_once(target, w):
+                calls.append(target)
+                return None if len(calls) == 1 else solve(target, w)
+
+            out = substep(failing_once, a, b, x)
+            solves.append(len(calls))
+            return out
+
+        monkeypatch.setattr(sp, "_substep", full_step_fails)
+        # half the scale of the ramp that leaves the trust radius, so the
+        # whole path is solved
         rng = np.random.default_rng(3)
-        w_star = 0.2 * (rng.normal(size=spray.dim_w) + 1j * rng.normal(size=spray.dim_w))
+        w_star = 0.1 * (rng.normal(size=spray.dim_w) + 1j * rng.normal(size=spray.dim_w))
         fracs = np.linspace(0.0, 1.0, spray.n_t)
         targets = np.stack(
             [spray.periods(k, f * w_star) for k, f in enumerate(fracs)]
         )
         before = targets.copy()
         targets.flags.writeable = False
-        try:
-            path = sp.solve_w(spray, sp.PeriodTargets(targets), max_newton=1)
-        except (ContinuationStalled, LeftDomain):
-            pass
-        else:
-            assert path.shape == (spray.n_t, spray.dim_w)
+        path = sp.solve_w(spray, sp.PeriodTargets(targets))
+        assert path.shape == (spray.n_t, spray.dim_w)
+        assert solves == [3] * (spray.n_t - 1)
         assert np.array_equal(targets, before)
 
     def test_targets_shape_normalization(self):

@@ -21,12 +21,6 @@ class TestLaurentSeries:
         z = np.array([1.0, 2.0, 0.5j])
         assert np.allclose(s(z), 1 / z + 2 + 3 * z)
 
-    def test_derivative(self):
-        s = wz.LaurentSeries([1.0, 0.0, 1.0], -1)  # 1/z + z
-        d = s.derivative()
-        z = np.array([0.7, 1.3 + 0.2j])
-        assert np.allclose(d(z), -1 / z**2 + 1)
-
     def test_product_and_sum(self):
         a = wz.LaurentSeries([1.0], 1)  # z
         b = wz.LaurentSeries([1.0], -1)  # 1/z
