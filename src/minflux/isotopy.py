@@ -15,6 +15,7 @@ with u1 = Re F is emitted.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -45,7 +46,8 @@ TOL_FLUX = 1e-8
 N_S_DEFAULT = 512
 
 #: Bound on verify's continuity measure: the largest member step
-#: max|f(t_k+1) - f(t_k)| / max|f(t_k)|, times n_t - 1.
+#: max|f(t_k+1) - f(t_k)| / max|f(t_k)|, times n_t - 1, with both sups
+#: taken on the two boundary circles (maximum modulus principle).
 CONTINUITY_BOUND = 20.0
 
 
@@ -276,7 +278,7 @@ def _drive(
     period0 = lp.period(loop0)
     flux0 = period0.imag
 
-    flat, _ray = wz.is_flat(data.f(data.grid()))
+    flat, _ray = wz.is_flat(data)
     met = float(np.linalg.norm(flux0 - target)) <= tol_flux
     if flat:
         if not met:
@@ -356,45 +358,79 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
            target_flux=None):
     """Recompute all residuals of a family from scratch.
 
-    resolution scales the verification grid and loop sampling relative to
-    the construction defaults (2 doubles them).  Conformality is checked
-    against TOL_NULL.  Every member's boundary loop must have the pi1 class
-    of member 0's (spin_class).  The largest member step, scaled by n_t - 1,
-    must stay below CONTINUITY_BOUND (continuity), and no member may be
-    flat unless every member is members[0], the constant family of a flat
-    input (nonflat).  When target_flux is given, the recomputed flux of the
-    last member must lie within tol_flux of it.  An empty family raises
-    ValueError.  The report is deterministic in the family.
+    resolution, a positive integer (ValueError otherwise), scales the
+    verification grid (32 x 128 radii by angles per unit) and the loop
+    sampling (N_S_DEFAULT per unit) relative to the construction defaults
+    (2 doubles them).  Conformality (against TOL_NULL) and the metric
+    density are measured on that grid, whose radii lie strictly inside
+    each member's annulus, and the periods on the loop over its homology
+    circle.  Every member's boundary loop must have the pi1 class of
+    member 0's (spin_class).  The largest member step
+    max|f(t_k+1) - f(t_k)| / max|f(t_k)|, scaled by n_t - 1, must stay
+    below CONTINUITY_BOUND (continuity).  Both sups are taken on the two
+    boundary circles, where the maximum modulus principle puts them, since
+    every component of a member and of a step is holomorphic on the closed
+    annulus; only the angles are sampled, as many as the loop's.  No member
+    may be flat unless every member is members[0], the constant family of
+    a flat input (nonflat); is_flat reads flatness from the coefficients of
+    exact data.  When target_flux is given, the recomputed flux of the last
+    member must lie within tol_flux of it.  An empty family raises
+    ValueError, a member that is not finite on the grid or its boundary
+    circles NonFiniteValues.  The report is deterministic in the family.
     """
+    if not (isinstance(resolution, numbers.Integral)
+            and not isinstance(resolution, bool) and resolution > 0):
+        raise ValueError(
+            f"resolution must be a positive integer, got {resolution!r}"
+        )
     if len(family) == 0:
         raise ValueError("cannot verify an empty family")
     n_r, n_th = 32 * resolution, 128 * resolution
     n_loop = N_S_DEFAULT * resolution
+    # members sharing an annulus and a form share the grid, theta/dz on it
+    # and the boundary circles; these carry n_loop angles, as the homology
+    # circle does, since a sampled max misses the sup by O(1/angles^2)
+    grids = {}
     max_conf = 0.0
     max_real = 0.0
     min_den = np.inf
     max_step = 0.0
-    prev = None
+    prev = prev_sup = None
     flux_table = []
     flat_flags = []
     pi1_classes = []
     for t, data in zip(family.ts, family.members):
-        grid = PolarGrid(_open_radii(data.r_inner, data.r_outer, n_r), n_th)
+        key = (data.r_inner, data.r_outer, data.theta)
+        if key not in grids:
+            radii = _open_radii(data.r_inner, data.r_outer, n_r)
+            grid = PolarGrid(radii, n_th)
+            grids[key] = (
+                grid,
+                data.theta_over_dz(grid.points)[..., None],
+                PolarGrid([data.r_inner, data.r_outer], n_loop),
+            )
+        grid, theta, rims = grids[key]
         fv = data.f(grid)
-        # NaN would slip through the min/max reductions below unnoticed
-        if not np.all(np.isfinite(fv)):
+        fb = data.f(rims)
+        # a NaN or inf value makes the residual NaN, which max() would
+        # drop: the reductions are tested instead of every value
+        with np.errstate(invalid="ignore"):
+            conf = wz.conformality_residual(fv)
+            den = float(wz.density_from_f_theta(fv * theta).min())
+            sup = float(np.max(np.abs(fb)))
+        if not (math.isfinite(conf) and math.isfinite(den)
+                and math.isfinite(sup)):
             raise NonFiniteValues(
                 f"member at t = {float(t):g} is not finite on the "
                 "verification grid"
             )
-        max_conf = max(max_conf, wz.conformality_residual(fv))
-        ft = fv * data.theta_over_dz(grid.points)[..., None]
-        min_den = min(min_den, float(wz.density_from_f_theta(ft).min()))
-        flat_flags.append(bool(wz.is_flat(fv)[0]))
+        max_conf = max(max_conf, conf)
+        min_den = min(min_den, den)
+        flat_flags.append(bool(wz.is_flat(data)[0]))
         if prev is not None:
-            step = np.max(np.abs(fv - prev)) / np.max(np.abs(prev))
-            max_step = max(max_step, float(step))
-        prev = fv
+            step = float(np.max(np.abs(fb - prev))) / prev_sup
+            max_step = max(max_step, step)
+        prev, prev_sup = fb, sup
         loop = restrict_data(data, family.chart, n=n_loop)
         per = lp.period(loop)
         max_real = max(max_real, float(np.linalg.norm(per.real)))

@@ -536,8 +536,9 @@ class MetricGraph:
     cols: np.ndarray
     indptr: np.ndarray
     lengths: np.ndarray
-    source: int
+    source: int  # the node nearest to x0
     boundary: np.ndarray  # the nodes of the inner and the outer circle
+    x0: complex  # the point the graph was built for
 
     def _weighted(self, density_fn):
         """Node values of density^(1/2) and the CSR matrix of edge weights.
@@ -628,7 +629,8 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_th=256):
     r_out) and angle 2 pi j / n_th.  It has one edge to its angular
     successor j + 1 and, below the outer circle, three to the next circle
     out, at angles j - 1, j and j + 1 (mod n_th).  The boundary is the
-    inner and the outer circle.
+    inner and the outer circle.  The graph records x0, and its source is
+    the node nearest to x0.
     """
     if n_th < 3:
         raise ValueError("n_th must be at least 3")
@@ -669,7 +671,7 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_th=256):
     return MetricGraph(
         nodes=nodes, radii=radii, n_th=n_th, rows=rows, cols=cols,
         indptr=indptr, lengths=lengths, source=source,
-        boundary=np.concatenate([j, (n_r - 1) * n_th + j]),
+        boundary=np.concatenate([j, (n_r - 1) * n_th + j]), x0=x0,
     )
 
 
@@ -683,8 +685,9 @@ class DistanceResult:
         return self.value
 
 
-def intrinsic_distance(data, x0, graph):
-    """Intrinsic distance from x0 to both boundary circles, by Dijkstra.
+def intrinsic_distance(data, graph):
+    """Intrinsic distance from the graph's x0 to both boundary circles, by
+    Dijkstra.
 
     The metric is density^(1/2) |dz| on the graph, whose inner and outer
     radii must enclose |x0| strictly (ValueError otherwise).  The result
@@ -697,7 +700,7 @@ def intrinsic_distance(data, x0, graph):
     density is evaluated DENSITY_BLOCK nodes at a time, rounded down to
     whole rings.
     """
-    r0 = abs(complex(x0))
+    r0 = abs(graph.x0)
     flat_exact = min(r0 - graph.radii[0], graph.radii[-1] - r0)
     if not flat_exact > 0:
         raise ValueError(
@@ -862,7 +865,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     x0 = complex(rho)
 
     for m in members[:1]:
-        if wz.is_flat(m.f(m.grid()))[0]:
+        if wz.is_flat(m)[0]:
             raise FlatInput("completeness step requires a nonflat family")
 
     # distance of the input family; equal members share one evaluation
@@ -1032,7 +1035,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     # (V) endpoint distance on the labyrinth-resolving graph
     radii = _fine_radii(r_in, r_out, labs, N)
     fine = build_metric_graph(r_in, r_out, x0, radii=radii, n_th=128)
-    end = intrinsic_distance(transformed[-1], x0, graph=fine)
+    end = intrinsic_distance(transformed[-1], fine)
     final = end.value
     report["final_distance"] = final
     report["calibration"] = end.calibration

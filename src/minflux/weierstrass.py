@@ -370,24 +370,42 @@ def integrate_immersion(data, basepoint, value, targetpoint, path=None):
     return out
 
 
-def is_flat(f_values):
-    """Flatness test on sampled f values; returns (flag, ray or None).
+def is_flat(data):
+    """Flatness test of Weierstrass data; returns (flag, ray or None).
 
-    Flat means the samples span a single complex ray; tested through the
-    singular values of the centered sample matrix, with the ray read from
-    the dominant right singular vector of the uncentered matrix.
+    A minimal surface is planar exactly when its Gauss map is constant
+    (Osserman), and then f = f3 null_triple(c, 1) spans a single complex
+    ray.  For exact Laurent g, num/den (a LaurentSeries counts as num over
+    1) is constant exactly when the 2 x K coefficient matrix [num; den] has
+    rank one, tested as a singular-value gap below FLAT_GAP; no sample is
+    taken.  Only an opaque callable g is sampled: f on the data's grid is
+    flat when its centered sample matrix has that gap.  The ray is unit,
+    with its largest entry positive real.
     """
-    v = np.asarray(f_values, dtype=complex).reshape(-1, 3)
-    centered = v - v.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    if s[0] > 0 and s[1] > FLAT_GAP * s[0]:
-        return False, None
-    _, _, vh = np.linalg.svd(v, full_matrices=False)
-    ray = vh[0]
-    # normalize the phase so the largest entry is positive real
+    g = data.g
+    if isinstance(g, LaurentSeries):
+        g = LaurentQuotient(g, LaurentSeries([1.0]))
+    if isinstance(g, LaurentQuotient):
+        num, den = g.num, g.den
+        lo = min(num.k_min, den.k_min)
+        rows = np.zeros((2, max(num.k_max, den.k_max) - lo + 1), dtype=complex)
+        rows[0, num.k_min - lo : num.k_max - lo + 1] = num.coeffs
+        rows[1, den.k_min - lo : den.k_max - lo + 1] = den.coeffs
+        s = np.linalg.svd(rows, compute_uv=False)
+        if s.size > 1 and s[1] > FLAT_GAP * s[0]:
+            return False, None
+        # the constant num/den, by least squares over the coefficients
+        c = np.vdot(rows[1], rows[0]) / np.vdot(rows[1], rows[1])
+        ray = null_triple(np.array([c]), np.ones(1))[0]
+        ray = ray / np.linalg.norm(ray)
+    else:
+        v = data.f(data.grid())
+        s = np.linalg.svd(v - v.mean(axis=0), compute_uv=False)
+        if s[0] > 0 and s[1] > FLAT_GAP * s[0]:
+            return False, None
+        ray = np.linalg.svd(v, full_matrices=False)[2][0]
     k = int(np.argmax(np.abs(ray)))
-    ray = ray * (abs(ray[k]) / ray[k])
-    return True, ray
+    return True, ray * (abs(ray[k]) / ray[k])
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Tests for the end-to-end flux-steering drivers and verification."""
 
 import copy
+import dataclasses
 import io
 import re
 
@@ -9,6 +10,7 @@ import pytest
 
 from minflux import cli
 from minflux import isotopy as iso
+from minflux import labyrinth as lb
 from minflux import loops as lp
 from minflux import riemann as rm
 from minflux import weierstrass as wz
@@ -16,6 +18,7 @@ from minflux.errors import (
     ApproximationBudgetExceeded,
     EstimateNotMet,
     FlatInput,
+    NonFiniteValues,
     RootNotFound,
 )
 from minflux.riemann import TOL_RUNGE
@@ -382,3 +385,102 @@ class TestVerify:
         rep = iso.verify(bad)
         assert not rep.ok
         assert not rep.passes["conformality"]
+
+    @pytest.mark.parametrize("resolution", [0, -1, 1.5, float("nan")])
+    def test_bad_resolution_typed(self, fam_zero, resolution):
+        with pytest.raises(ValueError, match=f"resolution .* {resolution!r}"):
+            iso.verify(fam_zero, resolution=resolution)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_member_named(self, fam_zero, value):
+        class OnePoint(wz.WeierstrassData):
+            # value at one point of the verification grid (64 radii) only
+            def f(self, z):
+                v = super().f(z)
+                if isinstance(z, PolarGrid) and z.radii.size == 64:
+                    v[1000, 1] = value
+                return v
+
+        m = fam_zero.members[7]
+        bad = copy.copy(fam_zero)
+        bad.members = list(fam_zero.members)
+        bad.members[7] = OnePoint(m.g, m.f3, theta=m.theta,
+                                  r_inner=m.r_inner, r_outer=m.r_outer)
+        t = float(fam_zero.ts[7])
+        with pytest.raises(NonFiniteValues, match=f"t = {t:g} is not finite"):
+            iso.verify(bad)
+
+
+class TestContinuityOnBoundaryCircles:
+    @pytest.fixture(scope="class")
+    def fam16(self, catenoid):
+        return iso.flux_to_zero(catenoid, n_t=16)
+
+    @staticmethod
+    def on_grid(fam, radii, n_th):
+        """Member values on PolarGrid(radii(member), n_th)."""
+        return [m.f(PolarGrid(radii(m), n_th)) for m in fam.members]
+
+    @staticmethod
+    def steps(fvs):
+        return np.array([np.max(np.abs(b - a)) / np.max(np.abs(a))
+                         for a, b in zip(fvs, fvs[1:])])
+
+    def test_equals_dense_grid_maximum(self, fam16):
+        dense = self.on_grid(
+            fam16, lambda m: np.linspace(m.r_inner, m.r_outer, 128), 1024
+        )
+        want = self.steps(dense).max() * (len(fam16) - 1)
+        assert iso.verify(fam16).continuity == pytest.approx(want, rel=1e-6)
+
+    def test_sups_at_least_interior_grid(self, fam16):
+        # maximum modulus: each member's sup and each step's sup on the
+        # boundary circles bound those on the old interior grid (64 x 256).
+        # Their ratio need not: it falls here, from 1.7838 to 1.7352.
+        rims = self.on_grid(fam16, lambda m: [m.r_inner, m.r_outer], 1024)
+        inner = self.on_grid(
+            fam16, lambda m: _open_radii(m.r_inner, m.r_outer, 64), 256
+        )
+        for a, b, c, d in zip(rims, rims[1:], inner, inner[1:]):
+            assert np.max(np.abs(a)) >= np.max(np.abs(c))
+            assert np.max(np.abs(b - a)) >= np.max(np.abs(d - c))
+        rep = iso.verify(fam16)
+        assert rep.continuity == pytest.approx(
+            self.steps(rims).max() * (len(fam16) - 1), rel=1e-15
+        )
+
+
+class TestFlatGaussMap:
+    """The catalog catenoid with g flattened to the constant C, stored as a
+    LaurentSeries and as the LaurentQuotient (C a) / a."""
+
+    C = 0.6 + 0.3j
+    A = wz.LaurentSeries([0.1, 1.0, 0.1], -1)
+
+    @pytest.fixture(params=["series", "quotient"])
+    def flat_g(self, request):
+        if request.param == "series":
+            return wz.LaurentSeries([self.C])
+        return wz.LaurentQuotient(self.A * self.C, self.A)
+
+    def test_family_fails_nonflat(self, fam_zero, flat_g):
+        bad = copy.copy(fam_zero)
+        bad.members = list(fam_zero.members)
+        bad.members[10] = dataclasses.replace(fam_zero.members[0], g=flat_g)
+        rep = iso.verify(bad)
+        assert rep.flat_flags == [k == 10 for k in range(len(bad))]
+        assert not rep.passes["nonflat"]
+
+    def test_drivers_reject(self, flat_g):
+        # with theta = dz/z a constant g leaves the real period
+        # -2 pi Im null_triple(C, 1) (RealPeriodNonzero first); with
+        # theta = dz the data are an immersion with zero flux
+        flat = dataclasses.replace(wz.catalog("catenoid"), g=flat_g,
+                                   theta="dz")
+        with pytest.raises(FlatInput):
+            iso.prescribe_flux(flat, np.array([0.0, 0.0, 1.0]))
+
+    def test_complete_step_rejects(self, flat_g):
+        flat = dataclasses.replace(wz.catalog("catenoid"), g=flat_g)
+        with pytest.raises(FlatInput):
+            lb.complete_step(flat, core=(0.8, 1.3), delta=0.5)

@@ -694,7 +694,7 @@ class TestIntrinsicDistance:
 
     def distance(self, data, x0, **graph_args):
         graph = lb.build_metric_graph(0.5, 2.0, x0, **graph_args)
-        return lb.intrinsic_distance(data, x0, graph)
+        return lb.intrinsic_distance(data, graph)
 
     def test_flat_radial_distance(self):
         # to the nearer circle, the inner one
@@ -722,14 +722,16 @@ class TestIntrinsicDistance:
         # the exact flat distance is taken to the graph's own boundary
         # circles (0.05 from x0), not to the data's annulus (0.55)
         graph = lb.build_metric_graph(1.0, 2.0, 1.05 + 0j)
-        d = lb.intrinsic_distance(self.flat(), 1.05 + 0j, graph)
+        d = lb.intrinsic_distance(self.flat(), graph)
         assert 0.9 <= d.calibration <= 1.1
 
     @pytest.mark.parametrize("x0", [0.8, 1.0, 2.5])
     def test_x0_outside_graph_rejected(self, x0):
-        graph = lb.build_metric_graph(1.0, 2.0, 1.5)
+        # build_metric_graph takes a source on a boundary ring
+        # (TestBoundedDistance); intrinsic_distance checks the graph's x0
+        graph = lb.build_metric_graph(1.0, 2.0, x0)
         with pytest.raises(ValueError, match="strictly inside"):
-            lb.intrinsic_distance(self.flat(), x0, graph)
+            lb.intrinsic_distance(self.flat(), graph)
 
     def test_disconnected_graph(self):
         graph = lb.build_metric_graph(

@@ -256,10 +256,32 @@ class TestConformality:
         assert wz.conformality_residual(vals) == wz.conformality_residual(2 * vals)
 
 
+def nonvanishing_series(rng, k_min=-2, size=5):
+    """A seeded Laurent series, zero-free on 1/2 <= |z| <= 2.
+
+    Its z^0 coefficient (k_min <= 0 < k_min + size) has modulus at least
+    1, and each other term at most 0.1 sqrt(2) there.
+    """
+    k = k_min + np.arange(size)
+    c = 0.1 * (rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
+    c = c / 2.0 ** np.abs(k)
+    c[k == 0] = 1.0 + 0.5j * rng.uniform(-1, 1)
+    return wz.LaurentSeries(c, k_min)
+
+
+class OpaqueG(wz.WeierstrassData):
+    """The same data, with g hidden behind a plain callable."""
+
+    def __init__(self, data):
+        exact = data.g
+        super().__init__(lambda z: exact(z), data.f3, theta=data.theta,
+                         r_inner=data.r_inner, r_outer=data.r_outer)
+
+
 class TestIsFlat:
     def test_flat_exponential(self):
         fe = wz.catalog("flat_exponential")
-        flag, ray = wz.is_flat(fe.f(fe.grid()))
+        flag, ray = wz.is_flat(fe)
         assert flag
         target = np.array([0, 1j, 1]) / np.sqrt(2)
         phase = ray[2] / target[2]
@@ -267,16 +289,55 @@ class TestIsFlat:
 
     def test_catenoid_not_flat(self):
         cat = wz.catalog("catenoid")
-        flag, ray = wz.is_flat(cat.f(cat.grid()))
+        flag, ray = wz.is_flat(cat)
         assert not flag and ray is None
 
     def test_polynomial_multiple_of_ray(self):
-        zs = wz.annulus_grid(n_r=8, n_th=32)
-        vals = (zs**2 + 1)[:, None] * np.array([0, 1j, 1])
-        flag, ray = wz.is_flat(vals)
+        # g = 1 as a plain callable: the sampled test on the data's grid
+        data = wz.WeierstrassData(1.0, wz.LaurentSeries([1.0, 0.0, 1.0]))
+        flag, ray = wz.is_flat(data)
         assert flag
+        vals = data.f(data.grid())
         coef = vals @ ray.conj() / (ray @ ray.conj())
         assert np.max(np.abs(vals - coef[:, None] * ray)) < 1e-10
+
+    def test_exact_g_takes_no_samples(self):
+        class Unsampled(wz.WeierstrassData):
+            def f(self, z):
+                raise AssertionError("is_flat sampled exact data")
+
+        c = 0.6 + 0.3j
+        a = wz.LaurentSeries([0.1, 1.0, 0.1], -1)
+        for g, flat in ((wz.LaurentQuotient(a * c, a), True),
+                        (wz.LaurentSeries([c]), True),
+                        (wz.LaurentQuotient(a, a + wz.LaurentSeries([c], 1)),
+                         False)):
+            flag, ray = wz.is_flat(Unsampled(g, 1.0, theta="dz/z"))
+            assert flag == flat
+            if flat:
+                # the ray of f = f3 null_triple(c, 1)
+                v = wz.null_triple(np.array([c]), np.ones(1))[0]
+                assert abs(abs(np.vdot(ray, v)) - np.linalg.norm(v)) < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank_one=st.booleans())
+    def test_coefficients_agree_with_samples(self, seed, rank_one):
+        rng = np.random.default_rng(seed)
+        den = nonvanishing_series(rng)
+        if rank_one:
+            c = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
+            num = den * complex(c)
+        else:
+            num = nonvanishing_series(rng, k_min=int(rng.integers(-4, 1)))
+        data = wz.WeierstrassData(
+            wz.LaurentQuotient(num, den), nonvanishing_series(rng),
+            theta="dz/z",
+        )
+        exact, ray = wz.is_flat(data)
+        sampled, sampled_ray = wz.is_flat(OpaqueG(data))
+        assert exact == sampled == rank_one
+        if rank_one:
+            assert abs(abs(np.vdot(ray, sampled_ray)) - 1.0) < 1e-9
 
 
 class TestCatalogAndImmersion:
