@@ -9,14 +9,22 @@ third component or any period over curves in the core.  Any path from the
 core to the boundary must then either cross the walls (expensive) or
 snake through the alternating openings (long), so the intrinsic distance
 to the boundary grows by a prescribed amount.  Distances are measured by
-Dijkstra runs on polar metric graphs.  Their flat-metric calibration needs
-no second run: on such a graph the flat distance from a node to a boundary
-circle is exactly the radial gap, which is read off the radii.  The endpoint
-distance uses a fine graph whose radii are spaced 1/(4N^3) apart in the
-chart of each band: half the wall width and half the clearance between
-walls.  The rings sit half a spacing off the wall edges, so the wall mask
-gives every wall and every gap between walls two rings, and no radial edge
-skips a wall.
+Dijkstra runs on polar metric graphs.  The endpoint distance uses a fine
+graph whose radii are spaced 1/(4N^3) apart in the chart of each band: half
+the wall width and half the clearance between walls.  The rings sit half a
+spacing off the wall edges, so the wall mask gives every wall and every gap
+between walls two rings, and no radial edge skips a wall.
+
+Every point set of the step is a polar grid about 0 in the physical plane:
+the graphs, the probe, the homology and core circles, the band windows and
+their winding circles.  A band of the inversion end w = c/z is still one:
+its chart circle of radius s is the physical circle of radius c/s, run the
+other way.  The base members are evaluated on these grids, so exact Laurent
+data cost one inverse FFT per ring (weierstrass.PolarGrid), and an opaque
+callable sees the grid's points.  Every density, of a base member or of a
+transformed one, follows one rule from the values of g and f3 theta/dz
+(_density); the lopez_ros members are the step's output and are not
+evaluated by it.
 
 Conclusion (IV) needs the coarse-graph distance of every transformed
 member, but a transformed member's densities differ from its base member's
@@ -46,6 +54,7 @@ from .errors import (
     EstimateNotMet,
     FlatInput,
     GaussMapTooSmall,
+    GaussMapVanishes,
     InvalidCore,
     NoBandFound,
     NonFiniteValues,
@@ -76,7 +85,11 @@ N_MAX = 50
 #: holds at least two rings, whichever way rounding decides at an edge.
 FINE_PER_CELL = 4
 
-#: Graph nodes per metric-density evaluation in intrinsic_distance.
+#: Graph nodes per block of the density in intrinsic_distance, rounded down
+#: to whole rings.  A block's grid values (g, f3, theta/dz, the wall mask)
+#: live only while its densities are formed, inside the search's weights
+#: call, so they add one block, not the whole fine graph, to the step's
+#: peak memory.
 DENSITY_BLOCK = 2**16
 
 
@@ -114,7 +127,8 @@ class AnnulusEnd:
         return -self.c / (w * w)
 
     def radius_in_chart(self, rz):
-        """Chart modulus corresponding to physical modulus rz."""
+        """Chart modulus corresponding to physical modulus rz; the map is an
+        involution, so it also takes chart moduli to physical ones."""
         return rz if self.kind == "identity" else self.c / rz
 
 
@@ -133,10 +147,13 @@ class AnnulusBand:
         if not (self.end.r < self.r < self.R < self.end.R):
             raise ValueError("band not contained in its end")
 
-    def chart_grid(self, n_r, n_th):
-        radii = np.linspace(self.r, self.R, n_r)
-        ang = np.exp(2j * np.pi * np.arange(n_th) / n_th)
-        return (radii[:, None] * ang[None, :]).ravel()
+    def grid(self, n_r, n_th):
+        """The band's physical polar grid: n_r circles at the chart radii
+        from r to R, with n_th angles each.  In the inversion chart this is
+        the chart grid with its angles reversed."""
+        return wz.PolarGrid(
+            self.end.radius_in_chart(np.linspace(self.r, self.R, n_r)), n_th
+        )
 
 
 @dataclass(frozen=True)
@@ -247,35 +264,36 @@ def _distinct(objs):
     return list({id(o): o for o in objs}.values())
 
 
-def _sampled_min(fun, points, refine):
-    """Min of |fun| over the points and a refined point set.
+def _sampled_min(probe, refine):
+    """Min of |values| over a probe grid's values and a refined grid's.
 
     Returns the smaller of the two sampled minima.  The refinement (twice
     the probe density) makes a zero between probe points less likely to
     be missed; it is not a lower bound between samples.
     """
-    a = float(np.min(np.abs(fun(points))))
-    b = float(np.min(np.abs(fun(refine))))
-    return min(a, b)
+    return min(float(np.min(np.abs(probe))), float(np.min(np.abs(refine))))
 
 
 def _window_zero_free(f3, band):
     """True when f3 has no zero in the closed band, by the argument principle.
 
     The zero count in the band annulus is the winding of f3 over the outer
-    chart circle minus the winding over the inner one, each sampled at 256
-    points; both circles must stay clear of zero for the sampled winding to
-    be trustworthy.
+    chart circle minus the winding over the inner one.  Each is sampled at
+    256 points of its physical circle, a one-ring polar grid on which exact
+    f3 costs one FFT.  On the inversion end the physical circles run their
+    chart circles backwards, which negates both windings, so their equality
+    still means no zero.  Both circles must stay clear of zero for the
+    sampled winding to be trustworthy.
     """
     from .riemann import winding_number
 
-    x = np.exp(2j * np.pi * np.arange(256) / 256)
     counts = []
     for radius in (band.r, band.R):
-        vals = f3(band.end.from_chart(radius * x))
+        circle = wz.PolarGrid([band.end.radius_in_chart(radius)], 256)
+        vals = wz._evaluate(f3, circle)
         if float(np.min(np.abs(vals))) <= 0.0:
             return False
-        counts.append(winding_number(vals, 0.0))
+        counts.append(winding_number(vals))
     return counts[1] == counts[0]
 
 
@@ -295,11 +313,14 @@ def find_bands(f3_family, ends, t_grid, width=None):
     f3_family: list over t_grid of callables z -> f3(z).  For each end, the
     band window with the largest sampled minimum of |f_t^3| over the
     members in BRACKET is selected among 12 windows of the given width
-    (default: half the end's span less 5 % padding at each side).
-    A window counts only when a sampled argument-principle count finds it
-    free of zeros of every sampled member, so zeros between grid points
-    are still caught when the boundary circles are resolved.  Raises
-    NoBandFound when every candidate window fails.
+    (default: half the end's span less 5 % padding at each side).  The
+    minimum is sampled on the window's physical polar grids of 24 x 48 and
+    48 x 96 points (AnnulusBand.grid), where exact f3 costs one FFT per
+    ring and an opaque callable sees the points.  A window counts only
+    when a sampled argument-principle count finds it free of zeros of
+    every sampled member, so zeros between grid points are still caught
+    when the boundary circles are resolved.  Raises NoBandFound when every
+    candidate window fails.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     idx = _bracket_samples(t_grid, BRACKET)
@@ -315,14 +336,14 @@ def find_bands(f3_family, ends, t_grid, width=None):
             cand = AnnulusBand(
                 end.hole, 0, float(a), float(a + w_band), end, BRACKET
             )
-            coarse = end.from_chart(cand.chart_grid(24, 48))
-            fine = end.from_chart(cand.chart_grid(48, 96))
+            coarse, fine = cand.grid(24, 48), cand.grid(48, 96)
             m = np.inf
             for f3 in _distinct(f3_family[j] for j in idx):
                 if not _window_zero_free(f3, cand):
                     m = -1.0
                     break
-                m = min(m, _sampled_min(f3, coarse, fine))
+                m = min(m, _sampled_min(wz._evaluate(f3, coarse),
+                                        wz._evaluate(f3, fine)))
             scores[ci] = m
         best = float(np.max(scores))
         if best <= 0.0:
@@ -348,40 +369,38 @@ class LopezRosParams:
             raise EstimateNotMet("invalid Lopez-Ros parameters")
 
 
-def _band_f3theta(f3t, band):
-    """|f^3 theta| in chart units on a callable of physical points."""
-
-    def fun(z):
-        w = band.end.to_chart(z)
-        return f3t(z) * band.end.dz_dw(w)
-
-    return fun
+def _band_f3theta(points, m, band):
+    """f^3 theta/dw of base member m in chart units, on a point set."""
+    return points.f3_theta(m) * band.end.dz_dw(band.end.to_chart(points.points))
 
 
-def choose_params(f3t_family, g_family, bands, N, t_grid):
+def choose_params(members, bands, N, t_grid):
     """Lopez-Ros parameters for the given bands and wall count N.
 
-    f3t_family: per-t callables z -> f3(z) * theta/dz; g_family: per-t
-    callables z -> g(z).  epsilon is half the sampled band minimum of
-    |f^3 theta / dw| in chart units; lambda is the smallest value whose
-    growth inequality (1 + lambda t) c0 > 2 N^4 (1 + LAMBDA_MARGIN) holds
-    from the earliest bracket start onward.
+    members: per-t Weierstrass data.  epsilon is half the sampled band
+    minimum of |f^3 theta / dw| in chart units; lambda is the smallest value
+    whose growth inequality (1 + lambda t) c0 > 2 N^4 (1 + LAMBDA_MARGIN)
+    holds from the earliest bracket start onward.  The minima are sampled on
+    each band's 24 x 48 and 48 x 96 polar grids, and the re-verification
+    reads the same 48 x 96 values.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     eps_min = np.inf
     c0 = np.inf
     t0_min = np.inf
+    checked = []
     for band in bands:
-        coarse = band.end.from_chart(band.chart_grid(24, 48))
-        fine = band.end.from_chart(band.chart_grid(48, 96))
-        t0_min = min(t0_min, band.bracket[0])
         sel = _bracket_samples(t_grid, band.bracket)
-        for f3t in _distinct(f3t_family[j] for j in sel):
-            eps_min = min(
-                eps_min, _sampled_min(_band_f3theta(f3t, band), coarse, fine)
-            )
-        for g in _distinct(g_family[j] for j in sel):
-            c0 = min(c0, _sampled_min(g, coarse, fine))
+        chosen = _distinct(members[j] for j in sel)
+        coarse = _PointSet(band.grid(24, 48), chosen)
+        fine = _PointSet(band.grid(48, 96), chosen)
+        t0_min = min(t0_min, band.bracket[0])
+        for m in chosen:
+            eps_min = min(eps_min, _sampled_min(
+                _band_f3theta(coarse, m, band), _band_f3theta(fine, m, band)
+            ))
+            c0 = min(c0, _sampled_min(coarse.gf3(m)[0], fine.gf3(m)[0]))
+        checked.append((band, sel, chosen, fine))
     if not np.isfinite(c0) or c0 < 1e-10:
         raise GaussMapTooSmall(f"sampled min |g| {c0:.3g} on the bands, need >= 1e-10")
     eps = 0.5 * eps_min
@@ -390,20 +409,15 @@ def choose_params(f3t_family, g_family, bands, N, t_grid):
     params = LopezRosParams(lam=lam, eps=eps, c0=c0)
     # re-verify both inequalities on the fine grids; 1 + lambda t > 0 and
     # rounding is monotone, so (1 + lambda t) min|g| = min((1 + lambda t)|g|)
-    for band in bands:
-        fine = band.end.from_chart(band.chart_grid(48, 96))
-        sel = _bracket_samples(t_grid, band.bracket)
-        for f3t in _distinct(f3t_family[j] for j in sel):
-            if float(np.min(np.abs(_band_f3theta(f3t, band)(fine)))) <= eps:
+    for band, sel, chosen, fine in checked:
+        for m in chosen:
+            if float(np.min(np.abs(_band_f3theta(fine, m, band)))) <= eps:
                 raise EstimateNotMet(
                     "epsilon inequality fails on re-verification"
                 )
-        g_min = {
-            id(g): float(np.min(np.abs(g(fine))))
-            for g in _distinct(g_family[j] for j in sel)
-        }
+        g_min = {id(m): float(np.min(np.abs(fine.gf3(m)[0]))) for m in chosen}
         for j in sel:
-            grown = (1.0 + lam * float(t_grid[j])) * g_min[id(g_family[j])]
+            grown = (1.0 + lam * float(t_grid[j])) * g_min[id(members[j])]
             if grown < 2.0 * N**4 * (1.0 - 1e-12):
                 raise EstimateNotMet(
                     "lambda inequality fails on re-verification"
@@ -461,22 +475,38 @@ def lopez_ros(data_t, params, labyrinths, t_grid):
     return out
 
 
-class _PointSet:
-    """Base member values and the union wall mask on one fixed point set.
+def _density(g, f3t):
+    """Metric density 0.5 |f theta/dz|^2 from the values of g and of
+    f3 theta/dz at the same points.
 
-    Each distinct base member's g, f3 and theta/dz are evaluated once, and
-    so is its density.  A transformed member, given by its base member and
-    its factor, takes the base values with g grown on the walls, exactly as
-    its lopez_ros callable computes them, so the results are the same bits.
-    Its density is the base density with only the points under the mask
-    recomputed: every operation acts point by point, and off the walls g is
-    multiplied by 1.0, so the other points keep their base density bits.
+    The null triple of g and f3 has |f|^2 = |f3|^2 (|g| + 1/|g|)^2 / 2, so
+    the density is 0.25 |f3 theta/dz|^2 (|g| + 1/|g|)^2, point by point.
+    Raises GaussMapVanishes where g is zero.
+    """
+    a = np.abs(g)
+    if np.any(a == 0.0):
+        raise GaussMapVanishes("g vanishes at a density evaluation point")
+    return 0.25 * np.abs(f3t) ** 2 * (a + 1.0 / a) ** 2
+
+
+class _PointSet:
+    """Base member values and the union wall mask on one polar grid.
+
+    Each distinct base member's g, f3 and theta/dz are evaluated once on
+    the grid, exact Laurent data by one inverse FFT per ring, and so is its
+    density.  A transformed member, given by its base member and its
+    factor, takes the base values with g grown on the walls.  Its density
+    is the base density with only the points under the mask recomputed:
+    _density acts point by point, and off the walls g is multiplied by
+    1.0, so the other points keep their base density bits.
     """
 
-    def __init__(self, z, members):
-        self.z = np.asarray(z, dtype=complex)
+    def __init__(self, grid, members):
+        self.grid = grid
+        self.points = grid.points
         self.base = {
-            id(m): (m.g(self.z), m.f3(self.z), m.theta_over_dz(self.z))
+            id(m): (wz._evaluate(m.g, grid), wz._evaluate(m.f3, grid),
+                    m.theta_over_dz(grid))
             for m in _distinct(members)
         }
         self.base_density = {}
@@ -484,13 +514,17 @@ class _PointSet:
 
     def walls(self, labyrinths):
         """Evaluate the union wall mask; returns self."""
-        self.mask = _wall_mask(labyrinths, self.z)
+        self.mask = _wall_mask(labyrinths, self.points)
         return self
 
     def gf3(self, m, factor=None):
         """g and f3 of base member m, transformed by factor when one is given."""
         g, f3, _ = self.base[id(m)]
         return (g if factor is None else _grown(g, self.mask, factor)), f3
+
+    def f3_theta(self, m):
+        _, f3, theta = self.base[id(m)]
+        return f3 * theta
 
     def f(self, m, factor=None):
         return wz.null_triple(*self.gf3(m, factor))
@@ -501,18 +535,15 @@ class _PointSet:
     def density(self, m, factor=None):
         base = self.base_density.get(id(m))
         if base is None:
-            base = self.base_density[id(m)] = wz.density_from_f_theta(
-                self.f_theta(m)
+            base = self.base_density[id(m)] = _density(
+                self.gf3(m)[0], self.f3_theta(m)
             )
         if factor is None:
             return base
         g, f3, theta = self.base[id(m)]
         on = self.mask
         out = base.copy()
-        out[on] = wz.density_from_f_theta(
-            wz.null_triple(g[on] * factor, f3[on])
-            * theta[on][..., None]
-        )
+        out[on] = _density(g[on] * factor, f3[on] * theta[on])
         return out
 
 
@@ -610,17 +641,6 @@ class MetricGraph:
             path.append(node)
         return value, np.array(path)
 
-    def flat_distance(self):
-        """Graph distance from the source to the boundary in the flat metric.
-
-        Closed form, no Dijkstra run: every graph path is at least as long
-        as the Euclidean distance between its ends, which is at least the
-        radial gap between their circles, and the radial path from the
-        source attains that gap.
-        """
-        r_src = self.radii[self.source // self.n_th]
-        return float(min(r_src - self.radii[0], self.radii[-1] - r_src))
-
 
 def build_metric_graph(r_in, r_out, x0, radii=None, n_th=256):
     """Polar graph on the annulus r_in < |z| < r_out, 8-connected.
@@ -638,9 +658,8 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_th=256):
         radii = np.linspace(r_in, r_out, 64)
     radii = np.asarray(radii, dtype=float)
     n_r = radii.size
-    ang = 2.0 * np.pi * np.arange(n_th) / n_th
-    grid = radii[:, None] * np.exp(1j * ang)[None, :]
-    nodes = grid.ravel()
+    nodes = wz.PolarGrid(radii, n_th).points
+    grid = nodes.reshape(n_r, n_th)
 
     # columns of one node's row, relative to the start of its circle: the
     # angular successor, then the next circle's three neighbours, sorted
@@ -678,31 +697,28 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_th=256):
 @dataclass(frozen=True)
 class DistanceResult:
     value: float
-    calibration: float
     node_distances: np.ndarray = field(repr=False, compare=False)
 
     def __float__(self):
         return self.value
 
 
-def intrinsic_distance(data, graph):
+def intrinsic_distance(data, graph, labyrinths=(), factor=None):
     """Intrinsic distance from the graph's x0 to both boundary circles, by
     Dijkstra.
 
     The metric is density^(1/2) |dz| on the graph, whose inner and outer
-    radii must enclose |x0| strictly (ValueError otherwise).  The result
-    keeps the graph distance from x0 to every node, shape (n_r, n_th).  The
-    calibration factor is the graph's flat-metric distance divided by the
-    exact flat distance from x0 to the nearer boundary circle; it
-    quantifies the graph's overestimation and is reported, not applied.
-    The graph's flat distance has a closed form (MetricGraph.flat_distance),
-    so the factor measures only the move of x0 to its nearest node.  The
-    density is evaluated DENSITY_BLOCK nodes at a time, rounded down to
-    whole rings.
+    radii must enclose |x0| strictly (ValueError otherwise).  The density
+    is that of data, or, given a factor, that of data with g grown by the
+    factor on the walls of the labyrinths, by the rule of _PointSet.  It is
+    evaluated on the graph's polar grid DENSITY_BLOCK nodes at a time,
+    rounded down to whole rings: the rule acts point by point, so the bits
+    are those of one evaluation, and a block's values are freed before the
+    next.  The result keeps the graph distance from x0 to every node, shape
+    (n_r, n_th).
     """
     r0 = abs(graph.x0)
-    flat_exact = min(r0 - graph.radii[0], graph.radii[-1] - r0)
-    if not flat_exact > 0:
+    if not graph.radii[0] < r0 < graph.radii[-1]:
         raise ValueError(
             f"|x0| = {r0:g} must lie strictly inside the graph's radii "
             f"[{graph.radii[0]:g}, {graph.radii[-1]:g}]"
@@ -710,18 +726,17 @@ def intrinsic_distance(data, graph):
     rings = max(1, DENSITY_BLOCK // graph.n_th)
 
     def density(z):
-        # a block of rings at a time: the density acts point by point, so
-        # the bits are those of one call, and the peak memory is a block's
         out = np.empty(z.shape)
-        for k in range(0, z.size, rings * graph.n_th):
-            block = slice(k, k + rings * graph.n_th)
-            out[block] = wz.metric_density(data, z[block])
+        for i in range(0, graph.radii.size, rings):
+            grid = wz.PolarGrid(graph.radii[i : i + rings], graph.n_th)
+            block = _PointSet(grid, [data]).walls(labyrinths)
+            out[i * graph.n_th : (i + rings) * graph.n_th] = block.density(
+                data, factor
+            )
         return out
 
     dist = graph.node_distances(density)
-    val = graph.boundary_distance(dist)
-    calib = float(graph.flat_distance() / flat_exact)
-    return DistanceResult(value=val, calibration=calib, node_distances=dist)
+    return DistanceResult(value=graph.boundary_distance(dist), node_distances=dist)
 
 
 def _recorded_distance(graph, dens, records, walls):
@@ -871,7 +886,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     # distance of the input family; equal members share one evaluation
     distinct = _distinct(members)
     coarse = build_metric_graph(r_in, r_out, x0)
-    on_coarse = _PointSet(coarse.nodes, distinct)
+    on_coarse = _PointSet(wz.PolarGrid(coarse.radii, coarse.n_th), distinct)
     # each base member's searches, kept for reuse by conclusion (IV); tau's
     # keep no path, so they carry over only to equal wall densities
     searched = {}
@@ -885,12 +900,6 @@ def complete_step(family, core, delta, ts=None, seed=23):
         AnnulusEnd(hole=0, r=r_in, R=lo, kind="inversion", c=r_in * lo),
         AnnulusEnd(hole=1, r=hi, R=r_out, kind="identity"),
     ]
-    f3t_of = {
-        id(m): (lambda z, m=m: m.f3(z) * m.theta_over_dz(z)) for m in distinct
-    }
-    f3t_family = [f3t_of[id(m)] for m in members]
-    g_family = [m.g for m in members]
-
     # first pass: wide bands fix a provisional epsilon and wall count N;
     # then narrow bands sized to N keep the fine graph small, and the
     # crossing bound is re-verified with the final parameters.  A band
@@ -898,7 +907,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     # until 2/N falls below the narrowest band.
     f3_family = [m.f3 for m in members]
     bands = find_bands(f3_family, ends, t_grid)
-    params = choose_params(f3t_family, g_family, bands, 2, t_grid)
+    params = choose_params(members, bands, 2, t_grid)
     N = 2
     for _ in range(4):
         r_const = min(min(0.5, b.r) for b in bands)
@@ -924,7 +933,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
                     f"{required:.3g}"
                 )
         bands = find_bands(f3_family, ends, t_grid, width=2.5 / N)
-        params = choose_params(f3t_family, g_family, bands, N, t_grid)
+        params = choose_params(members, bands, N, t_grid)
     else:
         raise EstimateNotMet(
             "no wall count satisfies the crossing bound on the found bands"
@@ -943,7 +952,9 @@ def complete_step(family, core, delta, ts=None, seed=23):
     pairs = list(zip(members, factors))
 
     # (I) anchoring at t = 0 and (II) third components, exactly
-    probe = _PointSet(data0.grid(n_r=16, n_th=64), members).walls(labs)
+    probe = _PointSet(
+        wz.PolarGrid(wz._open_radii(r_in, r_out, 16), 64), members
+    ).walls(labs)
     passes["anchoring"] = bool(
         np.array_equal(probe.f(data0, factors[0]), probe.f(data0))
     )
@@ -953,30 +964,35 @@ def complete_step(family, core, delta, ts=None, seed=23):
         (id(tr.f3), id(m.f3)): (tr.f3, m) for tr, m in zip(transformed, members)
     }
     third_dev = max(
-        float(np.max(np.abs(f3(probe.z) - probe.gf3(m)[1])))
+        float(np.max(np.abs(wz._evaluate(f3, probe.grid) - probe.gf3(m)[1])))
         for f3, m in f3_pairs.values()
     )
     report["third_component_deviation"] = third_dev
     passes["third_components"] = third_dev <= 1e-10
 
     # (III) flux over the core generator
-    circle = wz.circle(rho, 512)
-    on_circle = _PointSet(circle, members).walls(labs)
+    on_circle = _PointSet(wz.PolarGrid([rho], 512), members).walls(labs)
 
     def flux(m, fac=None):
-        return wz.period_from_f_theta(on_circle.f_theta(m, fac), circle).imag
+        ft = on_circle.f_theta(m, fac)
+        return wz.period_from_f_theta(ft, on_circle.points).imag
 
+    base_flux = {id(m): flux(m) for m in distinct}
     flux_dev = max(
-        float(np.max(np.abs(flux(m, fac) - flux(m)))) for m, fac in pairs
+        float(np.max(np.abs(flux(m, fac) - base_flux[id(m)])))
+        for m, fac in pairs
     )
     report["flux_deviation"] = flux_dev
     passes["flux_traces"] = flux_dev <= 1e-10
 
     # approximation on the core: the transform is the identity there
-    core_pts = circle * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8)[:, None]
-    on_core = _PointSet(core_pts, members).walls(labs)
+    core_grid = wz.PolarGrid(
+        rho * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8), 512
+    )
+    on_core = _PointSet(core_grid, members).walls(labs)
+    base_f = {id(m): on_core.f(m) for m in distinct}
     core_dev = max(
-        float(np.max(np.abs(on_core.f(m, fac) - on_core.f(m))))
+        float(np.max(np.abs(on_core.f(m, fac) - base_f[id(m)])))
         for m, fac in pairs
     )
     report["core_deviation"] = core_dev
@@ -988,16 +1004,17 @@ def complete_step(family, core, delta, ts=None, seed=23):
     est1_min, est2_min = np.inf, np.inf
     for lab in labs:
         band = lab.band
-        w_grid = band.chart_grid(96, 128)
-        z_grid = band.end.from_chart(w_grid)
-        inside = lab.contains_chart(w_grid)
-        chart_scale = np.abs(band.end.dz_dw(w_grid)) ** 2
         t_lo, t_hi = band.bracket
         js = [
             int(np.argmin(np.abs(t_grid - t)))
             for t in (t_lo, 0.5 * (t_lo + t_hi), t_hi)
         ]
-        on_band = _PointSet(z_grid, [members[j] for j in js]).walls(labs)
+        on_band = _PointSet(band.grid(96, 128), [members[j] for j in js])
+        on_band.walls(labs)
+        # chart coordinates in the order of the physical grid's points
+        w = band.end.to_chart(on_band.points)
+        inside = lab.contains_chart(w)
+        chart_scale = np.abs(band.end.dz_dw(w)) ** 2
         for j in js:
             dens_chart = on_band.density(members[j], factors[j]) * chart_scale
             if np.any(inside):
@@ -1035,10 +1052,9 @@ def complete_step(family, core, delta, ts=None, seed=23):
     # (V) endpoint distance on the labyrinth-resolving graph
     radii = _fine_radii(r_in, r_out, labs, N)
     fine = build_metric_graph(r_in, r_out, x0, radii=radii, n_th=128)
-    end = intrinsic_distance(transformed[-1], fine)
+    end = intrinsic_distance(members[-1], fine, labs, factors[-1])
     final = end.value
     report["final_distance"] = final
-    report["calibration"] = end.calibration
     # radial spacing inside the bands: half the clearance between walls
     report["fine_resolution"] = _fine_spacing(N)
     passes["conclusion_v"] = final > 1.0 / delta

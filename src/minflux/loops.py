@@ -452,13 +452,13 @@ class _ZeroPeriodBuilder:
     g_field, period and jacobian are pure functions of their arguments.
     """
 
-    def __init__(self, w_tilde, delta, eps, n_samples):
-        self.n = n_samples
+    def __init__(self, w_tilde, eps):
+        self.n = PAIR_SAMPLES
         self.x = np.arange(self.n) / self.n
-        self.delta = delta
+        self.delta = PAIR_DELTA
         self.eps = eps
-        self.w = w_tilde  # flattened, rotated derivative field, (N, 3)
-        d = delta
+        self.w = w_tilde  # flattened, rotated derivative field, (PAIR_SAMPLES, 3)
+        d = self.delta
         x = self.x
         # smooth ramp of the p-perturbation of h': 1 on [0, delta] and on
         # [1 - delta/4, 1), decaying inside [delta, 2 delta] and rising on
@@ -760,7 +760,7 @@ def make_zero_period_pair(h0, spin_class=0):
     last_err = "no attempt"
     for attempt in range(4):
         cur_eps = PAIR_EPS / (2.0**attempt)
-        builder = _ZeroPeriodBuilder(wt, PAIR_DELTA, cur_eps, n_samples)
+        builder = _ZeroPeriodBuilder(wt, cur_eps)
         # pick the extension winding realizing the requested class; the
         # class depends neither on p nor on the correction coefficients
         for extra in (0, 1):

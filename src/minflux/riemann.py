@@ -83,9 +83,9 @@ def homology_basis(domain):
     return [CurveChart(homology_radius(domain))]
 
 
-def winding_number(curve_points, z0):
-    """Winding of a sampled closed curve around z0, by argument summation."""
-    w = np.asarray(curve_points, dtype=complex) - z0
+def winding_number(curve_points):
+    """Winding of a sampled closed curve around 0, by argument summation."""
+    w = np.asarray(curve_points, dtype=complex)
     ang = np.angle(np.roll(w, -1) / w)
     return int(round(ang.sum() / (2.0 * np.pi)))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,15 +115,12 @@ class LaurentSeries:
         c[other.k_min - lo : other.k_max - lo + 1] += other.coeffs
         return LaurentSeries(c, lo)
 
-    def coefficient(self, k):
-        if self.k_min <= k <= self.k_max:
-            return complex(self.coeffs[k - self.k_min])
-        return 0.0j
-
     @property
     def residue(self):
         """Coefficient of 1/z, equal to the loop integral over 2 pi i."""
-        return self.coefficient(-1)
+        if self.k_min <= -1 <= self.k_max:
+            return complex(self.coeffs[-1 - self.k_min])
+        return 0.0j
 
     @staticmethod
     def exp_series():
@@ -159,16 +157,19 @@ def _as_callable(fun):
 class PolarGrid:
     """Polar product grid radii[i] * e^(2 pi i j / n_th) about 0.
 
-    points holds the samples as a flat complex array, radius by radius.
-    Exact Laurent data evaluate on the grid itself; everything else
-    evaluates on points.
+    points holds the samples as a flat complex array, radius by radius,
+    formed on first use.  Exact Laurent data evaluate on the grid itself
+    and need no points; everything else evaluates on points.
     """
 
     def __init__(self, radii, n_th):
         self.radii = np.atleast_1d(np.asarray(radii, dtype=float))
         self.n_th = int(n_th)
+
+    @cached_property
+    def points(self):
         angles = np.arange(self.n_th) / self.n_th * 2.0 * np.pi
-        self.points = (self.radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+        return (self.radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
 def _open_radii(lo, hi, n):
@@ -240,13 +241,15 @@ class WeierstrassData:
         return null_triple(_evaluate(self.g, z), _evaluate(self.f3, z))
 
     def theta_over_dz(self, z):
-        z = np.asarray(z, dtype=complex)
+        """Values of theta/dz at points z, or at the points of a PolarGrid."""
+        z = z.points if isinstance(z, PolarGrid) else np.asarray(z, dtype=complex)
         if self.theta == "dz":
             return np.ones_like(z)
         return 1.0 / z
 
     def f_theta(self, z):
-        """Values of f * (theta/dz), the integrand against dz."""
+        """Values of f * (theta/dz), the integrand against dz; z may be a
+        PolarGrid, as in f."""
         return self.f(z) * self.theta_over_dz(z)[..., None]
 
 
@@ -280,9 +283,11 @@ def density_from_f_theta(ft):
 
 
 def metric_density(data, points):
-    """Density of the induced metric against |dz|^2, equal to 0.5 |f theta/dz|^2."""
-    z = np.asarray(points, dtype=complex)
-    return density_from_f_theta(data.f_theta(z))
+    """Density of the induced metric against |dz|^2, equal to 0.5 |f theta/dz|^2.
+
+    points may be a PolarGrid, as in WeierstrassData.f.
+    """
+    return density_from_f_theta(data.f_theta(points))
 
 
 def conformality_residual(f_values):
@@ -318,8 +323,9 @@ def homology_radius(data):
     return math.sqrt(data.r_inner * data.r_outer)
 
 
-def _segment_integral(data, a, b, tol):
-    """Adaptive Gauss-Legendre integral of Re(f theta) over a straight segment."""
+def _segment_integral(data, a, b):
+    """Adaptive Gauss-Legendre integral of Re(f theta) over a straight
+    segment, to TOL_PERIOD."""
     nodes, weights = np.polynomial.legendre.leggauss(24)
 
     def quad(lo, hi):
@@ -336,7 +342,7 @@ def _segment_integral(data, a, b, tol):
             raise NonFiniteValues("f theta is not finite on the integration path")
         mid = 0.5 * (lo + hi)
         left, right = quad(lo, mid), quad(mid, hi)
-        if depth >= 24 or np.max(np.abs(left + right - whole)) < 0.25 * tol:
+        if depth >= 24 or np.max(np.abs(left + right - whole)) < 0.25 * TOL_PERIOD:
             return left + right
         return refine(lo, mid, left, depth + 1) + refine(mid, hi, right, depth + 1)
 
@@ -366,7 +372,7 @@ def integrate_immersion(data, basepoint, value, targetpoint, path=None):
     pts = [a] + [complex(p) for p in (path if path is not None else [])] + [b]
     for lo, hi in zip(pts[:-1], pts[1:]):
         if lo != hi:
-            out = out + _segment_integral(data, lo, hi, TOL_PERIOD)
+            out = out + _segment_integral(data, lo, hi)
     return out
 
 

@@ -1,6 +1,7 @@
 """Every module-level function and class of minflux is used or documented,
-every method is referenced, and every defaulted parameter is set by some
-call of the program or of the acceptance tests."""
+every method is referenced, every defaulted parameter is set by some call
+of the program or of the acceptance tests, and no required parameter gets
+the same module constant or literal from every such call."""
 
 import ast
 import re
@@ -95,10 +96,11 @@ def test_every_method_is_referenced():
     assert unreferenced_methods() == []
 
 
-def defaulted_parameters():
+def parameters(defaulted):
     """(label, callee name, position or None, parameter name) for every
-    defaulted parameter of a module-level function, or of a method of a
-    module-level class, in src/minflux.
+    defaulted parameter (defaulted=True), or every required one, of a
+    module-level function, or of a method of a module-level class, in
+    src/minflux.
 
     The position counts the arguments a call passes, so a method's self or
     cls is not counted; keyword-only parameters have none.  A class is
@@ -130,14 +132,18 @@ def defaulted_parameters():
                 out += [
                     (f"{path.stem}.{qual}({arg.arg})", callee, i - skip, arg.arg)
                     for i, arg in enumerate(pos)
-                    if i >= first
+                    if i >= skip and (i >= first) == defaulted
                 ]
                 out += [
                     (f"{path.stem}.{qual}({arg.arg})", callee, None, arg.arg)
                     for arg, d in zip(a.kwonlyargs, a.kw_defaults)
-                    if d is not None
+                    if (d is not None) == defaulted
                 ]
     return out
+
+
+def defaulted_parameters():
+    return parameters(defaulted=True)
 
 
 def sets(call, position, name):
@@ -150,15 +156,21 @@ def sets(call, position, name):
     return position is not None and len(call.args) > position
 
 
-def unset_defaults():
-    """Defaulted parameters that no call in the program files sets,
-    matching calls by the callee's bare name."""
+def program_calls():
+    """Every call in the program files, by the callee's bare name."""
     calls = {}
     for path in program_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def unset_defaults():
+    """Defaulted parameters that no call in the program files sets,
+    matching calls by the callee's bare name."""
+    calls = program_calls()
     return [
         label
         for label, callee, position, name in defaulted_parameters()
@@ -169,3 +181,62 @@ def unset_defaults():
 def test_every_default_is_set():
     # a default that no caller overrides is a constant in disguise
     assert unset_defaults() == []
+
+
+def module_constants():
+    """Names bound by a module-level assignment in src/minflux."""
+    names = set()
+    for path in sorted((ROOT / "src" / "minflux").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AnnAssign)
+                else []
+            )
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def passed(call, position, name):
+    """The argument expression the call passes for the parameter, or None
+    when it passes none that can be read (a * or ** unpacking)."""
+    for k in call.keywords:
+        if k.arg == name:
+            return k.value
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    if position is not None and len(call.args) > position:
+        return call.args[position]
+    return None
+
+
+def fixed_parameters():
+    """Required parameters to which every call in the program files passes
+    one and the same module constant (by name, bare or as a module
+    attribute) or literal.  A local name such as N does not count, since it
+    may carry different values."""
+    constants = module_constants()
+
+    def constant(expr):
+        # a key for the value of expr when it is fixed, else None
+        if isinstance(getattr(expr, "operand", expr), ast.Constant):
+            return ast.dump(expr)
+        if isinstance(expr, (ast.Name, ast.Attribute)):
+            name = getattr(expr, "id", getattr(expr, "attr", None))
+            return name if name in constants else None
+        return None
+
+    calls = program_calls()
+    out = []
+    for label, callee, position, name in parameters(defaulted=False):
+        values = {
+            constant(passed(c, position, name)) for c in calls.get(callee, ())
+        }
+        if len(values) == 1 and None not in values:
+            out.append(label)
+    return out
+
+
+def test_no_required_parameter_is_fixed():
+    # a parameter that every caller gives one constant is that constant
+    assert fixed_parameters() == []

@@ -21,16 +21,35 @@ from minflux.errors import (
 )
 
 
+def grid_rule(m, grid, labs=(), factor=None):
+    """f and the density of base member m on a polar grid, or of its
+    transform grown by factor on the walls of labs: the step's grid rule,
+    applied to m alone and to every point of the grid."""
+    g, f3 = wz._evaluate(m.g, grid), wz._evaluate(m.f3, grid)
+    if factor is not None:
+        g = lb._grown(g, lb._wall_mask(labs, grid.points), factor)
+    return wz.null_triple(g, f3), lb._density(g, f3 * m.theta_over_dz(grid))
+
+
+def point_rule(h, grid):
+    """The same from member h's own callables on the grid's points, by
+    Horner's scheme and the null triple: the evaluation before the grid
+    rule."""
+    z = grid.points
+    return h.f(z), wz.metric_density(h, z)
+
+
 def wide_band():
     end = lb.AnnulusEnd(0, 0.2, 2.0)
     return lb.AnnulusBand(0, 0, 0.3, 1.9, end, (0.5, 1.0))
 
 
 def ones_families(n=9):
+    """An f3 family and a member family with g = f3 = 1 and theta = dz, as
+    opaque callables, and their ts."""
     t = np.linspace(0.0, 1.0, n)
-    f3t = [lambda z: np.ones_like(np.asarray(z, complex))] * n
-    g = [lambda z: np.ones_like(np.asarray(z, complex))] * n
-    return f3t, g, t
+    f3 = [lambda z: np.ones_like(np.asarray(z, complex))] * n
+    return f3, [wz.WeierstrassData(1.0, 1.0)] * n, t
 
 
 class TestBuildLabyrinth:
@@ -104,8 +123,8 @@ class TestBuildLabyrinth:
 class TestFindBands:
     def test_constant_third_single_band_at_mid_radius(self):
         end = lb.AnnulusEnd(0, 1.3, 2.0)
-        f3t, _, t = ones_families()
-        bands = lb.find_bands(f3t, [end], t)
+        f3, _, t = ones_families()
+        bands = lb.find_bands(f3, [end], t)
         assert len(bands) == 1
         mid = 0.5 * (bands[0].r + bands[0].R)
         assert mid == pytest.approx(0.5 * (end.r + end.R), abs=0.05)
@@ -139,12 +158,32 @@ class TestFindBands:
 
     def test_inversion_chart_band_radii_literal(self):
         end = lb.AnnulusEnd(0, 0.5, 0.8, kind="inversion", c=0.4)
-        f3t, _, t = ones_families()
-        bands = lb.find_bands(f3t, [end], t)
+        f3, _, t = ones_families()
+        bands = lb.find_bands(f3, [end], t)
         assert end.r < bands[0].r < bands[0].R < end.R
-        # chart points of the band map into the physical end annulus
-        z = end.from_chart(bands[0].chart_grid(8, 16))
+        # the band's physical grid lies in the physical end annulus, on
+        # circles whose chart radii run from r to R
+        z = bands[0].grid(8, 16).points
         assert np.all((np.abs(z) > 0.5 - 1e-12) & (np.abs(z) < 0.8 + 1e-12))
+        w = np.abs(end.to_chart(z))
+        assert w.min() == pytest.approx(bands[0].r, rel=1e-14)
+        assert w.max() == pytest.approx(bands[0].R, rel=1e-14)
+
+    @pytest.mark.parametrize("zero, free", [(0.6, False), (0.75, True)])
+    def test_inversion_window_zero_caught_on_grid(self, zero, free):
+        # f3 = z - zero is exact, so its winding circles are one-ring polar
+        # grids evaluated by FFT.  The chart window (0.55, 0.75) of the
+        # inversion end w = 0.4/z holds z = 0.6 (w = 0.667), not z = 0.75
+        # (w = 0.533)
+        end = lb.AnnulusEnd(0, 0.5, 0.8, kind="inversion", c=0.4)
+        band = lb.AnnulusBand(0, 0, 0.55, 0.75, end, (0.5, 1.0))
+        f3 = wz.LaurentSeries([-zero, 1.0], 0)
+        assert lb._window_zero_free(f3, band) == free
+        if not free:
+            # every candidate window of width 0.2 holds w = 0.667
+            with pytest.raises(NoBandFound):
+                lb.find_bands([f3] * 5, [end], np.linspace(0.0, 1.0, 5),
+                              width=0.2)
 
 
 class TestChooseParams:
@@ -154,8 +193,8 @@ class TestChooseParams:
         # lambda is 78
         end = lb.AnnulusEnd(0, 1.3, 2.0)
         band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.5, 1.0))
-        f3t, g, t = ones_families()
-        p = lb.choose_params(f3t, g, [band], 2, t)
+        _, members, t = ones_families()
+        p = lb.choose_params(members, [band], 2, t)
         assert p.lam == pytest.approx(78.0, abs=1e-12)
         assert p.c0 == pytest.approx(1.0, abs=1e-12)
         assert p.eps == pytest.approx(0.5, abs=1e-12)
@@ -163,18 +202,18 @@ class TestChooseParams:
     def test_gauss_map_too_small(self):
         end = lb.AnnulusEnd(0, 1.3, 2.0)
         band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.5, 1.0))
-        f3t, _, t = ones_families()
-        tiny = [lambda z: 1e-12 * np.ones_like(np.asarray(z, complex))] * len(t)
+        t = np.linspace(0.0, 1.0, 9)
+        tiny = [wz.WeierstrassData(1e-12, 1.0)] * len(t)
         with pytest.raises(GaussMapTooSmall):
-            lb.choose_params(f3t, tiny, [band], 2, t)
+            lb.choose_params(tiny, [band], 2, t)
 
     def test_epsilon_uses_chart_units(self):
         # inversion chart with c = 0.4: theta/dz = 1 but dz/dw = -c/w^2,
         # so the chart-unit integrand on |w| ~ 0.6 is about 1.1, not 1
         end = lb.AnnulusEnd(0, 0.5, 0.8, kind="inversion", c=0.4)
         band = lb.AnnulusBand(0, 0, 0.55, 0.75, end, (0.5, 1.0))
-        f3t, g, t = ones_families()
-        p = lb.choose_params(f3t, g, [band], 2, t)
+        _, members, t = ones_families()
+        p = lb.choose_params(members, [band], 2, t)
         expect = 0.5 * 0.4 / 0.75**2
         assert p.eps == pytest.approx(expect, rel=1e-9)
 
@@ -184,30 +223,33 @@ class TestChooseParams:
         # bold; the fine-grid re-verification must catch it
         end = lb.AnnulusEnd(0, 1.3, 2.0)
         band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.5, 1.0))
-        f3t, g, t = ones_families()
+        # g = 2 and f3 theta/dw = 1, so the sampled values tell which
+        # minimum is taken
+        t = np.linspace(0.0, 1.0, 9)
+        members = [wz.WeierstrassData(2.0, 1.0)] * t.size
         real = lb._sampled_min
 
-        def overestimate(fun, points, refine):
-            is_g = any(fun is h for h in g)
+        def overestimate(probe, refine):
+            is_g = real(probe, refine) == 2.0
             scale = 2.0 if is_g == (which == "lambda") else 1.0
-            return scale * real(fun, points, refine)
+            return scale * real(probe, refine)
 
         monkeypatch.setattr(lb, "_sampled_min", overestimate)
         with pytest.raises(EstimateNotMet, match=f"{which} inequality"):
-            lb.choose_params(f3t, g, [band], 2, t)
+            lb.choose_params(members, [band], 2, t)
 
     def test_reverification_of_bracket_without_samples(self, monkeypatch):
         # no t sample lies in (0.55, 0.6): both passes must check the
         # nearest sample, so the overestimate is still caught
         end = lb.AnnulusEnd(0, 1.3, 2.0)
         band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.55, 0.6))
-        f3t, g, t = ones_families(2)
+        _, members, t = ones_families(2)
         real = lb._sampled_min
         monkeypatch.setattr(
             lb, "_sampled_min", lambda *a: 2.0 * real(*a)
         )
         with pytest.raises(EstimateNotMet):
-            lb.choose_params(f3t, g, [band], 2, t)
+            lb.choose_params(members, [band], 2, t)
 
     def test_invalid_params_typed(self):
         with pytest.raises(EstimateNotMet):
@@ -218,44 +260,41 @@ class TestDeduplication:
     """Equal members are evaluated once; results must not depend on it."""
 
     def families(self, t):
+        # one member, or one equal but distinct member per t; both take
+        # the exact Laurent path, so the values are the same bits
         cat = wz.catalog("catenoid")
 
-        def f3t(z):
-            return cat.f3(z) * cat.theta_over_dz(z)
+        def copy(s):
+            return wz.LaurentSeries(s.coeffs, s.k_min)
 
-        shared = tuple([f] * t.size for f in (cat.f3, f3t, cat.g))
-        wrapped = tuple(
-            [lambda z, f=f: f(z) for _ in t] for f in (cat.f3, f3t, cat.g)
-        )
-        return shared, wrapped
+        shared = [cat.f3] * t.size, [cat] * t.size
+        f3s = [copy(cat.f3) for _ in t]
+        separate = f3s, [
+            wz.WeierstrassData(copy(cat.g), f3, theta=cat.theta) for f3 in f3s
+        ]
+        return shared, separate
 
     def test_bands_and_params_identical(self):
         t = np.linspace(0.0, 1.0, 9)
-        shared, wrapped = self.families(t)
-        assert len(lb._distinct(shared[0])) == 1
-        assert len(lb._distinct(wrapped[0])) == t.size
+        shared, separate = self.families(t)
+        assert len(lb._distinct(shared[0])) == len(lb._distinct(shared[1])) == 1
+        assert len(lb._distinct(separate[0])) == t.size
+        assert len(lb._distinct(separate[1])) == t.size
         ends = [
             lb.AnnulusEnd(0, 0.5, 0.8, kind="inversion", c=0.4),
             lb.AnnulusEnd(1, 1.3, 2.0),
         ]
         out = []
-        for f3, f3t, g in (shared, wrapped):
+        for f3, members in (shared, separate):
             bands = lb.find_bands(f3, ends, t)
-            out.append((bands, lb.choose_params(f3t, g, bands, 3, t)))
+            out.append((bands, lb.choose_params(members, bands, 3, t)))
         assert out[0] == out[1]
 
     def test_tau_independent_of_deduplication(self, catenoid_step):
         # distinct members with equal data: nothing is shared, tau must
         # equal that of the constant family, where all members are one
-        cat = wz.catalog("catenoid")
         ts = np.linspace(0.0, 1.0, 3)
-        copies = [
-            wz.WeierstrassData(
-                lambda z: cat.g(z), lambda z: cat.f3(z), theta=cat.theta,
-                r_inner=cat.r_inner, r_outer=cat.r_outer,
-            )
-            for _ in ts
-        ]
+        _, (_, copies) = self.families(ts)
         res = lb.complete_step(copies, core=(0.8, 1.3), delta=0.5, ts=ts)
         assert res.tau == catenoid_step.tau
 
@@ -295,18 +334,22 @@ class TestLopezRos:
             assert np.array_equal(wz.flux(h, circle), wz.flux(self.cat, circle))
 
     def test_point_set_density_matches_members(self):
-        # the point set recomputes only the wall points per factor; every
-        # transformed member's density must equal its own callables' bits
-        z = lb.build_metric_graph(
-            1.3, 2.0, 1.6, radii=np.linspace(1.3, 2.0, 96), n_th=64
-        ).nodes
-        points = lb._PointSet(z, [self.cat]).walls([self.lab])
-        assert 0 < np.count_nonzero(points.mask) < z.size
+        # the point set evaluates the base member once and recomputes only
+        # the wall points per factor: every transformed member's density
+        # must equal the grid rule on the whole grid bit for bit, and the
+        # density of its own callables to 1e-13 relative
+        grid = wz.PolarGrid(np.linspace(1.3, 2.0, 96), 64)
+        points = lb._PointSet(grid, [self.cat]).walls([self.lab])
+        assert 0 < np.count_nonzero(points.mask) < grid.points.size
         for h, fac in zip(self.out, lb._factors(self.params, self.t)):
-            want = wz.metric_density(h, z)
-            assert np.array_equal(points.density(self.cat, fac), want)
+            got = points.density(self.cat, fac)
+            want = grid_rule(self.cat, grid, [self.lab], fac)[1]
+            assert np.array_equal(got, want)
+            np.testing.assert_allclose(
+                got, point_rule(h, grid)[1], rtol=1e-13, atol=0
+            )
         assert np.array_equal(
-            points.density(self.cat), wz.metric_density(self.cat, z)
+            points.density(self.cat), grid_rule(self.cat, grid)[1]
         )
 
 
@@ -329,7 +372,12 @@ class TestFlatDistance:
             r_in, r_out, x0, radii=np.linspace(r_in, r_out, n_r), n_th=n_th
         )
         flat = graph.distance(lambda z: np.ones(np.asarray(z).shape))
-        assert graph.flat_distance() == pytest.approx(flat, rel=1e-12, abs=0)
+        # every graph path is at least as long as the radial gap between
+        # its ends' circles, and the radial path from the source attains
+        # the gap to the nearer boundary circle
+        r_src = graph.radii[graph.source // graph.n_th]
+        gap = min(r_src - graph.radii[0], graph.radii[-1] - r_src)
+        assert gap == pytest.approx(flat, rel=1e-12, abs=0)
 
 
 def coo_edges(graph):
@@ -713,18 +761,6 @@ class TestIntrinsicDistance:
         d4 = self.distance(self.flat(2.0), 1.0 + 0j)
         assert d4.value == pytest.approx(2.0 * d1.value, rel=1e-12)
 
-    def test_calibration_reported(self):
-        d = self.distance(self.flat(), 1.2 + 0j)
-        assert d.value == pytest.approx(0.7, rel=0.02)
-        assert 0.9 <= d.calibration <= 1.1
-
-    def test_calibration_follows_passed_graph(self):
-        # the exact flat distance is taken to the graph's own boundary
-        # circles (0.05 from x0), not to the data's annulus (0.55)
-        graph = lb.build_metric_graph(1.0, 2.0, 1.05 + 0j)
-        d = lb.intrinsic_distance(self.flat(), graph)
-        assert 0.9 <= d.calibration <= 1.1
-
     @pytest.mark.parametrize("x0", [0.8, 1.0, 2.5])
     def test_x0_outside_graph_rejected(self, x0):
         # build_metric_graph takes a source on a boundary ring
@@ -768,50 +804,101 @@ def catenoid_step():
     return lb.complete_step(wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5)
 
 
-def naive_checks(members, res, core):
-    """tau, the per-t distances and the check values of complete_step,
-    evaluating every member through its own callables, one at a time."""
+def naive_checks(members, res, core, exact=True):
+    """tau, the per-t distances, the parameters and the check values of
+    complete_step, evaluating every member one at a time on the step's
+    polar grids.  exact: by the grid rule (grid_rule), which the step must
+    match bit for bit; otherwise through each member's own callables on the
+    grid's points (point_rule), which it must match to 1e-12."""
     data0 = members[0]
-    rho = float(np.sqrt(data0.r_inner * data0.r_outer))
-    coarse = lb.build_metric_graph(data0.r_inner, data0.r_outer, complex(rho))
+    r_in, r_out = data0.r_inner, data0.r_outer
+    rho = float(np.sqrt(r_in * r_out))
+    labs = res.labyrinths
+    factors = lb._factors(res.params, res.ts)
 
-    def full_search(data):
+    def values(j, grid, base=False):
+        # f and density of transformed member j, or of its base member
+        m = members[j]
+        if exact:
+            return grid_rule(m, grid, labs, None if base else factors[j])
+        return point_rule(m if base else res.members[j], grid)
+
+    def on(fun, grid):
+        return wz._evaluate(fun, grid) if exact else fun(grid.points)
+
+    coarse = lb.build_metric_graph(r_in, r_out, complex(rho))
+    coarse_grid = wz.PolarGrid(coarse.radii, coarse.n_th)
+
+    def full_search(dens):
         # every node settled: the reference for the bounded distance
-        field = coarse.node_distances(lambda z: wz.metric_density(data, z))
-        return coarse.boundary_distance(field)
+        return coarse.boundary_distance(coarse.node_distances(lambda z: dens))
 
+    first = {id(m): j for j, m in reversed(list(enumerate(members)))}
     out = {
-        "tau": min(full_search(m) for m in lb._distinct(members)),
-        "distances": np.array([full_search(h) for h in res.members]),
+        "tau": min(
+            full_search(values(j, coarse_grid, base=True)[1])
+            for j in first.values()
+        ),
+        "distances": np.array(
+            [full_search(values(j, coarse_grid)[1]) for j in range(len(members))]
+        ),
     }
-    pairs = list(zip(res.members, members))
-    probe = data0.grid(n_r=16, n_th=64)
-    out["anchoring"] = np.array_equal(res.members[0].f(probe), data0.f(probe))
-    out["third_component_deviation"] = max(
-        float(np.max(np.abs(h.f3(probe) - m.f3(probe)))) for h, m in pairs
+    # the parameters, from the bracket members on each band's two grids
+    eps_min, c0 = np.inf, np.inf
+    for lab in labs:
+        band = lab.band
+        for j in lb._bracket_samples(res.ts, band.bracket):
+            m = members[j]
+            for grid in (band.grid(24, 48), band.grid(48, 96)):
+                scale = band.end.dz_dw(band.end.to_chart(grid.points))
+                f3t = on(m.f3, grid) * m.theta_over_dz(grid) * scale
+                eps_min = min(eps_min, float(np.min(np.abs(f3t))))
+                c0 = min(c0, float(np.min(np.abs(on(m.g, grid)))))
+    t0 = min(lab.band.bracket[0] for lab in labs)
+    target = 2.0 * res.N**4 * (1.0 + lb.LAMBDA_MARGIN)
+    out["eps"], out["c0"] = 0.5 * eps_min, c0
+    out["lam"] = max(0.0, (target / c0 - 1.0) / t0)
+
+    probe = wz.PolarGrid(wz._open_radii(r_in, r_out, 16), 64)
+    out["anchoring"] = np.array_equal(
+        values(0, probe)[0], values(0, probe, base=True)[0]
     )
-    circle = wz.circle(rho, 512)
+    out["third_component_deviation"] = max(
+        float(np.max(np.abs(on(h.f3, probe) - on(m.f3, probe))))
+        for h, m in zip(res.members, members)
+    )
+    circle = wz.PolarGrid([rho], 512)
+
+    def flux(j, base=False):
+        theta = members[j].theta_over_dz(circle)[:, None]
+        ft = values(j, circle, base)[0] * theta
+        return wz.period_from_f_theta(ft, circle.points).imag
+
     out["flux_deviation"] = max(
-        float(np.max(np.abs(wz.flux(h, circle) - wz.flux(m, circle))))
-        for h, m in pairs
+        float(np.max(np.abs(flux(j) - flux(j, base=True))))
+        for j in range(len(members))
     )
     lo, hi = core
-    core_pts = circle * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8)[:, None]
+    core_grid = wz.PolarGrid(
+        rho * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8), 512
+    )
     out["core_deviation"] = max(
-        float(np.max(np.abs(h.f(core_pts) - m.f(core_pts)))) for h, m in pairs
+        float(np.max(np.abs(
+            values(j, core_grid)[0] - values(j, core_grid, base=True)[0]
+        )))
+        for j in range(len(members))
     )
     eps, N = res.params.eps, res.N
     est1, est2 = np.inf, np.inf
-    for lab in res.labyrinths:
+    for lab in labs:
         band = lab.band
-        w_grid = band.chart_grid(96, 128)
-        z_grid = band.end.from_chart(w_grid)
-        inside = lab.contains_chart(w_grid)
+        grid = band.grid(96, 128)
+        w = band.end.to_chart(grid.points)
+        inside = lab.contains_chart(w)
         t_lo, t_hi = band.bracket
         for t in (t_lo, 0.5 * (t_lo + t_hi), t_hi):
-            h = res.members[int(np.argmin(np.abs(res.ts - t)))]
-            dens = wz.metric_density(h, z_grid)
-            dens_chart = dens * np.abs(band.end.dz_dw(w_grid)) ** 2
+            j = int(np.argmin(np.abs(res.ts - t)))
+            dens_chart = values(j, grid)[1] * np.abs(band.end.dz_dw(w)) ** 2
             if np.any(inside):
                 m1 = float(np.min(dens_chart[inside]))
                 est1 = min(est1, m1 / (N**8 * eps**2))
@@ -820,9 +907,31 @@ def naive_checks(members, res, core):
     return out
 
 
+def point_rule_final_distance(members, res):
+    """The endpoint distance with the last transformed member's own
+    callables on the fine graph's points, a block of rings at a time."""
+    data0 = members[0]
+    radii = lb._fine_radii(data0.r_inner, data0.r_outer, res.labyrinths, res.N)
+    fine = lb.build_metric_graph(
+        data0.r_inner, data0.r_outer, complex(np.sqrt(data0.r_inner * data0.r_outer)),
+        radii=radii, n_th=128,
+    )
+
+    def density(z):
+        step = 512 * 128
+        return np.concatenate([
+            wz.metric_density(res.members[-1], z[k : k + step])
+            for k in range(0, z.size, step)
+        ])
+
+    return fine.distance(density)
+
+
 class TestNodeSetEvaluation:
     """complete_step evaluates each base member and wall mask once per
-    point set; every value must equal member-by-member evaluation."""
+    point set.  Every value must equal member-by-member evaluation under
+    the same grid rule bit for bit, and evaluation through each member's
+    own callables on the points (Horner, null triple) to 1e-12 relative."""
 
     def assert_matches(self, members, res, core):
         want = naive_checks(members, res, core)
@@ -832,6 +941,19 @@ class TestNodeSetEvaluation:
         for key, value in want.items():
             assert res.report[key] == value, key
 
+    def assert_near_point_rule(self, members, res, core):
+        want = naive_checks(members, res, core, exact=False)
+        assert res.tau == pytest.approx(want.pop("tau"), rel=1e-12)
+        np.testing.assert_allclose(
+            res.distances, want.pop("distances"), rtol=1e-12, atol=0
+        )
+        assert res.report["passes"]["anchoring"] == want.pop("anchoring")
+        for key, value in want.items():
+            assert res.report[key] == pytest.approx(value, rel=1e-12), key
+        assert res.final_distance == pytest.approx(
+            point_rule_final_distance(members, res), rel=1e-12
+        )
+
     def test_constant_family(self, catenoid_step):
         members = [wz.catalog("catenoid")] * catenoid_step.ts.size
         self.assert_matches(members, catenoid_step, (0.8, 1.3))
@@ -840,6 +962,15 @@ class TestNodeSetEvaluation:
         members, ts = distinct_family()
         res = lb.complete_step(members, core=(0.8, 1.3), delta=0.5, ts=ts)
         self.assert_matches(members, res, (0.8, 1.3))
+
+    def test_constant_family_near_point_rule(self, catenoid_step):
+        members = [wz.catalog("catenoid")] * catenoid_step.ts.size
+        self.assert_near_point_rule(members, catenoid_step, (0.8, 1.3))
+
+    def test_distinct_members_near_point_rule(self):
+        members, ts = distinct_family()
+        res = lb.complete_step(members, core=(0.8, 1.3), delta=0.5, ts=ts)
+        self.assert_near_point_rule(members, res, (0.8, 1.3))
 
 
 class TestDistanceReuse:
@@ -942,6 +1073,53 @@ class TestCompleteStep:
         assert rep["est2_ratio"] > 1.0
         assert rep["est3_ratio"] > 1.0
 
+    @pytest.mark.parametrize("family", ["distinct", "quotient"])
+    def test_laurent_input_evaluated_on_grids_only(self, monkeypatch, family):
+        # exact data evaluate on the step's polar grids, one inverse FFT per
+        # ring: no LaurentSeries is ever called on an array of points
+        points = []
+        call = wz.LaurentSeries.__call__
+
+        def counted(self, z):
+            if not isinstance(z, wz.PolarGrid):
+                points.append(np.size(z))
+            return call(self, z)
+
+        monkeypatch.setattr(wz.LaurentSeries, "__call__", counted)
+        if family == "distinct":
+            members, ts = distinct_family()
+        else:
+            g = wz.LaurentQuotient(
+                wz.LaurentSeries([1.0], 1), wz.LaurentSeries([1.0], 0)
+            )
+            ts = np.linspace(0.0, 1.0, 8)
+            members = wz.WeierstrassData(g, wz.LaurentSeries([1.0]), "dz/z")
+        res = lb.complete_step(members, core=(0.8, 1.3), delta=0.5, ts=ts)
+        assert res.ok
+        assert sum(points) == 0
+
+    def test_opaque_callables_see_points(self, catenoid_step):
+        # g and f3 as plain lambdas take the fallback at every point set:
+        # they are handed points, never a grid, and the step agrees with
+        # the exact Laurent path to 1e-12
+        cat = wz.catalog("catenoid")
+        seen = set()
+
+        def g(z):
+            seen.add(type(z))
+            return cat.g(z)
+
+        data = wz.WeierstrassData(g, lambda z: cat.f3(z), theta=cat.theta)
+        res = lb.complete_step(data, core=(0.8, 1.3), delta=0.5)
+        assert seen == {np.ndarray}
+        assert res.ok and res.N == catenoid_step.N
+        for key, value in catenoid_step.report.items():
+            if key != "passes":
+                assert res.report[key] == pytest.approx(value, rel=1e-12), key
+        np.testing.assert_allclose(
+            res.distances, catenoid_step.distances, rtol=1e-12, atol=0
+        )
+
     def test_report_independent_of_seed(self, catenoid_step):
         other = lb.complete_step(
             wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5, seed=5
@@ -949,13 +1127,14 @@ class TestCompleteStep:
         assert other.report == catenoid_step.report
 
     def test_short_crossings_fail_est3(self, monkeypatch):
-        # the fine-graph metric scaled by 1e-6 shortens every distance on
-        # it 1000-fold: the band crossings fall to about 2.57, below
-        # min(0.5, r) eps N = 2.73, while the endpoint distance, also
-        # about 2.57, still exceeds 1/delta = 2
-        density = wz.metric_density
+        # every density of the step scaled by 1e-6 shortens every distance
+        # 1000-fold: on the fine graph the band crossings fall to about
+        # 2.57, below min(0.5, r) eps N = 2.73, while the endpoint distance,
+        # also about 2.57, still exceeds 1/delta = 2; epsilon and N are
+        # read from f3 alone, so they do not move
+        density = lb._density
         monkeypatch.setattr(
-            wz, "metric_density", lambda data, z: 1e-6 * density(data, z)
+            lb, "_density", lambda g, f3t: 1e-6 * density(g, f3t)
         )
         r = lb.complete_step(
             wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5,

@@ -19,13 +19,6 @@ from minflux.errors import (
 )
 
 
-#: _ZeroPeriodBuilder's windows suit DELTA_LO < delta <= DELTA_HI: above
-#: DELTA_LO every window holds a sample of the 4096-point grid, and up to
-#: DELTA_HI the flattened window misses the drift-correcting bump
-DELTA_LO = 2.0 / 4096
-DELTA_HI = 0.1
-
-
 def circle_samples(n=256, radius=1.0):
     x = np.arange(n) / n
     return radius * np.stack(
@@ -479,9 +472,11 @@ def reference_g_field(b, p, c, net_winding, refs):
     return g
 
 
-def fresh_builder(n=1024, delta=0.05, eps=0.1):
+def fresh_builder():
     """Builder on a field that is e1 on the flattened window and wiggles
-    elsewhere, as make_zero_period_pair hands it over."""
+    elsewhere, as make_zero_period_pair hands it over.  The builder always
+    works at PAIR_SAMPLES samples and width PAIR_DELTA, as in the program."""
+    n = lp.PAIR_SAMPLES
     x = np.arange(n) / n
     bump = lp.smooth_bump(x, 0.55, 0.3)
     w = np.stack(
@@ -492,7 +487,7 @@ def fresh_builder(n=1024, delta=0.05, eps=0.1):
         ],
         axis=1,
     )
-    return lp._ZeroPeriodBuilder(w, delta, eps, n)
+    return lp._ZeroPeriodBuilder(w, 0.1)
 
 
 #: p-values for the memo tests: zero, two generic points, and a point whose
@@ -590,9 +585,10 @@ class TestZeroPeriodBuilderArithmetic:
         r_want = np.linalg.norm(want, axis=-1)
         assert np.argmin(r_got) == np.argmin(r_want)
 
-    @pytest.mark.parametrize("delta", [np.nextafter(DELTA_LO, 1.0), 0.05, DELTA_HI])
-    def test_seed_grid_split_separates_the_moving_bumps(self, delta):
-        b = fresh_builder(n=4096, delta=delta)
+    def test_seed_grid_split_separates_the_moving_bumps(self):
+        # at the program's PAIR_DELTA and PAIR_SAMPLES, the first and last
+        # correction bumps have disjoint supports that the split separates
+        b = fresh_builder()
         lo, hi = b.grid_split
         assert 0 < lo <= hi < len(b.bumps)
         assert not b.bumps[lo:, 0].any() and b.bumps[lo - 1, 0] > 0

@@ -41,17 +41,18 @@ class TestHomologyBasis:
         # the generator winds once around the hole and not around the
         # outer complement
         pts = rm.homology_basis(rm.annulus(0.3, 3.0))[0].points(256)
-        assert rm.winding_number(pts, 0.0) == 1
-        assert rm.winding_number(pts, 0.2) == 1
-        assert rm.winding_number(pts, 3.5) == 0
+        # about z0, the winding of the shifted curve pts - z0 about 0
+        assert rm.winding_number(pts) == 1
+        assert rm.winding_number(pts - 0.2) == 1
+        assert rm.winding_number(pts - 3.5) == 0
 
 
 class TestWindingNumber:
     def test_basic(self):
         z = np.exp(2j * np.pi * np.arange(128) / 128)
-        assert rm.winding_number(z, 0.0) == 1
-        assert rm.winding_number(z, 2.0) == 0
-        assert rm.winding_number(np.concatenate([z, z]), 0.0) == 2
+        assert rm.winding_number(z) == 1
+        assert rm.winding_number(z - 2.0) == 0
+        assert rm.winding_number(np.concatenate([z, z])) == 2
 
 
 class TestRestrictToCurve:

@@ -121,6 +121,20 @@ class TestPolarGrid:
         assert data.f(grid).tobytes() == data.f(grid.points).tobytes()
         assert seen == [np.ndarray, np.ndarray]
 
+    @pytest.mark.parametrize("name", ["catenoid", "enneper_annulus"])
+    def test_theta_and_density_accept_a_grid(self, name):
+        # theta/dz, f theta/dz and the density on a grid equal the same
+        # calls on its points, up to the FFT's rounding of exact g and f3
+        data = wz.catalog(name)
+        grid = wz.PolarGrid([0.7, 1.2], 8)
+        assert np.array_equal(
+            data.theta_over_dz(grid), data.theta_over_dz(grid.points)
+        )
+        for fun in (data.f_theta, lambda z: wz.metric_density(data, z)):
+            got, want = fun(grid), fun(grid.points)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
 
 class TestAssembleF:
     def test_constant_example(self):
