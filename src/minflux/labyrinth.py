@@ -27,14 +27,12 @@ transformed one, follows one rule from the values of g and f3 theta/dz
 evaluated by it.
 
 Conclusion (IV) needs the coarse-graph distance of every transformed
-member, but a transformed member's densities differ from its base member's
-only on the walls, so a search of the same base member is reused when it
-provably gives the same bits: when its wall densities are equal, or when
-its shortest path touches no wall and the new wall densities are no
-smaller.  Dijkstra returns the least float sum over graph paths, and every
-step from node densities to edge weights is monotone in floats, so no path
-got cheaper while the recorded one kept its cost.  With a factor growing in
-t, one search serves every t > 0.
+member.  A transformed member differs from its base member only on the
+walls, where g is grown; elsewhere g is multiplied by 1.0, so the values
+keep their base bits, and every comparison with the base member reads the
+wall points only.  Where no wall density falls below the base member's, no
+edge weight falls, so the base member's search is a lower bound on the
+transformed member's distance, and (IV) takes it (_certified_distance).
 """
 
 from __future__ import annotations
@@ -495,10 +493,9 @@ class _PointSet:
     Each distinct base member's g, f3 and theta/dz are evaluated once on
     the grid, exact Laurent data by one inverse FFT per ring, and so is its
     density.  A transformed member, given by its base member and its
-    factor, takes the base values with g grown on the walls.  Its density
-    is the base density with only the points under the mask recomputed:
-    _density acts point by point, and off the walls g is multiplied by
-    1.0, so the other points keep their base density bits.
+    factor, is recomputed at the points under the mask only (on_walls):
+    every rule here acts point by point, and off the walls g is multiplied
+    by 1.0, so the other points keep their base bits.
     """
 
     def __init__(self, grid, members):
@@ -517,20 +514,24 @@ class _PointSet:
         self.mask = _wall_mask(labyrinths, self.points)
         return self
 
-    def gf3(self, m, factor=None):
-        """g and f3 of base member m, transformed by factor when one is given."""
+    def gf3(self, m):
+        """g and f3 of base member m."""
         g, f3, _ = self.base[id(m)]
-        return (g if factor is None else _grown(g, self.mask, factor)), f3
+        return g, f3
 
     def f3_theta(self, m):
         _, f3, theta = self.base[id(m)]
         return f3 * theta
 
-    def f(self, m, factor=None):
-        return wz.null_triple(*self.gf3(m, factor))
+    def on_walls(self, m):
+        """g, f3 and theta/dz of base member m at the wall points."""
+        return tuple(values[self.mask] for values in self.base[id(m)])
 
-    def f_theta(self, m, factor=None):
-        return self.f(m, factor) * self.base[id(m)][2][..., None]
+    def f_change(self, m, factor):
+        """f of base member m grown by factor, less f of m, at the wall
+        points; it is 0.0 at every other point."""
+        g, f3, _ = self.on_walls(m)
+        return wz.null_triple(g * factor, f3) - wz.null_triple(g, f3)
 
     def density(self, m, factor=None):
         base = self.base_density.get(id(m))
@@ -540,10 +541,9 @@ class _PointSet:
             )
         if factor is None:
             return base
-        g, f3, theta = self.base[id(m)]
-        on = self.mask
+        g, f3, theta = self.on_walls(m)
         out = base.copy()
-        out[on] = _density(g[on] * factor, f3[on] * theta[on])
+        out[self.mask] = _density(g * factor, f3 * theta)
         return out
 
 
@@ -607,12 +607,7 @@ class MetricGraph:
         return val
 
     def distance(self, density_fn):
-        """Graph distance from the source to the boundary circles: the value
-        of shortest_path."""
-        return self.shortest_path(density_fn)[0]
-
-    def shortest_path(self, density_fn):
-        """Boundary distance, and the nodes of a shortest path that attains it.
+        """Graph distance from the source to the boundary circles.
 
         The search stops at the cost of the straight radial path from the
         source, along its angle, to the nearer-costing boundary circle,
@@ -620,9 +615,6 @@ class MetricGraph:
         distance lies within the limit, and Dijkstra settles every node up
         to the limit with the same value as a full search: the result is
         the same bits.  An infinite path cost leaves the search unbounded.
-        The path runs from the nearest boundary node back to the source
-        along the search's predecessors; the value is its edge weights
-        summed in that order from the source.
         """
         rho, m = self._weighted(density_fn)
         i, j = divmod(self.source, self.n_th)
@@ -631,15 +623,8 @@ class MetricGraph:
         step = 0.5 * (r[:-1] + r[1:]) * np.abs(spoke[:-1] - spoke[1:])
         cost = min(float(np.sum(step[:i])), float(np.sum(step[i:])))
         limit = cost * (1.0 + 1e-9) if math.isfinite(cost) else np.inf
-        d, pred = dijkstra(m, directed=False, indices=self.source, limit=limit,
-                           return_predecessors=True)
-        value = self.boundary_distance(d)
-        node = int(self.boundary[np.argmin(d[self.boundary])])
-        path = [node]
-        while node != self.source:
-            node = int(pred[node])
-            path.append(node)
-        return value, np.array(path)
+        d = dijkstra(m, directed=False, indices=self.source, limit=limit)
+        return self.boundary_distance(d)
 
 
 def build_metric_graph(r_in, r_out, x0, radii=None, n_th=256):
@@ -739,35 +724,20 @@ def intrinsic_distance(data, graph, labyrinths=(), factor=None):
     return DistanceResult(value=graph.boundary_distance(dist), node_distances=dist)
 
 
-def _recorded_distance(graph, dens, records, walls):
-    """graph's boundary distance under the node densities dens.
+def _certified_distance(graph, base, base_distance, dens, walls):
+    """A lower bound on graph's boundary distance under node densities dens.
 
-    records: (densities, value, path) of earlier searches on graph, whose
-    densities agree with dens bit for bit off the node mask walls; path is
-    None where the search kept none.  A record's value is returned when it
-    provably equals a search of dens bit for bit; otherwise dens is
-    searched, and the search is added to records, which keep dens itself,
-    so it must not change afterwards.  A record carries over when
-    - its densities on the walls equal those of dens: the graph is the same;
-    - or its path touches no wall and the wall densities of dens are
-      elementwise at least its own.  Dijkstra returns the least float sum,
-      taken from the source, over graph paths; abs, sqrt, + and products
-      with the nonnegative lengths are monotone in floats, so no path costs
-      less than it did, and the recorded path, whose edges all keep their
-      weights, still costs the recorded value.
-    A NaN fails both comparisons, and its search raises NonFiniteValues.
+    base: node densities equal to dens off the node mask walls, whose search
+    gave base_distance.  That is the bound where no wall density of dens
+    falls below base's: abs, sqrt, + and products with the nonnegative
+    lengths are monotone in floats, so no edge weight fell, and neither did
+    Dijkstra's least float sum over graph paths.  Otherwise dens is
+    searched; a NaN fails the comparison, and its search raises
+    NonFiniteValues.
     """
-    new = dens[walls]
-    for old, value, path in records:
-        was = old[walls]
-        if np.array_equal(new, was) or (
-            path is not None and not np.any(walls[path])
-            and np.all(new >= was)
-        ):
-            return value
-    value, path = graph.shortest_path(lambda z: dens)
-    records.append((dens, value, path))
-    return value
+    if np.all(dens[walls] >= base[walls]):
+        return base_distance
+    return graph.distance(lambda z: dens)
 
 
 def _crossing_bound(d, i_near, i_far):
@@ -820,7 +790,7 @@ class CompleteStepResult:
     N: int
     tau: float
     delta: float
-    distances: np.ndarray  # coarse per-t distances of the transformed family
+    distances: np.ndarray  # per-t certified lower bounds that decide (IV)
     final_distance: float  # fine-grid distance at t = 1
     report: dict = field(default_factory=dict)
 
@@ -879,21 +849,17 @@ def complete_step(family, core, delta, ts=None, seed=23):
         )
     x0 = complex(rho)
 
-    for m in members[:1]:
-        if wz.is_flat(m)[0]:
-            raise FlatInput("completeness step requires a nonflat family")
+    if wz.is_flat(data0)[0]:
+        raise FlatInput("completeness step requires a nonflat family")
 
     # distance of the input family; equal members share one evaluation
     distinct = _distinct(members)
     coarse = build_metric_graph(r_in, r_out, x0)
     on_coarse = _PointSet(wz.PolarGrid(coarse.radii, coarse.n_th), distinct)
-    # each base member's searches, kept for reuse by conclusion (IV); tau's
-    # keep no path, so they carry over only to equal wall densities
-    searched = {}
-    for m in distinct:
-        dens = on_coarse.density(m)
-        searched[id(m)] = [(dens, coarse.distance(lambda z: dens), None)]
-    tau = min(records[0][1] for records in searched.values())
+    base_distance = {
+        id(m): coarse.distance(lambda z: on_coarse.density(m)) for m in distinct
+    }
+    tau = min(base_distance.values())
     required = max(tau - delta, 1.0 / delta)
 
     ends = [
@@ -955,9 +921,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     probe = _PointSet(
         wz.PolarGrid(wz._open_radii(r_in, r_out, 16), 64), members
     ).walls(labs)
-    passes["anchoring"] = bool(
-        np.array_equal(probe.f(data0, factors[0]), probe.f(data0))
-    )
+    passes["anchoring"] = not np.any(probe.f_change(data0, factors[0]))
     # each returned member's own f3 against its base member's, once per
     # distinct pair of f3 callables
     f3_pairs = {
@@ -970,18 +934,19 @@ def complete_step(family, core, delta, ts=None, seed=23):
     report["third_component_deviation"] = third_dev
     passes["third_components"] = third_dev <= 1e-10
 
-    # (III) flux over the core generator
+    # (III) flux over the core generator: the loop period is a weighted
+    # sum of f theta/dz over the circle's points, so the flux changes by
+    # that sum over the changes at the wall points
     on_circle = _PointSet(wz.PolarGrid([rho], 512), members).walls(labs)
+    weights = wz._loop_derivative(on_circle.points)[on_circle.mask]
+    weights /= on_circle.points.size
 
-    def flux(m, fac=None):
-        ft = on_circle.f_theta(m, fac)
-        return wz.period_from_f_theta(ft, on_circle.points).imag
+    def flux_change(m, fac):
+        theta = on_circle.on_walls(m)[2]
+        ft = on_circle.f_change(m, fac) * (theta * weights)[:, None]
+        return np.abs(ft.sum(axis=0).imag)
 
-    base_flux = {id(m): flux(m) for m in distinct}
-    flux_dev = max(
-        float(np.max(np.abs(flux(m, fac) - base_flux[id(m)])))
-        for m, fac in pairs
-    )
+    flux_dev = max(float(np.max(flux_change(m, fac))) for m, fac in pairs)
     report["flux_deviation"] = flux_dev
     passes["flux_traces"] = flux_dev <= 1e-10
 
@@ -990,9 +955,8 @@ def complete_step(family, core, delta, ts=None, seed=23):
         rho * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8), 512
     )
     on_core = _PointSet(core_grid, members).walls(labs)
-    base_f = {id(m): on_core.f(m) for m in distinct}
     core_dev = max(
-        float(np.max(np.abs(on_core.f(m, fac) - base_f[id(m)])))
+        float(np.max(np.abs(on_core.f_change(m, fac)), initial=0.0))
         for m, fac in pairs
     )
     report["core_deviation"] = core_dev
@@ -1029,25 +993,20 @@ def complete_step(family, core, delta, ts=None, seed=23):
     passes["est1"] = est1_ok
     passes["est2"] = est2_ok
 
-    # (IV) per-t distances on the coarse graph, in t order: the t = 0 pair
-    # takes tau's search of its base member, and while the factor grows,
-    # one search whose path avoids the walls serves every later t
+    # (IV) per-t distances on the coarse graph: each pair takes its base
+    # member's search unless one of its wall densities falls
     on_coarse.walls(labs)
-    dists = np.array(
-        [
-            _recorded_distance(
-                coarse, on_coarse.density(m, fac), searched[id(m)],
-                on_coarse.mask,
-            )
-            for m, fac in pairs
-        ]
-    )
+    dists = np.array([
+        _certified_distance(coarse, on_coarse.density(m), base_distance[id(m)],
+                            on_coarse.density(m, fac), on_coarse.mask)
+        for m, fac in pairs
+    ])
     report["min_distance_t"] = float(dists.min())
     passes["conclusion_iv"] = bool(np.all(dists > tau - delta))
 
     # the endpoint graph sets the step's peak memory: release the point
     # sets, with their cached densities, before it is built
-    del on_coarse, on_band, searched
+    del on_coarse, on_band
 
     # (V) endpoint distance on the labyrinth-resolving graph
     radii = _fine_radii(r_in, r_out, labs, N)

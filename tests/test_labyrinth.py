@@ -1,5 +1,7 @@
 """Tests for labyrinths, Lopez-Ros parameters, distances and the step."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from minflux import cli
 from minflux import isotopy as iso
 from minflux import labyrinth as lb
 from minflux import weierstrass as wz
@@ -343,8 +346,14 @@ class TestLopezRos:
         assert 0 < np.count_nonzero(points.mask) < grid.points.size
         for h, fac in zip(self.out, lb._factors(self.params, self.t)):
             got = points.density(self.cat, fac)
-            want = grid_rule(self.cat, grid, [self.lab], fac)[1]
+            f, want = grid_rule(self.cat, grid, [self.lab], fac)
             assert np.array_equal(got, want)
+            # the change of f, read at the wall points only, and 0.0 off them
+            change = f - grid_rule(self.cat, grid)[0]
+            assert not np.any(change[~points.mask])
+            assert np.array_equal(
+                points.f_change(self.cat, fac), change[points.mask]
+            )
             np.testing.assert_allclose(
                 got, point_rule(h, grid)[1], rtol=1e-13, atol=0
             )
@@ -504,119 +513,69 @@ class TestBoundedDistance:
 
 
 def full_distance(graph, dens):
-    """Boundary distance of a search that settles every node."""
-    return graph.boundary_distance(graph.node_distances(lambda z: dens))
+    """Boundary minimum of a search that settles every node; inf where no
+    path reaches the boundary."""
+    d = graph.node_distances(lambda z: dens)
+    return float(np.min(d.ravel()[graph.boundary]))
 
 
-class TestRecordedDistance:
-    """_recorded_distance returns a recorded search only where a new search
-    gives the same bits."""
+class TestCertifiedDistance:
+    """_certified_distance never exceeds a full search of the transformed
+    densities: it is the base search where no wall density falls, and a
+    search of the transformed densities where one does."""
 
     @given(
-        n_r=st.integers(2, 10),
+        n_r=st.integers(3, 10),
         n_th=st.integers(3, 16),
         ring=st.integers(0, 9),
         seed=st.integers(0, 2**32 - 1),
-        share=st.floats(0.0, 0.5),
-        factors=st.lists(
-            st.one_of(st.just(1.0), st.floats(0.25, 4.0)), min_size=1,
-            max_size=8,
-        ),
+        share=st.floats(0.05, 0.6),
+        # each wall density is multiplied by a factor in [low, high]: only
+        # a low below 1 lets a wall density fall
+        low=st.one_of(st.just(1.0), st.floats(0.25, 1.0)),
+        high=st.floats(1.0, 4.0),
+        special=st.sampled_from([None, "inf", "cut", "nan"]),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_equals_full_search(self, n_r, n_th, ring, seed, share, factors):
+    @settings(max_examples=150, deadline=None)
+    def test_lower_bound(self, n_r, n_th, ring, seed, share, low, high,
+                         special):
         radii = np.linspace(0.5, 2.0, n_r)
         graph = lb.build_metric_graph(
-            0.5, 2.0, radii[min(ring, n_r - 1)], radii=radii, n_th=n_th
+            0.5, 2.0, radii[ring % n_r], radii=radii, n_th=n_th
         )
         rng = np.random.default_rng(seed)
         base = rng.uniform(0.01, 10.0, graph.nodes.size)
+        base_value = graph.distance(lambda z: base)
         walls = rng.uniform(size=base.size) < share
-        # tau's search, kept without a path, as complete_step keeps it
-        tau = graph.distance(lambda z: base)
-        assert tau == full_distance(graph, base)
-        records = [(base, tau, None)]
-        # factors in any order, some below 1, as complete_step's would be
-        # in t order if the Gauss-map growth were not monotone
-        for fac in factors:
-            dens = base.copy()
-            dens[walls] *= fac * fac
-            got = lb._recorded_distance(graph, dens, records, walls)
-            assert got == full_distance(graph, dens)
-
-    @staticmethod
-    def spoke_graph():
-        """4 rings of 8 nodes at radii 0.5, 1, 1.5 and 2, the source node 8
-        on ring 1, and density 1 everywhere: the shortest path is the
-        spoke in to node 0 on the inner circle."""
-        graph = lb.build_metric_graph(
-            0.5, 2.0, 1.0, radii=np.linspace(0.5, 2.0, 4), n_th=8
-        )
-        return graph, np.ones(graph.nodes.size)
-
-    def test_path_through_wall_searched_again(self):
-        graph, base = self.spoke_graph()
-        walls = np.zeros(base.size, dtype=bool)
-        walls[0] = True  # the inner end of the spoke from the source
-        records = []
-        first = lb._recorded_distance(graph, base.copy(), records, walls)
-        assert np.any(walls[records[0][2]])
         dens = base.copy()
-        dens[walls] = 16.0
-        got = lb._recorded_distance(graph, dens, records, walls)
-        assert got == full_distance(graph, dens) > first
-        assert len(records) == 2
-
-    def test_pathless_record_carries_over_only_when_equal(self):
-        graph, base = self.spoke_graph()
-        walls = np.zeros(base.size, dtype=bool)
-        walls[20] = True  # ring 2, opposite the spoke
-        records = [(base, graph.distance(lambda z: base), None)]
-        assert lb._recorded_distance(graph, base.copy(), records, walls) == (
-            records[0][1]
-        )
-        assert len(records) == 1
-        dens = base.copy()
-        dens[walls] = 4.0
-        got = lb._recorded_distance(graph, dens, records, walls)
-        assert got == full_distance(graph, dens)
-        assert len(records) == 2
-
-    def test_infinite_walls(self):
-        graph, base = self.spoke_graph()
-        walls = np.zeros(base.size, dtype=bool)
-        walls[:8] = True  # the inner circle
-        walls[16:23] = True  # ring 2 but for one opening
-        records = []
-        dens = base.copy()
-        dens[walls] = np.inf
-        # the first search goes through the opening, the second pair equals
-        # it on the walls and takes its value
-        for _ in range(2):
-            got = lb._recorded_distance(graph, dens, records, walls)
-            assert got == full_distance(graph, dens)
-        assert len(records) == 1
-        walls[23] = True  # a closed ring cuts the graph
-        dens = base.copy()  # records keep the arrays they were given
-        dens[walls] = np.inf
-        with pytest.raises(DisconnectedGraph):
-            lb._recorded_distance(graph, dens, records, walls)
-
-    def test_nan_wall_density_raises(self):
-        graph, base = self.spoke_graph()
-        walls = np.zeros(base.size, dtype=bool)
-        walls[20] = True  # ring 2, opposite the spoke the path takes
-        records = []
-        for grown in (2.0, 4.0):  # the second carries over, unsearched
-            dens = base.copy()
-            dens[walls] = grown
-            got = lb._recorded_distance(graph, dens, records, walls)
-            assert got == full_distance(graph, dens)
-        assert len(records) == 1
-        dens = base.copy()
-        dens[walls] = np.nan
-        with pytest.raises(NonFiniteValues, match="NaN at 1 of 32"):
-            lb._recorded_distance(graph, dens, records, walls)
+        dens[walls] *= rng.uniform(low, high, np.count_nonzero(walls))
+        if special == "inf":  # about half of the walls impassable
+            dens[walls & (rng.uniform(size=base.size) < 0.5)] = np.inf
+        elif special == "cut":  # impassable rings on both sides of x0
+            i = graph.source // n_th
+            for k in {max(i - 1, 0), min(i + 1, n_r - 1)} - {i}:
+                walls[k * n_th : (k + 1) * n_th] = True
+                dens[k * n_th : (k + 1) * n_th] = np.inf
+        elif special == "nan":  # one wall node
+            node = rng.integers(base.size)
+            walls[node], dens[node] = True, np.nan
+            with pytest.raises(NonFiniteValues, match="NaN at 1 of"):
+                lb._certified_distance(graph, base, base_value, dens, walls)
+            return
+        full = full_distance(graph, dens)
+        if np.any(dens[walls] < base[walls]):
+            if np.isinf(full):
+                with pytest.raises(DisconnectedGraph):
+                    lb._certified_distance(
+                        graph, base, base_value, dens, walls
+                    )
+                return
+            want = full
+        else:
+            want = base_value
+        got = lb._certified_distance(graph, base, base_value, dens, walls)
+        assert got == want
+        assert got <= full
 
 
 class TestNonFiniteDensity:
@@ -799,6 +758,20 @@ def distinct_family():
     return members, ts
 
 
+def stored_endpoint():
+    """The frozen flux-driver endpoint of the labyrinth_step benchmark."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    return cli.load_family(perfbench / "stored_endpoint.json").members[-1]
+
+
+def step_core_grid(rho, core):
+    """complete_step's 8 x 512 grid on the core, about the homology radius."""
+    lo, hi = core
+    return wz.PolarGrid(
+        rho * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8), 512
+    )
+
+
 @pytest.fixture(scope="module")
 def catenoid_step():
     return lb.complete_step(wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5)
@@ -809,7 +782,9 @@ def naive_checks(members, res, core, exact=True):
     complete_step, evaluating every member one at a time on the step's
     polar grids.  exact: by the grid rule (grid_rule), which the step must
     match bit for bit; otherwise through each member's own callables on the
-    grid's points (point_rule), which it must match to 1e-12."""
+    grid's points (point_rule), which it must match to 1e-12.  searches
+    holds a full search of every transformed member, which the per-t
+    distances must not exceed."""
     data0 = members[0]
     r_in, r_out = data0.r_inner, data0.r_outer
     rho = float(np.sqrt(r_in * r_out))
@@ -834,15 +809,20 @@ def naive_checks(members, res, core, exact=True):
         return coarse.boundary_distance(coarse.node_distances(lambda z: dens))
 
     first = {id(m): j for j, m in reversed(list(enumerate(members)))}
-    out = {
-        "tau": min(
-            full_search(values(j, coarse_grid, base=True)[1])
-            for j in first.values()
-        ),
-        "distances": np.array(
-            [full_search(values(j, coarse_grid)[1]) for j in range(len(members))]
-        ),
+    base_dens = {
+        i: values(j, coarse_grid, base=True)[1] for i, j in first.items()
     }
+    base_search = {i: full_search(dens) for i, dens in base_dens.items()}
+    walls = lb._wall_mask(labs, coarse_grid.points)
+    out = {"tau": min(base_search.values()), "distances": [], "searches": []}
+    for j, m in enumerate(members):
+        dens = values(j, coarse_grid)[1]
+        out["searches"].append(full_search(dens))
+        # the base member's search, unless a wall density falls below it
+        falls = np.any(dens[walls] < base_dens[id(m)][walls])
+        out["distances"].append(
+            out["searches"][-1] if falls else base_search[id(m)]
+        )
     # the parameters, from the bracket members on each band's two grids
     eps_min, c0 = np.inf, np.inf
     for lab in labs:
@@ -878,10 +858,7 @@ def naive_checks(members, res, core, exact=True):
         float(np.max(np.abs(flux(j) - flux(j, base=True))))
         for j in range(len(members))
     )
-    lo, hi = core
-    core_grid = wz.PolarGrid(
-        rho * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8), 512
-    )
+    core_grid = step_core_grid(rho, core)
     out["core_deviation"] = max(
         float(np.max(np.abs(
             values(j, core_grid)[0] - values(j, core_grid, base=True)[0]
@@ -937,6 +914,7 @@ class TestNodeSetEvaluation:
         want = naive_checks(members, res, core)
         assert res.tau == want.pop("tau")
         assert np.array_equal(res.distances, want.pop("distances"))
+        assert np.all(res.distances <= want.pop("searches"))
         assert res.report["passes"]["anchoring"] == want.pop("anchoring")
         for key, value in want.items():
             assert res.report[key] == value, key
@@ -947,6 +925,8 @@ class TestNodeSetEvaluation:
         np.testing.assert_allclose(
             res.distances, want.pop("distances"), rtol=1e-12, atol=0
         )
+        searches = np.array(want.pop("searches"))
+        assert np.all(res.distances <= searches * (1.0 + 1e-12))
         assert res.report["passes"]["anchoring"] == want.pop("anchoring")
         for key, value in want.items():
             assert res.report[key] == pytest.approx(value, rel=1e-12), key
@@ -974,8 +954,9 @@ class TestNodeSetEvaluation:
 
 
 class TestDistanceReuse:
-    """complete_step searches conclusion (IV) only where no recorded search
-    provably carries over; naive_checks searches every pair."""
+    """complete_step searches a pair of conclusion (IV) only where one of
+    its wall densities falls below its base member's; naive_checks searches
+    every pair."""
 
     @staticmethod
     def count_searches(monkeypatch):
@@ -989,20 +970,20 @@ class TestDistanceReuse:
         monkeypatch.setattr(lb, "dijkstra", counted)
         return sizes
 
-    def test_catalog_step_searches_three_times(self, monkeypatch):
+    def test_catalog_step_searches_twice(self, monkeypatch):
         sizes = self.count_searches(monkeypatch)
         res = lb.complete_step(wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5)
         assert res.ok
-        # tau and one (IV) search on the 64 x 256 coarse graph, then the
-        # endpoint on the fine graph
-        assert sizes[:2] == [64 * 256] * 2
-        assert len(sizes) == 3 and sizes[2] > 64 * 256
+        # tau on the 64 x 256 coarse graph, which every t of (IV) takes,
+        # then the endpoint on the fine graph
+        assert len(sizes) == 2
+        assert sizes[0] == 64 * 256 < sizes[1]
 
-    @pytest.mark.parametrize("family, searches", [("constant", 4), ("distinct", 8)])
+    @pytest.mark.parametrize("family, searches", [("constant", 3), ("distinct", 6)])
     def test_factor_dip_searched(self, monkeypatch, family, searches):
-        # one factor below its predecessor's, and below 1: its wall
-        # densities fall, so no recorded search carries over to it.  Each
-        # distinct member has one pair, so only its t = 0 pair reuses tau.
+        # one factor below 1: where |g|^2 > 1/0.5 on the walls,
+        # (|g| + 1/|g|)^2 falls as g halves, so that pair's wall densities
+        # fall below its base member's, and it is searched
         factors = lb._factors
 
         def dipped(params, t_grid):
@@ -1018,11 +999,35 @@ class TestDistanceReuse:
             members, ts = distinct_family()
         sizes = self.count_searches(monkeypatch)
         res = lb.complete_step(members, core=(0.8, 1.3), delta=0.5, ts=ts)
-        # the constant family searches tau, the first t > 0 and the dip, one
-        # more than without the dip; the distinct one tau of each member and
-        # every t > 0; each then the endpoint
+        # tau of each distinct member and the dip, one more than without
+        # the dip; each then the endpoint
         assert len(sizes) == searches
         TestNodeSetEvaluation().assert_matches(members, res, (0.8, 1.3))
+
+
+class TestNoWallInCore:
+    """The bands lie in the ends, outside the core, so no wall meets the
+    homology circle or the core grid.  There every transformed member
+    equals its base member bit for bit, which is why flux_deviation and
+    core_deviation read exactly 0."""
+
+    @pytest.mark.parametrize("family", ["catalog", "stored", "distinct"])
+    def test_wall_mask_empty(self, catenoid_step, family):
+        core = (0.8, 1.3)
+        if family == "catalog":
+            members, res = [wz.catalog("catenoid")], catenoid_step
+        else:
+            if family == "stored":
+                ts = np.linspace(0.0, 1.0, 64)
+                members = [stored_endpoint()] * ts.size
+            else:
+                members, ts = distinct_family()
+            res = lb.complete_step(members, core=core, delta=0.5, ts=ts)
+        rho = float(np.sqrt(members[0].r_inner * members[0].r_outer))
+        for grid in (wz.PolarGrid([rho], 512), step_core_grid(rho, core)):
+            assert not np.any(lb._wall_mask(res.labyrinths, grid.points))
+        assert res.report["flux_deviation"] == 0.0
+        assert res.report["core_deviation"] == 0.0
 
 
 class TestCompleteStep:
