@@ -578,6 +578,100 @@ class TestCertifiedDistance:
         assert got <= full
 
 
+class TestRecordedDistance:
+    """_certified_distance returns the base member's recorded search where
+    no wall density falls, and otherwise the bits of a new search."""
+
+    @given(
+        n_r=st.integers(2, 10),
+        n_th=st.integers(3, 16),
+        ring=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.floats(0.0, 0.5),
+        factors=st.lists(
+            st.one_of(st.just(1.0), st.floats(0.25, 4.0)), min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_full_search(self, n_r, n_th, ring, seed, share, factors):
+        radii = np.linspace(0.5, 2.0, n_r)
+        graph = lb.build_metric_graph(
+            0.5, 2.0, radii[min(ring, n_r - 1)], radii=radii, n_th=n_th
+        )
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.01, 10.0, graph.nodes.size)
+        walls = rng.uniform(size=base.size) < share
+        # tau's search, as complete_step records it
+        tau = graph.distance(lambda z: base)
+        assert tau == full_distance(graph, base)
+        # one factor on every wall, as the Lopez-Ros transform grows the
+        # Gauss map; in any order, some below 1
+        for fac in factors:
+            dens = base.copy()
+            dens[walls] *= fac * fac
+            got = lb._certified_distance(graph, base, tau, dens, walls)
+            full = full_distance(graph, dens)
+            if np.any(dens[walls] < base[walls]):
+                assert got == full
+            else:
+                assert got == tau <= full
+
+    @staticmethod
+    def spoke_graph():
+        """4 rings of 8 nodes at radii 0.5, 1, 1.5 and 2, the source node 8
+        on ring 1, and density 1 everywhere: the shortest path is the
+        spoke in to node 0 on the inner circle."""
+        graph = lb.build_metric_graph(
+            0.5, 2.0, 1.0, radii=np.linspace(0.5, 2.0, 4), n_th=8
+        )
+        return graph, np.ones(graph.nodes.size)
+
+    def test_infinite_walls(self):
+        graph, base = self.spoke_graph()
+        tau = graph.distance(lambda z: base)
+        walls = np.zeros(base.size, dtype=bool)
+        walls[:8] = True  # the inner circle
+        walls[16:23] = True  # ring 2 but for one opening
+        dens = base.copy()
+        dens[walls] = np.inf
+        # no wall density falls: the recorded search is the bound, below
+        # the search through the opening
+        got = lb._certified_distance(graph, base, tau, dens, walls)
+        assert got == tau < full_distance(graph, dens)
+        walls[23] = True  # a closed ring cuts the graph
+        dens[walls] = np.inf
+        got = lb._certified_distance(graph, base, tau, dens, walls)
+        assert got == tau < full_distance(graph, dens) == np.inf
+        # from the cut graph, lowering a wall on the source's ring leaves
+        # it cut; the new search finds no boundary
+        walls[12] = True
+        cut = dens.copy()
+        cut[12] = np.inf
+        with pytest.raises(DisconnectedGraph):
+            lb._certified_distance(graph, cut, np.inf, dens, walls)
+        # lowering the opening's wall searches through it again
+        opened = cut.copy()
+        opened[23] = 1.0
+        got = lb._certified_distance(graph, cut, np.inf, opened, walls)
+        assert got == full_distance(graph, opened) < np.inf
+
+    def test_nan_wall_density_raises(self):
+        graph, base = self.spoke_graph()
+        tau = graph.distance(lambda z: base)
+        walls = np.zeros(base.size, dtype=bool)
+        walls[20] = True  # ring 2, opposite the spoke the path takes
+        for grown in (2.0, 4.0):  # grown walls keep the recorded search
+            dens = base.copy()
+            dens[walls] = grown
+            got = lb._certified_distance(graph, base, tau, dens, walls)
+            assert got == tau == full_distance(graph, dens)
+        dens = base.copy()
+        dens[walls] = np.nan
+        with pytest.raises(NonFiniteValues, match="NaN at 1 of 32"):
+            lb._certified_distance(graph, base, tau, dens, walls)
+
+
 class TestNonFiniteDensity:
     """A NaN density raises; an infinite one is a wall (see
     TestIntrinsicDistance.test_disconnected_graph)."""
