@@ -470,7 +470,7 @@ def write_labyrinth_csv(path, result):
     for lab in result.labyrinths:
         end = lab.band.end
         for s, poly in zip(lab.sets, lab.polygons()):
-            z = end.from_chart(poly)
+            z = end.to_chart(poly)  # an involution: chart to physical
             for v, p in enumerate(z):
                 lines.append(
                     f"{lab.band.hole},{lab.band.k},{s.n},{v},"

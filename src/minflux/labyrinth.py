@@ -111,12 +111,9 @@ class AnnulusEnd:
     c: float = 1.0
 
     def to_chart(self, z):
+        """Chart point of z; an involution, so also the inverse map."""
         z = np.asarray(z, dtype=complex)
         return z if self.kind == "identity" else self.c / z
-
-    def from_chart(self, w):
-        w = np.asarray(w, dtype=complex)
-        return w if self.kind == "identity" else self.c / w
 
     def dz_dw(self, w):
         w = np.asarray(w, dtype=complex)
@@ -571,14 +568,15 @@ class MetricGraph:
     boundary: np.ndarray  # the nodes of the inner and the outer circle
     x0: complex  # the point the graph was built for
 
-    def _weighted(self, density_fn):
-        """Node values of density^(1/2) and the CSR matrix of edge weights.
+    def _weighted(self, dens):
+        """Node values of dens^(1/2) and the CSR matrix of edge weights.
 
         An edge weighs its length times the mean of its ends' values.  An
         infinite density is a wall no path crosses; a NaN density raises
         NonFiniteValues, since it would act as a wall without saying so.
         """
-        rho = np.sqrt(np.abs(density_fn(self.nodes)))
+        rho = np.abs(dens)
+        np.sqrt(rho, out=rho)
         bad = int(np.count_nonzero(np.isnan(rho)))
         if bad:
             raise NonFiniteValues(
@@ -593,9 +591,11 @@ class MetricGraph:
         n = self.nodes.size
         return rho, csr_matrix((wts, self.cols, self.indptr), shape=(n, n))
 
-    def node_distances(self, density_fn):
-        """Graph distance from the source to every node, shape (n_r, n_th)."""
-        _, m = self._weighted(density_fn)
+    def node_distances(self, dens):
+        """Graph distance from the source to every node, shape (n_r, n_th),
+        under the node densities dens."""
+        _, m = self._weighted(dens)
+        del dens  # frees a caller's temporary before the search, the peak
         d = dijkstra(m, directed=False, indices=self.source)
         return d.reshape(-1, self.n_th)
 
@@ -606,8 +606,8 @@ class MetricGraph:
             raise DisconnectedGraph("no path from the source to the boundary")
         return val
 
-    def distance(self, density_fn):
-        """Graph distance from the source to the boundary circles.
+    def distance(self, dens):
+        """Graph distance from the source to the boundary circles under dens.
 
         The search stops at the cost of the straight radial path from the
         source, along its angle, to the nearer-costing boundary circle,
@@ -616,7 +616,7 @@ class MetricGraph:
         to the limit with the same value as a full search: the result is
         the same bits.  An infinite path cost leaves the search unbounded.
         """
-        rho, m = self._weighted(density_fn)
+        rho, m = self._weighted(dens)
         i, j = divmod(self.source, self.n_th)
         spoke = self.nodes.reshape(-1, self.n_th)[:, j]
         r = rho.reshape(-1, self.n_th)[:, j]
@@ -710,8 +710,8 @@ def intrinsic_distance(data, graph, labyrinths=(), factor=None):
         )
     rings = max(1, DENSITY_BLOCK // graph.n_th)
 
-    def density(z):
-        out = np.empty(z.shape)
+    def density():
+        out = np.empty(graph.nodes.shape)
         for i in range(0, graph.radii.size, rings):
             grid = wz.PolarGrid(graph.radii[i : i + rings], graph.n_th)
             block = _PointSet(grid, [data]).walls(labyrinths)
@@ -720,7 +720,8 @@ def intrinsic_distance(data, graph, labyrinths=(), factor=None):
             )
         return out
 
-    dist = graph.node_distances(density)
+    # a temporary, so node_distances frees it before its search
+    dist = graph.node_distances(density())
     return DistanceResult(value=graph.boundary_distance(dist), node_distances=dist)
 
 
@@ -737,7 +738,7 @@ def _certified_distance(graph, base, base_distance, dens, walls):
     """
     if np.all(dens[walls] >= base[walls]):
         return base_distance
-    return graph.distance(lambda z: dens)
+    return graph.distance(dens)
 
 
 def _crossing_bound(d, i_near, i_far):
@@ -857,7 +858,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     coarse = build_metric_graph(r_in, r_out, x0)
     on_coarse = _PointSet(wz.PolarGrid(coarse.radii, coarse.n_th), distinct)
     base_distance = {
-        id(m): coarse.distance(lambda z: on_coarse.density(m)) for m in distinct
+        id(m): coarse.distance(on_coarse.density(m)) for m in distinct
     }
     tau = min(base_distance.values())
     required = max(tau - delta, 1.0 / delta)

@@ -5,21 +5,24 @@ g.h' = 0 and |g| = |h'| > 0 everywhere; the combination h' + i*g is then a
 loop in the punctured null quadric with vanishing real period.  This module
 constructs an exact zero-period pair near any immersed circle (built from
 an explicit three-parameter family plus a degree-one root search), the
-continuation of flow coefficients along a ramp of loop periods that the
-flux drivers use, and supporting utilities (spectral quadrature,
-trigonometric resampling, nondegeneracy tests).
+one continuation of flow coefficients along a ramp of loop readouts that
+the flux drivers and the sprays use (_continue), and supporting utilities
+(spectral quadrature, trigonometric resampling, nondegeneracy tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import nullquadric as nq
 from .errors import (
+    ContinuationStalled,
     EmptySegment,
     InvalidPair,
+    LeftDomain,
     NonFiniteValues,
     NotImmersion,
     RootNotFound,
@@ -879,6 +882,55 @@ def _flow_jacobian(values, controls, w, readout=period):
     return np.ascontiguousarray(readout(state[1:]).T)
 
 
+def _continue(loops, controls, readout, goals, tol, max_iter, radius=np.inf):
+    """Natural-parameter continuation of flow coefficients along goals.
+
+    Step k solves readout(_flow_deform(loops[k], controls, w)) = goals[k],
+    where readout maps samples (..., N, 3) linearly to (..., r) and w = 0
+    meets goals[0].  The readout is holomorphic in w, so each solve is a
+    damped complex least-norm Newton on the exact Jacobian of
+    _flow_jacobian, from the previous step's w, at most max_iter steps of
+    length at most radius / 4, down to a residual of tol; stalls sub-step
+    through blended goals.  Returns the path w, shape (n, len(controls)),
+    and the deformed loops, the first being loops[0].  Raises LeftDomain
+    when max |w| exceeds radius, ContinuationStalled when sub-stepping
+    fails.
+    """
+    n = len(goals)
+    last = {}
+
+    def deform(v, x):
+        # _newton's last residual call is at the solution it returns, which
+        # is the loop emitted and, for a shared loop, the next solve's first
+        # point: keeping the latest deformation saves flow sweeps
+        key = (id(v), x.tobytes())
+        if last.get("key") != key:
+            last["key"], last["loop"] = key, _flow_deform(v, controls, x)
+        return last["loop"]
+
+    def solve(v, goal, wv):
+        return _newton(
+            lambda x: readout(deform(v, x)) - goal,
+            lambda x: _flow_jacobian(v, controls, x, readout),
+            wv, tol, max_iter, radius / 4,
+        )
+
+    w = np.zeros(len(controls), dtype=complex)
+    path, out = [w], [np.array(loops[0], dtype=complex)]
+    for k in range(1, n):
+        v = loops[k]
+        w = _substep(partial(solve, v), goals[k - 1], goals[k], w)
+        if w is None:
+            raise ContinuationStalled(f"continuation stalled at step {k} of {n}")
+        if float(np.max(np.abs(w))) > radius:
+            raise LeftDomain(
+                f"|w| = {np.max(np.abs(w)):.3g} exceeds {radius} at step {k}"
+            )
+        path.append(w)
+        out.append(deform(v, w))
+    return np.array(path), out
+
+
 def _period_continuation(sigma0, targets, controls):
     """Solve for flow coefficients tracking a ramp of loop periods.
 
@@ -886,10 +938,9 @@ def _period_continuation(sigma0, targets, controls):
     period of sigma0.  Two normalisation rows pin the e^(2 pi i x)-weighted
     means of loop components 1 and 2 at their t = 0 values; they remove the
     scaling direction, along which a least-norm path would shrink the loop
-    toward a point and leave the branch before t = 1.  Newton steps use the
-    exact Jacobian of _flow_jacobian, at most 40 per solve, down to a
-    residual of 1e-12.  Returns the list of deformed sample arrays.  Raises
-    RootNotFound when Newton stalls even after sub-stepping.
+    toward a point and leave the branch before t = 1.  _continue tracks the
+    ramp with at most 40 Newton steps per solve, down to a residual of
+    1e-12.  Returns the list of deformed sample arrays.
     """
     v0 = np.asarray(sigma0, dtype=complex)
     e = np.exp(2j * np.pi * np.arange(v0.shape[0]) / v0.shape[0])
@@ -899,31 +950,4 @@ def _period_continuation(sigma0, targets, controls):
         return np.concatenate([period(s), period(e[:, None] * s[..., :2])], -1)
 
     goals = np.hstack([targets, np.tile(readout(v0)[3:], (len(targets), 1))])
-    last = {}
-
-    def deform(x):
-        # _newton's last residual call is at the solution it returns, which
-        # is the member emitted and the next solve's first point: keeping
-        # the latest deformation saves two flow sweeps a step
-        key = x.tobytes()
-        if last.get("key") != key:
-            last["key"], last["loop"] = key, _flow_deform(v0, controls, x)
-        return last["loop"]
-
-    def solve(goal, wv):
-        # the readout is holomorphic in the flow coefficients, so a
-        # complex least-norm Newton step is legitimate
-        return _newton(
-            lambda x: readout(deform(x)) - goal,
-            lambda x: _flow_jacobian(v0, controls, x, readout),
-            wv, 1e-12, 40,
-        )
-
-    w = np.zeros(len(controls), dtype=complex)
-    out = [v0.copy()]
-    for k in range(1, len(goals)):
-        w = _substep(solve, goals[k - 1], goals[k], w)
-        if w is None:
-            raise RootNotFound(f"period continuation stalled at step {k}")
-        out.append(deform(w))
-    return out
+    return _continue([v0] * len(goals), controls, readout, goals, 1e-12, 40)[1]

@@ -1,34 +1,30 @@
 """Period-dominating sprays of loops and the control continuation.
 
-A spray deforms a family of quadric loops through compositions of
-quadric-preserving flows, each switched on by a smooth bump on the circle,
-so that the derivative of the loop periods with respect to the control
-coefficients is surjective.  The continuation stage then follows a smooth
-ramp of period targets, solving for the controls by damped Newton steps.
+A spray deforms a loop family, one loop in the null quadric per time
+sample, through compositions of quadric-preserving flows, each switched on
+by a smooth bump on the circle, so that the derivative of the loop period
+with respect to the control coefficients is surjective.  The domain is an
+annulus with one homology generator, so a spray has one curve; periods and
+their targets keep an axis of length one for it, shape (n_t, 1, 3).  The
+continuation stage follows a smooth ramp of period targets with
+loops._continue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .errors import (
-    ContinuationStalled,
-    DegenerateLoop,
-    DominationFailed,
-    LeftDomain,
-    ThirdComponentVanishes,
-)
+from . import loops
+from .errors import DegenerateLoop, DominationFailed, ThirdComponentVanishes
 from .loops import (
     PeriodicPath,
     Segment,
     _flow_deform,
     _flow_jacobian,
-    _newton,
-    _substep,
     nondegenerate_on,
+    period,
     raised_cosine,
 )
 from .weierstrass import TOL_PERIOD
@@ -43,27 +39,13 @@ BUMP_WIDTH = 0.05
 SIGMA_MIN = 1e-4
 
 
-def _as_family(sigma_t):
-    """Normalize input to a list (curves) of lists (t) of (N, 3) arrays."""
-    if isinstance(sigma_t, (PeriodicPath, np.ndarray)):
-        sigma_t = [sigma_t]
-    first = sigma_t[0]
-    if isinstance(first, (PeriodicPath, np.ndarray)):
-        sigma_t = [sigma_t]  # single curve
-
-    def arr(p):
-        return np.asarray(p.values if isinstance(p, PeriodicPath) else p, complex)
-
-    return [[arr(p) for p in curve] for curve in sigma_t]
-
-
 @dataclass
 class LoopSpray:
     """Flow-composition spray over a sampled loop family.
 
-    base[j][k] is the loop on curve j at time sample k.  controls[j] is a
-    list of (flow kind, profile array) pairs acting on curve j only; the
-    identity at w = 0 and the locality outside the bump supports are exact.
+    base[k] is the loop at time sample k, an (N, 3) complex array.
+    controls is a list of (flow kind, profile array) pairs; the identity at
+    w = 0 and the locality outside the bump supports are exact.
     """
 
     base: list
@@ -72,58 +54,31 @@ class LoopSpray:
     meta: dict = field(default_factory=dict)
 
     @property
-    def n_curves(self):
+    def n_t(self):
         return len(self.base)
 
     @property
-    def n_t(self):
-        return len(self.base[0])
-
-    @property
     def dim_w(self):
-        return sum(len(c) for c in self.controls)
-
-    def _split(self, w):
-        w = np.asarray(w, dtype=complex)
-        out, pos = [], 0
-        for c in self.controls:
-            out.append(w[pos : pos + len(c)])
-            pos += len(c)
-        return out
+        return len(self.controls)
 
     def deform(self, t_index, w):
-        """Deformed loops at time sample t_index; exact identity at w = 0."""
-        return [
-            _flow_deform(curve[t_index], ctrls, wj)
-            for curve, ctrls, wj in zip(self.base, self.controls, self._split(w))
-        ]
+        """Deformed loop at time sample t_index, shape (1, N, 3)."""
+        return _flow_deform(self.base[t_index], self.controls, w)[None]
 
     def periods(self, t_index, w):
-        """Loop periods per curve, stacked to shape (n_curves, 3)."""
-        return np.stack([v.mean(axis=0) for v in self.deform(t_index, w)])
+        """Loop period at time sample t_index, shape (1, 3)."""
+        return period(self.deform(t_index, w))
 
 
-def period_jacobian(spray, t_index, w=0):
-    """Exact Jacobian of the periods at the controls w.
+def period_jacobian(spray, t_index):
+    """Exact Jacobian of the period at w = 0, by _flow_jacobian.
 
-    Each curve's periods depend on its own controls only, so the matrix is
-    block diagonal with one _flow_jacobian block per curve.  Rows are the
-    period components per curve (all three, or the first two for
+    Rows are the period components (all three, or the first two for
     fixed-third sprays); columns are the complex controls.
     """
     rows = 2 if spray.fixed_third else 3
-    w = np.broadcast_to(np.asarray(w, dtype=complex), (spray.dim_w,))
-    J = np.zeros((rows * spray.n_curves, spray.dim_w), dtype=complex)
-    col = 0
-    for j, (curve, ctrls, wj) in enumerate(
-        zip(spray.base, spray.controls, spray._split(w))
-    ):
-        m = len(ctrls)
-        J[rows * j : rows * (j + 1), col : col + m] = _flow_jacobian(
-            curve[t_index], ctrls, wj
-        )[:rows]
-        col += m
-    return J
+    w = np.zeros(spray.dim_w, dtype=complex)
+    return _flow_jacobian(spray.base[t_index], spray.controls, w)[:rows]
 
 
 def _certify(spray):
@@ -142,43 +97,41 @@ def _certify(spray):
     return worst
 
 
-def _make_controls(segments, n, rng, kinds):
+def _make_controls(seg, n, rng, kinds):
     controls = []
-    for seg in segments:
-        ctrls = []
-        span = max(seg.length - 2 * BUMP_WIDTH, 1e-6)
-        for i, kind in enumerate(kinds):
-            frac = (i + 0.5) / len(kinds) + 0.2 * rng.uniform(-1, 1) / len(kinds)
-            center = (seg.alpha + BUMP_WIDTH + span * frac) % 1.0
-            prof = raised_cosine(np.arange(n) / n, center, BUMP_WIDTH / 2.0)
-            ctrls.append((kind, prof))
-        controls.append(ctrls)
+    span = max(seg.length - 2 * BUMP_WIDTH, 1e-6)
+    for i, kind in enumerate(kinds):
+        frac = (i + 0.5) / len(kinds) + 0.2 * rng.uniform(-1, 1) / len(kinds)
+        center = (seg.alpha + BUMP_WIDTH + span * frac) % 1.0
+        prof = raised_cosine(np.arange(n) / n, center, BUMP_WIDTH / 2.0)
+        controls.append((kind, prof))
     return controls
 
 
-def _build(sigma_t, segments, kinds, fixed_third, seed):
-    base = _as_family(sigma_t)
-    if isinstance(segments, Segment):
-        segments = [segments]
-    if len(segments) != len(base):
-        raise ValueError("need one segment per curve")
-    for curve, seg in zip(base, segments):
-        for vals in curve:
-            if not nondegenerate_on(PeriodicPath(vals), seg):
-                raise DegenerateLoop("loop family is degenerate on its segment")
-            if fixed_third:
-                x = np.arange(vals.shape[0]) / vals.shape[0]
-                third = np.abs(vals[seg.contains(x), 2])
-                if third.size == 0 or float(third.min()) < 1e-10:
-                    raise ThirdComponentVanishes(
-                        "third component vanishes on a control segment"
-                    )
-    n = base[0][0].shape[0]
+def _build(sigma_t, seg, kinds, fixed_third, seed):
+    if not isinstance(seg, Segment):
+        raise ValueError("need one Segment: a spray has one curve")
+    base = [
+        np.asarray(p.values if isinstance(p, PeriodicPath) else p, complex)
+        for p in sigma_t
+    ]
+    for vals in base:
+        if vals.ndim != 2 or vals.shape[1] != 3:
+            raise ValueError(f"need one (N, 3) loop per t, got {vals.shape}")
+        if not nondegenerate_on(PeriodicPath(vals), seg):
+            raise DegenerateLoop("loop family is degenerate on its segment")
+        if fixed_third:
+            x = np.arange(vals.shape[0]) / vals.shape[0]
+            third = np.abs(vals[seg.contains(x), 2])
+            if third.size == 0 or float(third.min()) < 1e-10:
+                raise ThirdComponentVanishes(
+                    "third component vanishes on a control segment"
+                )
+    n = base[0].shape[0]
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(5):
-        controls = _make_controls(segments, n, rng, kinds)
-        spray = LoopSpray(base, controls, fixed_third=fixed_third)
+        spray = LoopSpray(base, _make_controls(seg, n, rng, kinds), fixed_third)
         sv = _certify(spray)
         if sv >= SIGMA_MIN:
             spray.meta["sigma_min"] = sv
@@ -189,31 +142,32 @@ def _build(sigma_t, segments, kinds, fixed_third, seed):
     )
 
 
-def build_spray(sigma_t, segments):
-    """Period-dominating spray with three flow controls per curve."""
+def build_spray(sigma_t, seg):
+    """Period-dominating spray with three flow controls."""
     return _build(
-        sigma_t, segments, ("rotation_12", "rotation_13", "rotation_23"),
+        sigma_t, seg, ("rotation_12", "rotation_13", "rotation_23"),
         fixed_third=False, seed=17,
     )
 
 
-def build_spray_fixed_third(sigma_t, segments):
+def build_spray_fixed_third(sigma_t, seg):
     """Spray deforming only the first two components, third kept exactly.
 
     Controls are rotations in the 1-2 plane: they scale z1 -+ i z2 by
     e^(-+i t), so they multiply the Gauss map by an exponential factor and
-    never write the third component.  Two controls per curve dominate the
-    two free period components.
+    never write the third component.  Two controls dominate the two free
+    period components.
     """
     return _build(
-        sigma_t, segments, ("rotation_12", "rotation_12"), fixed_third=True,
+        sigma_t, seg, ("rotation_12", "rotation_12"), fixed_third=True,
         seed=19,
     )
 
 
 @dataclass(frozen=True)
 class PeriodTargets:
-    """Per-curve period targets on the t-grid, shape (n_t, n_curves, 3)."""
+    """Period targets on the t-grid, shape (n_t, 1, 3); an (n_t, 3) array
+    gains the middle axis."""
 
     values: np.ndarray
 
@@ -227,44 +181,23 @@ class PeriodTargets:
 def solve_w(spray, targets):
     """Continuation for the control path w(t) tracking the period targets.
 
-    Starts from w(0) = 0 (targets must already be met there) and tracks the
-    ramp with damped least-norm Newton steps to residual TOL_PERIOD, at
-    most 30 per solve and each at most a quarter of the trust radius
-    RADIUS_W, sub-stepping on stalls.
-    The rows of the period system follow period_jacobian.  Raises LeftDomain
-    when |w| exceeds the trust radius, ContinuationStalled when sub-stepping
+    Starts from w(0) = 0, where the targets must already be met
+    (ValueError otherwise), and tracks the ramp by loops._continue on the
+    rows of period_jacobian, to residual TOL_PERIOD with at most 30 Newton
+    steps per solve in the trust radius RADIUS_W.  Raises LeftDomain when
+    |w| exceeds the trust radius, ContinuationStalled when sub-stepping
     fails.
     """
-    tv = targets.values if isinstance(targets, PeriodTargets) else targets
-    tv = PeriodTargets(tv).values
-    rows = 2 if spray.fixed_third else 3
-    n_t = spray.n_t
-    if tv.shape[0] != n_t or tv.shape[1] != spray.n_curves:
+    tv = PeriodTargets(getattr(targets, "values", targets)).values
+    if tv.shape[:2] != (spray.n_t, 1):
         raise ValueError("targets shape does not match the spray")
-
-    def residual(k, target, w):
-        return (spray.periods(k, w)[:, :rows] - target[:, :rows]).ravel()
-
-    def solve(k, target, w):
-        return _newton(
-            lambda v: residual(k, target, v),
-            lambda v: period_jacobian(spray, k, v),
-            w, TOL_PERIOD, 30, cap=0.25 * RADIUS_W,
-        )
-
-    w = np.zeros(spray.dim_w, dtype=complex)
-    r0 = float(np.linalg.norm(residual(0, tv[0], w)))
+    rows = 2 if spray.fixed_third else 3
+    goals = tv[:, 0, :rows]
+    # the flows are the exact identity at w = 0
+    r0 = float(np.linalg.norm(period(spray.base[0])[:rows] - goals[0]))
     if r0 > TOL_PERIOD:
         raise ValueError(f"targets not met at t = 0 with w = 0 (residual {r0:.3g})")
-    path = [w.copy()]
-    for k in range(1, n_t):
-        nxt = _substep(partial(solve, k), tv[k - 1], tv[k], w)
-        if nxt is None:
-            raise ContinuationStalled(f"continuation stalled at step {k} of {n_t}")
-        if float(np.max(np.abs(nxt))) > RADIUS_W:
-            raise LeftDomain(
-                f"|w| = {np.max(np.abs(nxt)):.3g} exceeds {RADIUS_W} at step {k}"
-            )
-        w = nxt
-        path.append(w.copy())
-    return np.array(path)
+    return loops._continue(
+        spray.base, spray.controls, lambda s: period(s)[..., :rows], goals,
+        TOL_PERIOD, 30, RADIUS_W,
+    )[0]

@@ -16,10 +16,10 @@ from minflux import riemann as rm
 from minflux import weierstrass as wz
 from minflux.errors import (
     ApproximationBudgetExceeded,
+    ContinuationStalled,
     EstimateNotMet,
     FlatInput,
     NonFiniteValues,
-    RootNotFound,
 )
 from minflux.riemann import TOL_RUNGE
 from minflux.weierstrass import PolarGrid, _open_radii
@@ -202,7 +202,7 @@ class TestNoRetry:
         return calls
 
     def test_stall_raises_after_one_continuation(self, catenoid, stalled):
-        with pytest.raises(RootNotFound):
+        with pytest.raises(ContinuationStalled, match="step 1 of 64"):
             iso.flux_to_zero(catenoid)
         assert len(stalled) == 1
 
@@ -214,6 +214,18 @@ class TestNoRetry:
                         stdout=io.StringIO(), stderr=io.StringIO())
         assert code == 2
         assert len(stalled) == 1
+
+    def test_one_shared_continuation_per_driver(self, catenoid, monkeypatch):
+        # the flux drivers and solve_w share loops._continue
+        calls, continue_ = [], lp._continue
+
+        def counted(*args):
+            calls.append(args)
+            return continue_(*args)
+
+        monkeypatch.setattr(lp, "_continue", counted)
+        iso.flux_to_zero(catenoid, n_t=8)
+        assert len(calls) == 1
 
 
 class TestPrescribeFlux:

@@ -380,7 +380,7 @@ class TestFlatDistance:
         graph = lb.build_metric_graph(
             r_in, r_out, x0, radii=np.linspace(r_in, r_out, n_r), n_th=n_th
         )
-        flat = graph.distance(lambda z: np.ones(np.asarray(z).shape))
+        flat = graph.distance(np.ones(graph.nodes.shape))
         # every graph path is at least as long as the radial gap between
         # its ends' circles, and the radial path from the source attains
         # the gap to the nearer boundary circle
@@ -411,10 +411,10 @@ def coo_edges(graph):
     return rows, cols, np.abs(graph.nodes[rows] - graph.nodes[cols])
 
 
-def coo_distance(graph, density_fn):
+def coo_distance(graph, dens):
     """MetricGraph.distance from the COO edges, converted to CSR per call."""
     rows, cols, lengths = coo_edges(graph)
-    rho = np.sqrt(np.abs(density_fn(graph.nodes)))
+    rho = np.sqrt(np.abs(dens))
     wts = 0.5 * (rho[rows] + rho[cols]) * lengths
     n = graph.nodes.size
     m = csr_matrix((wts, (rows, cols)), shape=(n, n))
@@ -453,9 +453,7 @@ class TestGraphPattern:
         walled = sorted(i for i in walled if i < n_r)
         dens = np.random.default_rng(seed).uniform(0.01, 10.0, (n_r, n_th))
         dens[walled] = np.inf
-
-        def density(z):
-            return dens.ravel()
+        density = dens.ravel()
 
         # a ring of infinite density blocks every path through it, so the
         # graph is cut when one lies between the source ring and each
@@ -499,9 +497,7 @@ class TestBoundedDistance:
         graph = lb.build_metric_graph(0.5, 2.0, x0, radii=radii, n_th=n_th)
         dens = np.random.default_rng(seed).uniform(0.01, 10.0, (n_r, n_th))
         dens[sorted(i for i in walled if i < n_r)] = np.inf
-
-        def density(z):
-            return dens.ravel()
+        density = dens.ravel()
 
         try:
             want = graph.boundary_distance(graph.node_distances(density))
@@ -515,7 +511,7 @@ class TestBoundedDistance:
 def full_distance(graph, dens):
     """Boundary minimum of a search that settles every node; inf where no
     path reaches the boundary."""
-    d = graph.node_distances(lambda z: dens)
+    d = graph.node_distances(dens)
     return float(np.min(d.ravel()[graph.boundary]))
 
 
@@ -545,7 +541,7 @@ class TestCertifiedDistance:
         )
         rng = np.random.default_rng(seed)
         base = rng.uniform(0.01, 10.0, graph.nodes.size)
-        base_value = graph.distance(lambda z: base)
+        base_value = graph.distance(base)
         walls = rng.uniform(size=base.size) < share
         dens = base.copy()
         dens[walls] *= rng.uniform(low, high, np.count_nonzero(walls))
@@ -603,7 +599,7 @@ class TestRecordedDistance:
         base = rng.uniform(0.01, 10.0, graph.nodes.size)
         walls = rng.uniform(size=base.size) < share
         # tau's search, as complete_step records it
-        tau = graph.distance(lambda z: base)
+        tau = graph.distance(base)
         assert tau == full_distance(graph, base)
         # one factor on every wall, as the Lopez-Ros transform grows the
         # Gauss map; in any order, some below 1
@@ -629,7 +625,7 @@ class TestRecordedDistance:
 
     def test_infinite_walls(self):
         graph, base = self.spoke_graph()
-        tau = graph.distance(lambda z: base)
+        tau = graph.distance(base)
         walls = np.zeros(base.size, dtype=bool)
         walls[:8] = True  # the inner circle
         walls[16:23] = True  # ring 2 but for one opening
@@ -658,7 +654,7 @@ class TestRecordedDistance:
 
     def test_nan_wall_density_raises(self):
         graph, base = self.spoke_graph()
-        tau = graph.distance(lambda z: base)
+        tau = graph.distance(base)
         walls = np.zeros(base.size, dtype=bool)
         walls[20] = True  # ring 2, opposite the spoke the path takes
         for grown in (2.0, 4.0):  # grown walls keep the recorded search
@@ -688,7 +684,7 @@ class TestNonFiniteDensity:
         else:
             dens[3, 0] = np.nan
         with pytest.raises(NonFiniteValues, match=f"NaN at {count} of 512"):
-            getattr(graph, method)(lambda z: dens.ravel())
+            getattr(graph, method)(dens.ravel())
 
 
 class TestFineRadii:
@@ -768,7 +764,7 @@ class TestCrossingBound:
             10.0 ** rng.uniform(-2, 4, (n_r, 1))
             * 10.0 ** rng.uniform(-1, 1, (n_r, n_th))
         ).ravel()
-        field = graph.node_distances(lambda z: dens)
+        field = graph.node_distances(dens)
         want = shortest_window_crossing(graph, dens, i_lo, i_hi)
         # either circle may face the source; the relative slack covers
         # the two runs summing edge weights in different orders
@@ -783,7 +779,7 @@ class TestCrossingBound:
         )
         cheap = np.abs(graph.nodes) < 1.2 + 1e-9
         dens = np.where(cheap, 1e-12, 1.0)
-        field = graph.node_distances(lambda z: dens)
+        field = graph.node_distances(dens)
         want = shortest_window_crossing(graph, dens, 2, 7)
         got = lb._crossing_bound(field, 2, 7)
         assert want - 1e-4 < got <= want
@@ -835,7 +831,7 @@ class TestIntrinsicDistance:
             return dens
 
         with pytest.raises(DisconnectedGraph):
-            graph.distance(blocked)
+            graph.distance(blocked(graph.nodes))
 
 
 def distinct_family():
@@ -900,7 +896,7 @@ def naive_checks(members, res, core, exact=True):
 
     def full_search(dens):
         # every node settled: the reference for the bounded distance
-        return coarse.boundary_distance(coarse.node_distances(lambda z: dens))
+        return coarse.boundary_distance(coarse.node_distances(dens))
 
     first = {id(m): j for j, m in reversed(list(enumerate(members)))}
     base_dens = {
@@ -995,7 +991,7 @@ def point_rule_final_distance(members, res):
             for k in range(0, z.size, step)
         ])
 
-    return fine.distance(density)
+    return fine.distance(density(fine.nodes))
 
 
 class TestNodeSetEvaluation:

@@ -101,8 +101,8 @@ class TestFlowJacobian:
             kinds = (("rotation_12", "rotation_13", "rotation_23"),
                      ("rotation_12", "rotation_12"))[seed % 2]
             controls = sp._make_controls(
-                [lp.Segment(0.0, 0.25)], n, np.random.default_rng(seed), kinds
-            )[0]
+                lp.Segment(0.0, 0.25), n, np.random.default_rng(seed), kinds
+            )
         if family == "driver":
             assert {kind for kind, _ in controls} == set(nq.FLOW_KINDS)
         w = np.array([r * np.exp(1j * phi) for r, phi in polar])[: len(controls)]

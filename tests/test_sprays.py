@@ -53,18 +53,18 @@ class TestBuildSpray:
         w = np.zeros(spray.dim_w, dtype=complex)
         for k in range(spray.n_t):
             out = spray.deform(k, w)
-            assert np.array_equal(out[0], spray.base[0][k])
+            assert np.array_equal(out[0], spray.base[k])
 
     def test_locality_outside_segment(self, spray):
         w = 0.1 * np.ones(spray.dim_w, dtype=complex)
-        n = spray.base[0][0].shape[0]
+        n = spray.base[0].shape[0]
         x = np.arange(n) / n
         support = np.zeros(n, dtype=bool)
-        for _, prof in spray.controls[0]:
+        for _, prof in spray.controls:
             support |= prof != 0.0
         assert np.all(support <= SEG.contains(x))  # bumps sit in the segment
         out = spray.deform(0, w)[0]
-        assert np.array_equal(out[~support], spray.base[0][0][~support])
+        assert np.array_equal(out[~support], spray.base[0][~support])
 
     def test_deformation_stays_on_quadric(self, spray):
         from minflux import nullquadric as nq
@@ -83,14 +83,14 @@ class TestBuildSpray:
     def test_degenerate_loop_rejected(self):
         flat = np.tile(np.array([1.0, 1j, 0.0]), (256, 1))
         with pytest.raises(DegenerateLoop):
-            sp.build_spray([[flat]], SEG)
+            sp.build_spray([flat], SEG)
 
 
 class TestFixedThird:
     def test_third_component_untouched(self, spray_fixed):
         w = (0.3 - 0.2j) * np.ones(spray_fixed.dim_w, dtype=complex)
         out = spray_fixed.deform(0, w)[0]
-        assert np.array_equal(out[:, 2], spray_fixed.base[0][0][:, 2])
+        assert np.array_equal(out[:, 2], spray_fixed.base[0][:, 2])
 
     def test_quadric_preserved_exactly(self, spray_fixed):
         from minflux import nullquadric as nq
@@ -115,8 +115,8 @@ class TestFixedThird:
         m = spray_fixed.dim_w
         w = 0.3 * (rng.normal(size=m) + 1j * rng.normal(size=m))
         for k in range(spray_fixed.n_t):
-            vals = spray_fixed.base[0][k].copy()
-            for (_, prof), wj in zip(spray_fixed.controls[0], 1j * w):
+            vals = spray_fixed.base[k].copy()
+            for (_, prof), wj in zip(spray_fixed.controls, 1j * w):
                 t = wj * prof
                 u = (vals[:, 0] - 1j * vals[:, 1]) * np.exp(-t)
                 v = (-vals[:, 0] - 1j * vals[:, 1]) * np.exp(t)
@@ -133,34 +133,26 @@ class TestFixedThird:
         b = np.sin(2 * np.pi * x).astype(complex)
         bad = np.stack([1.0 - b * b, 1j * (1.0 + b * b), 2.0 * b], axis=1)
         with pytest.raises(ThirdComponentVanishes):
-            sp.build_spray_fixed_third([[bad]], SEG)
+            sp.build_spray_fixed_third([bad], SEG)
 
 
-class TestPeriodJacobian:
+class TestSingleCurve:
+    """A spray has one curve: the domain has one homology generator."""
+
     @pytest.mark.parametrize(
         "build", [sp.build_spray, sp.build_spray_fixed_third]
     )
-    def test_two_curves_block_diagonal_and_exact(self, build):
+    def test_two_curve_family_rejected(self, build):
         second = [2.0 * v for v in rotated_family()]
-        spray = build([rotated_family(), second], [SEG, lp.Segment(0.5, 0.75)])
-        rows = 2 if spray.fixed_third else 3
-        m0 = len(spray.controls[0])
-        rng = np.random.default_rng(8)
-        w = 0.1 * (rng.normal(size=spray.dim_w) + 1j * rng.normal(size=spray.dim_w))
-        h = 1e-6
-        for k in range(spray.n_t):
-            J = sp.period_jacobian(spray, k, w)
-            assert J.shape == (2 * rows, spray.dim_w)
-            # each curve's periods depend on its own controls only
-            assert np.all(J[:rows, m0:] == 0) and np.all(J[rows:, :m0] == 0)
-            fd = np.empty_like(J)
-            for col in range(spray.dim_w):
-                dw = np.zeros(spray.dim_w, dtype=complex)
-                dw[col] = h
-                plus = spray.periods(k, w + dw)[:, :rows].ravel()
-                minus = spray.periods(k, w - dw)[:, :rows].ravel()
-                fd[:, col] = (plus - minus) / (2.0 * h)
-            assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+        with pytest.raises(ValueError, match="one \\(N, 3\\) loop"):
+            build([rotated_family(), second], SEG)
+
+    @pytest.mark.parametrize(
+        "build", [sp.build_spray, sp.build_spray_fixed_third]
+    )
+    def test_segment_list_rejected(self, build):
+        with pytest.raises(ValueError, match="one Segment"):
+            build(rotated_family(), [SEG, lp.Segment(0.5, 0.75)])
 
 
 class TestSolveW:
@@ -205,11 +197,14 @@ class TestSolveW:
     def test_read_only_targets_left_unchanged(self, spray, monkeypatch):
         # the full-step solve of each step fails once, which forces
         # sub-stepping through blended targets; they must not be written
-        # into the caller's array.  loops._substep recurses into itself, so
-        # the patch sees each step's first call only.
-        substep, solves = sp._substep, []
+        # into the caller's array.  loops._substep recurses into itself
+        # through the module, so the patch passes the inner calls
+        # (depth < 6) through and wraps each step's first call only.
+        substep, solves = lp._substep, []
 
-        def full_step_fails(solve, a, b, x):
+        def full_step_fails(solve, a, b, x, depth=6):
+            if depth < 6:
+                return substep(solve, a, b, x, depth)
             calls = []
 
             def failing_once(target, w):
@@ -220,7 +215,7 @@ class TestSolveW:
             solves.append(len(calls))
             return out
 
-        monkeypatch.setattr(sp, "_substep", full_step_fails)
+        monkeypatch.setattr(lp, "_substep", full_step_fails)
         # half the scale of the ramp that leaves the trust radius, so the
         # whole path is solved
         rng = np.random.default_rng(3)
@@ -235,6 +230,20 @@ class TestSolveW:
         assert path.shape == (spray.n_t, spray.dim_w)
         assert solves == [3] * (spray.n_t - 1)
         assert np.array_equal(targets, before)
+
+    def test_one_continuation_per_solve(self, spray, monkeypatch):
+        calls, continue_ = [], lp._continue
+
+        def counted(*args):
+            calls.append(args)
+            return continue_(*args)
+
+        monkeypatch.setattr(lp, "_continue", counted)
+        targets = np.stack(
+            [spray.periods(k, np.zeros(spray.dim_w)) for k in range(spray.n_t)]
+        )
+        sp.solve_w(spray, sp.PeriodTargets(targets))
+        assert len(calls) == 1
 
     def test_targets_shape_normalization(self):
         flat = np.zeros((4, 3), dtype=complex)
