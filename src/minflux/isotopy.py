@@ -178,11 +178,16 @@ def _member_from_extension(ext, theta, r_inner, r_outer):
 
 
 def restrict_data(data, chart, n=N_S_DEFAULT):
-    """The boundary loop of f theta on the homology circle of the data."""
-    loop = rm.restrict_to_curve(data.f, chart, theta=data.theta, n=n)
-    if not np.all(np.isfinite(loop.values)):
+    """The boundary loop of f theta on the homology circle of the data,
+    sampled against the chart form d(zeta) = dz / (2 pi i z)."""
+    z = chart.points(n)
+    fac = 2j * np.pi * z
+    if data.theta == "dz/z":
+        fac = fac / z
+    values = data.f(z) * fac[:, None]
+    if not np.all(np.isfinite(values)):
         raise NonFiniteValues("f theta is not finite on the homology circle")
-    return loop
+    return PeriodicPath(values)
 
 
 def _extension_period(ext, theta):
@@ -361,11 +366,12 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     resolution, a positive integer (ValueError otherwise), scales the
     verification grid (32 x 128 radii by angles per unit) and the loop
     sampling (N_S_DEFAULT per unit) relative to the construction defaults
-    (2 doubles them).  Conformality (against TOL_NULL) and the metric
-    density are measured on that grid, whose radii lie strictly inside
-    each member's annulus, and the periods on the loop over its homology
-    circle.  Every member's boundary loop must have the pi1 class of
-    member 0's (spin_class).  The largest member step
+    (2 doubles them).  The metric density is measured on that grid, whose
+    radii lie strictly inside each member's annulus, from g and f3 alone;
+    the periods on the loop over its homology circle; conformality
+    (against TOL_NULL, and null by construction) on the boundary circles.
+    Every member's boundary loop must have the pi1 class of member 0's
+    (spin_class).  The largest member step
     max|f(t_k+1) - f(t_k)| / max|f(t_k)|, scaled by n_t - 1, must stay
     below CONTINUITY_BOUND (continuity).  Both sups are taken on the two
     boundary circles, where the maximum modulus principle puts them, since
@@ -387,9 +393,9 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         raise ValueError("cannot verify an empty family")
     n_r, n_th = 32 * resolution, 128 * resolution
     n_loop = N_S_DEFAULT * resolution
-    # members sharing an annulus and a form share the grid, theta/dz on it
-    # and the boundary circles; these carry n_loop angles, as the homology
-    # circle does, since a sampled max misses the sup by O(1/angles^2)
+    # members sharing an annulus share the grid and the boundary circles;
+    # these carry n_loop angles, as the homology circle does, since a
+    # sampled max misses the sup by O(1/angles^2)
     grids = {}
     max_conf = 0.0
     max_real = 0.0
@@ -400,32 +406,31 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     flat_flags = []
     pi1_classes = []
     for t, data in zip(family.ts, family.members):
-        key = (data.r_inner, data.r_outer, data.theta)
+        key = (data.r_inner, data.r_outer)
         if key not in grids:
             radii = _open_radii(data.r_inner, data.r_outer, n_r)
-            grid = PolarGrid(radii, n_th)
             grids[key] = (
-                grid,
-                data.theta_over_dz(grid.points)[..., None],
+                PolarGrid(radii, n_th),
                 PolarGrid([data.r_inner, data.r_outer], n_loop),
             )
-        grid, theta, rims = grids[key]
-        fv = data.f(grid)
+        grid, rims = grids[key]
         fb = data.f(rims)
-        # a NaN or inf value makes the residual NaN, which max() would
-        # drop: the reductions are tested instead of every value
+        # a NaN value makes every reduction NaN, an inf one the density's
+        # max (and the residual's inf/inf): the reductions are tested
+        # instead of every value, so min() never passes an inf density
         with np.errstate(invalid="ignore"):
-            conf = wz.conformality_residual(fv)
-            den = float(wz.density_from_f_theta(fv * theta).min())
+            den = wz.metric_density(data, grid)
+            den_min, den_max = float(den.min()), float(den.max())
+            conf = wz.conformality_residual(fb)
             sup = float(np.max(np.abs(fb)))
-        if not (math.isfinite(conf) and math.isfinite(den)
+        if not (math.isfinite(conf) and math.isfinite(den_max)
                 and math.isfinite(sup)):
             raise NonFiniteValues(
                 f"member at t = {float(t):g} is not finite on the "
                 "verification grid"
             )
         max_conf = max(max_conf, conf)
-        min_den = min(min_den, den)
+        min_den = min(min_den, den_min)
         flat_flags.append(bool(wz.is_flat(data)[0]))
         if prev is not None:
             step = float(np.max(np.abs(fb - prev))) / prev_sup

@@ -23,8 +23,8 @@ other way.  The base members are evaluated on these grids, so exact Laurent
 data cost one inverse FFT per ring (weierstrass.PolarGrid), and an opaque
 callable sees the grid's points.  Every density, of a base member or of a
 transformed one, follows one rule from the values of g and f3 theta/dz
-(_density); the lopez_ros members are the step's output and are not
-evaluated by it.
+(weierstrass.density); the lopez_ros members are the step's output and are
+not evaluated by it.
 
 Conclusion (IV) needs the coarse-graph distance of every transformed
 member.  A transformed member differs from its base member only on the
@@ -52,11 +52,11 @@ from .errors import (
     EstimateNotMet,
     FlatInput,
     GaussMapTooSmall,
-    GaussMapVanishes,
     InvalidCore,
     NoBandFound,
     NonFiniteValues,
 )
+from .loops import fourier_derivative
 
 #: The notice of a complete_step report: what its transformed members are.
 SURROGATE_NOTICE = (
@@ -470,20 +470,6 @@ def lopez_ros(data_t, params, labyrinths, t_grid):
     return out
 
 
-def _density(g, f3t):
-    """Metric density 0.5 |f theta/dz|^2 from the values of g and of
-    f3 theta/dz at the same points.
-
-    The null triple of g and f3 has |f|^2 = |f3|^2 (|g| + 1/|g|)^2 / 2, so
-    the density is 0.25 |f3 theta/dz|^2 (|g| + 1/|g|)^2, point by point.
-    Raises GaussMapVanishes where g is zero.
-    """
-    a = np.abs(g)
-    if np.any(a == 0.0):
-        raise GaussMapVanishes("g vanishes at a density evaluation point")
-    return 0.25 * np.abs(f3t) ** 2 * (a + 1.0 / a) ** 2
-
-
 class _PointSet:
     """Base member values and the union wall mask on one polar grid.
 
@@ -533,14 +519,14 @@ class _PointSet:
     def density(self, m, factor=None):
         base = self.base_density.get(id(m))
         if base is None:
-            base = self.base_density[id(m)] = _density(
+            base = self.base_density[id(m)] = wz.density(
                 self.gf3(m)[0], self.f3_theta(m)
             )
         if factor is None:
             return base
         g, f3, theta = self.on_walls(m)
         out = base.copy()
-        out[self.mask] = _density(g * factor, f3 * theta)
+        out[self.mask] = wz.density(g * factor, f3 * theta)
         return out
 
 
@@ -842,7 +828,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     data0 = members[0]
     r_in, r_out = data0.r_inner, data0.r_outer
     lo, hi = core
-    rho = float(np.sqrt(r_in * r_out))
+    rho = wz.homology_radius(data0)
     if not (r_in < lo < rho < hi < r_out):
         raise InvalidCore(
             f"core ({lo:g}, {hi:g}) must be an annulus inside ({r_in:g}, "
@@ -939,7 +925,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     # sum of f theta/dz over the circle's points, so the flux changes by
     # that sum over the changes at the wall points
     on_circle = _PointSet(wz.PolarGrid([rho], 512), members).walls(labs)
-    weights = wz._loop_derivative(on_circle.points)[on_circle.mask]
+    weights = fourier_derivative(on_circle.points)[on_circle.mask]
     weights /= on_circle.points.size
 
     def flux_change(m, fac):

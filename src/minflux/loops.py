@@ -183,11 +183,6 @@ class Segment:
         return u <= self.length + 1e-15
 
 
-def _require_nonempty(seg):
-    if seg.length <= 0:
-        raise EmptySegment("segment has zero length")
-
-
 # ---------------------------------------------------------------------------
 # smooth profiles
 
@@ -276,7 +271,6 @@ def nondegenerate_on(sigma, seg):
     Tested through the singular values of the sample matrix restricted to
     the segment: rank at least two with relative gap above 1e-8.
     """
-    _require_nonempty(seg)
     v = sigma.values if isinstance(sigma, PeriodicPath) else np.asarray(sigma)
     n = v.shape[0]
     x = np.arange(n) / n
@@ -788,7 +782,7 @@ def make_zero_period_pair(h0, spin_class=0):
             q = _newton_root_ln(builder, best)
             if q is not None:
                 break
-        if q is None or np.linalg.norm(q[:3]) >= 1.0:
+        if q is None:
             last_err = f"no interior root at eps={cur_eps:g}"
             continue
         p, coeffs = q[:3], q[3:]

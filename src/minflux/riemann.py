@@ -27,6 +27,7 @@ from .weierstrass import (
     LaurentSeries,
     PolarGrid,
     _open_radii,
+    circle,
     homology_radius,
 )
 
@@ -64,18 +65,15 @@ class CurveChart:
     """The circle |z| = radius with its uniformizing coordinate.
 
     The chart coordinate zeta satisfies z = radius*e^(2 pi i zeta), so
-    d(zeta) = dz / (2 pi i z); loops restricted through the chart are
-    sampled against d(zeta).
+    d(zeta) = dz / (2 pi i z); loops restricted through the chart
+    (isotopy.restrict_data) are sampled against d(zeta).
     """
 
     radius: float
 
-    def points(self, n=256):
-        x = np.arange(n) / n
-        return self.radius * np.exp(2j * np.pi * x)
-
-    def dz_dzeta(self, z):
-        return 2j * np.pi * np.asarray(z, dtype=complex)
+    def points(self, n):
+        """n equispaced samples of the circle, from zeta = 0."""
+        return circle(self.radius, n)
 
 
 def homology_basis(domain):
@@ -88,22 +86,6 @@ def winding_number(curve_points):
     w = np.asarray(curve_points, dtype=complex)
     ang = np.angle(np.roll(w, -1) / w)
     return int(round(ang.sum() / (2.0 * np.pi)))
-
-
-def restrict_to_curve(F, chart, theta="dz", n=256):
-    """Sample a holomorphic triple along the generator, against the chart form.
-
-    Returns the PeriodicPath x -> F(z(x)) * theta/d(zeta); its period equals
-    the contour integral of F theta over the curve.
-    """
-    z = chart.points(n)
-    vals = F(z) if callable(F) else np.asarray(F, dtype=complex)
-    fac = chart.dz_dzeta(z)
-    if theta == "dz/z":
-        fac = fac / z
-    elif theta != "dz":
-        raise ValueError("theta must be 'dz' or 'dz/z'")
-    return PeriodicPath(vals * fac[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +113,10 @@ class LaurentMap:
             w = z.points
         else:
             z = w = np.asarray(z, dtype=complex)
-        av, bv = self.a(z), self.b(z)
-        a2, b2 = av * av, bv * bv
-        ab = av * bv
+        out = nq.spinor_to_null(self.a(z), self.b(z))
         if self.parity:
-            a2, b2, ab = a2 * w / self.scale, b2 * w / self.scale, ab * w / self.scale
-        return np.stack([a2 - b2, 1j * (a2 + b2), 2.0 * ab], axis=-1)
+            out = out * (w / self.scale)[..., None]
+        return out
 
     def components(self):
         """The triple as integer Laurent series in z."""
@@ -191,13 +171,7 @@ def runge_extend(loop, domain, tol=TOL_RUNGE):
         sa = _fit_block(a, chart.radius, degree)
         sb = _fit_block(b, chart.radius, degree)
         ext = LaurentMap(sa, sb, parity=parity, scale=chart.radius)
-        curve = PolarGrid([chart.radius], n)
-        av, bv = sa(curve), sb(curve)
-        if parity:
-            tw = np.exp(1j * np.pi * x)
-            av, bv = av * tw, bv * tw
-        fa = nq.spinor_to_null(av, bv)
-        sup_err = float(np.max(np.abs(fa - v)))
+        sup_err = float(np.max(np.abs(ext(PolarGrid([chart.radius], n)) - v)))
         if sup_err <= tol:
             gv = ext(grid)
             mods = np.sum(np.abs(gv) ** 2, axis=-1)

@@ -21,8 +21,6 @@ from .errors import DegenerateLoop, DominationFailed, ThirdComponentVanishes
 from .loops import (
     PeriodicPath,
     Segment,
-    _flow_deform,
-    _flow_jacobian,
     nondegenerate_on,
     period,
     raised_cosine,
@@ -63,7 +61,7 @@ class LoopSpray:
 
     def deform(self, t_index, w):
         """Deformed loop at time sample t_index, shape (1, N, 3)."""
-        return _flow_deform(self.base[t_index], self.controls, w)[None]
+        return loops._flow_deform(self.base[t_index], self.controls, w)[None]
 
     def periods(self, t_index, w):
         """Loop period at time sample t_index, shape (1, 3)."""
@@ -78,7 +76,7 @@ def period_jacobian(spray, t_index):
     """
     rows = 2 if spray.fixed_third else 3
     w = np.zeros(spray.dim_w, dtype=complex)
-    return _flow_jacobian(spray.base[t_index], spray.controls, w)[:rows]
+    return loops._flow_jacobian(spray.base[t_index], spray.controls, w)[:rows]
 
 
 def _certify(spray):
@@ -184,9 +182,11 @@ def solve_w(spray, targets):
     Starts from w(0) = 0, where the targets must already be met
     (ValueError otherwise), and tracks the ramp by loops._continue on the
     rows of period_jacobian, to residual TOL_PERIOD with at most 30 Newton
-    steps per solve in the trust radius RADIUS_W.  Raises LeftDomain when
-    |w| exceeds the trust radius, ContinuationStalled when sub-stepping
-    fails.
+    steps per solve in the trust radius RADIUS_W.  A fixed-third spray
+    never moves the third period, so a third target that misses the base
+    loop's by more than TOL_PERIOD at any step is unreachable
+    (ValueError).  Raises LeftDomain when |w| exceeds the trust radius,
+    ContinuationStalled when sub-stepping fails.
     """
     tv = PeriodTargets(getattr(targets, "values", targets)).values
     if tv.shape[:2] != (spray.n_t, 1):
@@ -197,6 +197,12 @@ def solve_w(spray, targets):
     r0 = float(np.linalg.norm(period(spray.base[0])[:rows] - goals[0]))
     if r0 > TOL_PERIOD:
         raise ValueError(f"targets not met at t = 0 with w = 0 (residual {r0:.3g})")
+    if spray.fixed_third:
+        miss = np.abs(tv[:, 0, 2] - [period(b)[2] for b in spray.base])
+        k = int(np.argmin(miss <= TOL_PERIOD))  # the first step missed
+        if not miss[k] <= TOL_PERIOD:
+            raise ValueError(f"third target at step {k} misses the fixed "
+                             f"third period by {miss[k]:.3g}")
     return loops._continue(
         spray.base, spray.controls, lambda s: period(s)[..., :rows], goals,
         TOL_PERIOD, 30, RADIUS_W,

@@ -27,6 +27,7 @@ from .errors import (
     RealPeriodNonzero,
     UnknownName,
 )
+from .loops import fourier_derivative
 
 #: Tolerance on period integrals and vanishing real periods, shared by the
 #: sprays and the flux drivers.
@@ -188,19 +189,6 @@ def circle(radius=1.0, n=512):
     return radius * np.exp(2j * np.pi * x)
 
 
-def _curve_samples(curve):
-    if np.isscalar(curve):
-        return circle(float(curve))
-    return np.asarray(curve, dtype=complex)
-
-
-def _loop_derivative(z):
-    n = z.size
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    k[n // 2] = 0.0
-    return np.fft.ifft(np.fft.fft(z) * 2j * np.pi * k)
-
-
 # ---------------------------------------------------------------------------
 # Weierstrass data
 
@@ -236,8 +224,6 @@ class WeierstrassData:
         z may be a PolarGrid: exact Laurent g and f3 evaluate on it by FFT,
         any other callable on its points.
         """
-        if not isinstance(z, PolarGrid):
-            z = np.asarray(z, dtype=complex)
         return null_triple(_evaluate(self.g, z), _evaluate(self.f3, z))
 
     def theta_over_dz(self, z):
@@ -254,8 +240,10 @@ class WeierstrassData:
 
 
 def _evaluate(fun, z):
+    if not isinstance(z, PolarGrid):
+        return fun(np.asarray(z, dtype=complex))
     exact = isinstance(fun, (LaurentSeries, LaurentQuotient))
-    return fun(z.points if isinstance(z, PolarGrid) and not exact else z)
+    return fun(z if exact else z.points)
 
 
 def null_triple(gz, f3z):
@@ -277,17 +265,30 @@ def null_triple(gz, f3z):
     )
 
 
-def density_from_f_theta(ft):
-    """Metric density 0.5 |f theta/dz|^2 from values of f theta/dz."""
-    return 0.5 * np.sum(np.abs(ft) ** 2, axis=-1)
+def density(g, f3_theta):
+    """Metric density 0.5 |f theta/dz|^2 from the values of g and of
+    f3 theta/dz at the same points.
+
+    The null triple of g and f3 has |f|^2 = |f3|^2 (|g| + 1/|g|)^2 / 2, so
+    the density is 0.25 |f3 theta/dz|^2 (|g| + 1/|g|)^2, point by point.
+    Raises GaussMapVanishes where g is zero.
+    """
+    a = np.abs(g)
+    if np.any(a == 0.0):
+        raise GaussMapVanishes("g vanishes at a density evaluation point")
+    return 0.25 * np.abs(f3_theta) ** 2 * (a + 1.0 / a) ** 2
 
 
 def metric_density(data, points):
     """Density of the induced metric against |dz|^2, equal to 0.5 |f theta/dz|^2.
 
-    points may be a PolarGrid, as in WeierstrassData.f.
+    points may be a PolarGrid, as in WeierstrassData.f; the density is
+    formed from g and f3 alone, without the null triple.
     """
-    return density_from_f_theta(data.f_theta(points))
+    return density(
+        _evaluate(data.g, points),
+        _evaluate(data.f3, points) * data.theta_over_dz(points),
+    )
 
 
 def conformality_residual(f_values):
@@ -300,13 +301,16 @@ def conformality_residual(f_values):
 
 def loop_period(data, curve):
     """Complex loop period of f theta over a closed curve, by spectral quadrature."""
-    z = _curve_samples(curve)
+    if np.isscalar(curve):
+        z = circle(float(curve))
+    else:
+        z = np.asarray(curve, dtype=complex)
     return period_from_f_theta(data.f_theta(z), z)
 
 
 def period_from_f_theta(ft, z):
     """Loop period from values ft of f theta/dz at the samples z of a loop."""
-    return (ft * _loop_derivative(z)[:, None]).mean(axis=0)
+    return (ft * fourier_derivative(z)[:, None]).mean(axis=0)
 
 
 def flux(data, curve):

@@ -19,6 +19,7 @@ from minflux.errors import (
     ContinuationStalled,
     EstimateNotMet,
     FlatInput,
+    GaussMapVanishes,
     NonFiniteValues,
 )
 from minflux.riemann import TOL_RUNGE
@@ -403,23 +404,42 @@ class TestVerify:
         with pytest.raises(ValueError, match=f"resolution .* {resolution!r}"):
             iso.verify(fam_zero, resolution=resolution)
 
+    @staticmethod
+    def with_value_at_grid_point(fam, k, name, value):
+        """fam with member k's g or f3 set to value at one point of the
+        verification grid (64 x 256 points) only."""
+        m = fam.members[k]
+        fun = getattr(m, name)
+
+        def bad(z):
+            v = fun(z)
+            if v.size == 64 * 256:
+                v[1000] = value
+            return v
+
+        parts = {"g": m.g, "f3": m.f3, name: bad}
+        out = copy.copy(fam)
+        out.members = list(fam.members)
+        out.members[k] = wz.WeierstrassData(
+            parts["g"], parts["f3"], theta=m.theta, r_inner=m.r_inner,
+            r_outer=m.r_outer,
+        )
+        return out
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_member_named(self, fam_zero, value):
-        class OnePoint(wz.WeierstrassData):
-            # value at one point of the verification grid (64 radii) only
-            def f(self, z):
-                v = super().f(z)
-                if isinstance(z, PolarGrid) and z.radii.size == 64:
-                    v[1000, 1] = value
-                return v
-
-        m = fam_zero.members[7]
-        bad = copy.copy(fam_zero)
-        bad.members = list(fam_zero.members)
-        bad.members[7] = OnePoint(m.g, m.f3, theta=m.theta,
-                                  r_inner=m.r_inner, r_outer=m.r_outer)
+        # the density is read from g and f3 on the grid; an inf density
+        # must not slip past its min()
         t = float(fam_zero.ts[7])
-        with pytest.raises(NonFiniteValues, match=f"t = {t:g} is not finite"):
+        for name in ("g", "f3"):
+            bad = self.with_value_at_grid_point(fam_zero, 7, name, value)
+            with pytest.raises(NonFiniteValues,
+                               match=f"t = {t:g} is not finite"):
+                iso.verify(bad)
+
+    def test_vanishing_gauss_map_raises(self, fam_zero):
+        bad = self.with_value_at_grid_point(fam_zero, 7, "g", 0.0)
+        with pytest.raises(GaussMapVanishes):
             iso.verify(bad)
 
 

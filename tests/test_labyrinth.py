@@ -31,13 +31,12 @@ def grid_rule(m, grid, labs=(), factor=None):
     g, f3 = wz._evaluate(m.g, grid), wz._evaluate(m.f3, grid)
     if factor is not None:
         g = lb._grown(g, lb._wall_mask(labs, grid.points), factor)
-    return wz.null_triple(g, f3), lb._density(g, f3 * m.theta_over_dz(grid))
+    return wz.null_triple(g, f3), wz.density(g, f3 * m.theta_over_dz(grid))
 
 
 def point_rule(h, grid):
     """The same from member h's own callables on the grid's points, by
-    Horner's scheme and the null triple: the evaluation before the grid
-    rule."""
+    Horner's scheme: the evaluation before the grid rule."""
     z = grid.points
     return h.f(z), wz.metric_density(h, z)
 
@@ -1227,9 +1226,9 @@ class TestCompleteStep:
         # 2.57, below min(0.5, r) eps N = 2.73, while the endpoint distance,
         # also about 2.57, still exceeds 1/delta = 2; epsilon and N are
         # read from f3 alone, so they do not move
-        density = lb._density
+        density = wz.density
         monkeypatch.setattr(
-            lb, "_density", lambda g, f3t: 1e-6 * density(g, f3t)
+            wz, "density", lambda g, f3t: 1e-6 * density(g, f3t)
         )
         r = lb.complete_step(
             wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from minflux import isotopy as iso
 from minflux import loops as lp
 from minflux import nullquadric as nq
 from minflux import riemann as rm
@@ -13,7 +14,7 @@ from minflux.errors import ApproximationBudgetExceeded, VanishingOnDomain
 def catenoid_restriction(n=256):
     cat = wz.catalog("catenoid")
     chart = rm.homology_basis(rm.annulus())[0]
-    return rm.restrict_to_curve(cat.f, chart, theta=cat.theta, n=n)
+    return iso.restrict_data(cat, chart, n=n)
 
 
 class TestAnnulus:
@@ -56,17 +57,19 @@ class TestWindingNumber:
 
 
 class TestRestrictToCurve:
+    """isotopy.restrict_data samples f theta against the chart form."""
+
     def test_constant_triple_dz(self):
         chart = rm.homology_basis(rm.annulus())[0]
-        F = np.tile(np.array([0, 1j, 1]), (256, 1))
-        loop = rm.restrict_to_curve(F, chart, theta="dz")
+        data = wz.WeierstrassData(1.0, 1.0, theta="dz")  # f = (0, i, 1)
+        loop = iso.restrict_data(data, chart, n=256)
         # integral of a constant against dz over a closed curve vanishes
         assert np.allclose(lp.period(loop), 0.0, atol=1e-13)
 
     def test_constant_triple_dz_over_z(self):
         chart = rm.homology_basis(rm.annulus())[0]
-        F = np.tile(np.array([0, 1j, 1]), (256, 1))
-        loop = rm.restrict_to_curve(F, chart, theta="dz/z")
+        data = wz.WeierstrassData(1.0, 1.0, theta="dz/z")
+        loop = iso.restrict_data(data, chart, n=256)
         assert np.allclose(lp.period(loop), 2j * np.pi * np.array([0, 1j, 1]))
 
     def test_catenoid_period(self):
@@ -79,9 +82,9 @@ class TestRestrictToCurve:
         assert np.linalg.norm(p1 - p2) < 1e-12
 
     def test_bad_theta(self):
-        chart = rm.homology_basis(rm.annulus())[0]
-        with pytest.raises(ValueError):
-            rm.restrict_to_curve(np.zeros((64, 3)), chart, theta="dz^2")
+        # the form is checked once, when the data are built
+        with pytest.raises(ValueError, match="theta"):
+            wz.WeierstrassData(1.0, 1.0, theta="dz^2")
 
 
 class TestRungeExtend:
@@ -95,14 +98,13 @@ class TestRungeExtend:
         assert ext.meta["degree"] == 16
         assert ext.meta["sup_error"] <= 1e-12
         # off-sample circle agreement with the generating data
+        # (theta = dz/z, so the chart factor 2 pi i z / z is constant)
         z = chart.points(777)
-        fac = chart.dz_dzeta(z) / z
-        target = cat.f(z) * fac[:, None]
+        target = cat.f(z) * 2j * np.pi
         assert np.max(np.abs(ext(z) - target)) <= 1e-8
         # whole-annulus grid agreement
         grid = wz.annulus_grid(dom.r_inner, dom.r_outer, n_r=32, n_th=128)
-        fac_g = chart.dz_dzeta(grid) / grid
-        assert np.max(np.abs(ext(grid) - cat.f(grid) * fac_g[:, None])) <= 1e-6
+        assert np.max(np.abs(ext(grid) - cat.f(grid) * 2j * np.pi)) <= 1e-6
 
     def test_extension_is_exactly_null(self):
         dom = rm.annulus()
@@ -128,7 +130,7 @@ class TestRungeExtend:
         loop = catenoid_restriction()
         ext = rm.runge_extend(loop, dom)
         z = chart.points(1024)
-        quad = (ext(z) * chart.dz_dzeta(z)[:, None]).mean(axis=0)
+        quad = (ext(z) * (2j * np.pi * z)[:, None]).mean(axis=0)
         period = 2j * np.pi * np.array([c.residue for c in ext.components()])
         assert np.linalg.norm(period - quad) < 1e-10
 

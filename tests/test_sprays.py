@@ -245,6 +245,30 @@ class TestSolveW:
         sp.solve_w(spray, sp.PeriodTargets(targets))
         assert len(calls) == 1
 
+    def test_unreachable_third_target_rejected(self, spray_fixed):
+        # a fixed-third spray never moves the third period, so a third
+        # target off the base loop's is unreachable, not dropped
+        targets = np.stack(
+            [spray_fixed.periods(k, np.zeros(spray_fixed.dim_w))
+             for k in range(spray_fixed.n_t)]
+        )
+        targets[1:, 0, 2] += 1.0
+        with pytest.raises(ValueError, match="step 1 misses .* by 1"):
+            sp.solve_w(spray_fixed, sp.PeriodTargets(targets))
+
+    def test_flows_looked_up_through_loops(self, spray, monkeypatch):
+        # the tracer wraps loops._flow_deform: LoopSpray.periods reaches it
+        # through the module
+        calls, flow_deform = [], lp._flow_deform
+
+        def counted(*args):
+            calls.append(args)
+            return flow_deform(*args)
+
+        monkeypatch.setattr(lp, "_flow_deform", counted)
+        spray.periods(0, np.zeros(spray.dim_w))
+        assert len(calls) == 1
+
     def test_targets_shape_normalization(self):
         flat = np.zeros((4, 3), dtype=complex)
         t = sp.PeriodTargets(flat)

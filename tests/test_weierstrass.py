@@ -195,6 +195,22 @@ class TestMetricDensity:
         assert np.allclose(direct, classic, rtol=1e-12)
 
 
+class TestDensity:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           theta=st.sampled_from(["dz", "dz/z"]))
+    def test_is_half_the_squared_norm_of_f_theta(self, seed, theta):
+        # the definition 0.5 |f theta/dz|^2, from the assembled triple
+        rng = np.random.default_rng(seed)
+        g = wz.LaurentSeries(rng.normal(size=4) + 1j * rng.normal(size=4), -2)
+        f3 = wz.LaurentSeries(rng.normal(size=3) + 1j * rng.normal(size=3), -1)
+        data = wz.WeierstrassData(g, f3, theta=theta)
+        z = wz.annulus_grid(n_r=8, n_th=32)
+        got = wz.density(g(z), f3(z) * data.theta_over_dz(z))
+        want = 0.5 * np.sum(np.abs(data.f_theta(z)) ** 2, axis=-1)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 class TestFluxAndPeriods:
     def test_catenoid_flux(self):
         cat = wz.catalog("catenoid")
