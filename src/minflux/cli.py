@@ -418,50 +418,39 @@ def write_report(path, items, passes):
 
 
 def surface_grid(data, n_r=24, n_th=96):
-    """Vertices u(r_i, theta_j) of the immersion on a polar grid.
+    """Vertices u(r_i e^(2 pi i j / n_th)) of the immersion on a polar grid,
+    shape (n_r, n_th, 3), with u = 0 at the innermost radius on the
+    positive real axis.
 
-    Anchors each circle on the positive real axis by adaptive path
-    integration, then integrates Re(f theta) around the circle spectrally;
-    the closing mismatch around each circle is the (verified small) real
-    period of the data.
+    One integrate_immersion call evaluates the exact primitive on the whole
+    grid; past the negative real axis its log term takes the principal
+    branch, which moves u by the real period only, checked below
+    TOL_PERIOD.
     """
     radii = wz._open_radii(data.r_inner, data.r_outer, n_r)
-    u0 = np.array(
-        [
-            wz.integrate_immersion(data, radii[0], np.zeros(3), complex(r))
-            for r in radii
-        ]
-    )
-    x = np.arange(n_th) / n_th
-    verts = np.empty((n_r, n_th, 3))
-    for i, r in enumerate(radii):
-        z = r * np.exp(2j * np.pi * x)
-        # du/dx along the circle; its mean is the (near-zero) real period
-        integ = (data.f_theta(z) * (2j * np.pi * z)[:, None]).real
-        mean = integ.mean(axis=0)
-        verts[i] = u0[i] + lp.antiderivative(integ) + x[:, None] * mean[None, :]
-    return verts
+    grid = wz.PolarGrid(radii, n_th)
+    u = wz.integrate_immersion(data, radii[0], np.zeros(3), grid)
+    # the grid's FFT and Horner's scheme at the basepoint differ by rounding
+    return (u - u[0]).reshape(n_r, n_th, 3)
 
 
 def write_obj(path, verts, t):
     """Triangulated polar grid, right-handed orientation, t in the header."""
     n_r, n_th, _ = verts.shape
-    lines = [f"# t = {_fmt(t)}", f"# polar grid {n_r} x {n_th}, right-handed"]
-    for i in range(n_r):
-        for j in range(n_th):
-            x, y, z = verts[i, j]
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-
-    def vid(i, j):
-        return i * n_th + (j % n_th) + 1
-
-    for i in range(n_r - 1):
-        for j in range(n_th):
-            a, b = vid(i, j), vid(i, j + 1)
-            c, d = vid(i + 1, j + 1), vid(i + 1, j)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = f"# t = {_fmt(t)}\n# polar grid {n_r} x {n_th}, right-handed\n"
+    # quad (i, j) has the 1-based vertex ids a, b (j + 1, wrapping round),
+    # b + n_th and a + n_th, and splits into two faces
+    i, j = np.divmod(np.arange((n_r - 1) * n_th), n_th)
+    a = i * n_th + j + 1
+    b = i * n_th + (j + 1) % n_th + 1
+    faces = np.stack([a, b, b + n_th, a, b + n_th, a + n_th], axis=-1)
+    vline = f"v {_FLOAT} {_FLOAT} {_FLOAT}\n"
+    fline = "f %d %d %d\nf %d %d %d\n"
+    Path(path).write_text(
+        head
+        + vline * (n_r * n_th) % tuple(verts.ravel().tolist())
+        + fline * len(a) % tuple(faces.ravel().tolist())
+    )
 
 
 def write_labyrinth_csv(path, result):

@@ -85,28 +85,17 @@ class ImmersionFamily:
     def null_curve(self):
         """Holomorphic null curve F with u1 = Re F, from the last member.
 
-        Requires the full complex period at t = 1 to be small; the exact
-        z^(-1) coefficient of f theta / dz is dropped and its magnitude is
-        returned as the closure defect of Im F.
+        Requires the full complex period at t = 1 to be small: F is the
+        member's primitive P - P(basepoint) without its log terms, whose
+        coefficients' norm is returned as the closure defect of Im F.
         """
-        ext = self.lmaps[-1]
-        data = self.members[-1]
-        if ext is None:
-            loop = restrict_data(data, self.chart, n=N_S_DEFAULT)
-            dom = rm.annulus(data.r_inner, data.r_outer)
-            ext = rm.runge_extend(loop, dom)
-        comps = _f_theta_series(ext, data.theta)
-        defect = float(np.linalg.norm([c.residue for c in comps]))
-        prims = [_antiderivative_series(c) for c in comps]
-        z0 = self.basepoint
-        offs = np.array([p(np.array([z0]))[0] for p in prims])
+        P, c = wz.primitive(self.members[-1])
+        offs = P(np.array(self.basepoint))
 
         def F(z):
-            z = np.asarray(z, dtype=complex)
-            vals = np.stack([p(z) for p in prims], axis=-1)
-            return vals - offs
+            return P(np.asarray(z, dtype=complex)) - offs
 
-        return F, defect
+        return F, float(np.linalg.norm(c))
 
 
 @dataclass
@@ -144,20 +133,6 @@ def _f_theta_series(ext, theta):
     """
     shift = LaurentSeries([1.0 / (2j * np.pi)], -1)
     return tuple(c * shift for c in ext.components())
-
-
-def _antiderivative_series(series):
-    """Termwise antiderivative, dropping the z^(-1) term, plus log handling.
-
-    The residue term integrates to a logarithm and is dropped; callers must
-    account for it (drivers only use this when the residue is below
-    tolerance).
-    """
-    ks = np.arange(series.k_min, series.k_min + len(series.coeffs))
-    coeffs = np.zeros(len(series.coeffs), dtype=complex)
-    keep = ks != -1
-    coeffs[keep] = series.coeffs[keep] / (ks[keep] + 1.0)
-    return LaurentSeries(coeffs, series.k_min + 1)
 
 
 def _member_from_extension(ext, theta, r_inner, r_outer):
@@ -415,30 +390,25 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
             )
         grid, rims = grids[key]
         fb = data.f(rims)
-        # a NaN value makes every reduction NaN, an inf one the density's
-        # max (and the residual's inf/inf): the reductions are tested
-        # instead of every value, so min() never passes an inf density
+        # a NaN value makes every reduction NaN, an inf one the residual's
+        # inf/inf: the reductions are tested instead of every value
         with np.errstate(invalid="ignore"):
-            den = wz.metric_density(data, grid)
-            den_min, den_max = float(den.min()), float(den.max())
             conf = wz.conformality_residual(fb)
             sup = float(np.max(np.abs(fb)))
-        if not (math.isfinite(conf) and math.isfinite(den_max)
-                and math.isfinite(sup)):
-            raise NonFiniteValues(
-                f"member at t = {float(t):g} is not finite on the "
-                "verification grid"
-            )
+        member = f"member at t = {float(t):g}"
+        if not (math.isfinite(conf) and math.isfinite(sup)):
+            raise NonFiniteValues(f"{member} is not finite on the rims")
+        loop = restrict_data(data, family.chart, n=n_loop)
+        per = lp.period(loop)
+        den_min, real = wz.admission(data, grid, per.real, member)
         max_conf = max(max_conf, conf)
         min_den = min(min_den, den_min)
+        max_real = max(max_real, real)
         flat_flags.append(bool(wz.is_flat(data)[0]))
         if prev is not None:
             step = float(np.max(np.abs(fb - prev))) / prev_sup
             max_step = max(max_step, step)
         prev, prev_sup = fb, sup
-        loop = restrict_data(data, family.chart, n=n_loop)
-        per = lp.period(loop)
-        max_real = max(max_real, float(np.linalg.norm(per.real)))
         flux_table.append(per.imag)
         try:
             pi1_classes.append(nq.pi1_class(loop.values))

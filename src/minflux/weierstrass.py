@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ApproximationBudgetExceeded,
     GaussMapVanishes,
     NonFiniteValues,
     RealPeriodNonzero,
@@ -43,6 +44,9 @@ GRID_ANGULAR = 256
 
 #: Relative singular-value gap below which f counts as flat.
 FLAT_GAP = 1e-8
+
+#: Samples per boundary circle from which primitive reads f theta/dz.
+N_RIM = 512
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +201,11 @@ def circle(radius=1.0, n=512):
 class WeierstrassData:
     """Gauss map g, third component f3 and reference 1-form theta.
 
-    theta is 'dz' or 'dz/z'; g must be nonvanishing on the domain closure.
-    g and f3 are callables on complex arrays; LaurentSeries and
-    LaurentQuotient qualify, and also evaluate on a PolarGrid.
+    theta is 'dz' or 'dz/z'.  g and f3 are callables on complex arrays;
+    LaurentSeries and LaurentQuotient qualify, and also evaluate on a
+    PolarGrid.  g may vanish in the annulus: a driver member's g is the
+    quotient b/a of its spinor blocks, and only an evaluation that lands
+    on a zero of g raises GaussMapVanishes.
     """
 
     g: object
@@ -327,57 +333,76 @@ def homology_radius(data):
     return math.sqrt(data.r_inner * data.r_outer)
 
 
-def _segment_integral(data, a, b):
-    """Adaptive Gauss-Legendre integral of Re(f theta) over a straight
-    segment, to TOL_PERIOD."""
-    nodes, weights = np.polynomial.legendre.leggauss(24)
+def primitive(data):
+    """(P, c) with u(z) - u(z0) = Re[P(z) - P(z0) + c log(z/z0)].
 
-    def quad(lo, hi):
-        # integrate the holomorphic form; Re is taken once at the end
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        zs = mid + half * nodes
-        vals = data.f_theta(zs)
-        return half * np.tensordot(weights, vals, axes=(0, 0))
+    c holds the z^(-1) coefficients of f theta/dz, and P, which evaluates on
+    points or by FFT on a PolarGrid, the termwise antiderivative of its
+    other terms.  Each coefficient is read by DFT from N_RIM samples of the
+    boundary circle on which its term is largest, z^k for k >= 0 on the
+    outer one and k < 0 on the inner one, so no term grows off the circle
+    it was read on; terms at rounding level there are dropped.  A sampled
+    check compares the series with those samples: NonFiniteValues for a
+    value that is not finite, ApproximationBudgetExceeded for a gap above
+    TOL_PERIOD, which f theta leaves when the samples do not resolve it or
+    it is not holomorphic.
+    """
+    radii = np.array([data.r_inner, data.r_outer])
+    rims = PolarGrid(radii, N_RIM)
+    vals = data.f_theta(rims)
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteValues("f theta is not finite on the boundary circles")
+    k = np.fft.fftfreq(N_RIM, 1.0 / N_RIM).astype(int)
+    outer = (k >= 0).astype(int)
+    spec = np.fft.fft(vals.reshape(2, N_RIM, 3), axis=1, norm="forward")
+    b = spec[outer, np.arange(N_RIM)]
+    size = np.abs(b).max(axis=1)
+    # c is kept whatever its size
+    keep = (size > 1e-15 * size.max()) | (k == -1)
+    k, b, r = k[keep], b[keep], radii[outer[keep]]
+    k_min = int(k.min())
+    coeffs = np.zeros((k.max() - k_min + 1, 3), dtype=complex)
+    coeffs[k - k_min] = b * (r ** -k.astype(float))[:, None]
+    fitted = np.stack([LaurentSeries(a, k_min)(rims) for a in coeffs.T], -1)
+    sampled_gap = float(np.max(np.abs(fitted - vals)))
+    if sampled_gap > TOL_PERIOD:
+        raise ApproximationBudgetExceeded(
+            f"the Laurent series miss f theta by {sampled_gap:.3g} on the "
+            "boundary circles (sampled)"
+        )
+    powers = k_min + 1.0 + np.arange(len(coeffs))
+    c = coeffs[powers == 0][0]
+    anti = coeffs / np.where(powers == 0, np.inf, powers)[:, None]
+    prims = [LaurentSeries(a, k_min + 1) for a in anti.T]
 
-    def refine(lo, hi, whole, depth):
-        # a NaN never meets the tolerance, and would split every interval
-        # down to the depth limit: 2^24 quadratures
-        if not np.all(np.isfinite(whole)):
-            raise NonFiniteValues("f theta is not finite on the integration path")
-        mid = 0.5 * (lo + hi)
-        left, right = quad(lo, mid), quad(mid, hi)
-        if depth >= 24 or np.max(np.abs(left + right - whole)) < 0.25 * TOL_PERIOD:
-            return left + right
-        return refine(lo, mid, left, depth + 1) + refine(mid, hi, right, depth + 1)
+    def P(z):
+        return np.stack([p(z) for p in prims], axis=-1)
 
-    first = quad(a, b)
-    return refine(a, b, first, 0).real
+    return P, c
 
 
 def integrate_immersion(data, basepoint, value, targetpoint, path=None):
-    """Value of the immersion at targetpoint, integrating Re(f theta).
+    """value plus the integral of Re(f theta) from basepoint to targetpoint,
+    a point, an array of points or a PolarGrid (flat); shape (..., 3).
 
-    path: optional sequence of complex waypoints from basepoint to
-    targetpoint (piecewise straight); defaults to the direct segment.
-    Raises RealPeriodNonzero when the annulus generator carries a real
-    period above TOL_PERIOD, which would make the result path-dependent;
-    each segment is integrated to TOL_PERIOD.
+    Exact on the primitive: Re[P(z) - P(z0) + c log(z/z0)], the argument of
+    z/z0 accumulated along the straight legs basepoint -> path waypoints ->
+    targetpoint.  Raises RealPeriodNonzero when the generator's real period
+    Re(2 pi i c), by which the branch of log can move u, is above
+    TOL_PERIOD.
     """
-    rp = real_period(data, homology_radius(data))
-    if np.linalg.norm(rp) > TOL_PERIOD:
-        raise RealPeriodNonzero(
-            f"|Re period| = {np.linalg.norm(rp):.3g} on the generator"
-        )
-    a = complex(basepoint)
-    b = complex(targetpoint)
-    out = np.asarray(value, dtype=float).copy()
-    if a == b and path is None:
-        return out
-    pts = [a] + [complex(p) for p in (path if path is not None else [])] + [b]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if lo != hi:
-            out = out + _segment_integral(data, lo, hi)
-    return out
+    P, c = primitive(data)
+    real = float(np.linalg.norm(2.0 * np.pi * c.imag))
+    if real > TOL_PERIOD:
+        raise RealPeriodNonzero(f"|Re period| = {real:.3g} on the generator")
+    z0 = complex(basepoint)
+    grid = isinstance(targetpoint, PolarGrid)
+    z = targetpoint.points if grid else np.asarray(targetpoint, dtype=complex)
+    legs = np.array([z0, *(() if path is None else path)], dtype=complex)
+    turn = np.angle(legs[1:] / legs[:-1]).sum() + np.angle(z / legs[-1])
+    log = np.log(np.abs(z) / abs(z0)) + 1j * turn
+    u = P(targetpoint) - P(np.array(z0)) + log[..., None] * c
+    return np.asarray(value, dtype=float) + u.real
 
 
 def is_flat(data):
@@ -418,6 +443,22 @@ def is_flat(data):
     return True, ray * (abs(ray[k]) / ray[k])
 
 
+def admission(data, grid, real_period, where):
+    """(min metric density on grid, |real_period|), the measures that admit
+    a member when positive and at most TOL_PERIOD.
+
+    NonFiniteValues, naming where, unless the density's max and the period
+    are finite: a NaN fails every comparison, and min() passes an inf.
+    """
+    with np.errstate(invalid="ignore"):
+        den = metric_density(data, grid)
+    lo, hi = float(den.min()), float(den.max())
+    real = float(np.linalg.norm(real_period))
+    if not (math.isfinite(hi) and math.isfinite(real)):
+        raise NonFiniteValues(f"{where} is not finite on its grid or loop")
+    return lo, real
+
+
 @dataclass
 class MinimalImmersion:
     """Weierstrass data with verified periods.
@@ -430,15 +471,14 @@ class MinimalImmersion:
     flux: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rp = real_period(self.data, homology_radius(self.data))
-        if np.linalg.norm(rp) > TOL_PERIOD:
-            raise RealPeriodNonzero(
-                f"|Re period| = {np.linalg.norm(rp):.3g} on the generator"
-            )
-        dens = metric_density(self.data, self.data.grid())
-        if float(dens.min()) <= 0.0:
+        data = self.data
+        period = loop_period(data, homology_radius(data))
+        den_min, real = admission(data, data.grid(), period.real, "the data")
+        if real > TOL_PERIOD:
+            raise RealPeriodNonzero(f"|Re period| = {real:.3g} on the generator")
+        if den_min <= 0.0:
             raise GaussMapVanishes("metric density vanishes on the grid")
-        self.flux = flux(self.data, homology_radius(self.data))
+        self.flux = period.imag
 
 
 def catalog(name):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minflux import cli
+from minflux import weierstrass as wz
 from minflux.errors import ConfigError
 
 CONFIG = """
@@ -502,6 +503,99 @@ class TestExport:
         assert len(faces) == 2 * 23 * 96
         idx = np.array([[int(i) for i in f] for f in faces])
         assert idx.min() >= 1 and idx.max() <= n_v
+
+    def test_two_exports_write_identical_meshes(self, run_dir, tmp_path):
+        cfg = write_config(tmp_path)
+        out = run_dir / "out"
+        written = []
+        for _ in range(2):
+            code, _, err = run_cli(["export", "--config", cfg, "--out", str(out)])
+            assert code == 0, err
+            written.append({p.name: p.read_bytes()
+                            for p in sorted(out.glob("mesh_t*.obj"))})
+        assert len(written[0]) == 2
+        assert written[0] == written[1]
+
+    def test_write_obj_matches_line_by_line_writer(self, tmp_path):
+        def reference(path, verts, t):
+            # the line-by-line writer write_obj replaced
+            n_r, n_th, _ = verts.shape
+            lines = [f"# t = {cli._fmt(t)}",
+                     f"# polar grid {n_r} x {n_th}, right-handed"]
+            for i in range(n_r):
+                for j in range(n_th):
+                    x, y, z = verts[i, j]
+                    lines.append(f"v {cli._fmt(x)} {cli._fmt(y)} {cli._fmt(z)}")
+
+            def vid(i, j):
+                return i * n_th + (j % n_th) + 1
+
+            for i in range(n_r - 1):
+                for j in range(n_th):
+                    a, b = vid(i, j), vid(i, j + 1)
+                    c, d = vid(i + 1, j + 1), vid(i + 1, j)
+                    lines.append(f"f {a} {b} {c}")
+                    lines.append(f"f {a} {c} {d}")
+            path.write_text("\n".join(lines) + "\n")
+
+        verts = np.random.default_rng(3).normal(size=(5, 7, 3))
+        verts[0, 0] = [-0.0, 1e-300, 1e300]
+        verts[4, 6] = [0.1, -1e-300, -1e300]
+        for shape in ((5, 7), (1, 7)):
+            v = verts[: shape[0]]
+            cli.write_obj(tmp_path / "got.obj", v, 0.5)
+            reference(tmp_path / "want.obj", v, 0.5)
+            got = (tmp_path / "got.obj").read_bytes()
+            assert got == (tmp_path / "want.obj").read_bytes()
+        assert b"v -0 1e-300 1.0000000000000001e+300\n" in got
+
+    def test_catenoid_vertices_match_closed_form(self):
+        # u(z) = Re(-(1/z + z)/2, i(z - 1/z)/2, log z), shifted so that the
+        # innermost vertex on the positive real axis is the origin
+        def exact(z):
+            return np.stack(
+                [-0.5 * (1 / z + z), 0.5j * (z - 1 / z), np.log(z)], axis=-1
+            ).real
+
+        verts = cli.surface_grid(wz.catalog("catenoid"))
+        radii = wz._open_radii(0.5, 2.0, 24)
+        z = wz.PolarGrid(radii, 96).points.reshape(24, 96)
+        want = exact(z) - exact(complex(radii[0]))
+        assert np.max(np.abs(verts - want)) <= 1e-13
+
+    @pytest.mark.parametrize("driver", ["flux_to_zero", "prescribe_flux"])
+    def test_wide_domain_mesh_matches_quadrature(self, tmp_path, driver):
+        # r_outer / r_inner = 10: the vertices on the positive real axis
+        # of each exported mesh equal Gauss-Legendre sums of Re(f theta)
+        # from ring to ring
+        text = (
+            CONFIG.replace("r_inner = 0.5", "r_inner = 0.3")
+            .replace("r_outer = 2.0", "r_outer = 3.0")
+            .replace("t_samples = 64", "t_samples = 16")
+            .replace("name = flux_to_zero", f"name = {driver}\n"
+                     "target_flux = 0.3 -0.5 9.0")
+        )
+        if driver == "flux_to_zero":
+            text = text.replace("target_flux = 0.3 -0.5 9.0", "")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        for verb in ("run", "export"):
+            code, _, err = run_cli([verb, "--config", cfg, "--out", str(out)])
+            assert code == 0, err
+        fam = cli.load_family(out / "family_coefficients.json")
+        radii = wz._open_radii(0.3, 3.0, 24)
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        for k in (0, len(fam) - 1):
+            lines = (out / f"mesh_t{k:03d}.obj").read_text().splitlines()
+            verts = np.array([[float(x) for x in l.split()[1:]]
+                              for l in lines if l.startswith("v ")])
+            axis = verts.reshape(24, 96, 3)[:, 0]
+            want = [np.zeros(3)]
+            for lo, hi in zip(radii[:-1], radii[1:]):
+                x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+                step = weights @ fam.members[k].f_theta(x)
+                want.append(want[-1] + 0.5 * (hi - lo) * step.real)
+            assert np.max(np.abs(axis - np.array(want))) <= 1e-10
 
     def test_member_picked_twice_exported_once(self, tmp_path, monkeypatch):
         # complete_step exports its input alone, so both default export_t

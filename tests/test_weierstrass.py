@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minflux import isotopy as iso
 from minflux import nullquadric as nq
 from minflux import riemann as rm
 from minflux import weierstrass as wz
 from minflux.errors import (
+    ApproximationBudgetExceeded,
     GaussMapVanishes,
+    NonFiniteValues,
     RealPeriodNonzero,
     UnknownName,
 )
@@ -269,6 +272,54 @@ class TestIntegrateImmersion:
         assert np.allclose(got, exact(1.5 + 0.2j), atol=1e-11)
 
 
+class TestExactPrimitive:
+    @pytest.fixture(scope="class")
+    def member(self):
+        fam = iso.prescribe_flux(
+            wz.catalog("catenoid"), np.array([0.3, -0.5, 9.0]), n_t=16
+        )
+        return fam.members[8]
+
+    def test_paths_round_the_hole_agree_on_a_driver_member(self, member):
+        a, b = 0.7 + 0.1j, -1.6 + 0.2j
+        up = wz.integrate_immersion(member, a, np.zeros(3), b, path=[1.4j])
+        down = wz.integrate_immersion(member, a, np.zeros(3), b, path=[-1.4j])
+        assert np.linalg.norm(up - down) <= wz.TOL_PERIOD
+
+    def test_array_target_equals_per_point_calls(self, member):
+        z = np.array([[0.6 + 0.3j, -1.1j], [1.9 + 0.0j, -0.8 - 0.8j]])
+        path = [1.2j, -1.0 + 0.1j]
+        got = wz.integrate_immersion(member, 1.0, np.ones(3), z, path=path)
+        assert got.shape == (2, 2, 3)
+        for idx in np.ndindex(z.shape):
+            one = wz.integrate_immersion(member, 1.0, np.ones(3), z[idx],
+                                         path=path)
+            np.testing.assert_allclose(got[idx], one, rtol=0, atol=1e-14)
+
+    def test_non_finite_on_a_boundary_circle_raises(self):
+        cat = wz.catalog("catenoid")
+
+        def f3(z):
+            # NaN on the outer circle only: the homology loop stays finite
+            return np.where(np.isclose(np.abs(z), 2.0), np.nan, 1.0 + 0j)
+
+        bad = wz.WeierstrassData(cat.g, f3, theta="dz/z")
+        with pytest.raises(NonFiniteValues, match="boundary circles"):
+            wz.integrate_immersion(bad, 1.0, np.zeros(3), 1.5)
+
+    def test_series_missing_the_data_on_the_rims_raises(self):
+        # f3 is constant on each boundary circle but not holomorphic: the
+        # z^k, k < 0, read on the inner circle miss the outer one's
+        cat = wz.catalog("catenoid")
+
+        def f3(z):
+            return 1.0 + 1e-3 * (np.abs(z) - 1.0) ** 2 + 0j
+
+        bad = wz.WeierstrassData(cat.g, f3, theta="dz/z")
+        with pytest.raises(ApproximationBudgetExceeded, match="sampled"):
+            wz.integrate_immersion(bad, 1.0, np.zeros(3), 1.5)
+
+
 class TestConformality:
     def test_assembled_is_conformal(self):
         cat = wz.catalog("catenoid")
@@ -383,6 +434,22 @@ class TestCatalogAndImmersion:
         hel = wz.WeierstrassData(wz.LaurentSeries([1.0], 1), 1j, theta="dz/z")
         with pytest.raises(RealPeriodNonzero):
             wz.MinimalImmersion(hel)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_minimal_immersion_rejects_non_finite_density(self, value):
+        # the catenoid's g with an f3 that is bad at one of the 64 x 256
+        # grid points: a NaN density fails no comparison, an inf one
+        # passes min()
+        cat = wz.catalog("catenoid")
+
+        def f3(z):
+            v = np.ones(np.shape(z), dtype=complex)
+            if v.size == wz.GRID_RADIAL * wz.GRID_ANGULAR:
+                v[1000] = value
+            return v
+
+        with pytest.raises(NonFiniteValues, match="not finite"):
+            wz.MinimalImmersion(wz.WeierstrassData(cat.g, f3, theta="dz/z"))
 
     def test_metric_positive_on_grid(self):
         for name in ("catenoid", "enneper_annulus", "flat_exponential"):
