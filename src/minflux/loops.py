@@ -5,9 +5,10 @@ g.h' = 0 and |g| = |h'| > 0 everywhere; the combination h' + i*g is then a
 loop in the punctured null quadric with vanishing real period.  This module
 constructs an exact zero-period pair near any immersed circle (built from
 an explicit three-parameter family plus a degree-one root search), the
-one continuation of flow coefficients along a ramp of loop readouts that
-the flux drivers and the sprays use (_continue), and supporting utilities
-(spectral quadrature, trigonometric resampling, nondegeneracy tests).
+one continuation of flow coefficients along a ramp of linear loop readouts
+that the flux drivers and the sprays use (_continue), and supporting
+utilities (spectral quadrature, trigonometric resampling, nondegeneracy
+tests).
 """
 
 from __future__ import annotations
@@ -836,76 +837,95 @@ def _newton_root_ln(builder, q0):
 # flow-driven period continuation
 
 
+def period_weights(n):
+    """Weights (3, n, 3) of the period as a readout of n loop samples."""
+    return np.repeat(np.eye(3, dtype=complex)[:, None, :] / n, n, axis=1)
+
+
+def read_out(weights, samples):
+    """The readout sum_x weights[:, x] . samples[..., x, :], shape (..., r).
+
+    weights: array (r, N, 3); every linear functional of N loop samples is
+    one, the period being period_weights(N).
+    """
+    s = np.asarray(samples)
+    return s.reshape(s.shape[:-2] + (-1,)) @ weights.reshape(len(weights), -1).T
+
+
 def _flow_deform(values, controls, w):
     """Apply bump-profiled quadric flows pointwise to loop samples.
 
     controls: list of (kind, profile array); w: complex coefficients, one
     per control.  The flows act in list order and preserve the quadric
-    exactly, so deformed loops never leave it.
+    exactly, so deformed loops never leave it.  Returns the deformed loop
+    and the tape of the sweep: per control, (kind, profile, flow factors,
+    loop after the control), which _flow_jacobian reads.
     """
     out = np.array(values, dtype=complex)
+    tape = []
     for (kind, prof), wj in zip(controls, w):
-        out = nq.flow(out, kind, wj * prof)
-    return out
+        factors = nq.flow_factors(kind, wj * prof)
+        out = nq.flow_action(out, kind, factors)
+        tape.append((kind, prof, factors, out))
+    return out, tape
 
 
-def _flow_jacobian(values, controls, w, readout=period):
-    """Exact complex Jacobian (r, m) in w of readout(_flow_deform(...)).
+def _flow_jacobian(tape, weights):
+    """Exact complex Jacobian (r, m) in w of read_out(weights, loop).
 
-    readout maps samples (..., N, 3) linearly to (..., r); the default is
-    the period.  One sweep composes the flows and carries one tangent per
-    control: at control k the new tangent is prof_k * G_k * out_k, with G_k
-    the plane rotation generator or the identity (scaling), and every later
-    control acts on the earlier tangents as it acts on the loop.  The
-    readouts of the tangents are the columns.
+    tape is the sweep's from _flow_deform, weights (r, N, 3).  One backward
+    pass (reverse mode): the adjoint lam starts at weights; at control k,
+    from the last to the first, column k is sum_x prof_k lam . (G_k P_k),
+    with P_k the loop after control k and G_k the plane rotation generator
+    or the identity (scaling), and then lam <- F_k^T lam, the flow's
+    transpose read from its taped factors: the rotation with (c, -s), or
+    the same e^t.  Cost O(m r N), with no trigonometry.
     """
-    v = np.asarray(values, dtype=complex)
-    # state[0] is the deformed loop, state[k + 1] tangent k
-    state = np.zeros((len(controls) + 1,) + v.shape, dtype=complex)
-    state[0] = v
-    for k, ((kind, prof), wk) in enumerate(zip(controls, w)):
-        state[: k + 1] = nq.flow(state[: k + 1], kind, wk * prof)
-        loop = state[0]
+    lam = np.asarray(weights, dtype=complex)
+    cols = []
+    for kind, prof, factors, p in reversed(tape):
         if kind == "scaling":
-            state[k + 1] = prof[:, None] * loop
+            cols.append(np.tensordot(lam, prof[:, None] * p, 2))
         else:
             i, j = int(kind[-2]) - 1, int(kind[-1]) - 1
-            state[k + 1, :, i] = -prof * loop[:, j]
-            state[k + 1, :, j] = prof * loop[:, i]
-    # C order: callers' products with this matrix round as for a fresh array
-    return np.ascontiguousarray(readout(state[1:]).T)
+            cols.append(lam[..., j] @ (prof * p[:, i])
+                        - lam[..., i] @ (prof * p[:, j]))
+            factors = (factors[0], -factors[1])
+        lam = nq.flow_action(lam, kind, factors)
+    return np.stack(cols[::-1], axis=1)
 
 
-def _continue(loops, controls, readout, goals, tol, max_iter, radius=np.inf):
+def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf):
     """Natural-parameter continuation of flow coefficients along goals.
 
-    Step k solves readout(_flow_deform(loops[k], controls, w)) = goals[k],
-    where readout maps samples (..., N, 3) linearly to (..., r) and w = 0
-    meets goals[0].  The readout is holomorphic in w, so each solve is a
-    damped complex least-norm Newton on the exact Jacobian of
-    _flow_jacobian, from the previous step's w, at most max_iter steps of
-    length at most radius / 4, down to a residual of tol; stalls sub-step
-    through blended goals.  Returns the path w, shape (n, len(controls)),
-    and the deformed loops, the first being loops[0].  Raises LeftDomain
-    when max |w| exceeds radius, ContinuationStalled when sub-stepping
-    fails.
+    Step k solves read_out(weights, _flow_deform(loops[k], controls, w))
+    = goals[k], with weights (r, N, 3) and w = 0 meeting goals[0].  The
+    readout is holomorphic in w, so each solve is a damped complex
+    least-norm Newton on the exact Jacobian, from the previous step's w, at
+    most max_iter steps of length at most radius / 4, down to a residual
+    of tol; stalls sub-step through blended goals.  Each Newton point costs
+    one flow sweep: _newton asks for the Jacobian at its last residual
+    point, so the adjoint _flow_jacobian reads the tape of that sweep.
+    Returns the path w, shape (n, len(controls)), and the deformed loops,
+    the first being loops[0].  Raises LeftDomain when max |w| exceeds
+    radius, ContinuationStalled when sub-stepping fails.
     """
     n = len(goals)
     last = {}
 
-    def deform(v, x):
+    def sweep(v, x):
         # _newton's last residual call is at the solution it returns, which
         # is the loop emitted and, for a shared loop, the next solve's first
-        # point: keeping the latest deformation saves flow sweeps
+        # point: keeping the latest sweep saves flow sweeps
         key = (id(v), x.tobytes())
         if last.get("key") != key:
-            last["key"], last["loop"] = key, _flow_deform(v, controls, x)
-        return last["loop"]
+            last["key"], last["sweep"] = key, _flow_deform(v, controls, x)
+        return last["sweep"]
 
     def solve(v, goal, wv):
         return _newton(
-            lambda x: readout(deform(v, x)) - goal,
-            lambda x: _flow_jacobian(v, controls, x, readout),
+            lambda x: read_out(weights, sweep(v, x)[0]) - goal,
+            lambda x: _flow_jacobian(sweep(v, x)[1], weights),
             wv, tol, max_iter, radius / 4,
         )
 
@@ -921,7 +941,7 @@ def _continue(loops, controls, readout, goals, tol, max_iter, radius=np.inf):
                 f"|w| = {np.max(np.abs(w)):.3g} exceeds {radius} at step {k}"
             )
         path.append(w)
-        out.append(deform(v, w))
+        out.append(sweep(v, w)[0])
     return np.array(path), out
 
 
@@ -937,11 +957,11 @@ def _period_continuation(sigma0, targets, controls):
     1e-12.  Returns the list of deformed sample arrays.
     """
     v0 = np.asarray(sigma0, dtype=complex)
-    e = np.exp(2j * np.pi * np.arange(v0.shape[0]) / v0.shape[0])
-
-    def readout(s):
-        # the period, then the two pinned weighted means; linear in s
-        return np.concatenate([period(s), period(e[:, None] * s[..., :2])], -1)
-
-    goals = np.hstack([targets, np.tile(readout(v0)[3:], (len(targets), 1))])
-    return _continue([v0] * len(goals), controls, readout, goals, 1e-12, 40)[1]
+    n = v0.shape[0]
+    e = np.exp(2j * np.pi * np.arange(n) / n)
+    # the period, then the two pinned weighted means
+    weights = period_weights(n)
+    weights = np.concatenate([weights, e[None, :, None] * weights[:2]])
+    goals = np.hstack([targets, np.tile(read_out(weights, v0)[3:],
+                                        (len(targets), 1))])
+    return _continue([v0] * len(goals), controls, weights, goals, 1e-12, 40)[1]

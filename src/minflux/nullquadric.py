@@ -71,6 +71,33 @@ def _pointwise_spinor(z):
     return a, b
 
 
+def flow_factors(field, t):
+    """The factors of the flow of field at times t: (cos t, sin t) for a
+    rotation, (e^t,) for scaling.  t may be complex and of any shape."""
+    if field == "scaling":
+        return (np.exp(t),)
+    if field not in FLOW_KINDS:
+        raise ValueError(f"unknown flow kind {field!r}")
+    return np.cos(t), np.sin(t)
+
+
+def flow_action(z, field, factors):
+    """Act on triples z, shape (..., 3), by the flow with the given factors.
+
+    factors broadcast against z[..., 0].  A rotation acts by the matrix
+    ((c, -s), (s, c)) in its coordinate plane, so the factors (c, -s) act
+    by its transpose; scaling multiplies by its factor.
+    """
+    if field == "scaling":
+        return factors[0][..., None] * z
+    i, j = int(field[-2]) - 1, int(field[-1]) - 1
+    c, s = factors
+    out = z.copy()
+    out[..., i] = c * z[..., i] - s * z[..., j]
+    out[..., j] = s * z[..., i] + c * z[..., j]
+    return out
+
+
 def flow(z, field, t):
     """Closed-form flow of a quadric-preserving vector field.
 
@@ -81,16 +108,7 @@ def flow(z, field, t):
     arrays of shape (..., 3).
     """
     z = np.asarray(z, dtype=complex)
-    if field == "scaling":
-        return np.exp(t)[..., None] * z
-    if field not in FLOW_KINDS:
-        raise ValueError(f"unknown flow kind {field!r}")
-    i, j = int(field[-2]) - 1, int(field[-1]) - 1
-    c, s = np.cos(t), np.sin(t)
-    out = z.copy()
-    out[..., i] = c * z[..., i] - s * z[..., j]
-    out[..., j] = s * z[..., i] + c * z[..., j]
-    return out
+    return flow_action(z, field, flow_factors(field, t))
 
 
 def _lift_signs(a, b):

@@ -149,7 +149,9 @@ def runge_extend(loop, domain, tol=TOL_RUNGE):
     Returns a LaurentMap whose restriction to the curve is sup-close to the
     input within the reported bound.  The extension is checked not to
     vanish on the PolarGrid of GRID_RADIAL open radii and GRID_ANGULAR
-    angles on the annulus.
+    angles on the annulus; the squared modulus there (min_grid_mod) is
+    read from the spinor blocks, |f|^2 = 2 (|a|^2 + |b|^2)^2, times
+    (r / scale)^2 on the ring of radius r when the parity is 1.
     """
     chart = homology_basis(domain)[0]
     v0 = loop.values if isinstance(loop, PeriodicPath) else np.asarray(loop)
@@ -173,8 +175,11 @@ def runge_extend(loop, domain, tol=TOL_RUNGE):
         ext = LaurentMap(sa, sb, parity=parity, scale=chart.radius)
         sup_err = float(np.max(np.abs(ext(PolarGrid([chart.radius], n)) - v)))
         if sup_err <= tol:
-            gv = ext(grid)
-            mods = np.sum(np.abs(gv) ** 2, axis=-1)
+            # f = (a^2 - b^2, i(a^2 + b^2), 2ab), times z / scale at parity 1
+            mods = 2.0 * (np.abs(sa(grid)) ** 2 + np.abs(sb(grid)) ** 2) ** 2
+            if parity:
+                ring = (grid.radii / chart.radius) ** 2
+                mods = mods.reshape(ring.size, -1) * ring[:, None]
             min_mod = float(np.min(mods))
             curve_scale = max(1.0, float(np.max(np.abs(v)) ** 2))
             if min_mod <= 1e-20 * curve_scale:

@@ -23,6 +23,7 @@ from .loops import (
     Segment,
     nondegenerate_on,
     period,
+    period_weights,
     raised_cosine,
 )
 from .weierstrass import TOL_PERIOD
@@ -61,7 +62,7 @@ class LoopSpray:
 
     def deform(self, t_index, w):
         """Deformed loop at time sample t_index, shape (1, N, 3)."""
-        return loops._flow_deform(self.base[t_index], self.controls, w)[None]
+        return loops._flow_deform(self.base[t_index], self.controls, w)[0][None]
 
     def periods(self, t_index, w):
         """Loop period at time sample t_index, shape (1, 3)."""
@@ -72,11 +73,15 @@ def period_jacobian(spray, t_index):
     """Exact Jacobian of the period at w = 0, by _flow_jacobian.
 
     Rows are the period components (all three, or the first two for
-    fixed-third sprays); columns are the complex controls.
+    fixed-third sprays), read by the period weights; columns are the
+    complex controls.  The Jacobian is one backward pass over the tape of
+    the identity sweep at w = 0.
     """
     rows = 2 if spray.fixed_third else 3
+    base = spray.base[t_index]
     w = np.zeros(spray.dim_w, dtype=complex)
-    return loops._flow_jacobian(spray.base[t_index], spray.controls, w)[:rows]
+    tape = loops._flow_deform(base, spray.controls, w)[1]
+    return loops._flow_jacobian(tape, period_weights(base.shape[0])[:rows])
 
 
 def _certify(spray):
@@ -181,12 +186,12 @@ def solve_w(spray, targets):
 
     Starts from w(0) = 0, where the targets must already be met
     (ValueError otherwise), and tracks the ramp by loops._continue on the
-    rows of period_jacobian, to residual TOL_PERIOD with at most 30 Newton
-    steps per solve in the trust radius RADIUS_W.  A fixed-third spray
-    never moves the third period, so a third target that misses the base
-    loop's by more than TOL_PERIOD at any step is unreachable
-    (ValueError).  Raises LeftDomain when |w| exceeds the trust radius,
-    ContinuationStalled when sub-stepping fails.
+    period weights of period_jacobian's rows, to residual TOL_PERIOD with
+    at most 30 Newton steps per solve in the trust radius RADIUS_W.  A
+    fixed-third spray never moves the third period, so a third target that
+    misses the base loop's by more than TOL_PERIOD at any step is
+    unreachable (ValueError).  Raises LeftDomain when |w| exceeds the
+    trust radius, ContinuationStalled when sub-stepping fails.
     """
     tv = PeriodTargets(getattr(targets, "values", targets)).values
     if tv.shape[:2] != (spray.n_t, 1):
@@ -203,7 +208,7 @@ def solve_w(spray, targets):
         if not miss[k] <= TOL_PERIOD:
             raise ValueError(f"third target at step {k} misses the fixed "
                              f"third period by {miss[k]:.3g}")
+    weights = period_weights(spray.base[0].shape[0])[:rows]
     return loops._continue(
-        spray.base, spray.controls, lambda s: period(s)[..., :rows], goals,
-        TOL_PERIOD, 30, RADIUS_W,
+        spray.base, spray.controls, weights, goals, TOL_PERIOD, 30, RADIUS_W,
     )[0]

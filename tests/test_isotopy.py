@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from minflux import cli
 from minflux import isotopy as iso
@@ -516,3 +517,58 @@ class TestFlatGaussMap:
         flat = dataclasses.replace(wz.catalog("catenoid"), g=flat_g)
         with pytest.raises(FlatInput):
             lb.complete_step(flat, core=(0.8, 1.3), delta=0.5)
+
+
+class TestBesselOracle:
+    """A closed-form flux isotopy of the catenoid (ROADMAP F5).
+
+    g = z e^(kappa (z + 1/z)) and f3 = e^(kappa (z - 1/z)) with
+    theta = dz/z have no zeros, vanishing real period and the flux
+    (0, 0, 2 pi J0(2 kappa)), by the Bessel generating functions (DLMF
+    10.12.1, 10.35.1).  kappa = 0 is the catalog catenoid, and the flux
+    vanishes at KAPPA_STAR.  The oracle needs none of the code it checks.
+    """
+
+    #: first zero of J0, halved
+    KAPPA_STAR = special.jn_zeros(0, 1)[0] / 2.0
+
+    @staticmethod
+    def member(kappa, degree=40):
+        """The data, with the coefficients I_n(2 kappa) of g / z and
+        J_n(2 kappa) of f3 for |n| <= degree."""
+        n = np.arange(-degree, degree + 1)
+        g = wz.LaurentSeries(special.iv(n, 2.0 * kappa), 1 - degree)
+        f3 = wz.LaurentSeries(special.jv(n, 2.0 * kappa), -degree)
+        return wz.WeierstrassData(g, f3, theta="dz/z")
+
+    @staticmethod
+    def oracle_flux(kappa):
+        return np.array([0.0, 0.0, 2.0 * np.pi * special.j0(2.0 * kappa)])
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, KAPPA_STAR])
+    def test_flux_is_bessel(self, kappa):
+        data = self.member(kappa)
+        got = wz.flux(data, wz.homology_radius(data))
+        assert np.max(np.abs(got - self.oracle_flux(kappa))) <= 1e-12
+
+    def test_smoothstep_family_verifies(self):
+        # the flux schedule 2 pi (1 - s(t)) with s = 3t^2 - 2t^3: kappa(t)
+        # solves J0(2 kappa) = 1 - s(t), so kappa grows like t at t = 0
+        ts = np.linspace(0.0, 1.0, 64)
+        sched = 3.0 * ts**2 - 2.0 * ts**3
+        kappas = [0.0, *(
+            optimize.brentq(lambda k: special.j0(2.0 * k) - (1.0 - s), 0.0,
+                            self.KAPPA_STAR, xtol=1e-15)
+            for s in sched[1:-1]
+        ), self.KAPPA_STAR]
+        members = [self.member(k) for k in kappas]
+        oracle = np.array([self.oracle_flux(k) for k in kappas])
+        chart = rm.homology_basis(rm.annulus())[0]
+        fam = iso.ImmersionFamily(
+            ts=ts, members=members, lmaps=[None] * len(ts),
+            periods=1j * oracle, basepoint=complex(chart.radius), chart=chart,
+        )
+        rep = iso.verify(fam, target_flux=np.zeros(3))
+        assert rep.passes == dict.fromkeys(rep.passes, True)
+        assert "flux_target" in rep.passes
+        assert np.max(np.abs(rep.flux_table - oracle)) <= 1e-12

@@ -72,21 +72,70 @@ class TestPeriod:
             assert np.linalg.norm(a - b) <= 1e-12
 
 
-def central_difference_jacobian(values, controls, w, readout, h=1e-6):
+def central_difference_jacobian(values, controls, w, weights, h=1e-6):
     m = len(controls)
     cols = []
     for j in range(m):
         dw = np.zeros(m, dtype=complex)
         dw[j] = h
-        plus = readout(lp._flow_deform(values, controls, w + dw))
-        minus = readout(lp._flow_deform(values, controls, w - dw))
+        plus = lp.read_out(weights, lp._flow_deform(values, controls, w + dw)[0])
+        minus = lp.read_out(weights, lp._flow_deform(values, controls, w - dw)[0])
         cols.append((plus - minus) / (2.0 * h))
     return np.stack(cols, axis=1)
 
 
+def forward_flow_jacobian(values, controls, w, weights):
+    """Forward-mode reference Jacobian: one sweep carries one tangent per
+    control.  At control k the new tangent is prof_k * G_k * out_k, with
+    G_k the plane rotation generator or the identity (scaling), and every
+    later control acts on the earlier tangents as it acts on the loop; the
+    readouts of the tangents are the columns.  Cost O(m^2 N)."""
+    v = np.asarray(values, dtype=complex)
+    # state[0] is the deformed loop, state[k + 1] tangent k
+    state = np.zeros((len(controls) + 1,) + v.shape, dtype=complex)
+    state[0] = v
+    for k, ((kind, prof), wk) in enumerate(zip(controls, w)):
+        state[: k + 1] = nq.flow(state[: k + 1], kind, wk * prof)
+        loop = state[0]
+        if kind == "scaling":
+            state[k + 1] = prof[:, None] * loop
+        else:
+            i, j = int(kind[-2]) - 1, int(kind[-1]) - 1
+            state[k + 1, :, i] = -prof * loop[:, j]
+            state[k + 1, :, j] = prof * loop[:, i]
+    return lp.read_out(weights, state[1:]).T
+
+
+# the kind sets of build_spray and build_spray_fixed_third
+SPRAY_KINDS = {
+    "spray": ("rotation_12", "rotation_13", "rotation_23"),
+    "spray_fixed_third": ("rotation_12", "rotation_12"),
+}
+
+
+def jacobian_case(family, seed, n):
+    """Controls and readout weights of a Jacobian caller.
+
+    driver: the flux drivers' controls, read by the period and the
+    continuation's two normalisation rows (the e^(2 pi i x)-weighted means
+    of components 1 and 2); spray kinds: bump controls read by the period
+    rows of the spray."""
+    weights = lp.period_weights(n)
+    if family == "driver":
+        controls = iso._driver_controls(n)
+        assert {kind for kind, _ in controls} == set(nq.FLOW_KINDS)
+        e = np.exp(2j * np.pi * np.arange(n) / n)
+        return controls, np.concatenate([weights, e[None, :, None] * weights[:2]])
+    controls = sp._make_controls(
+        lp.Segment(0.0, 0.25), n, np.random.default_rng(seed),
+        SPRAY_KINDS[family],
+    )
+    return controls, weights[: 3 if family == "spray" else 2]
+
+
 class TestFlowJacobian:
     @given(
-        st.sampled_from(["driver", "spray"]),
+        st.sampled_from(["driver", *SPRAY_KINDS]),
         st.integers(0, 2**16),
         st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 2.0 * np.pi)),
                  min_size=12, max_size=12),
@@ -94,34 +143,46 @@ class TestFlowJacobian:
     @settings(max_examples=40, deadline=None)
     def test_matches_central_difference(self, family, seed, polar):
         n = 256
-        if family == "driver":
-            controls = iso._driver_controls(n)
-        else:
-            # the kind sets of build_spray and build_spray_fixed_third
-            kinds = (("rotation_12", "rotation_13", "rotation_23"),
-                     ("rotation_12", "rotation_12"))[seed % 2]
-            controls = sp._make_controls(
-                lp.Segment(0.0, 0.25), n, np.random.default_rng(seed), kinds
-            )
-        if family == "driver":
-            assert {kind for kind, _ in controls} == set(nq.FLOW_KINDS)
+        controls, weights = jacobian_case(family, seed, n)
         w = np.array([r * np.exp(1j * phi) for r, phi in polar])[: len(controls)]
         v = catenoid_boundary_loop(n)
-        exact = lp._flow_jacobian(v, controls, w)
-        assert exact.shape == (3, len(controls)) and exact.flags.c_contiguous
-        fd = central_difference_jacobian(v, controls, w, lp.period)
+        exact = lp._flow_jacobian(lp._flow_deform(v, controls, w)[1], weights)
+        assert exact.shape == (len(weights), len(controls))
+        assert exact.flags.c_contiguous
+        fd = central_difference_jacobian(v, controls, w, weights)
         assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
-        # the continuation's normalisation rows: e^(2 pi i x)-weighted means
-        # of components 1 and 2
-        e = np.exp(2j * np.pi * np.arange(n) / n)
 
-        def pin(s):
-            return lp.period(e[:, None] * s[..., :2])
+    @pytest.mark.parametrize("family", ["driver", *SPRAY_KINDS])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adjoint_matches_forward_mode(self, family, seed):
+        n = 512
+        controls, weights = jacobian_case(family, seed, n)
+        rng = np.random.default_rng(100 + seed)
+        m = len(controls)
+        w = 0.5 * rng.uniform(size=m) * np.exp(2j * np.pi * rng.uniform(size=m))
+        v = catenoid_boundary_loop(n)
+        adjoint = lp._flow_jacobian(lp._flow_deform(v, controls, w)[1], weights)
+        forward = forward_flow_jacobian(v, controls, w, weights)
+        assert np.max(np.abs(adjoint - forward)) <= 1e-13 * np.max(np.abs(forward))
 
-        exact = lp._flow_jacobian(v, controls, w, pin)
-        assert exact.shape == (2, len(controls))
-        fd = central_difference_jacobian(v, controls, w, pin)
-        assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
+    def test_sweep_matches_flow(self):
+        # the sweep composes nq.flow and tapes the loop after each control
+        n = 256
+        controls, _ = jacobian_case("driver", 0, n)
+        w = 0.1 * np.exp(1j * np.arange(len(controls)))
+        v = catenoid_boundary_loop(n)
+        loop, tape = lp._flow_deform(v, controls, w)
+        ref = v
+        for ((kind, prof), wk), (_, _, _, after) in zip(zip(controls, w), tape):
+            ref = nq.flow(ref, kind, wk * prof)
+            assert np.array_equal(after, ref)
+        assert loop is tape[-1][3]
+
+    def test_read_out_is_the_period(self):
+        v = catenoid_boundary_loop(256)
+        stack = np.stack([v, 2.0 * v])
+        got = lp.read_out(lp.period_weights(256), stack)
+        assert np.max(np.abs(got - lp.period(stack))) <= 1e-14 * np.max(np.abs(stack))
 
 
 class TestPeriodicPath:

@@ -124,6 +124,24 @@ class TestRungeExtend:
         mods = np.sum(np.abs(ext(grid)) ** 2, axis=-1)
         assert ext.meta["min_grid_mod"] == pytest.approx(mods.min(), rel=1e-12)
 
+    def test_parity_one_grid_mod_is_the_triple_mod(self):
+        # the spinor modulus 2 (|a|^2 + |b|^2)^2 carries the factor
+        # (r / scale)^2 of the half-integer twist on each ring
+        dom = rm.annulus(0.6, 1.8)
+        chart = rm.homology_basis(dom)[0]
+        m = rm.LaurentMap(wz.LaurentSeries([1.0]), wz.LaurentSeries([0.2, 0.5]),
+                          parity=1, scale=chart.radius)
+        ext = rm.runge_extend(lp.PeriodicPath(m(chart.points(256))), dom)
+        assert ext.parity == 1
+        grid = wz.annulus_grid(dom.r_inner, dom.r_outer)
+        mods = np.sum(np.abs(ext(grid)) ** 2, axis=-1)
+        assert ext.meta["min_grid_mod"] == pytest.approx(mods.min(), rel=1e-12)
+        # the minimum lies off the generator circle, where the twist
+        # factor differs from 1
+        rings = mods.reshape(wz.GRID_RADIAL, -1).min(axis=1)
+        assert abs(wz._open_radii(0.6, 1.8, wz.GRID_RADIAL)[np.argmin(rings)]
+                   - chart.radius) > 0.1
+
     def test_period_matches_quadrature(self):
         dom = rm.annulus()
         chart = rm.homology_basis(dom)[0]

@@ -245,6 +245,52 @@ class TestSolveW:
         sp.solve_w(spray, sp.PeriodTargets(targets))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", ["spray", "spray_fixed"])
+    def test_one_flow_sweep_per_newton_point(self, name, request, monkeypatch):
+        # each (loop, w) point the Newton solves visit costs one flow
+        # sweep, and the Jacobian there reads that sweep's tape: a solve
+        # ends at its last residual point, and the next solve on the same
+        # loop starts there
+        spray = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        w_star = 0.1 * (rng.normal(size=spray.dim_w)
+                        + 1j * rng.normal(size=spray.dim_w))
+        fracs = np.linspace(0.0, 1.0, spray.n_t)
+        targets = np.stack(
+            [spray.periods(k, f * w_star) for k, f in enumerate(fracs)]
+        )
+        points, sweeps, tapes, reads = set(), [], [], []
+        newton, deform, jacobian = lp._newton, lp._flow_deform, lp._flow_jacobian
+
+        def traced_newton(residual, *args):
+            def recorded(x):
+                out = residual(x)
+                # the residual swept (loop, x) now, or read the last sweep
+                assert sweeps[-1][1] == x.tobytes()
+                points.add(sweeps[-1])
+                return out
+
+            return newton(recorded, *args)
+
+        def traced_deform(values, controls, w):
+            sweeps.append((id(values), w.tobytes()))
+            out = deform(values, controls, w)
+            tapes.append(out[1])
+            return out
+
+        def traced_jacobian(tape, weights):
+            reads.append(tape is tapes[-1])
+            return jacobian(tape, weights)
+
+        monkeypatch.setattr(lp, "_newton", traced_newton)
+        monkeypatch.setattr(lp, "_flow_deform", traced_deform)
+        monkeypatch.setattr(lp, "_flow_jacobian", traced_jacobian)
+        sp.solve_w(spray, sp.PeriodTargets(targets))
+        assert len(points) > spray.n_t
+        assert len(sweeps) == len(points)
+        assert set(sweeps) == points
+        assert len(reads) >= spray.n_t - 1 and all(reads)
+
     def test_unreachable_third_target_rejected(self, spray_fixed):
         # a fixed-third spray never moves the third period, so a third
         # target off the base loop's is unreachable, not dropped
