@@ -177,17 +177,17 @@ def load_config(path):
 
 
 def _input(cfg):
-    """The configured input data, the catalog name its family records (""
-    for none), and the extension backing it (None for a catalog member)."""
+    """The configured input data and the catalog name its family records
+    ("" for none); data read from a coefficients file carries its spinor."""
     if cfg.catalog:
         try:
             data = wz.catalog(cfg.catalog)
         except UnknownName as exc:
             raise ConfigError(f"initial.catalog: {exc}") from None
         data.r_inner, data.r_outer = cfg.r_inner, cfg.r_outer
-        return data, cfg.catalog, None
+        return data, cfg.catalog
     src = load_family(cfg.coefficients)
-    return src.members[-1], src.meta["catalog"], src.lmaps[-1]
+    return src.members[-1], src.meta["catalog"]
 
 
 def initial_data(cfg):
@@ -237,11 +237,13 @@ def _series_dict(series):
 
 
 def write_coefficients(path, family, cfg):
-    """The family as JSON; a null member stands for the catalog member
-    family.meta["catalog"] on the family's annulus."""
+    """The family as JSON, one entry per member's spinor; a null member
+    stands for the catalog member family.meta["catalog"] on the family's
+    annulus."""
     catalog = family.meta.get("catalog", "")
     members = []
-    for k, ext in enumerate(family.lmaps):
+    for k, member in enumerate(family.members):
+        ext = member.spinor
         if ext is None:
             if not catalog:
                 raise ValueError(
@@ -382,24 +384,20 @@ def load_family(path, driver=None):
     if base is not None:
         base.r_inner, base.r_outer = r_in, r_out
     chart = rm.homology_basis(rm.annulus(r_in, r_out))[0]
-    members, lmaps, periods = [], [], []
+    members, periods = [], []
     for k, entry in enumerate(entries):
         if entry is None:
             if base is None:
                 raise ConfigError("coefficients file lacks the anchor member")
-            members.append(base)
-            lmaps.append(None)
-            loop = iso.restrict_data(base, chart)
-            periods.append(lp.period(loop))
-            continue
-        ext = _extension(entry, f"members[{k}].")
-        members.append(iso._member_from_extension(ext, theta, r_in, r_out))
-        lmaps.append(ext)
-        periods.append(iso._extension_period(ext, theta))
+            member, period = base, lp.period(iso.restrict_data(base, chart))
+        else:
+            ext = _extension(entry, f"members[{k}].")
+            member, period = iso._spinor_member(ext, theta, r_in, r_out)
+        members.append(member)
+        periods.append(period)
     return iso.ImmersionFamily(
         ts=np.array(ts, dtype=float),
         members=members,
-        lmaps=lmaps,
         periods=np.array(periods),
         basepoint=basepoint,
         chart=chart,
@@ -476,9 +474,9 @@ def _family_for(cfg):
     """The family of the configured flux driver, one of FLUX_DRIVERS.
 
     Members the driver anchors to the input (member 0, or every member of a
-    constant family) take the input's extension, if one backs it.
+    constant family) are the input itself, with its spinor if it has one.
     """
-    data, catalog, anchor = _input(cfg)
+    data, catalog = _input(cfg)
     if cfg.driver == "flux_to_zero":
         fam = iso.flux_to_zero(
             data, n_t=cfg.t_samples, tol_flux=cfg.tol_flux,
@@ -489,7 +487,6 @@ def _family_for(cfg):
             data, np.asarray(cfg.target_flux, dtype=float), n_t=cfg.t_samples,
             tol_flux=cfg.tol_flux, tol_period=cfg.tol_period,
         )
-    fam.lmaps = [anchor if ext is None else ext for ext in fam.lmaps]
     fam.meta["catalog"] = catalog
     return fam
 
@@ -560,8 +557,8 @@ def _run_complete_step(cfg, outdir):
         [wz.loop_period(m, circle) for m in result.members]
     )
     fam = iso.ImmersionFamily(
-        ts=result.ts, members=result.members, lmaps=[None] * len(result.members),
-        periods=periods, basepoint=complex(circle),
+        ts=result.ts, members=result.members, periods=periods,
+        basepoint=complex(circle),
     )
     write_trace_csv(outdir / "trace.csv", fam, target=periods[0].imag)
     items = {

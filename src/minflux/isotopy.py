@@ -60,14 +60,13 @@ class ImmersionFamily:
     """A one-parameter family of conformal minimal immersions.
 
     members[k] is the Weierstrass data at ts[k]; members[0] is the input
-    object itself (exact coefficients).  lmaps[k] is the Laurent extension
-    backing member k (None where the member is the anchored input), and
-    periods[k] the complex period of f theta over the homology generator.
+    object itself (exact coefficients).  A driven member carries the
+    Laurent extension it was built from as its spinor.  periods[k] is the
+    complex period of f theta over the homology generator.
     """
 
     ts: np.ndarray
     members: list
-    lmaps: list
     periods: np.ndarray
     basepoint: complex
     chart: object = None
@@ -124,32 +123,27 @@ class VerificationReport:
 # Laurent plumbing
 
 
-def _f_theta_series(ext, theta):
-    """Components of f * theta/dz as Laurent series, from a loop extension.
+def _spinor_member(ext, theta, r_inner, r_outer):
+    """The member carrying the loop extension ext as its spinor, and the
+    exact complex period of its f theta over the generator.
 
     The extension represents the loop f * theta/d(zeta) sampled through the
     chart z = r e^(2 pi i zeta), so f theta/dz is the extension divided by
-    2 pi i z.
+    2 pi i z, and its residues times 2 pi i are the period.  The Gauss map
+    is the ratio b/a of the spinor blocks (the half-integer twists cancel)
+    and f3 an exact Laurent series, so the Weierstrass formula reproduces
+    the extension in exact arithmetic.
     """
     shift = LaurentSeries([1.0 / (2j * np.pi)], -1)
-    return tuple(c * shift for c in ext.components())
-
-
-def _member_from_extension(ext, theta, r_inner, r_outer):
-    """WeierstrassData whose assembled f theta/dz matches the extension.
-
-    The Gauss map is the ratio of the spinor blocks (the half-integer
-    twists cancel), and f3 is an exact Laurent series; reassembly through
-    the Weierstrass formula reproduces the extension in exact arithmetic.
-    """
-    comps = _f_theta_series(ext, theta)
+    comps = [c * shift for c in ext.components()]
     f3 = comps[2]
     if theta == "dz/z":
         f3 = f3 * LaurentSeries([1.0], 1)
-    return WeierstrassData(
+    member = WeierstrassData(
         LaurentQuotient(ext.b, ext.a), f3, theta=theta, r_inner=r_inner,
-        r_outer=r_outer,
+        r_outer=r_outer, spinor=ext,
     )
+    return member, np.array([2j * np.pi * c.residue for c in comps])
 
 
 def restrict_data(data, chart, n=N_S_DEFAULT):
@@ -165,11 +159,6 @@ def restrict_data(data, chart, n=N_S_DEFAULT):
     return PeriodicPath(values)
 
 
-def _extension_period(ext, theta):
-    """Exact complex period of f theta over the generator, from coefficients."""
-    return np.array([2j * np.pi * c.residue for c in _f_theta_series(ext, theta)])
-
-
 # ---------------------------------------------------------------------------
 # the member extension
 
@@ -181,11 +170,12 @@ def _pin_extension(values, domain, theta, target, tol):
     components) is the mean of its samples on the curve, so it misses the
     loop period by at most the sup error that runge_extend reports, and
     the continuation has put the loop period within 1e-12 of target.
-    Returns (extension, exact period); raises EstimateNotMet if the period
-    misses target by more than the sup error plus 1e-12.
+    Returns (member, exact period), the member carrying the extension as
+    its spinor; raises EstimateNotMet if the period misses target by more
+    than the sup error plus 1e-12.
     """
     ext = rm.runge_extend(PeriodicPath(values), domain, tol=min(TOL_RUNGE, tol))
-    period = _extension_period(ext, theta)
+    member, period = _spinor_member(ext, theta, domain.r_inner, domain.r_outer)
     miss = float(np.max(np.abs(period - target)))
     bound = ext.meta["sup_error"] + 1e-12
     if miss > bound:
@@ -193,7 +183,7 @@ def _pin_extension(values, domain, theta, target, tol):
             f"member extension period misses the ramp by {miss:.3g}, above "
             f"the bound {bound:.3g} (sup error + 1e-12)"
         )
-    return ext, period
+    return member, period
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +200,6 @@ def _constant_family(data, chart, n_t, period0, notice=""):
     return ImmersionFamily(
         ts=ts,
         members=[data] * n_t,
-        lmaps=[None] * n_t,
         periods=periods,
         basepoint=complex(chart.radius),
         chart=chart,
@@ -285,22 +274,17 @@ def _drive(
     deformed = lp._period_continuation(loop0.values, ramp, controls)
 
     members = [data]
-    lmaps = [None]
     periods = [period0]
     for k in range(1, n_t):
-        ext, period = _pin_extension(
+        member, period = _pin_extension(
             deformed[k], domain, data.theta, ramp[k], tol=0.1 * tol_period
         )
-        members.append(
-            _member_from_extension(ext, data.theta, data.r_inner, data.r_outer)
-        )
-        lmaps.append(ext)
+        members.append(member)
         periods.append(period)
 
     fam = ImmersionFamily(
         ts=ts,
         members=members,
-        lmaps=lmaps,
         periods=np.array(periods),
         basepoint=z0,
         chart=chart,

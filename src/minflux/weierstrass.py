@@ -205,7 +205,9 @@ class WeierstrassData:
     LaurentSeries and LaurentQuotient qualify, and also evaluate on a
     PolarGrid.  g may vanish in the annulus: a driver member's g is the
     quotient b/a of its spinor blocks, and only an evaluation that lands
-    on a zero of g raises GaussMapVanishes.
+    on a zero of g raises GaussMapVanishes.  A driver member carries those
+    blocks as its spinor, the riemann.LaurentMap of its homology-circle
+    loop; catalog, opaque and surrogate data have none.
     """
 
     g: object
@@ -214,6 +216,7 @@ class WeierstrassData:
     r_inner: float = R_INNER
     r_outer: float = R_OUTER
     name: str = ""
+    spinor: object = None
 
     def __post_init__(self):
         if self.theta not in ("dz", "dz/z"):

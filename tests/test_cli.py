@@ -711,7 +711,7 @@ class TestCoefficientsDomain:
 
     def test_anchored_member_takes_the_file_radii(self, wide_run):
         fam = cli.load_family(wide_run[0] / COEFFS)
-        assert fam.lmaps[0] is None
+        assert fam.members[0].spinor is None
         assert {(m.r_inner, m.r_outer) for m in fam.members} == {(0.4, 2.5)}
 
     def test_chained_run_verifies_and_exports(self, chained_run):

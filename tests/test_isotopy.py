@@ -71,7 +71,7 @@ class TestMemberExtension:
         bound = min(TOL_RUNGE, 0.1 * fam.meta["tol_period"])
         sched = ramp(fam, target)
         for k in range(1, len(fam)):
-            sup = fam.lmaps[k].meta["sup_error"]
+            sup = fam.members[k].spinor.meta["sup_error"]
             assert sup <= bound
             assert np.max(np.abs(fam.periods[k] - sched[k])) <= sup + 1e-12
 
@@ -80,9 +80,10 @@ class TestMemberExtension:
         dom = rm.annulus(data.r_inner, data.r_outer)
         loop = iso.restrict_data(data, rm.homology_basis(dom)[0])
         period = lp.period(loop)
-        ext, got = iso._pin_extension(loop.values, dom, data.theta, period,
-                                      tol=1e-10)
-        assert np.max(np.abs(got - period)) <= ext.meta["sup_error"] + 1e-12
+        member, got = iso._pin_extension(loop.values, dom, data.theta, period,
+                                         tol=1e-10)
+        sup = member.spinor.meta["sup_error"]
+        assert np.max(np.abs(got - period)) <= sup + 1e-12
         with pytest.raises(EstimateNotMet, match=r"misses the ramp by 1e-09"
                            r".*above the bound"):
             iso._pin_extension(loop.values, dom, data.theta, period + 1e-9,
@@ -109,14 +110,17 @@ class TestMemberExtension:
 
 
 class TestFluxToZero:
-    def test_periods_are_exact_extension_periods(self, fam_zero):
-        for ext, per in zip(fam_zero.lmaps[1:], fam_zero.periods[1:]):
-            assert iso._extension_period(ext, "dz/z").tobytes() == per.tobytes()
+    def test_periods_are_exact_spinor_periods(self, fam_zero):
+        for m, per in zip(fam_zero.members[1:], fam_zero.periods[1:]):
+            _, again = iso._spinor_member(m.spinor, "dz/z", m.r_inner,
+                                          m.r_outer)
+            assert again.tobytes() == per.tobytes()
 
     def test_rerun_bit_identical(self, catenoid, fam_zero):
         again = iso.flux_to_zero(catenoid)
         assert again.periods.tobytes() == fam_zero.periods.tobytes()
-        for e1, e2 in zip(fam_zero.lmaps[1:], again.lmaps[1:]):
+        for m1, m2 in zip(fam_zero.members[1:], again.members[1:]):
+            e1, e2 = m1.spinor, m2.spinor
             assert e1.parity == e2.parity
             for s1, s2 in ((e1.a, e2.a), (e1.b, e2.b)):
                 assert s1.k_min == s2.k_min
@@ -187,6 +191,36 @@ class TestFluxToZero:
         rep = iso.verify(fam, target_flux=np.zeros(3))
         assert np.linalg.norm(rep.flux_table[0]) > 1.0
         assert rep.ok, rep.passes
+
+
+class TestMemberSpinor:
+    """A driven member carries its spinor (a, b): f theta/d(zeta) is
+    (a^2 - b^2, i (a^2 + b^2), 2ab) times (z/scale)^parity."""
+
+    #: the radii on which F4's windings were taken (ROADMAP)
+    RADII = (0.52, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.4, 1.6, 1.8, 1.95)
+
+    def test_density_from_spinor(self, fam_zero):
+        # |f|^2 = 2 (|a|^2 + |b|^2)^2 |z/scale|^(2 parity), and
+        # f theta/dz = f theta/d(zeta) / (2 pi i z)
+        for m in fam_zero.members[1:]:
+            s = m.spinor
+            grid = PolarGrid(_open_radii(m.r_inner, m.r_outer, 32), 128)
+            z = np.abs(grid.points)
+            want = ((np.abs(s.a(grid)) ** 2 + np.abs(s.b(grid)) ** 2) ** 2
+                    * (z / s.scale) ** (2 * s.parity) / (4 * np.pi**2 * z**2))
+            got = wz.metric_density(m, grid)
+            assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_windings_add_up(self, fam_zero):
+        # f3 = 2ab (z/scale)^parity / (2 pi i) and g = b/a
+        for m in fam_zero.members[1:]:
+            s = m.spinor
+            for r in self.RADII:
+                z = wz.circle(r, 4096)
+                wa, wb = (rm.winding_number(c(z)) for c in (s.a, s.b))
+                assert rm.winding_number(m.f3(z)) == wa + wb + s.parity
+                assert rm.winding_number(m.g(z)) == wb - wa
 
 
 class TestNoRetry:
@@ -331,7 +365,7 @@ class TestVerify:
 
     def test_empty_family_raises(self):
         fam = iso.ImmersionFamily(
-            ts=np.array([]), members=[], lmaps=[],
+            ts=np.array([]), members=[],
             periods=np.zeros((0, 3)), basepoint=1.0,
         )
         with pytest.raises(ValueError, match="empty family"):
@@ -565,7 +599,7 @@ class TestBesselOracle:
         oracle = np.array([self.oracle_flux(k) for k in kappas])
         chart = rm.homology_basis(rm.annulus())[0]
         fam = iso.ImmersionFamily(
-            ts=ts, members=members, lmaps=[None] * len(ts),
+            ts=ts, members=members,
             periods=1j * oracle, basepoint=complex(chart.radius), chart=chart,
         )
         rep = iso.verify(fam, target_flux=np.zeros(3))

@@ -1270,7 +1270,7 @@ class TestCompleteStep:
         cat = wz.catalog("catenoid")
         ts = np.linspace(0.0, 1.0, 4)
         fam = iso.ImmersionFamily(
-            ts=ts, members=[cat] * 4, lmaps=[None] * 4,
+            ts=ts, members=[cat] * 4,
             periods=np.zeros((4, 3), complex), basepoint=1.0,
         )
         for other in (np.linspace(0.0, 1.0, 9), ts[::-1]):

@@ -233,7 +233,7 @@ class TestLaurentMap:
             assert np.allclose(comp, m(z), atol=1e-13)
 
     def test_period_is_residue(self):
-        # isotopy._extension_period reads the period off these residues
+        # isotopy._spinor_member reads a member's period off these residues
         a = wz.LaurentSeries([1.0, 0.5], -1)
         b = wz.LaurentSeries([0.3, 2.0], 0)
         z = 1.2 * np.exp(2j * np.pi * np.arange(512) / 512)
