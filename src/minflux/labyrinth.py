@@ -10,10 +10,11 @@ core to the boundary must then either cross the walls (expensive) or
 snake through the alternating openings (long), so the intrinsic distance
 to the boundary grows by a prescribed amount.  Distances are measured by
 Dijkstra runs on polar metric graphs.  The endpoint distance uses a fine
-graph whose radii are spaced 1/(4N^3) apart in the chart of each band: half
-the wall width and half the clearance between walls.  The rings sit half a
-spacing off the wall edges, so the wall mask gives every wall and every gap
-between walls two rings, and no radial edge skips a wall.
+graph with one ring at the centre of every wall and of every gap between
+walls in the chart of each band, 1/(2N^3) apart: the wall width, and the
+clearance between walls.  Each ring sits a quarter cell off the wall
+edges, so the wall mask holds for every other ring, and every radial edge
+across the walls joins a gap ring to a wall ring.
 
 Every point set of the step is a polar grid about 0 in the physical plane:
 the graphs, the probe, the homology and core circles, the band windows and
@@ -76,12 +77,6 @@ LAMBDA_MARGIN = 0.25
 
 #: Largest wall count a single step may request (2 N^2 walls per band).
 N_MAX = 50
-
-#: Fine-graph rings per 1/N^3 wall cell of a band.  Walls and the gaps
-#: between them are each half a cell wide, and the rings sit half a
-#: spacing off their edges, so at 4 rings per cell every wall and every gap
-#: holds at least two rings, whichever way rounding decides at an edge.
-FINE_PER_CELL = 4
 
 #: Graph nodes per block of the density in intrinsic_distance, rounded down
 #: to whole rings.  A block's grid values (g, f3, theta/dz, the wall mask)
@@ -730,37 +725,45 @@ def _certified_distance(graph, base, base_distance, dens, walls):
 def _crossing_bound(d, i_near, i_far):
     """Lower bound on every graph path from circle i_near to circle i_far.
 
-    d: one Dijkstra run's distance field, shape (n_r, n_th).  It changes by
-    at most an edge's length along the edge, and edges join only the same
-    or adjacent circles, so every path across the circles between the two
-    is at least d(b) - d(a) for some node a on i_near and b on i_far.
+    d: one Dijkstra run's distance field, shape (n_r, n_th).  Along an
+    edge it changes by at most the edge's weight, its metric cost (the
+    triangle inequality d(b) <= d(a) + w(a, b)), and edges join only the
+    same or adjacent circles, so every path across the circles between the
+    two costs at least d(b) - d(a) for some node a on i_near and b on i_far.
     """
     return float(np.min(d[i_far]) - np.max(d[i_near]))
 
 
 def _fine_spacing(N):
-    """Chart spacing of the fine radii inside a band of an N-labyrinth."""
-    return 1.0 / (FINE_PER_CELL * N**3)
+    """Chart spacing of the fine rings inside a band of an N-labyrinth:
+    the wall width 1/(2N^3), which is also the clearance between walls."""
+    return 1.0 / (2.0 * N**3)
 
 
 def _fine_radii(r_in, r_out, labyrinths, N):
-    """Radial node set: 48 coarse radii, plus each band at _fine_spacing(N).
+    """Radial node set: 48 coarse radii, plus one ring per wall and per gap.
 
-    A band gets its edge circles r and R, where est3 reads its crossing
-    bound, and the rings R - (k + 1/2) h inside, h = _fine_spacing(N).
-    The innermost of these lies 1.5 h to 2.5 h above r, below every wall.
+    In the chart of a band, with h = _fine_spacing(N), the rings are R - k h
+    for k = 1..4N^2, where odd k are wall centres and even k gap centres,
+    and the band's edge circles r and R, where est3 reads its crossing
+    bound.  The last gap centre, k = 4N^2, is R - 2/N, the top of the band's
+    wall-free strip, which gets no fine ring.  Each ring sits a quarter
+    cell from the nearest wall edge, so rounding cannot move it across.
+    The coarse radii between R - 2/N and R are dropped, so along every ray
+    the wall mask alternates ring by ring there, and every radial edge
+    joins a gap ring to a wall ring: for a factor constant on each wall and
+    gap, its trapezoid weight is the exact crossing integral.
     """
-    pieces = [np.linspace(r_in, r_out, 48)]
+    radii = np.linspace(r_in, r_out, 48)
     h = _fine_spacing(N)
+    rings = []
     for lab in labyrinths:
         band = lab.band
-        count = int(np.ceil((band.R - band.r) / h)) + 1
-        # the band's edge circles, and between them rings half a spacing
-        # off the wall edges, which lie at R - k h for integers k
-        inner = band.R - (np.arange(count - 2) + 0.5) * h
-        chart_r = np.concatenate(([band.r], inner, [band.R]))
-        pieces.append(np.sort(band.end.radius_in_chart(chart_r)))
-    radii = np.unique(np.concatenate(pieces))
+        walled = band.end.radius_in_chart(band.R - np.arange(4 * N**2 + 1) * h)
+        lo, hi = np.min(walled), np.max(walled)
+        radii = radii[(radii < lo) | (radii > hi)]
+        rings += [walled, [band.end.radius_in_chart(band.r)]]
+    radii = np.unique(np.concatenate([radii, *rings]))
     return radii[(radii >= r_in) & (radii <= r_out)]
 
 
@@ -1001,7 +1004,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
     end = intrinsic_distance(members[-1], fine, labs, factors[-1])
     final = end.value
     report["final_distance"] = final
-    # radial spacing inside the bands: half the clearance between walls
+    # radial spacing inside the bands: one ring per wall and per gap
     report["fine_resolution"] = _fine_spacing(N)
     passes["conclusion_v"] = final > 1.0 / delta
 

@@ -686,45 +686,117 @@ class TestNonFiniteDensity:
             getattr(graph, method)(dens.ravel())
 
 
-class TestFineRadii:
-    """Every wall and every gap between walls holds fine-graph rings."""
+def parent_fine_radii(r_in, r_out, labyrinths, N):
+    """The earlier fine radial layout, kept as a refinement reference: 4
+    rings per 1/N^3 cell, half a spacing off the wall edges, from the band's
+    outer circle down to its inner one, over the 48 coarse radii."""
+    pieces = [np.linspace(r_in, r_out, 48)]
+    h = 1.0 / (4 * N**3)
+    for lab in labyrinths:
+        band = lab.band
+        count = int(np.ceil((band.R - band.r) / h)) + 1
+        inner = band.R - (np.arange(count - 2) + 0.5) * h
+        chart_r = np.concatenate(([band.r], inner, [band.R]))
+        pieces.append(np.sort(band.end.radius_in_chart(chart_r)))
+    radii = np.unique(np.concatenate(pieces))
+    return radii[(radii >= r_in) & (radii <= r_out)]
 
-    @pytest.mark.parametrize("kind", ["identity", "inversion"])
-    @pytest.mark.parametrize("N", [2, 9, 19])
-    def test_walls_and_gaps_resolved(self, kind, N):
+
+def check_mask_alternates(lab, radii, n_th):
+    """Along every ray of a polar graph on radii, no radial edge joins two
+    wall nodes, and every wall the ray meets holds exactly one of its nodes.
+    A ray meets wall n where the wall's own set (LabyrinthSet) holds the
+    ray's point at the wall's mid radius."""
+    N = lab.N
+    nodes = wz.PolarGrid(radii, n_th).points.reshape(radii.size, n_th)
+    mask = lab.contains(nodes)
+    assert not np.any(mask[:-1] & mask[1:])
+    ring, ray = np.nonzero(mask)
+    u = lab.band.R - np.abs(lab.band.end.to_chart(nodes[ring, ray]))
+    wall = np.floor(u * N**3).astype(int) + 1
+    count = np.zeros((2 * N**2 + 1, n_th), dtype=int)
+    np.add.at(count, (wall, ray), 1)
+    way = lab.band.end.to_chart(nodes[0])
+    way /= np.abs(way)
+    met = np.array([
+        s.contains_chart(0.5 * (s.rad_lo + s.rad_hi) * way) for s in lab.sets
+    ])
+    assert met.any()
+    np.testing.assert_array_equal(count[1:], met.astype(int))
+
+
+class TestFineRadii:
+    """One fine ring at the centre of every wall and of every gap."""
+
+    @staticmethod
+    def layout(kind, N):
         r_in, r_out = 0.2, 2.0
         end = lb.AnnulusEnd(0, r_in, r_out, kind=kind, c=r_in * r_out)
         band = lb.AnnulusBand(0, 0, 0.3, 1.9, end, (0.5, 1.0))
         lab = lb.build_labyrinth(band, N)
-        radii = lb._fine_radii(r_in, r_out, [lab], N)
-        chart = np.sort(end.radius_in_chart(radii))
+        return lab, lb._fine_radii(r_in, r_out, [lab], N)
 
-        def rings(lo, hi, closed):
-            if closed:
-                return np.count_nonzero((chart >= lo) & (chart <= hi))
+    @pytest.mark.parametrize("kind", ["identity", "inversion"])
+    @pytest.mark.parametrize("N", [2, 9, 19])
+    def test_walls_and_gaps_resolved(self, kind, N):
+        # exactly one ring inside each wall and each gap between walls, and
+        # every ring clear of every wall edge by at least 0.2 of a cell
+        lab, radii = self.layout(kind, N)
+        chart = np.sort(lab.band.end.radius_in_chart(radii))
+
+        def rings(lo, hi):
             return np.count_nonzero((chart > lo) & (chart < hi))
 
         for s in lab.sets:
-            assert rings(s.rad_lo, s.rad_hi, closed=True) >= 2
+            assert rings(s.rad_lo, s.rad_hi) == 1
         for outer, inner in zip(lab.sets, lab.sets[1:]):
-            assert rings(inner.rad_hi, outer.rad_lo, closed=False) >= 2
+            assert rings(inner.rad_hi, outer.rad_lo) == 1
+        edges = np.array([[s.rad_lo, s.rad_hi] for s in lab.sets]).ravel()
+        clear = np.min(np.abs(chart[:, None] - edges[None, :]))
+        assert clear >= 0.2 / N**3
 
-    def test_mask_gives_every_wall_two_rings(self, catenoid_step):
-        # counted with the wall mask itself on the endpoint graph's nodes,
-        # along each ray that meets a wall: a ring on a wall edge may fall
-        # either way, so the rings must sit clear of the edges
+    @pytest.mark.parametrize("kind", ["identity", "inversion"])
+    @pytest.mark.parametrize("N", [2, 9, 19])
+    def test_mask_alternates_along_rays(self, kind, N):
+        check_mask_alternates(*self.layout(kind, N), n_th=128)
+
+    @pytest.mark.parametrize("kind", ["identity", "inversion"])
+    @pytest.mark.parametrize("N", [2, 9, 19])
+    def test_wall_free_strip_has_no_fine_ring(self, kind, N):
+        # the band's edge circle r is kept, and between it and the top of
+        # the strip, R - 2/N, lie only coarse radii
+        lab, radii = self.layout(kind, N)
+        band = lab.band
+        chart = band.end.radius_in_chart(radii)
+        h = 1.0 / (2.0 * N**3)
+        strip = (chart > band.r) & (chart < band.R - 2.0 / N - 0.5 * h)
+        assert np.all(np.isin(radii[strip], np.linspace(0.2, 2.0, 48)))
+        assert np.any(chart == band.r)
+
+    def test_mask_alternates_on_the_endpoint_graph(self, catenoid_step):
         r = catenoid_step
         cat = wz.catalog("catenoid")
         radii = lb._fine_radii(cat.r_inner, cat.r_outer, r.labyrinths, r.N)
-        nodes = lb.build_metric_graph(
-            cat.r_inner, cat.r_outer, 1.0, radii=radii, n_th=128
-        ).nodes.reshape(radii.size, 128)
         for lab in r.labyrinths:
-            ring, ray = np.nonzero(lab.contains(nodes))
-            u = lab.band.R - np.abs(lab.band.end.to_chart(nodes[ring, ray]))
-            wall = np.floor(u * r.N**3).astype(int) + 1
-            per_ray = np.bincount(wall * 128 + ray)
-            assert np.all(per_ray[per_ray > 0] >= 2)
+            check_mask_alternates(lab, radii, n_th=128)
+
+    def test_refinement_guard(self, catenoid_step):
+        # the centred layout against the earlier 4-rings-per-cell one: the
+        # endpoint distance stays within 2e-5 relative, on at most
+        # 48 + 2 (4N^2 + 2) rings
+        r = catenoid_step
+        cat = wz.catalog("catenoid")
+        radii = lb._fine_radii(cat.r_inner, cat.r_outer, r.labyrinths, r.N)
+        assert radii.size <= 48 + 2 * (4 * r.N**2 + 2)
+        x0 = complex(wz.homology_radius(cat))
+        fine = lb.build_metric_graph(
+            cat.r_inner, cat.r_outer, x0, n_th=128, radii=parent_fine_radii(
+                cat.r_inner, cat.r_outer, r.labyrinths, r.N
+            ),
+        )
+        factor = lb._factors(r.params, r.ts)[-1]
+        ref = lb.intrinsic_distance(cat, fine, r.labyrinths, factor).value
+        assert r.final_distance == pytest.approx(ref, rel=2e-5)
 
 
 def shortest_window_crossing(graph, dens, i_lo, i_hi):
@@ -1156,7 +1228,7 @@ class TestCompleteStep:
     def test_wall_count_and_resolution(self, catenoid_step):
         r = catenoid_step
         assert r.N >= 2
-        assert r.report["fine_resolution"] == 1.0 / (lb.FINE_PER_CELL * r.N**3)
+        assert r.report["fine_resolution"] == 1.0 / (2.0 * r.N**3)
         for lab in r.labyrinths:
             assert len(lab.sets) == 2 * r.N**2
             assert 2.0 / r.N < lab.band.R - lab.band.r
