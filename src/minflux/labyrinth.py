@@ -550,10 +550,10 @@ class MetricGraph:
     x0: complex  # the point the graph was built for
 
     def _weighted(self, dens):
-        """Node values of dens^(1/2) and the CSR matrix of edge weights.
+        """The CSR matrix of edge weights under the node densities dens.
 
-        An edge weighs its length times the mean of its ends' values.  An
-        infinite density is a wall no path crosses; a NaN density raises
+        An edge weighs its length times the mean of its ends' dens^(1/2).
+        An infinite density is a wall no path crosses; a NaN density raises
         NonFiniteValues, since it would act as a wall without saying so.
         """
         rho = np.abs(dens)
@@ -570,14 +570,70 @@ class MetricGraph:
         wts *= 0.5
         wts *= self.lengths
         n = self.nodes.size
-        return rho, csr_matrix((wts, self.cols, self.indptr), shape=(n, n))
+        return csr_matrix((wts, self.cols, self.indptr), shape=(n, n))
+
+    def _path_bounds(self, weights):
+        """Costs of explicit graph paths from the source to each boundary
+        circle: (inward, to the first circle; outward, to the last).
+
+        weights: the edge weights in CSR order.  Each direction takes the
+        cheaper of two paths.  The spoke runs radially along the source's
+        angle.  The staircase crosses each step between adjacent circles at
+        that step's cheapest radial edge, and on each circle walks the
+        cheaper way round between the crossings it joins.  Every cost is a
+        float sum of nonnegative weights, so it may be infinite, never NaN,
+        and it bounds each circle's least distance on the way.
+        """
+        n_th, n_r = self.n_th, self.radii.size
+        if n_r == 1:
+            return 0.0, 0.0
+        i, j = divmod(self.source, n_th)
+        ang = np.arange(n_th)
+        # a row's four edges: its angular successor, then the next circle's
+        # three neighbours in column order; the radial one is the middle
+        # one, save at the angles 0 and n_th - 1, where the wrap puts it
+        # first and last
+        slots = weights[:-n_th].reshape(n_r - 1, n_th, 4)
+        radial = slots[..., 2].copy()  # (k, t) to (k + 1, t)
+        radial[:, 0] = slots[:, 0, 1]
+        radial[:, -1] = slots[:, -1, 3]
+        arcs = np.concatenate([slots[..., 0], weights[None, -n_th:]])
+        cross = np.argmin(radial, axis=1)
+        steps = radial[np.arange(n_r - 1), cross]
+        # walks between consecutive crossings on circles 1 .. n_r - 2, then
+        # the source circle's walks to the first crossing out and in (the
+        # spoke, which costs 0 from a boundary circle, covers a walk whose
+        # crossing is out of range); each is the cheaper of the arcs inside
+        # and outside [lo, hi), summed directly: differences of prefix sums
+        # would cancel, and read NaN past an infinite arc
+        k = np.concatenate([np.arange(1, n_r - 1), [i, i]])
+        a = np.concatenate([cross[:-1], [j, j]])
+        b = np.concatenate([cross[1:], cross[[min(i, n_r - 2), max(i - 1, 0)]]])
+        lo, hi = np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
+        inside = (lo <= ang) & (ang < hi)
+        ring = arcs[k]
+        walk = np.minimum(np.sum(ring, axis=1, where=inside),
+                          np.sum(ring, axis=1, where=~inside))
+        outward = walk[-2] + np.sum(steps[i:]) + np.sum(walk[i:-2])
+        inward = walk[-1] + np.sum(steps[:i]) + np.sum(walk[: max(i - 1, 0)])
+        spoke = radial[:, j]
+        return (min(float(np.sum(spoke[:i])), float(inward)),
+                min(float(np.sum(spoke[i:])), float(outward)))
 
     def node_distances(self, dens):
         """Graph distance from the source to every node, shape (n_r, n_th),
-        under the node densities dens."""
-        _, m = self._weighted(dens)
+        under the node densities dens.
+
+        The search stops at the larger of the two _path_bounds, times
+        1 + 1e-9, and nodes beyond that limit read inf.  Dijkstra settles
+        every node up to the limit with the bits of a full search, and the
+        limit covers the least distance on each circle and the boundary
+        minimum.  An infinite bound leaves the search unbounded.
+        """
+        m = self._weighted(dens)
         del dens  # frees a caller's temporary before the search, the peak
-        d = dijkstra(m, directed=False, indices=self.source)
+        limit = max(self._path_bounds(m.data)) * (1.0 + 1e-9)
+        d = dijkstra(m, directed=False, indices=self.source, limit=limit)
         return d.reshape(-1, self.n_th)
 
     def boundary_distance(self, node_distances):
@@ -590,20 +646,15 @@ class MetricGraph:
     def distance(self, dens):
         """Graph distance from the source to the boundary circles under dens.
 
-        The search stops at the cost of the straight radial path from the
-        source, along its angle, to the nearer-costing boundary circle,
-        times 1 + 1e-9.  That path is a graph path, so the least boundary
-        distance lies within the limit, and Dijkstra settles every node up
-        to the limit with the same value as a full search: the result is
-        the same bits.  An infinite path cost leaves the search unbounded.
+        The search stops at the smaller of the two _path_bounds, the cost
+        of a graph path to a boundary circle, times 1 + 1e-9; nodes beyond
+        it are not settled.  The least boundary distance lies within the
+        limit, and Dijkstra settles every node up to the limit with the
+        same value as a full search: the result is the same bits.  An
+        infinite bound leaves the search unbounded.
         """
-        rho, m = self._weighted(dens)
-        i, j = divmod(self.source, self.n_th)
-        spoke = self.nodes.reshape(-1, self.n_th)[:, j]
-        r = rho.reshape(-1, self.n_th)[:, j]
-        step = 0.5 * (r[:-1] + r[1:]) * np.abs(spoke[:-1] - spoke[1:])
-        cost = min(float(np.sum(step[:i])), float(np.sum(step[i:])))
-        limit = cost * (1.0 + 1e-9) if math.isfinite(cost) else np.inf
+        m = self._weighted(dens)
+        limit = min(self._path_bounds(m.data)) * (1.0 + 1e-9)
         d = dijkstra(m, directed=False, indices=self.source, limit=limit)
         return self.boundary_distance(d)
 
@@ -662,6 +713,14 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_th=256):
 
 @dataclass(frozen=True)
 class DistanceResult:
+    """A boundary distance and the search's distance field.
+
+    node_distances, shape (n_r, n_th), holds the bits of a full search at
+    every node up to the search's limit (MetricGraph.node_distances), which
+    covers every circle's least distance and the boundary minimum;
+    nodes beyond the limit read inf.
+    """
+
     value: float
     node_distances: np.ndarray = field(repr=False, compare=False)
 
@@ -681,7 +740,9 @@ def intrinsic_distance(data, graph, labyrinths=(), factor=None):
     rounded down to whole rings: the rule acts point by point, so the bits
     are those of one evaluation, and a block's values are freed before the
     next.  The result keeps the graph distance from x0 to every node, shape
-    (n_r, n_th).
+    (n_r, n_th), up to the search's limit, the larger cost of an explicit
+    path to either boundary circle (MetricGraph._path_bounds); nodes beyond
+    it read inf.
     """
     r0 = abs(graph.x0)
     if not graph.radii[0] < r0 < graph.radii[-1]:
@@ -730,6 +791,12 @@ def _crossing_bound(d, i_near, i_far):
     triangle inequality d(b) <= d(a) + w(a, b)), and edges join only the
     same or adjacent circles, so every path across the circles between the
     two costs at least d(b) - d(a) for some node a on i_near and b on i_far.
+
+    The field comes from a search stopped at a limit L no less than any
+    circle's least distance (MetricGraph.node_distances), so min d[i_far]
+    is exact, and a node of i_near beyond L reads inf.  The bound then
+    reads -inf, where a full field gives min d[i_far] - max d[i_near] <
+    L - L = 0: for every b > 0 the test bound > b fails either way.
     """
     return float(np.min(d[i_far]) - np.max(d[i_near]))
 

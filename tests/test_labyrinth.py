@@ -507,6 +507,178 @@ class TestBoundedDistance:
             assert graph.distance(density) == want
 
 
+def maze(dens, skip):
+    """A mini-labyrinth on a (n_r, n_th) density array, in place: every odd
+    circle below the outer one, except the circle skip, is an infinite arc
+    with a one-node opening, at angle 0 and n_th // 2 alternately.  Walls
+    with openings apart block every spoke that crosses two of them, while
+    the staircase threads the openings along the finite circles between."""
+    n_r, n_th = dens.shape
+    walls = [k for k in range(1, n_r - 1, 2) if k != skip]
+    for w, k in enumerate(walls):
+        opening = dens[k, (w % 2) * (n_th // 2)]
+        dens[k] = np.inf
+        dens[k, (w % 2) * (n_th // 2)] = opening
+    return walls
+
+
+def full_field(graph, dens):
+    """The edge weights of a search and an unbounded search's field."""
+    m = graph._weighted(dens)
+    full = dijkstra(m, directed=False, indices=graph.source)
+    return m.data, full.reshape(-1, graph.n_th)
+
+
+class TestBoundedNodeDistances:
+    """node_distances stops its search at the larger path bound: every node
+    it settles carries the bits of a full search, and every value the step
+    reads off the field is the full search's or gives its answer."""
+
+    @given(
+        n_r=st.integers(1, 12),
+        n_th=st.integers(3, 24),
+        ring=st.integers(0, 11),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+        walled=st.sets(st.integers(0, 11), max_size=3),
+        labyrinth=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_full_search_up_to_limit(
+        self, n_r, n_th, ring, angle, seed, walled, labyrinth
+    ):
+        ring = min(ring, n_r - 1)
+        radii = np.linspace(0.5, 2.0, n_r) if n_r > 1 else np.array([1.0])
+        graph = lb.build_metric_graph(
+            0.5, 2.0, radii[ring] * np.exp(1j * angle), radii=radii, n_th=n_th
+        )
+        # a factor per circle times one per node: walls of any height
+        rng = np.random.default_rng(seed)
+        dens = (
+            10.0 ** rng.uniform(-2, 4, (n_r, 1))
+            * 10.0 ** rng.uniform(-1, 1, (n_r, n_th))
+        )
+        if labyrinth:
+            maze(dens, ring)
+        else:
+            dens[sorted(i for i in walled if i < n_r)] = np.inf
+        weights, full = full_field(graph, dens.ravel())
+        limit = max(graph._path_bounds(weights)) * (1.0 + 1e-9)
+        got = graph.node_distances(dens.ravel())
+
+        settled = np.isfinite(got)
+        assert np.array_equal(got[settled], full[settled])
+        assert np.all(settled[np.isfinite(full) & (full <= limit)])
+        for k in range(n_r):
+            assert np.min(got[k]) == np.min(full[k])
+        assert np.min(got.ravel()[graph.boundary]) == np.min(
+            full.ravel()[graph.boundary]
+        )
+        # est3 tests bound > b for b > 0: the same answer, or no pass
+        for near in range(n_r):
+            for far in range(n_r):
+                cut = lb._crossing_bound(got, near, far)
+                want = lb._crossing_bound(full, near, far)
+                assert cut == want or not (cut > 0 or want > 0)
+
+
+class TestPathBounds:
+    """_path_bounds are the costs of graph paths, so no less than the least
+    distance on their circles, and the staircase keeps them near it."""
+
+    @given(
+        n_r=st.integers(1, 12),
+        n_th=st.integers(3, 24),
+        ring=st.integers(0, 11),
+        seed=st.integers(0, 2**32 - 1),
+        labyrinth=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_less_than_circle_minimum(self, n_r, n_th, ring, seed, labyrinth):
+        ring = min(ring, n_r - 1)
+        radii = np.linspace(0.5, 2.0, n_r) if n_r > 1 else np.array([1.0])
+        graph = lb.build_metric_graph(
+            0.5, 2.0, radii[ring], radii=radii, n_th=n_th
+        )
+        dens = np.random.default_rng(seed).uniform(0.01, 10.0, (n_r, n_th))
+        if labyrinth:
+            maze(dens, ring)
+        weights, full = full_field(graph, dens.ravel())
+        inward, outward = graph._path_bounds(weights)
+        assert inward >= np.min(full[0]) * (1.0 - 1e-12)
+        assert outward >= np.min(full[-1]) * (1.0 - 1e-12)
+        # and no more than the spoke along the source's angle, 0
+        rho = np.sqrt(dens[:, 0])
+        spoke = graph.nodes.reshape(n_r, n_th)[:, 0]
+        step = 0.5 * (rho[:-1] + rho[1:]) * np.abs(np.diff(spoke))
+        assert inward <= np.sum(step[:ring]) * (1.0 + 1e-12)
+        assert outward <= np.sum(step[ring:]) * (1.0 + 1e-12)
+
+    def test_finite_through_labyrinth(self):
+        graph = lb.build_metric_graph(
+            0.5, 2.0, 1.25, radii=np.linspace(0.5, 2.0, 11), n_th=16
+        )
+        dens = np.ones((11, 16))
+        assert maze(dens, graph.source // 16) == [1, 3, 7, 9]
+        # the source, at angle 0 on circle 5, meets a closed wall either way
+        assert graph.source == 5 * 16 and np.isinf(dens[[3, 9], 0]).all()
+        weights, full = full_field(graph, dens.ravel())
+        bounds = graph._path_bounds(weights)
+        assert np.all(np.isfinite(bounds))
+        assert bounds[0] >= np.min(full[0]) and bounds[1] >= np.min(full[-1])
+
+    def test_near_endpoint_distance_on_catalog(self, catenoid_step, monkeypatch):
+        # the endpoint search of the catalog step, run in full
+        res = catenoid_step
+        searches = []
+
+        def full_search(m, **kwargs):
+            kwargs.pop("limit")
+            searches.append((m, dijkstra(m, **kwargs)))
+            return searches[-1][1]
+
+        cat = wz.catalog("catenoid")
+        radii = lb._fine_radii(cat.r_inner, cat.r_outer, res.labyrinths, res.N)
+        fine = lb.build_metric_graph(
+            cat.r_inner, cat.r_outer, complex(wz.homology_radius(cat)),
+            radii=radii, n_th=128,
+        )
+        monkeypatch.setattr(lb, "dijkstra", full_search)
+        end = lb.intrinsic_distance(
+            cat, fine, res.labyrinths, lb._factors(res.params, res.ts)[-1]
+        )
+        assert end.value == res.final_distance
+        (m, d), = searches
+        d = d.reshape(-1, fine.n_th)
+        # a spoke-only bound reads about 15,000 here
+        for bound, circle in zip(fine._path_bounds(m.data), (d[0], d[-1])):
+            assert np.min(circle) <= bound < 1.1 * np.min(circle)
+
+
+@pytest.mark.parametrize("name", ["catalog", "stored"])
+def test_step_identical_with_unbounded_searches(name, monkeypatch):
+    # every value complete_step reports is read where the bounded searches
+    # carry the bits of full ones
+    data = wz.catalog("catenoid") if name == "catalog" else stored_endpoint()
+
+    def step():
+        return lb.complete_step(
+            data, core=(0.8, 1.3), delta=0.5, ts=np.linspace(0.0, 1.0, 64)
+        )
+
+    bounded = step()
+    dijkstra_ = lb.dijkstra
+    monkeypatch.setattr(
+        lb, "dijkstra",
+        lambda m, limit=None, **kwargs: dijkstra_(m, **kwargs),
+    )
+    full = step()
+    assert bounded.report == full.report
+    assert bounded.report["passes"] == full.report["passes"]
+    assert np.array_equal(bounded.distances, full.distances)
+    assert bounded.final_distance == full.final_distance
+
+
 def full_distance(graph, dens):
     """Boundary minimum of a search that settles every node; inf where no
     path reaches the boundary."""
