@@ -9,12 +9,8 @@ third component or any period over curves in the core.  Any path from the
 core to the boundary must then either cross the walls (expensive) or
 snake through the alternating openings (long), so the intrinsic distance
 to the boundary grows by a prescribed amount.  Distances are measured by
-Dijkstra runs on polar metric graphs.  The endpoint distance uses a fine
-graph with one ring at the centre of every wall and of every gap between
-walls in the chart of each band, 1/(2N^3) apart: the wall width, and the
-clearance between walls.  Each ring sits a quarter cell off the wall
-edges, so the wall mask holds for every other ring, and every radial edge
-across the walls joins a gap ring to a wall ring.
+Dijkstra runs on polar metric graphs; the endpoint graph has one ring at
+the centre of every wall and of every gap between walls (_fine_radii).
 
 Every point set of the step is a polar grid about 0 in the physical plane:
 the graphs, the probe, the homology and core circles, the band windows and
@@ -27,19 +23,18 @@ transformed one, follows one rule from the values of g and f3 theta/dz
 (weierstrass.density); the lopez_ros members are the step's output and are
 not evaluated by it.
 
-Conclusion (IV) needs the coarse-graph distance of every transformed
-member.  A transformed member differs from its base member only on the
-walls, where g is grown; elsewhere g is multiplied by 1.0, so the values
-keep their base bits, and every comparison with the base member reads the
-wall points only.  Where no wall density falls below the base member's, no
-edge weight falls, so the base member's search is a lower bound on the
-transformed member's distance, and (IV) takes it (_certified_distance).
+A transformed member differs from its base member only on the walls,
+where g is grown; elsewhere g is multiplied by 1.0, so the values keep
+their base bits, and every comparison with the base member reads the wall
+points only.  So conclusion (IV) takes the base member's coarse search
+wherever no wall density falls (_certified_distance).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,13 +223,10 @@ def build_labyrinth(band, N):
         )
     q = 1.0 / (4.0 * N**3)
     s = band.R - np.arange(2 * N**2 + 1) / N**3
-    sets = []
-    for n in range(1, 2 * N**2 + 1):
-        sets.append(
-            LabyrinthSet(
-                n=n, rad_lo=s[n] + q, rad_hi=s[n - 1] - q, ang_gap=1.0 / N**2
-            )
-        )
+    sets = [
+        LabyrinthSet(n=n, rad_lo=s[n] + q, rad_hi=s[n - 1] - q, ang_gap=1.0 / N**2)
+        for n in range(1, 2 * N**2 + 1)
+    ]
     if not all(band.r < sn < band.R for sn in s[1:]):
         raise BandTooThin("wall radii leave the band")
     return Labyrinth(band=band, N=N, sets=tuple(sets))
@@ -356,7 +348,10 @@ class LopezRosParams:
 
     def __post_init__(self):
         if self.eps <= 0 or self.c0 <= 0 or self.lam < 0:
-            raise EstimateNotMet("invalid Lopez-Ros parameters")
+            raise EstimateNotMet(
+                f"walls stage: invalid Lopez-Ros parameters lam {self.lam:.6g}, "
+                f"eps {self.eps:.6g}, c0 {self.c0:.6g}: need eps, c0 > 0 <= lam"
+            )
 
 
 def _band_f3theta(points, m, band):
@@ -375,9 +370,7 @@ def choose_params(members, bands, N, t_grid):
     reads the same 48 x 96 values.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    eps_min = np.inf
-    c0 = np.inf
-    t0_min = np.inf
+    eps_min = c0 = t0_min = np.inf
     checked = []
     for band in bands:
         sel = _bracket_samples(t_grid, band.bracket)
@@ -401,16 +394,19 @@ def choose_params(members, bands, N, t_grid):
     # rounding is monotone, so (1 + lambda t) min|g| = min((1 + lambda t)|g|)
     for band, sel, chosen, fine in checked:
         for m in chosen:
-            if float(np.min(np.abs(_band_f3theta(fine, m, band)))) <= eps:
+            f3_min = float(np.min(np.abs(_band_f3theta(fine, m, band))))
+            if f3_min <= eps:
                 raise EstimateNotMet(
-                    "epsilon inequality fails on re-verification"
+                    f"walls stage: epsilon inequality fails on re-verification: "
+                    f"min |f3 theta/dw| {f3_min:.6g} <= eps {eps:.6g}"
                 )
         g_min = {id(m): float(np.min(np.abs(fine.gf3(m)[0]))) for m in chosen}
         for j in sel:
             grown = (1.0 + lam * float(t_grid[j])) * g_min[id(members[j])]
             if grown < 2.0 * N**4 * (1.0 - 1e-12):
                 raise EstimateNotMet(
-                    "lambda inequality fails on re-verification"
+                    f"walls stage: lambda inequality fails on re-verification: "
+                    f"(1 + lam t) min |g| {grown:.6g} < 2 N^4 {2.0 * N**4:.6g}"
                 )
     return params
 
@@ -452,16 +448,10 @@ def lopez_ros(data_t, params, labyrinths, t_grid):
             z = np.asarray(z, dtype=complex)
             return _grown(base(z), _wall_mask(labyrinths, z), fac)
 
-        out.append(
-            wz.WeierstrassData(
-                g,
-                data.f3,
-                theta=data.theta,
-                r_inner=data.r_inner,
-                r_outer=data.r_outer,
-                name=f"lopez_ros(t={float(t):g})",
-            )
-        )
+        out.append(wz.WeierstrassData(
+            g, data.f3, theta=data.theta, r_inner=data.r_inner,
+            r_outer=data.r_outer, name=f"lopez_ros(t={float(t):g})",
+        ))
     return out
 
 
@@ -713,13 +703,8 @@ def build_metric_graph(r_in, r_out, x0, radii=None, n_th=256):
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """A boundary distance and the search's distance field.
-
-    node_distances, shape (n_r, n_th), holds the bits of a full search at
-    every node up to the search's limit (MetricGraph.node_distances), which
-    covers every circle's least distance and the boundary minimum;
-    nodes beyond the limit read inf.
-    """
+    """A boundary distance and the search's distance field, shape
+    (n_r, n_th), as MetricGraph.node_distances returns it."""
 
     value: float
     node_distances: np.ndarray = field(repr=False, compare=False)
@@ -739,10 +724,8 @@ def intrinsic_distance(data, graph, labyrinths=(), factor=None):
     evaluated on the graph's polar grid DENSITY_BLOCK nodes at a time,
     rounded down to whole rings: the rule acts point by point, so the bits
     are those of one evaluation, and a block's values are freed before the
-    next.  The result keeps the graph distance from x0 to every node, shape
-    (n_r, n_th), up to the search's limit, the larger cost of an explicit
-    path to either boundary circle (MetricGraph._path_bounds); nodes beyond
-    it read inf.
+    next.  The result keeps the distance field of the search
+    (MetricGraph.node_distances).
     """
     r0 = abs(graph.x0)
     if not graph.radii[0] < r0 < graph.radii[-1]:
@@ -793,12 +776,15 @@ def _crossing_bound(d, i_near, i_far):
     two costs at least d(b) - d(a) for some node a on i_near and b on i_far.
 
     The field comes from a search stopped at a limit L no less than any
-    circle's least distance (MetricGraph.node_distances), so min d[i_far]
-    is exact, and a node of i_near beyond L reads inf.  The bound then
-    reads -inf, where a full field gives min d[i_far] - max d[i_near] <
-    L - L = 0: for every b > 0 the test bound > b fails either way.
+    circle's least distance (MetricGraph.node_distances), so a finite
+    min d[i_far] is exact, and a node of i_near beyond L reads inf.  The
+    bound then reads -inf, where a full field gives min d[i_far] -
+    max d[i_near] < L - L = 0: for every b > 0 the test bound > b fails
+    either way.  A far circle without a finite node bounds nothing and
+    reads -inf too, where inf - inf would read NaN.
     """
-    return float(np.min(d[i_far]) - np.max(d[i_near]))
+    far = float(np.min(d[i_far]))
+    return far - float(np.max(d[i_near])) if math.isfinite(far) else -math.inf
 
 
 def _fine_spacing(N):
@@ -874,122 +860,95 @@ def _as_members(family, ts=None):
     return members, np.asarray(ts, dtype=float)
 
 
-def complete_step(family, core, delta, ts=None, seed=23):
-    """One completeness induction step with full estimate verification.
+# The stage records of complete_step: each holds its stage's own report
+# entries (and passes, where the stage checks), which complete_step merges
+# in stage order, and the values that later stages read.
+_Base = namedtuple("_Base", "report coarse points distance tau required")
+_Walls = namedtuple("_Walls", "report N params labyrinths factors members")
+_Checks = namedtuple("_Checks", "report passes distances")
+_Endpoint = namedtuple("_Endpoint", "report passes")
 
-    family: per-t Weierstrass data (or a single datum for a constant
-    family); core: (lo, hi) moduli of an annular core containing the
-    homology circle; delta > 0 the step parameter.  Returns the
-    transformed family and a verification report; raises EstimateNotMet
-    when a measured distance violates its required bound.  Bands are
-    checked over BRACKET, N keeps the EST_MARGIN safety margin, and the
-    endpoint graph has 128 angles.  The step is deterministic: seed is
-    accepted for the perfbench workloads, which pass it, and is not read.
-    """
-    if not (isinstance(delta, numbers.Real) and math.isfinite(delta)
-            and delta > 0.0):
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
-    members, t_grid = _as_members(family, ts)
-    if not members or t_grid.shape != (len(members),):
-        raise ValueError(
-            f"family and ts must be nonempty and of one length, got "
-            f"{len(members)} members and ts of shape {t_grid.shape}"
-        )
-    data0 = members[0]
-    r_in, r_out = data0.r_inner, data0.r_outer
-    lo, hi = core
-    rho = wz.homology_radius(data0)
-    if not (r_in < lo < rho < hi < r_out):
-        raise InvalidCore(
-            f"core ({lo:g}, {hi:g}) must be an annulus inside ({r_in:g}, "
-            f"{r_out:g}) containing the homology circle |z| = {rho:g}"
-        )
-    x0 = complex(rho)
 
-    if wz.is_flat(data0)[0]:
-        raise FlatInput("completeness step requires a nonflat family")
-
-    # distance of the input family; equal members share one evaluation
+def _base_distances(members, rho, delta):
+    """Stage 1: the coarse 64 x 256 graph and point set, each distinct
+    member's distance on it by id, tau (the least) and the target required."""
     distinct = _distinct(members)
-    coarse = build_metric_graph(r_in, r_out, x0)
-    on_coarse = _PointSet(wz.PolarGrid(coarse.radii, coarse.n_th), distinct)
-    base_distance = {
-        id(m): coarse.distance(on_coarse.density(m)) for m in distinct
-    }
-    tau = min(base_distance.values())
+    coarse = build_metric_graph(members[0].r_inner, members[0].r_outer, complex(rho))
+    points = _PointSet(wz.PolarGrid(coarse.radii, coarse.n_th), distinct)
+    distance = {id(m): coarse.distance(points.density(m)) for m in distinct}
+    tau = min(distance.values())
     required = max(tau - delta, 1.0 / delta)
+    return _Base({"tau": tau, "delta": delta, "required": required},
+                 coarse, points, distance, tau, required)
 
-    ends = [
-        AnnulusEnd(hole=0, r=r_in, R=lo, kind="inversion", c=r_in * lo),
-        AnnulusEnd(hole=1, r=hi, R=r_out, kind="identity"),
-    ]
-    # first pass: wide bands fix a provisional epsilon and wall count N;
-    # then narrow bands sized to N keep the fine graph small, and the
-    # crossing bound is re-verified with the final parameters.  A band
-    # clipped by its end to at most 2/N cannot hold the walls, so N rises
-    # until 2/N falls below the narrowest band.
+
+def _walls(members, t_grid, core, required):
+    """Stages 2 and 3: bands, Lopez-Ros parameters and the wall count N,
+    then the labyrinths, the factors and the transformed members.
+
+    Wide bands fix a provisional epsilon at N = 2.  N then rises to the
+    a-priori rule (1 + EST_MARGIN) required / (min(0.5, r) eps), or to the
+    least N with 2/N below the narrowest band, and each new N gets bands
+    of width 2.5/N and its own parameters, within four tries and N_MAX.
+    """
+    lo, hi = core
+    r_in, r_out = members[0].r_inner, members[0].r_outer
+    ends = [AnnulusEnd(0, r_in, lo, kind="inversion", c=r_in * lo),
+            AnnulusEnd(1, hi, r_out)]
     f3_family = [m.f3 for m in members]
-    bands = find_bands(f3_family, ends, t_grid)
-    params = choose_params(members, bands, 2, t_grid)
-    N = 2
+    N, width = 2, None
     for _ in range(4):
+        bands = find_bands(f3_family, ends, t_grid, width=width)
+        params = choose_params(members, bands, N, t_grid)
         r_const = min(min(0.5, b.r) for b in bands)
         needed = (1.0 + EST_MARGIN) * required / (r_const * params.eps)
+        w_min = min(b.R - b.r for b in bands)
         if N >= needed:
-            w_min = min(b.R - b.r for b in bands)
             if 2.0 / N < w_min:
                 break
-            N_fit = int(2.0 / w_min) + 1
-            if N_fit > N_MAX:
-                raise EstimateNotMet(
-                    f"band width {w_min:.3g} does not exceed 2/N = "
-                    f"{2.0 / N:.3g}, and the wall count N = {N_fit} that "
-                    f"fits exceeds the supported budget {N_MAX}"
-                )
-            N = N_fit
+            fit = int(2.0 / w_min) + 1
+            why = f"band width {w_min:.3g} does not exceed 2/N = {2.0 / N:.3g}"
         else:
-            N = max(int(np.ceil(needed)), 2)
-            if N > N_MAX:
-                raise EstimateNotMet(
-                    f"required wall count N = {N} exceeds the supported "
-                    f"budget {N_MAX}; the step cannot reach distance "
-                    f"{required:.3g}"
-                )
-        bands = find_bands(f3_family, ends, t_grid, width=2.5 / N)
-        params = choose_params(members, bands, N, t_grid)
+            fit = max(int(np.ceil(needed)), 2)
+            why = f"distance {required:.3g} needs N >= {needed:.3g}"
+        if fit > N_MAX:
+            raise EstimateNotMet(
+                f"walls stage: {why}, and the wall count N = {fit} it asks "
+                f"for exceeds the supported budget {N_MAX}"
+            )
+        N, width, tried = fit, 2.5 / fit, N
     else:
         raise EstimateNotMet(
-            "no wall count satisfies the crossing bound on the found bands"
+            f"walls stage: no wall count satisfies the crossing bound in 4 "
+            f"tries: the bands of the last N = {tried} need N = {N}"
         )
     labs = [build_labyrinth(b, N) for b in bands]
-    transformed = lopez_ros(members, params, labs, t_grid)
-    factors = _factors(params, t_grid)
+    report = {"N": N, "lam": params.lam, "eps": params.eps, "c0": params.c0}
+    return _Walls(report, N, params, labs, _factors(params, t_grid),
+                  lopez_ros(members, params, labs, t_grid))
 
-    report = {"N": N, "tau": tau, "delta": delta, "required": required,
-              "lam": params.lam, "eps": params.eps, "c0": params.c0}
-    passes = {}
 
-    # the checks below read each transformed member j, the base member
-    # members[j] grown by factors[j] on the walls, off one evaluation of the
-    # base members and the wall mask per point set
+def _checks(members, t_grid, rho, core, base, walls, delta):
+    """Stage 4: checks (I)-(IV) and est1/est2.  A transformed member j is
+    read as members[j] grown by walls.factors[j] on the walls, off one
+    evaluation of the base members and the wall mask per point set: (IV)
+    on stage 1's coarse one, the rest on point sets that die with the stage."""
+    labs, factors = walls.labyrinths, walls.factors
     pairs = list(zip(members, factors))
 
     # (I) anchoring at t = 0 and (II) third components, exactly
-    probe = _PointSet(
-        wz.PolarGrid(wz._open_radii(r_in, r_out, 16), 64), members
-    ).walls(labs)
-    passes["anchoring"] = not np.any(probe.f_change(data0, factors[0]))
+    radii = wz._open_radii(members[0].r_inner, members[0].r_outer, 16)
+    probe = _PointSet(wz.PolarGrid(radii, 64), members).walls(labs)
+    anchored = not np.any(probe.f_change(members[0], factors[0]))
     # each returned member's own f3 against its base member's, once per
     # distinct pair of f3 callables
     f3_pairs = {
-        (id(tr.f3), id(m.f3)): (tr.f3, m) for tr, m in zip(transformed, members)
+        (id(tr.f3), id(m.f3)): (tr.f3, m) for tr, m in zip(walls.members, members)
     }
     third_dev = max(
         float(np.max(np.abs(wz._evaluate(f3, probe.grid) - probe.gf3(m)[1])))
         for f3, m in f3_pairs.values()
     )
-    report["third_component_deviation"] = third_dev
-    passes["third_components"] = third_dev <= 1e-10
 
     # (III) flux over the core generator: the loop period is a weighted
     # sum of f theta/dz over the circle's points, so the flux changes by
@@ -1004,10 +963,9 @@ def complete_step(family, core, delta, ts=None, seed=23):
         return np.abs(ft.sum(axis=0).imag)
 
     flux_dev = max(float(np.max(flux_change(m, fac))) for m, fac in pairs)
-    report["flux_deviation"] = flux_dev
-    passes["flux_traces"] = flux_dev <= 1e-10
 
     # approximation on the core: the transform is the identity there
+    lo, hi = core
     core_grid = wz.PolarGrid(
         rho * np.linspace(lo / rho + 1e-9, hi / rho - 1e-9, 8), 512
     )
@@ -1016,13 +974,10 @@ def complete_step(family, core, delta, ts=None, seed=23):
         float(np.max(np.abs(on_core.f_change(m, fac)), initial=0.0))
         for m, fac in pairs
     )
-    report["core_deviation"] = core_dev
-    passes["core_approximation"] = core_dev <= 1e-10
 
-    # est1 / est2 pointwise on band grids at bracket start, middle and end
-    slack = 1e-6
-    est1_ok, est2_ok = True, True
-    est1_min, est2_min = np.inf, np.inf
+    # est1 / est2 pointwise on band grids at bracket start, middle and end:
+    # the least chart density on the walls, and on the whole band
+    on_walls, on_bands = [], []
     for lab in labs:
         band = lab.band
         t_lo, t_hi = band.bracket
@@ -1030,8 +985,7 @@ def complete_step(family, core, delta, ts=None, seed=23):
             int(np.argmin(np.abs(t_grid - t)))
             for t in (t_lo, 0.5 * (t_lo + t_hi), t_hi)
         ]
-        on_band = _PointSet(band.grid(96, 128), [members[j] for j in js])
-        on_band.walls(labs)
+        on_band = _PointSet(band.grid(96, 128), [members[j] for j in js]).walls(labs)
         # chart coordinates in the order of the physical grid's points
         w = band.end.to_chart(on_band.points)
         inside = lab.contains_chart(w)
@@ -1039,74 +993,120 @@ def complete_step(family, core, delta, ts=None, seed=23):
         for j in js:
             dens_chart = on_band.density(members[j], factors[j]) * chart_scale
             if np.any(inside):
-                m1 = float(np.min(dens_chart[inside]))
-                est1_min = min(est1_min, m1 / (N**8 * params.eps**2))
-                est1_ok &= m1 > N**8 * params.eps**2 * (1.0 - slack)
-            m2 = float(np.min(dens_chart))
-            est2_min = min(est2_min, m2 / params.eps**2)
-            est2_ok &= m2 > params.eps**2
-    report["est1_ratio"] = est1_min
-    report["est2_ratio"] = est2_min
-    passes["est1"] = est1_ok
-    passes["est2"] = est2_ok
+                on_walls.append(float(np.min(dens_chart[inside])))
+            on_bands.append(float(np.min(dens_chart)))
+    eps2 = walls.params.eps**2
+    bound1 = walls.N**8 * eps2
 
     # (IV) per-t distances on the coarse graph: each pair takes its base
     # member's search unless one of its wall densities falls
-    on_coarse.walls(labs)
+    on_coarse = base.points.walls(labs)
     dists = np.array([
-        _certified_distance(coarse, on_coarse.density(m), base_distance[id(m)],
+        _certified_distance(base.coarse, on_coarse.density(m), base.distance[id(m)],
                             on_coarse.density(m, fac), on_coarse.mask)
         for m, fac in pairs
     ])
-    report["min_distance_t"] = float(dists.min())
-    passes["conclusion_iv"] = bool(np.all(dists > tau - delta))
+    return _Checks(
+        {"third_component_deviation": third_dev, "flux_deviation": flux_dev,
+         "core_deviation": core_dev,
+         "est1_ratio": min([np.inf] + [m / bound1 for m in on_walls]),
+         "est2_ratio": min([np.inf] + [m / eps2 for m in on_bands]),
+         "min_distance_t": float(dists.min())},
+        {"anchoring": anchored, "third_components": third_dev <= 1e-10,
+         "flux_traces": flux_dev <= 1e-10,
+         "core_approximation": core_dev <= 1e-10,
+         "est1": all(m > bound1 * (1.0 - 1e-6) for m in on_walls),
+         "est2": all(m > eps2 for m in on_bands),
+         "conclusion_iv": bool(np.all(dists > base.tau - delta))},
+        dists,
+    )
 
-    # the endpoint graph sets the step's peak memory: release the point
-    # sets, with their cached densities, before it is built
-    del on_coarse, on_band
 
-    # (V) endpoint distance on the labyrinth-resolving graph
+def _endpoint(members, rho, walls, delta):
+    """Stage 5: the last member's distance on the fine graph of _fine_radii
+    with 128 angles, conclusion (V), and est3: every graph crossing of each
+    band, bounded below off the same distance field."""
+    labs, N = walls.labyrinths, walls.N
+    r_in, r_out = members[0].r_inner, members[0].r_outer
     radii = _fine_radii(r_in, r_out, labs, N)
-    fine = build_metric_graph(r_in, r_out, x0, radii=radii, n_th=128)
-    end = intrinsic_distance(members[-1], fine, labs, factors[-1])
-    final = end.value
-    report["final_distance"] = final
-    # radial spacing inside the bands: one ring per wall and per gap
-    report["fine_resolution"] = _fine_spacing(N)
-    passes["conclusion_v"] = final > 1.0 / delta
-
-    # est3: every graph crossing of each band, bounded below off the
-    # endpoint distance field; the core side is band.r in the chart, and
-    # radius_in_chart, an involution, maps chart radii to physical ones
-    est3_ok = True
-    est3_min = np.inf
+    fine = build_metric_graph(r_in, r_out, complex(rho), radii=radii, n_th=128)
+    end = intrinsic_distance(members[-1], fine, labs, walls.factors[-1])
+    # the core side of a band is band.r in the chart, and radius_in_chart,
+    # an involution, maps chart radii to physical ones
+    crossings = []  # (least crossing, its bound) per band
     for lab in labs:
         band = lab.band
-        near, far = (
-            int(np.searchsorted(radii, band.end.radius_in_chart(x)))
-            for x in (band.r, band.R)
+        near, far = np.searchsorted(
+            radii, band.end.radius_in_chart(np.array([band.r, band.R]))
         )
-        length = _crossing_bound(end.node_distances, near, far)
-        bound = min(0.5, band.r) * params.eps * N
-        est3_min = min(est3_min, length / bound)
-        est3_ok = est3_ok and length > bound
-    report["est3_ratio"] = est3_min
-    passes["est3"] = est3_ok
-
-    report["passes"] = passes
-    result = CompleteStepResult(
-        members=transformed, ts=t_grid, labyrinths=labs, params=params, N=N,
-        tau=tau, delta=delta, distances=dists, final_distance=final,
-        report=report,
+        crossings.append((_crossing_bound(end.node_distances, near, far),
+                          min(0.5, band.r) * walls.params.eps * N))
+    return _Endpoint(
+        {"final_distance": end.value, "fine_resolution": _fine_spacing(N),
+         "est3_ratio": min([np.inf] + [c / b for c, b in crossings])},
+        {"conclusion_v": end.value > 1.0 / delta,
+         "est3": all(c > b for c, b in crossings)},
     )
+
+
+def complete_step(family, core, delta, ts=None, seed=23):
+    """One completeness induction step with full estimate verification.
+
+    family: per-t Weierstrass data (or a single datum for a constant
+    family); core: (lo, hi) moduli of an annular core containing the
+    homology circle; delta > 0 the step parameter.  Returns the
+    transformed family and a verification report; raises EstimateNotMet
+    when a measured distance violates its required bound, (IV) before (V).
+
+    The step validates its input, composes five stages and merges their
+    report entries and passes in stage order: _base_distances (tau, delta,
+    required), _walls (bands over BRACKET, N with the EST_MARGIN safety
+    margin, lam, eps, c0; labyrinths), _checks ((I)-(IV), est1, est2) and
+    _endpoint ((V), est3).  The step is deterministic: seed is accepted for
+    the perfbench workloads, which pass it, and is not read.
+    """
+    if not (isinstance(delta, numbers.Real) and math.isfinite(delta)
+            and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    members, t_grid = _as_members(family, ts)
+    if not members or t_grid.shape != (len(members),):
+        raise ValueError(
+            f"family and ts must be nonempty and of one length, got "
+            f"{len(members)} members and ts of shape {t_grid.shape}"
+        )
+    r_in, r_out = members[0].r_inner, members[0].r_outer
+    lo, hi = core
+    rho = wz.homology_radius(members[0])
+    if not (r_in < lo < rho < hi < r_out):
+        raise InvalidCore(
+            f"core ({lo:g}, {hi:g}) must be an annulus inside ({r_in:g}, "
+            f"{r_out:g}) containing the homology circle |z| = {rho:g}"
+        )
+    if wz.is_flat(members[0])[0]:
+        raise FlatInput("completeness step requires a nonflat family")
+
+    base = _base_distances(members, rho, delta)
+    walls = _walls(members, t_grid, core, base.required)
+    checks = _checks(members, t_grid, rho, core, base, walls, delta)
+    # N leads the report; base's coarse point set dies before the endpoint
+    report = {"N": walls.N, **base.report, **walls.report, **checks.report}
+    del base
+    end = _endpoint(members, rho, walls, delta)
+    report.update(end.report)
+    report["passes"] = passes = {**checks.passes, **end.passes}
     if not passes["conclusion_iv"]:
         raise EstimateNotMet(
-            f"distance {dists.min():.3g} does not exceed tau - delta = "
-            f"{tau - delta:.3g}"
+            f"checks stage: distance {report['min_distance_t']:.3g} does not "
+            f"exceed tau - delta = {report['tau'] - delta:.3g}"
         )
     if not passes["conclusion_v"]:
         raise EstimateNotMet(
-            f"final distance {final:.3g} does not exceed 1/delta = "
-            f"{1.0 / delta:.3g}"
+            f"endpoint stage: final distance {report['final_distance']:.3g} "
+            f"does not exceed 1/delta = {1.0 / delta:.3g}"
         )
-    return result
+    return CompleteStepResult(
+        members=walls.members, ts=t_grid, labyrinths=walls.labyrinths,
+        params=walls.params, N=walls.N, tau=report["tau"], delta=delta,
+        distances=checks.distances, final_distance=report["final_distance"],
+        report=report,
+    )

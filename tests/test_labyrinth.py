@@ -1,5 +1,8 @@
 """Tests for labyrinths, Lopez-Ros parameters, distances and the step."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +225,9 @@ class TestChooseParams:
     @pytest.mark.parametrize("which", ["epsilon", "lambda"])
     def test_reverification_failure_is_typed(self, monkeypatch, which):
         # an overestimated sampled minimum makes the chosen parameter too
-        # bold; the fine-grid re-verification must catch it
+        # bold; the fine-grid re-verification must catch it, and name the
+        # measured quantity and its bound: doubling gives eps = 1, or c0 = 4
+        # and lam = 18, so at t = 1/2 the grown |g| is 20
         end = lb.AnnulusEnd(0, 1.3, 2.0)
         band = lb.AnnulusBand(0, 0, 1.4, 1.9, end, (0.5, 1.0))
         # g = 2 and f3 theta/dw = 1, so the sampled values tell which
@@ -237,7 +242,14 @@ class TestChooseParams:
             return scale * real(probe, refine)
 
         monkeypatch.setattr(lb, "_sampled_min", overestimate)
-        with pytest.raises(EstimateNotMet, match=f"{which} inequality"):
+        measured = {
+            "epsilon": r"min \|f3 theta/dw\| 1 <= eps 1$",
+            "lambda": r"\(1 \+ lam t\) min \|g\| 20 < 2 N\^4 32$",
+        }[which]
+        with pytest.raises(
+            EstimateNotMet, match=f"^walls stage: {which} inequality fails on "
+            f"re-verification: {measured}"
+        ):
             lb.choose_params(members, [band], 2, t)
 
     def test_reverification_of_bracket_without_samples(self, monkeypatch):
@@ -254,7 +266,8 @@ class TestChooseParams:
             lb.choose_params(members, [band], 2, t)
 
     def test_invalid_params_typed(self):
-        with pytest.raises(EstimateNotMet):
+        with pytest.raises(EstimateNotMet, match=r"^walls stage: invalid "
+                           r"Lopez-Ros parameters lam 1, eps 0, c0 1: "):
             lb.LopezRosParams(lam=1.0, eps=0.0, c0=1.0)
 
 
@@ -1027,6 +1040,14 @@ class TestCrossingBound:
         got = lb._crossing_bound(field, 2, 7)
         assert want - 1e-4 < got <= want
 
+    def test_far_circle_without_finite_node_reads_minus_inf(self):
+        # a far circle beyond the limit or cut off bounds nothing: -inf,
+        # not the NaN of inf - inf, nor the inf of inf - 3
+        d = np.full((3, 4), np.inf)
+        d[0] = [0.0, 1.0, 2.0, 3.0]
+        assert lb._crossing_bound(d, 2, 1) == -np.inf
+        assert lb._crossing_bound(d, 0, 1) == -np.inf
+
 
 class TestIntrinsicDistance:
     def flat(self, f3=1.0):
@@ -1558,3 +1579,62 @@ class TestCompleteStep:
             lb.complete_step(
                 wz.catalog("catenoid"), core=(0.8, 1.3), delta=1e-4
             )
+
+    def test_wall_count_search_gives_up_after_four_tries(self, monkeypatch):
+        # parameters that always ask for one wall more than N: the message
+        # names the last N tried and the N its bands need
+        def one_more(members, bands, N, t_grid):
+            r = min(min(0.5, b.r) for b in bands)
+            eps = (1.0 + lb.EST_MARGIN) * 2.0 / (r * (N + 0.5))
+            return lb.LopezRosParams(lam=1.0, eps=eps, c0=1.0)
+
+        monkeypatch.setattr(lb, "choose_params", one_more)
+        with pytest.raises(EstimateNotMet, match=r"^walls stage: no wall count"
+                           r" .* the last N = 5 need N = 6$"):
+            lb.complete_step(
+                wz.catalog("catenoid"), core=(0.8, 1.3), delta=0.5,
+                ts=np.linspace(0.0, 1.0, 8),
+            )
+
+
+class TestStages:
+    """complete_step composes its stages; each stage's record is its own."""
+
+    def test_endpoint_stage_on_walls_record(self, catenoid_step):
+        # a search over N reruns only the wall and endpoint stages: the
+        # endpoint stage on the wall stage's record is the step's, bit for bit
+        cat = wz.catalog("catenoid")
+        members, ts = [cat] * catenoid_step.ts.size, catenoid_step.ts
+        rho = wz.homology_radius(cat)
+        base = lb._base_distances(members, rho, 0.5)
+        walls = lb._walls(members, ts, (0.8, 1.3), base.required)
+        end = lb._endpoint(members, rho, walls, 0.5)
+        assert walls.N == catenoid_step.N
+        assert end.report["final_distance"] == catenoid_step.final_distance
+        assert end.report["est3_ratio"] == catenoid_step.report["est3_ratio"]
+        assert end.passes == {"conclusion_v": True, "est3": True}
+
+    def test_independent_of_call_order(self, catenoid_step):
+        # the labyrinth_step benchmark alternates its inputs in one process:
+        # a fresh interpreter's catalog step, the same after a step on the
+        # stored endpoint, and this process's are the same bits
+        script = (
+            "import sys\n"
+            "from minflux import cli, labyrinth as lb, weierstrass as wz\n"
+            "stored = cli.load_family(sys.argv[1]).members[-1]\n"
+            "for data in (wz.catalog('catenoid'), stored, wz.catalog('catenoid')):\n"
+            "    r = lb.complete_step(data, core=(0.8, 1.3), delta=0.5)\n"
+            "    print(repr(r.report), r.distances.tobytes().hex())\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = subprocess.run(
+            [sys.executable, "-c", script,
+             str(root / "perfbench" / "stored_endpoint.json")],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        here = (f"{catenoid_step.report!r} "
+                f"{catenoid_step.distances.tobytes().hex()}")
+        assert len(out) == 3
+        assert out[0] == out[2] == here
