@@ -202,21 +202,17 @@ def _fmt(x):
     return _FLOAT % float(x)
 
 
-def write_trace_csv(path, family, target=None):
-    """Flux/period trace: one row per (t, generator)."""
+def write_trace_csv(path, family, target):
+    """Flux/period trace: one row per (t, generator), with |Re p| and the
+    distance of Im p from the flux schedule, the imaginary part of
+    iso.period_schedule from the period at t = 0 to the flux target."""
     header = (
         "t,generator,re_p1,im_p1,re_p2,im_p2,re_p3,im_p3,"
         "real_period_residual,flux_target_residual"
     )
     lines = [header]
-    flux_end = np.asarray(
-        family.flux_trace[-1] if target is None else target, dtype=float
-    )
     ts = np.asarray(family.ts, dtype=float)
-    ramp = (
-        (1.0 - ts)[:, None] * family.flux_trace[0][None, :]
-        + ts[:, None] * flux_end[None, :]
-    )
+    ramp = iso.period_schedule(ts, family.periods[0], target).imag
     for k, t in enumerate(ts):
         p = family.periods[k]
         real_res = float(np.linalg.norm(p.real))
@@ -345,8 +341,9 @@ def load_family(path, driver=None):
     """The ImmersionFamily stored by write_coefficients.
 
     A missing or ill-typed entry, a non-finite number, an unknown catalog
-    name, an out-of-range theta, radius, parity or scale, or a recorded
-    driver other than the given driver raises ConfigError.
+    name, an out-of-range theta, radius, parity or scale, a basepoint off
+    the annulus's generator point, or a recorded driver other than the
+    given driver raises ConfigError.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -373,7 +370,12 @@ def load_family(path, driver=None):
         raise ConfigError(
             "coefficients file: members and ts must be nonempty and of one length"
         )
-    basepoint = _complex(_entry(doc, "basepoint"), "basepoint")
+    chart = rm.homology_basis(rm.annulus(r_in, r_out))[0]
+    if _complex(_entry(doc, "basepoint"), "basepoint") != chart.radius:
+        raise ConfigError(
+            f"coefficients file: basepoint must be the generator point "
+            f"[{_fmt(chart.radius)}, 0] of the annulus"
+        )
     notice = doc.get("notice", "")
     if not isinstance(notice, str):
         raise ConfigError("coefficients file: notice must be a JSON str")
@@ -383,7 +385,6 @@ def load_family(path, driver=None):
         raise ConfigError(f"coefficients file: catalog: {exc}") from None
     if base is not None:
         base.r_inner, base.r_outer = r_in, r_out
-    chart = rm.homology_basis(rm.annulus(r_in, r_out))[0]
     members, periods = [], []
     for k, entry in enumerate(entries):
         if entry is None:
@@ -399,8 +400,6 @@ def load_family(path, driver=None):
         ts=np.array(ts, dtype=float),
         members=members,
         periods=np.array(periods),
-        basepoint=basepoint,
-        chart=chart,
         notice=notice,
         meta={"catalog": catalog},
     )
@@ -492,12 +491,10 @@ def _family_for(cfg):
 
 
 def _target_flux(cfg):
-    """Flux the configured driver must reach at t = 1 (None: no driver target)."""
+    """Flux the configured flux driver must reach at t = 1."""
     if cfg.driver == "flux_to_zero":
         return np.zeros(3)
-    if cfg.driver == "prescribe_flux":
-        return np.asarray(cfg.target_flux, dtype=float)
-    return None
+    return np.asarray(cfg.target_flux, dtype=float)
 
 
 def _stored_family(cfg, outdir):
@@ -525,9 +522,8 @@ def _verify_family(cfg, fam):
         "max_real_period": _fmt(rep.max_real_period),
         "min_density": _fmt(rep.min_density),
         "t_samples": len(fam),
+        "flux_end_residual": _fmt(rep.flux_end_residual),
     }
-    if rep.flux_end_residual is not None:
-        items["flux_end_residual"] = _fmt(rep.flux_end_residual)
     return rep, items
 
 
@@ -553,13 +549,9 @@ def _run_complete_step(cfg, outdir):
     )
     write_labyrinth_csv(outdir / "labyrinth_polygons.csv", result)
     circle = wz.homology_radius(data)
-    periods = np.array(
-        [wz.loop_period(m, circle) for m in result.members]
-    )
-    fam = iso.ImmersionFamily(
-        ts=result.ts, members=result.members, periods=periods,
-        basepoint=complex(circle),
-    )
+    periods = np.array([wz.loop_period(m, circle) for m in result.members])
+    fam = iso.ImmersionFamily(ts=result.ts, members=result.members,
+                              periods=periods)
     write_trace_csv(outdir / "trace.csv", fam, target=periods[0].imag)
     items = {
         k: (_fmt(v) if isinstance(v, float) else v)
@@ -574,19 +566,15 @@ def _run_complete_step(cfg, outdir):
 
 def _classify(cfg, stream):
     data = initial_data(cfg)
-    dom = rm.annulus(data.r_inner, data.r_outer)
-    charts = rm.homology_basis(dom)
+    (chart,) = rm.homology_basis(rm.annulus(data.r_inner, data.r_outer))
     rng = np.random.default_rng(cfg.seed)
-    classes = []
-    for i, chart in enumerate(charts):
-        n = 2 ** int(rng.integers(7, 11))  # 128 .. 1024 samples
-        loop = iso.restrict_data(data, chart, n=n)
-        vals = np.roll(loop.values, int(rng.integers(n)), axis=0)
-        cls = nq.pi1_class(vals)
-        classes.append(cls)
-        stream.write(f"generator {i}: class {cls}\n")
-    label = "(" + ", ".join(str(c) for c in classes) + ")"
-    stream.write(f"component {label} in (Z_2)^{len(classes)}\n")
+    n = 2 ** int(rng.integers(7, 11))  # 128 .. 1024 samples
+    loop = iso.restrict_data(data, chart, n=n)
+    vals = np.roll(loop.values, int(rng.integers(n)), axis=0)
+    cls = nq.pi1_class(vals)
+    # the annulus has one homology generator
+    stream.write(f"generator 0: class {cls}\n")
+    stream.write(f"component ({cls}) in (Z_2)^1\n")
     return 0
 
 

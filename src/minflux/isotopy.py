@@ -4,13 +4,13 @@ The drivers deform a conformal minimal immersion of an annulus through
 conformal minimal immersions until its flux vector reaches a prescribed
 value (zero by default).  The deformation happens at the level of the
 boundary loop of the derivative data: the loop period is steered along a
-linear ramp by quadric-preserving flows, and each intermediate loop is
-extended holomorphically to the annulus with sup error at most
-min(TOL_RUNGE, tol_period / 10) on the homology circle.  The exact
-coefficient period of an extension is the mean of its samples there, so
-it lies within that sup error plus 1e-12 of the ramp.  At the zero
-endpoint the full complex periods vanish and a holomorphic null curve
-with u1 = Re F is emitted.
+linear ramp (period_schedule) by quadric-preserving flows, and each
+intermediate loop is extended holomorphically to the annulus with sup
+error at most min(TOL_RUNGE, tol_period / 10) on the homology circle.
+The exact coefficient period of an extension is the mean of its samples
+there, so it lies within that sup error plus 1e-12 of the ramp.  At the
+zero endpoint the full complex periods vanish and a holomorphic null
+curve with u1 = Re F is emitted.
 """
 
 from __future__ import annotations
@@ -62,16 +62,35 @@ class ImmersionFamily:
     members[k] is the Weierstrass data at ts[k]; members[0] is the input
     object itself (exact coefficients).  A driven member carries the
     Laurent extension it was built from as its spinor.  periods[k] is the
-    complex period of f theta over the homology generator.
+    complex period of f theta over the homology generator.  Every member
+    lies on one annulus (ValueError otherwise), whose homology generator
+    circle is the family's chart and whose point on the positive real
+    axis is its basepoint.
     """
 
     ts: np.ndarray
     members: list
     periods: np.ndarray
-    basepoint: complex
-    chart: object = None
     notice: str = ""
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        annuli = list({(m.r_inner, m.r_outer): 0 for m in self.members})
+        if len(annuli) > 1:
+            raise ValueError(
+                f"family members lie on two annuli, {annuli[0]} and {annuli[1]}"
+            )
+
+    @property
+    def chart(self):
+        """The homology generator circle of the members' annulus."""
+        m = self.members[0]
+        return rm.homology_basis(rm.annulus(m.r_inner, m.r_outer))[0]
+
+    @property
+    def basepoint(self):
+        """The generator circle's point on the positive real axis."""
+        return complex(self.chart.radius)
 
     def __len__(self):
         return len(self.members)
@@ -194,16 +213,22 @@ def _as_immersion(u0):
     return u0 if isinstance(u0, MinimalImmersion) else MinimalImmersion(u0)
 
 
-def _constant_family(data, chart, n_t, period0, notice=""):
+def _constant_family(data, n_t, period0, notice=""):
     ts = np.linspace(0.0, 1.0, n_t)
     periods = np.tile(np.asarray(period0, dtype=complex), (n_t, 1))
     return ImmersionFamily(
-        ts=ts,
-        members=[data] * n_t,
-        periods=periods,
-        basepoint=complex(chart.radius),
-        chart=chart,
-        notice=notice,
+        ts=ts, members=[data] * n_t, periods=periods, notice=notice
+    )
+
+
+def period_schedule(ts, period0, target):
+    """The periods the drivers steer along: (1 - t) period0 + t i target at
+    each t of ts, shape (len(ts), 3).  Its imaginary part is the flux
+    schedule from the flux of period0 to target."""
+    ts = np.asarray(ts, dtype=float)
+    return (
+        (1.0 - ts)[:, None] * period0[None, :]
+        + ts[:, None] * (1j * np.asarray(target, dtype=float))[None, :]
     )
 
 
@@ -241,35 +266,30 @@ def _drive(
     data = u0.data
     domain = rm.annulus(data.r_inner, data.r_outer)
     chart = rm.homology_basis(domain)[0]
-    z0 = complex(chart.radius)
 
     loop0 = restrict_data(data, chart, n=N_S_DEFAULT)
     period0 = lp.period(loop0)
     flux0 = period0.imag
 
-    flat, _ray = wz.is_flat(data)
     met = float(np.linalg.norm(flux0 - target)) <= tol_flux
-    if flat:
+    if wz.is_flat(data):
         if not met:
             raise FlatInput(
                 "flat input can only carry its own flux; target differs by "
                 f"{np.linalg.norm(flux0 - target):.3g}"
             )
         return _constant_family(
-            data, chart, n_t, period0,
+            data, n_t, period0,
             notice="flat input: already the real part of a null curve; "
             "constant family emitted",
         )
     if met:
         return _constant_family(
-            data, chart, n_t, period0, notice="target flux already met at t = 0"
+            data, n_t, period0, notice="target flux already met at t = 0"
         )
 
     ts = np.linspace(0.0, 1.0, n_t)
-    ramp = (
-        (1.0 - ts)[:, None] * period0[None, :]
-        + ts[:, None] * (1j * target)[None, :]
-    )
+    ramp = period_schedule(ts, period0, target)
     controls = _driver_controls(loop0.values.shape[0])
     deformed = lp._period_continuation(loop0.values, ramp, controls)
 
@@ -282,15 +302,12 @@ def _drive(
         members.append(member)
         periods.append(period)
 
-    fam = ImmersionFamily(
+    return ImmersionFamily(
         ts=ts,
         members=members,
         periods=np.array(periods),
-        basepoint=z0,
-        chart=chart,
         meta={"tol_flux": tol_flux, "tol_period": tol_period},
     )
-    return fam
 
 
 def flux_to_zero(u0, n_t=N_T_DEFAULT, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD):
@@ -325,10 +342,12 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     resolution, a positive integer (ValueError otherwise), scales the
     verification grid (32 x 128 radii by angles per unit) and the loop
     sampling (N_S_DEFAULT per unit) relative to the construction defaults
-    (2 doubles them).  The metric density is measured on that grid, whose
-    radii lie strictly inside each member's annulus, from g and f3 alone;
-    the periods on the loop over its homology circle; conformality
-    (against TOL_NULL, and null by construction) on the boundary circles.
+    (2 doubles them).  The grid, the two boundary circles and the homology
+    circle (family.chart) are built once, on the annulus every member
+    shares.  The metric density is measured on that grid, whose radii lie
+    strictly inside the annulus, from g and f3 alone; the periods on the
+    loop over the homology circle; conformality (against TOL_NULL, and
+    null by construction) on the boundary circles.
     Every member's boundary loop must have the pi1 class of member 0's
     (spin_class).  The largest member step
     max|f(t_k+1) - f(t_k)| / max|f(t_k)|, scaled by n_t - 1, must stay
@@ -352,10 +371,11 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         raise ValueError("cannot verify an empty family")
     n_r, n_th = 32 * resolution, 128 * resolution
     n_loop = N_S_DEFAULT * resolution
-    # members sharing an annulus share the grid and the boundary circles;
-    # these carry n_loop angles, as the homology circle does, since a
-    # sampled max misses the sup by O(1/angles^2)
-    grids = {}
+    # the boundary circles carry n_loop angles, as the homology circle
+    # does, since a sampled max misses the sup by O(1/angles^2)
+    first, chart = family.members[0], family.chart
+    grid = PolarGrid(_open_radii(first.r_inner, first.r_outer, n_r), n_th)
+    rims = PolarGrid([first.r_inner, first.r_outer], n_loop)
     max_conf = 0.0
     max_real = 0.0
     min_den = np.inf
@@ -365,14 +385,6 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     flat_flags = []
     pi1_classes = []
     for t, data in zip(family.ts, family.members):
-        key = (data.r_inner, data.r_outer)
-        if key not in grids:
-            radii = _open_radii(data.r_inner, data.r_outer, n_r)
-            grids[key] = (
-                PolarGrid(radii, n_th),
-                PolarGrid([data.r_inner, data.r_outer], n_loop),
-            )
-        grid, rims = grids[key]
         fb = data.f(rims)
         # a NaN value makes every reduction NaN, an inf one the residual's
         # inf/inf: the reductions are tested instead of every value
@@ -382,13 +394,13 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         member = f"member at t = {float(t):g}"
         if not (math.isfinite(conf) and math.isfinite(sup)):
             raise NonFiniteValues(f"{member} is not finite on the rims")
-        loop = restrict_data(data, family.chart, n=n_loop)
+        loop = restrict_data(data, chart, n=n_loop)
         per = lp.period(loop)
         den_min, real = wz.admission(data, grid, per.real, member)
         max_conf = max(max_conf, conf)
         min_den = min(min_den, den_min)
         max_real = max(max_real, real)
-        flat_flags.append(bool(wz.is_flat(data)[0]))
+        flat_flags.append(wz.is_flat(data))
         if prev is not None:
             step = float(np.max(np.abs(fb - prev))) / prev_sup
             max_step = max(max_step, step)

@@ -1056,7 +1056,8 @@ def complete_step(family, core, delta, ts=None, seed=23):
     family); core: (lo, hi) moduli of an annular core containing the
     homology circle; delta > 0 the step parameter.  Returns the
     transformed family and a verification report; raises EstimateNotMet
-    when a measured distance violates its required bound, (IV) before (V).
+    when a measured distance violates its required bound, (IV) before (V):
+    a failing (IV) raises before the endpoint stage builds its fine graph.
 
     The step validates its input, composes five stages and merges their
     report entries and passes in stage order: _base_distances (tau, delta,
@@ -1082,23 +1083,24 @@ def complete_step(family, core, delta, ts=None, seed=23):
             f"core ({lo:g}, {hi:g}) must be an annulus inside ({r_in:g}, "
             f"{r_out:g}) containing the homology circle |z| = {rho:g}"
         )
-    if wz.is_flat(members[0])[0]:
+    if wz.is_flat(members[0]):
         raise FlatInput("completeness step requires a nonflat family")
 
     base = _base_distances(members, rho, delta)
     walls = _walls(members, t_grid, core, base.required)
     checks = _checks(members, t_grid, rho, core, base, walls, delta)
-    # N leads the report; base's coarse point set dies before the endpoint
+    # N leads the report
     report = {"N": walls.N, **base.report, **walls.report, **checks.report}
-    del base
-    end = _endpoint(members, rho, walls, delta)
-    report.update(end.report)
-    report["passes"] = passes = {**checks.passes, **end.passes}
-    if not passes["conclusion_iv"]:
+    if not checks.passes["conclusion_iv"]:
         raise EstimateNotMet(
             f"checks stage: distance {report['min_distance_t']:.3g} does not "
             f"exceed tau - delta = {report['tau'] - delta:.3g}"
         )
+    # base's coarse point set dies before the endpoint
+    del base
+    end = _endpoint(members, rho, walls, delta)
+    report.update(end.report)
+    report["passes"] = passes = {**checks.passes, **end.passes}
     if not passes["conclusion_v"]:
         raise EstimateNotMet(
             f"endpoint stage: final distance {report['final_distance']:.3g} "

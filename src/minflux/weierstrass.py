@@ -409,7 +409,7 @@ def integrate_immersion(data, basepoint, value, targetpoint, path=None):
 
 
 def is_flat(data):
-    """Flatness test of Weierstrass data; returns (flag, ray or None).
+    """Flatness test of Weierstrass data, as a bool.
 
     A minimal surface is planar exactly when its Gauss map is constant
     (Osserman), and then f = f3 null_triple(c, 1) spans a single complex
@@ -417,8 +417,7 @@ def is_flat(data):
     1) is constant exactly when the 2 x K coefficient matrix [num; den] has
     rank one, tested as a singular-value gap below FLAT_GAP; no sample is
     taken.  Only an opaque callable g is sampled: f on the data's grid is
-    flat when its centered sample matrix has that gap.  The ray is unit,
-    with its largest entry positive real.
+    flat when its centered sample matrix has that gap.
     """
     g = data.g
     if isinstance(g, LaurentSeries):
@@ -430,20 +429,10 @@ def is_flat(data):
         rows[0, num.k_min - lo : num.k_max - lo + 1] = num.coeffs
         rows[1, den.k_min - lo : den.k_max - lo + 1] = den.coeffs
         s = np.linalg.svd(rows, compute_uv=False)
-        if s.size > 1 and s[1] > FLAT_GAP * s[0]:
-            return False, None
-        # the constant num/den, by least squares over the coefficients
-        c = np.vdot(rows[1], rows[0]) / np.vdot(rows[1], rows[1])
-        ray = null_triple(np.array([c]), np.ones(1))[0]
-        ray = ray / np.linalg.norm(ray)
-    else:
-        v = data.f(data.grid())
-        s = np.linalg.svd(v - v.mean(axis=0), compute_uv=False)
-        if s[0] > 0 and s[1] > FLAT_GAP * s[0]:
-            return False, None
-        ray = np.linalg.svd(v, full_matrices=False)[2][0]
-    k = int(np.argmax(np.abs(ray)))
-    return True, ray * (abs(ray[k]) / ray[k])
+        return not (s.size > 1 and s[1] > FLAT_GAP * s[0])
+    v = data.f(data.grid())
+    s = np.linalg.svd(v - v.mean(axis=0), compute_uv=False)
+    return not (s[0] > 0 and s[1] > FLAT_GAP * s[0])
 
 
 def admission(data, grid, real_period, where):

@@ -324,6 +324,18 @@ class TestBadCoefficientsFile:
         assert code == 1
         assert err.startswith("configuration error:")
 
+    @pytest.mark.parametrize("moved", [[1.0, 1e-9], [2.0, 0.0]])
+    def test_basepoint_off_generator_exit_1(self, small_run, tmp_path, moved):
+        # the family's basepoint is its annulus's generator point, here 1
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        assert doc["basepoint"] == [1.0, 0.0]
+        doc["basepoint"] = moved
+        code, err = verify_with_doc(tmp_path, doc, text)
+        assert code == 1
+        assert err == ("configuration error: coefficients file: basepoint "
+                       "must be the generator point [1, 0] of the annulus\n")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("verb", ["verify", "export", "run", "classify"])
     def test_non_finite_member_exit_2(self, small_run, tmp_path, verb):

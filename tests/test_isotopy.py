@@ -51,9 +51,9 @@ def member_steps(fam):
 
 
 def ramp(fam, target):
-    """The scheduled periods (1 - t) P_0 + t i target of a family."""
-    ts = fam.ts[:, None]
-    return (1.0 - ts) * fam.periods[0][None, :] + ts * (1j * target)[None, :]
+    """The scheduled periods of a family, from its period at t = 0 to the
+    period i target."""
+    return iso.period_schedule(fam.ts, fam.periods[0], target)
 
 
 class TestMemberExtension:
@@ -365,11 +365,39 @@ class TestVerify:
 
     def test_empty_family_raises(self):
         fam = iso.ImmersionFamily(
-            ts=np.array([]), members=[],
-            periods=np.zeros((0, 3)), basepoint=1.0,
+            ts=np.array([]), members=[], periods=np.zeros((0, 3)),
         )
         with pytest.raises(ValueError, match="empty family"):
             iso.verify(fam)
+
+    def test_family_of_members_alone_verifies(self, fam_zero):
+        # the family derives its generator circle from its members' annulus
+        fam = iso.ImmersionFamily(
+            ts=fam_zero.ts, members=fam_zero.members, periods=fam_zero.periods,
+        )
+        rep = iso.verify(fam, target_flux=np.zeros(3))
+        assert rep.ok
+        again = iso.verify(fam_zero, target_flux=np.zeros(3))
+        assert rep.flux_table.tobytes() == again.flux_table.tobytes()
+        assert rep.continuity == again.continuity
+
+    def test_members_on_two_annuli_rejected(self, fam_zero):
+        last = fam_zero.members[-1]
+        wide = wz.WeierstrassData(last.g, last.f3, theta=last.theta,
+                                  r_inner=0.4, r_outer=2.5)
+        with pytest.raises(ValueError,
+                           match=r"two annuli, \(0\.5, 2\.0\) and "
+                                 r"\(0\.4, 2\.5\)"):
+            iso.ImmersionFamily(
+                ts=fam_zero.ts, members=[*fam_zero.members[:-1], wide],
+                periods=fam_zero.periods,
+            )
+
+    def test_generator_derived_from_annulus(self, fam_zero):
+        names = [f.name for f in dataclasses.fields(iso.ImmersionFamily)]
+        assert names == ["ts", "members", "periods", "notice", "meta"]
+        assert fam_zero.chart.radius == wz.homology_radius(fam_zero.members[0])
+        assert fam_zero.basepoint == complex(fam_zero.chart.radius)
 
     def test_spin_class_gated(self, fam_zero):
         class OffQuadric(wz.WeierstrassData):
@@ -597,11 +625,7 @@ class TestBesselOracle:
         ), self.KAPPA_STAR]
         members = [self.member(k) for k in kappas]
         oracle = np.array([self.oracle_flux(k) for k in kappas])
-        chart = rm.homology_basis(rm.annulus())[0]
-        fam = iso.ImmersionFamily(
-            ts=ts, members=members,
-            periods=1j * oracle, basepoint=complex(chart.radius), chart=chart,
-        )
+        fam = iso.ImmersionFamily(ts=ts, members=members, periods=1j * oracle)
         rep = iso.verify(fam, target_flux=np.zeros(3))
         assert rep.passes == dict.fromkeys(rep.passes, True)
         assert "flux_target" in rep.passes

@@ -1535,8 +1535,7 @@ class TestCompleteStep:
         cat = wz.catalog("catenoid")
         ts = np.linspace(0.0, 1.0, 4)
         fam = iso.ImmersionFamily(
-            ts=ts, members=[cat] * 4,
-            periods=np.zeros((4, 3), complex), basepoint=1.0,
+            ts=ts, members=[cat] * 4, periods=np.zeros((4, 3), complex),
         )
         for other in (np.linspace(0.0, 1.0, 9), ts[::-1]):
             with pytest.raises(ValueError, match="family and ts"):
@@ -1613,6 +1612,24 @@ class TestStages:
         assert end.report["final_distance"] == catenoid_step.final_distance
         assert end.report["est3_ratio"] == catenoid_step.report["est3_ratio"]
         assert end.passes == {"conclusion_v": True, "est3": True}
+
+    def test_failing_iv_raises_before_endpoint(self, monkeypatch):
+        # (IV) fails on every member, so the step raises once the checks
+        # stage returns: stage 1's coarse graph is the only graph it builds
+        built = []
+        build = lb.build_metric_graph
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(lb, "build_metric_graph", counting)
+        monkeypatch.setattr(lb, "_certified_distance", lambda *args: 0.0)
+        with pytest.raises(EstimateNotMet, match=r"^checks stage: distance 0 "
+                           r"does not exceed tau - delta = "):
+            lb.complete_step(wz.catalog("catenoid"), core=(0.8, 1.3),
+                             delta=0.5)
+        assert len(built) == 1
 
     def test_independent_of_call_order(self, catenoid_step):
         # the labyrinth_step benchmark alternates its inputs in one process:

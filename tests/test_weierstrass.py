@@ -361,26 +361,16 @@ class OpaqueG(wz.WeierstrassData):
 
 class TestIsFlat:
     def test_flat_exponential(self):
-        fe = wz.catalog("flat_exponential")
-        flag, ray = wz.is_flat(fe)
-        assert flag
-        target = np.array([0, 1j, 1]) / np.sqrt(2)
-        phase = ray[2] / target[2]
-        assert np.allclose(ray, phase * target)
+        assert wz.is_flat(wz.catalog("flat_exponential")) is True
 
     def test_catenoid_not_flat(self):
-        cat = wz.catalog("catenoid")
-        flag, ray = wz.is_flat(cat)
-        assert not flag and ray is None
+        assert wz.is_flat(wz.catalog("catenoid")) is False
 
     def test_polynomial_multiple_of_ray(self):
-        # g = 1 as a plain callable: the sampled test on the data's grid
+        # g = 1 as a plain callable: the sampled test on the data's grid,
+        # where f = f3 null_triple(1, 1) is a multiple of one ray
         data = wz.WeierstrassData(1.0, wz.LaurentSeries([1.0, 0.0, 1.0]))
-        flag, ray = wz.is_flat(data)
-        assert flag
-        vals = data.f(data.grid())
-        coef = vals @ ray.conj() / (ray @ ray.conj())
-        assert np.max(np.abs(vals - coef[:, None] * ray)) < 1e-10
+        assert wz.is_flat(data) is True
 
     def test_exact_g_takes_no_samples(self):
         class Unsampled(wz.WeierstrassData):
@@ -393,12 +383,7 @@ class TestIsFlat:
                         (wz.LaurentSeries([c]), True),
                         (wz.LaurentQuotient(a, a + wz.LaurentSeries([c], 1)),
                          False)):
-            flag, ray = wz.is_flat(Unsampled(g, 1.0, theta="dz/z"))
-            assert flag == flat
-            if flat:
-                # the ray of f = f3 null_triple(c, 1)
-                v = wz.null_triple(np.array([c]), np.ones(1))[0]
-                assert abs(abs(np.vdot(ray, v)) - np.linalg.norm(v)) < 1e-12
+            assert wz.is_flat(Unsampled(g, 1.0, theta="dz/z")) is flat
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rank_one=st.booleans())
@@ -414,11 +399,7 @@ class TestIsFlat:
             wz.LaurentQuotient(num, den), nonvanishing_series(rng),
             theta="dz/z",
         )
-        exact, ray = wz.is_flat(data)
-        sampled, sampled_ray = wz.is_flat(OpaqueG(data))
-        assert exact == sampled == rank_one
-        if rank_one:
-            assert abs(abs(np.vdot(ray, sampled_ray)) - 1.0) < 1e-9
+        assert wz.is_flat(data) == wz.is_flat(OpaqueG(data)) == rank_one
 
 
 class TestCatalogAndImmersion:
