@@ -393,7 +393,11 @@ def load_family(path, driver=None):
             member, period = base, lp.period(iso.restrict_data(base, chart))
         else:
             ext = _extension(entry, f"members[{k}].")
-            member, period = iso._spinor_member(ext, theta, r_in, r_out)
+            # a huge coefficient or a scale near 0 overflows the spinor
+            # product; verify and the drivers' admission then reject the
+            # member as not finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                member, period = iso._spinor_member(ext, theta, r_in, r_out)
         members.append(member)
         periods.append(period)
     return iso.ImmersionFamily(

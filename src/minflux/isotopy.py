@@ -385,10 +385,11 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     flat_flags = []
     pi1_classes = []
     for t, data in zip(family.ts, family.members):
-        fb = data.f(rims)
-        # a NaN value makes every reduction NaN, an inf one the residual's
-        # inf/inf: the reductions are tested instead of every value
-        with np.errstate(invalid="ignore"):
+        # a huge coefficient overflows to inf, a NaN value makes every
+        # reduction NaN and an inf one the residual's inf/inf: the
+        # reductions are tested instead of every value
+        with np.errstate(over="ignore", invalid="ignore"):
+            fb = data.f(rims)
             conf = wz.conformality_residual(fb)
             sup = float(np.max(np.abs(fb)))
         member = f"member at t = {float(t):g}"

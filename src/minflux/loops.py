@@ -50,6 +50,10 @@ PAIR_DELTA = 0.05
 #: each failed attempt.
 PAIR_EPS = 0.1
 
+#: Samples of the coarse level of the flux drivers' period continuation,
+#: the smallest PeriodicPath.
+COARSE_SAMPLES = 64
+
 
 # ---------------------------------------------------------------------------
 # periodic paths
@@ -895,22 +899,13 @@ def _flow_jacobian(tape, weights):
     return np.stack(cols[::-1], axis=1)
 
 
-def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf):
-    """Natural-parameter continuation of flow coefficients along goals.
+def _level(controls, weights, tol, max_iter, radius):
+    """The sweep and the Newton solve of a continuation at one resolution.
 
-    Step k solves read_out(weights, _flow_deform(loops[k], controls, w))
-    = goals[k], with weights (r, N, 3) and w = 0 meeting goals[0].  The
-    readout is holomorphic in w, so each solve is a damped complex
-    least-norm Newton on the exact Jacobian, from the previous step's w, at
-    most max_iter steps of length at most radius / 4, down to a residual
-    of tol; stalls sub-step through blended goals.  Each Newton point costs
-    one flow sweep: _newton asks for the Jacobian at its last residual
-    point, so the adjoint _flow_jacobian reads the tape of that sweep.
-    Returns the path w, shape (n, len(controls)), and the deformed loops,
-    the first being loops[0].  Raises LeftDomain when max |w| exceeds
-    radius, ContinuationStalled when sub-stepping fails.
+    sweep(v, x) is _flow_deform(v, controls, x), cached for the latest
+    (loop, x); solve(v, goal, wv) is the damped Newton for
+    read_out(weights, sweep(v, w)[0]) = goal from wv, or None.
     """
-    n = len(goals)
     last = {}
 
     def sweep(v, x):
@@ -929,11 +924,58 @@ def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf):
             wv, tol, max_iter, radius / 4,
         )
 
+    return sweep, solve
+
+
+def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf,
+              coarse=None):
+    """Natural-parameter continuation of flow coefficients along goals.
+
+    Step k solves read_out(weights, _flow_deform(loops[k], controls, w))
+    = goals[k], with weights (r, N, 3) and w = 0 meeting goals[0].  The
+    readout is holomorphic in w, so each solve is a damped complex
+    least-norm Newton on the exact Jacobian, from the previous step's w, at
+    most max_iter steps of length at most radius / 4, down to a residual
+    of tol; stalls sub-step through blended goals.  Each Newton point costs
+    one flow sweep: _newton asks for the Jacobian at its last residual
+    point, so the adjoint _flow_jacobian reads the tape of that sweep.
+
+    With coarse = m < N, a step first solves on every (N/m)-th sample of
+    the loops and profiles, with weights[:, ::N/m] * (N/m), and then runs
+    the full solve from that point, which decides the step.  Where m
+    samples already resolve the readout (a trapezoid rule of an analytic
+    periodic integrand), the full solve ends at its first point: one
+    sweep and no Jacobian.  If the coarse solve stalls, or the full solve
+    fails from its point, the step falls back to the full solve from the
+    previous w.  The two resolutions keep separate sweep caches.
+
+    Returns the path w, shape (n, len(controls)), and the deformed loops
+    at full resolution, the first being loops[0].  Raises LeftDomain when
+    max |w| exceeds radius, ContinuationStalled when sub-stepping fails.
+    """
+    n = len(goals)
+    loops = list(loops)  # one object per loop, whose id keys the caches
+    sweep, solve = _level(controls, weights, tol, max_iter, radius)
+    s = loops[0].shape[0] // coarse if coarse else 1
+    if s > 1:
+        sub = {}
+        few = [sub.setdefault(id(v), v[::s]) for v in loops]
+        solve_few = _level([(kind, prof[::s]) for kind, prof in controls],
+                           weights[:, ::s] * s, tol, max_iter, radius)[1]
+
+    def step(k, w):
+        a, b = goals[k - 1], goals[k]
+        if s > 1:
+            y = _substep(partial(solve_few, few[k]), a, b, w)
+            y = None if y is None else solve(loops[k], b, y)
+            if y is not None:
+                return y
+        return _substep(partial(solve, loops[k]), a, b, w)
+
     w = np.zeros(len(controls), dtype=complex)
     path, out = [w], [np.array(loops[0], dtype=complex)]
     for k in range(1, n):
-        v = loops[k]
-        w = _substep(partial(solve, v), goals[k - 1], goals[k], w)
+        w = step(k, w)
         if w is None:
             raise ContinuationStalled(f"continuation stalled at step {k} of {n}")
         if float(np.max(np.abs(w))) > radius:
@@ -941,7 +983,7 @@ def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf):
                 f"|w| = {np.max(np.abs(w)):.3g} exceeds {radius} at step {k}"
             )
         path.append(w)
-        out.append(sweep(v, w)[0])
+        out.append(sweep(loops[k], w)[0])
     return np.array(path), out
 
 
@@ -954,7 +996,11 @@ def _period_continuation(sigma0, targets, controls):
     scaling direction, along which a least-norm path would shrink the loop
     toward a point and leave the branch before t = 1.  _continue tracks the
     ramp with at most 40 Newton steps per solve, down to a residual of
-    1e-12.  Returns the list of deformed sample arrays.
+    1e-12, solving each step on COARSE_SAMPLES samples first: the flux
+    drivers' profiles are trigonometric of degree 1 and their loops
+    extend at low degree, so 64 samples read these trapezoid rules to
+    rounding, and the full-resolution solve confirms the coarse point
+    with one sweep.  Returns the list of deformed sample arrays.
     """
     v0 = np.asarray(sigma0, dtype=complex)
     n = v0.shape[0]
@@ -964,4 +1010,5 @@ def _period_continuation(sigma0, targets, controls):
     weights = np.concatenate([weights, e[None, :, None] * weights[:2]])
     goals = np.hstack([targets, np.tile(read_out(weights, v0)[3:],
                                         (len(targets), 1))])
-    return _continue([v0] * len(goals), controls, weights, goals, 1e-12, 40)[1]
+    return _continue([v0] * len(goals), controls, weights, goals, 1e-12, 40,
+                     coarse=COARSE_SAMPLES)[1]

@@ -352,7 +352,8 @@ def primitive(data):
     """
     radii = np.array([data.r_inner, data.r_outer])
     rims = PolarGrid(radii, N_RIM)
-    vals = data.f_theta(rims)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = data.f_theta(rims)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValues("f theta is not finite on the boundary circles")
     k = np.fft.fftfreq(N_RIM, 1.0 / N_RIM).astype(int)
@@ -442,7 +443,7 @@ def admission(data, grid, real_period, where):
     NonFiniteValues, naming where, unless the density's max and the period
     are finite: a NaN fails every comparison, and min() passes an inf.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         den = metric_density(data, grid)
     lo, hi = float(den.min()), float(den.max())
     real = float(np.linalg.norm(real_period))
@@ -464,7 +465,9 @@ class MinimalImmersion:
 
     def __post_init__(self):
         data = self.data
-        period = loop_period(data, homology_radius(data))
+        # admission tests the period and the density for finiteness
+        with np.errstate(over="ignore", invalid="ignore"):
+            period = loop_period(data, homology_radius(data))
         den_min, real = admission(data, data.grid(), period.real, "the data")
         if real > TOL_PERIOD:
             raise RealPeriodNonzero(f"|Re period| = {real:.3g} on the generator")

@@ -357,7 +357,51 @@ class TestBadCoefficientsFile:
         assert code == 2
         assert "NonFiniteValues" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("verb", ["export", "run"])
+    def test_huge_last_member_exit_2_quietly(self, small_run, tmp_path, verb):
+        # export integrates the last member and run starts from it: both
+        # reject its overflow to inf as NonFiniteValues, with no
+        # RuntimeWarning on the way
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        doc["members"][-1]["b"]["coeffs"][32][1] = 1e154
+        work = tmp_path / "w"
+        work.mkdir()
+        (work / COEFFS).write_text(json.dumps(doc))
+        if verb == "run":
+            text = text.replace(
+                "catalog = catenoid", f"coefficients = {work / COEFFS}"
+            )
+        cfg = write_config(tmp_path, text)
+        code, _, err = run_cli([verb, "--config", cfg, "--out", str(work)])
+        assert code == 2
+        assert "NonFiniteValues" in err
+
+    @pytest.mark.parametrize("member", [1, 8, 15])
+    @pytest.mark.parametrize(
+        "leaf, value",
+        [(leaf, value)
+         for leaf in [("a", "coeffs", 0, 0), ("b", "coeffs", 32, 1)]
+         for value in [1e300, 1e154, -1.8e308]]
+        + [(("scale",), 5e-324)],
+    )
+    def test_huge_coefficient_exits_quietly(self, small_run, tmp_path,
+                                            member, leaf, value):
+        # a huge finite coefficient, or a scale whose reciprocal is not
+        # finite, overflows to inf on the rims, which verify's finiteness
+        # checks reject, with no RuntimeWarning on the way (pyproject.toml
+        # turns them into errors)
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        node = doc["members"][member]
+        for step in leaf[:-1]:
+            node = node[step]
+        node[leaf[-1]] = value
+        code, err = verify_with_doc(tmp_path, doc, text)
+        assert code in (1, 2)
+        assert "Traceback" not in err
+        assert "Warning" not in err
+
     @given(data=st.data())
     @settings(
         max_examples=40,

@@ -255,9 +255,9 @@ class TestNoRetry:
         # the flux drivers and solve_w share loops._continue
         calls, continue_ = [], lp._continue
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return continue_(*args)
+            return continue_(*args, **kwargs)
 
         monkeypatch.setattr(lp, "_continue", counted)
         iso.flux_to_zero(catenoid, n_t=8)
@@ -288,23 +288,35 @@ class TestPrescribeFlux:
 
     def test_one_flow_sweep_per_newton_point(self, catenoid, monkeypatch):
         # the continuation deforms the loop once at each point its Newton
-        # solves visit: a solve ends at its last residual point, which is
-        # the member emitted and the next solve's first point
-        points, sweeps, inside = set(), [], []
-        newton, deform = lp._newton, lp._flow_deform
-        continuation = lp._period_continuation
+        # solves visit, per resolution: a solve ends at its last residual
+        # point, which is the next solve's first point at that resolution.
+        # The coarse point reads the full readout to rounding, so the full
+        # solve confirms each step with one sweep and no Jacobian
+        points, sweeps, jacobians, reads, inside = set(), [], [], [], []
+        newton, deform, read_out = lp._newton, lp._flow_deform, lp.read_out
+        jacobian, continuation = lp._flow_jacobian, lp._period_continuation
 
         def traced_newton(residual, *args):
             def recorded(x):
+                out = residual(x)
                 if inside:
-                    points.add(x.tobytes())
-                return residual(x)
+                    # the residual read the readout at its sample count
+                    points.add((reads[-1], x.tobytes()))
+                return out
 
             return newton(recorded, *args)
 
+        def traced_read_out(weights, samples):
+            reads.append(weights.shape[1])
+            return read_out(weights, samples)
+
         def traced_deform(values, controls, w):
-            sweeps.append(w.tobytes())
+            sweeps.append((len(values), w.tobytes()))
             return deform(values, controls, w)
+
+        def traced_jacobian(tape, weights):
+            jacobians.append(weights.shape[1])
+            return jacobian(tape, weights)
 
         def traced_continuation(*args):
             inside.append(True)
@@ -315,11 +327,73 @@ class TestPrescribeFlux:
 
         monkeypatch.setattr(lp, "_newton", traced_newton)
         monkeypatch.setattr(lp, "_flow_deform", traced_deform)
+        monkeypatch.setattr(lp, "_flow_jacobian", traced_jacobian)
+        monkeypatch.setattr(lp, "read_out", traced_read_out)
         monkeypatch.setattr(lp, "_period_continuation", traced_continuation)
-        iso.prescribe_flux(catenoid, np.array([0.3, -0.2, 4.0 * np.pi]), n_t=16)
-        assert len(points) > 15
+        n_t = 16
+        iso.prescribe_flux(catenoid, np.array([0.3, -0.2, 4.0 * np.pi]), n_t=n_t)
+        n = iso.N_S_DEFAULT
+        assert len(points) > n_t - 1
         assert len(sweeps) == len(points)
         assert set(sweeps) == points
+        assert sum(s[0] == n for s in sweeps) == n_t - 1
+        assert {s[0] for s in sweeps} == {lp.COARSE_SAMPLES, n}
+        assert jacobians and set(jacobians) == {lp.COARSE_SAMPLES}
+
+
+class TestCoarseContinuation:
+    TARGET = np.array([0.3, -0.2, 4.0 * np.pi])
+
+    def test_coarse_stall_falls_back_to_full(self, catenoid, monkeypatch):
+        # a zero coarse Jacobian stalls every coarse solve; each step then
+        # takes the full solve from the previous w
+        full, jacobian = [], lp._flow_jacobian
+
+        def coarse_stalls(tape, weights):
+            out = jacobian(tape, weights)
+            if weights.shape[1] == lp.COARSE_SAMPLES:
+                return np.zeros_like(out)
+            full.append(weights.shape[1])
+            return out
+
+        monkeypatch.setattr(lp, "_flow_jacobian", coarse_stalls)
+        fam = iso.prescribe_flux(catenoid, self.TARGET, n_t=16)
+        assert len(full) >= 15
+        assert iso.verify(fam, target_flux=self.TARGET).ok
+        assert np.linalg.norm(fam.flux_trace[-1] - self.TARGET) <= 1e-8
+
+    def test_flux_to_zero_one_full_sweep_per_step(self, catenoid, monkeypatch):
+        # the coarse point meets the full readout to 1e-12 up to t = 1, so
+        # the full solve confirms each step at its first residual point
+        sizes, deform, jacobian = [], lp._flow_deform, lp._flow_jacobian
+
+        def traced_deform(values, controls, w):
+            sizes.append(len(values))
+            return deform(values, controls, w)
+
+        def traced_jacobian(tape, weights):
+            sizes.append(-weights.shape[1])
+            return jacobian(tape, weights)
+
+        monkeypatch.setattr(lp, "_flow_deform", traced_deform)
+        monkeypatch.setattr(lp, "_flow_jacobian", traced_jacobian)
+        fam = iso.flux_to_zero(catenoid, n_t=64)
+        assert sizes.count(iso.N_S_DEFAULT) == 63
+        assert -iso.N_S_DEFAULT not in sizes
+        assert iso.verify(fam).ok
+
+    def test_members_match_full_resolution_solve(self, catenoid, monkeypatch):
+        # the coarse level changes how each step is reached, not where:
+        # before the ill-conditioned endpoint (ROADMAP F11) the members
+        # agree with a full-resolution continuation to rounding
+        fams = [iso.prescribe_flux(catenoid, self.TARGET, n_t=16)]
+        monkeypatch.setattr(lp, "COARSE_SAMPLES", None)
+        fams.append(iso.prescribe_flux(catenoid, self.TARGET, n_t=16))
+        first = fams[0].members[0]
+        rims = PolarGrid([first.r_inner, first.r_outer], iso.N_S_DEFAULT)
+        for a, b in zip(*(f.members[:-1] for f in fams)):
+            fa, fb = a.f(rims), b.f(rims)
+            assert np.max(np.abs(fa - fb)) <= 1e-10 * np.max(np.abs(fa))
 
 
 class TestDriverInput:

@@ -291,6 +291,27 @@ class TestSolveW:
         assert set(sweeps) == points
         assert len(reads) >= spray.n_t - 1 and all(reads)
 
+    @pytest.mark.parametrize("name", ["spray", "spray_fixed"])
+    def test_sweeps_at_full_resolution(self, name, request, monkeypatch):
+        # the raised-cosine bumps are resolved only at the loop's own
+        # sample count: solve_w takes no coarse level
+        spray = request.getfixturevalue(name)
+        w_star = 0.05 * np.ones(spray.dim_w, dtype=complex)
+        targets = np.stack(
+            [spray.periods(k, f * w_star)
+             for k, f in enumerate(np.linspace(0.0, 1.0, spray.n_t))]
+        )
+        sizes, deform = [], lp._flow_deform
+
+        def traced_deform(values, controls, w):
+            sizes.append(len(values))
+            return deform(values, controls, w)
+
+        monkeypatch.setattr(lp, "_flow_deform", traced_deform)
+        sp.solve_w(spray, sp.PeriodTargets(targets))
+        assert len(sizes) >= spray.n_t - 1
+        assert set(sizes) == {spray.base[0].shape[0]}
+
     def test_unreachable_third_target_rejected(self, spray_fixed):
         # a fixed-third spray never moves the third period, so a third
         # target off the base loop's is unreachable, not dropped
