@@ -151,8 +151,11 @@ def _spinor_member(ext, theta, r_inner, r_outer):
     2 pi i z, and its residues times 2 pi i are the period.  The Gauss map
     is the ratio b/a of the spinor blocks (the half-integer twists cancel)
     and f3 an exact Laurent series, so the Weierstrass formula reproduces
-    the extension in exact arithmetic.
+    the extension in exact arithmetic.  A block a that is zero leaves g
+    infinite everywhere: NonFiniteValues.
     """
+    if not np.any(ext.a.coeffs):
+        raise NonFiniteValues("spinor block a is zero, so g = b/a is infinite")
     shift = LaurentSeries([1.0 / (2j * np.pi)], -1)
     comps = [c * shift for c in ext.components()]
     f3 = comps[2]
@@ -167,12 +170,22 @@ def _spinor_member(ext, theta, r_inner, r_outer):
 
 def restrict_data(data, chart, n=N_S_DEFAULT):
     """The boundary loop of f theta on the homology circle of the data,
-    sampled against the chart form d(zeta) = dz / (2 pi i z)."""
-    z = chart.points(n)
-    fac = 2j * np.pi * z
-    if data.theta == "dz/z":
-        fac = fac / z
-    values = data.f(z) * fac[:, None]
+    sampled against the chart form d(zeta) = dz / (2 pi i z).
+
+    The loop of data with a spinor is the spinor map itself, read by FFT
+    of its blocks on PolarGrid([chart.radius], n); other data are read
+    from f at the chart's points.  NonFiniteValues unless every sample is
+    finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if data.spinor is not None:
+            values = data.spinor(PolarGrid([chart.radius], n))
+        else:
+            z = chart.points(n)
+            fac = 2j * np.pi * z
+            if data.theta == "dz/z":
+                fac = fac / z
+            values = data.f(z) * fac[:, None]
     if not np.all(np.isfinite(values)):
         raise NonFiniteValues("f theta is not finite on the homology circle")
     return PeriodicPath(values)
@@ -335,6 +348,21 @@ def prescribe_flux(u0, p, n_t=N_T_DEFAULT, tol_flux=TOL_FLUX,
 # verification
 
 
+def _loop_class(data, loop):
+    """The pi1 class of a member's boundary loop: the parity of its spinor,
+    exact since the loop is spinor_to_null(a, b) (z/scale)^parity with
+    single-valued a and b, else sampled from the loop; None off the
+    quadric."""
+    if data.spinor is not None:
+        return data.spinor.parity
+    try:
+        return nq.pi1_class(loop.values)
+    except NotOnQuadric:
+        # corrupted data: leave the class undefined; the conformality
+        # residual check flags the member
+        return None
+
+
 def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
            target_flux=None):
     """Recompute all residuals of a family from scratch.
@@ -345,13 +373,17 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     (2 doubles them).  The grid, the two boundary circles and the homology
     circle (family.chart) are built once, on the annulus every member
     shares.  The metric density is measured on that grid, whose radii lie
-    strictly inside the annulus, from g and f3 alone; the periods on the
-    loop over the homology circle; conformality (against TOL_NULL, and
-    null by construction) on the boundary circles.
+    strictly inside the annulus; the periods on the loop over the homology
+    circle (restrict_data); conformality (against TOL_NULL, and null by
+    construction) on the boundary circles.  A member with a spinor is read
+    from its two blocks alone, by FFT on those grids: no Gauss map
+    quotient, no f3, no Horner's scheme; any other member from g and f3.
     Every member's boundary loop must have the pi1 class of member 0's
-    (spin_class).  The largest member step
+    (spin_class), which is the parity of a member's spinor and is sampled
+    from the loop of a member without one.  The largest member step
     max|f(t_k+1) - f(t_k)| / max|f(t_k)|, scaled by n_t - 1, must stay
-    below CONTINUITY_BOUND (continuity).  Both sups are taken on the two
+    below CONTINUITY_BOUND (continuity); it is infinite after a member
+    that is 0 on the boundary circles.  Both sups are taken on the two
     boundary circles, where the maximum modulus principle puts them, since
     every component of a member and of a step is holomorphic on the closed
     annulus; only the angles are sampled, as many as the loop's.  No member
@@ -403,16 +435,14 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         max_real = max(max_real, real)
         flat_flags.append(wz.is_flat(data))
         if prev is not None:
-            step = float(np.max(np.abs(fb - prev))) / prev_sup
+            with np.errstate(over="ignore"):
+                change = float(np.max(np.abs(fb - prev)))
+            # a member that is 0 on both circles is 0 everywhere
+            step = change / prev_sup if prev_sup > 0.0 else math.inf
             max_step = max(max_step, step)
         prev, prev_sup = fb, sup
         flux_table.append(per.imag)
-        try:
-            pi1_classes.append(nq.pi1_class(loop.values))
-        except NotOnQuadric:
-            # corrupted data: leave the class undefined; the conformality
-            # residual check flags the member
-            pi1_classes.append(None)
+        pi1_classes.append(_loop_class(data, loop))
     flux_table = np.array(flux_table)
     continuity = max_step * (len(family) - 1)
     thresholds = {

@@ -157,8 +157,9 @@ def pi1_class(loop):
     loop: array (N, 3) of samples at equispaced parameters k/N; the closing
     step from sample N-1 back to sample 0 is included.  Returns the parity
     of the spinor lift: 0 when it closes up, 1 when it returns with the
-    opposite sign.  Raises NonFiniteValues for inf/NaN samples and
-    UndersampledLoop when the continuation is ambiguous.
+    opposite sign.  Raises NonFiniteValues for inf/NaN samples, or samples
+    whose squares overflow, and UndersampledLoop when the continuation is
+    ambiguous.
     """
     z = np.asarray(loop, dtype=complex)
     if z.ndim != 2 or z.shape[1] != 3:
@@ -166,10 +167,15 @@ def pi1_class(loop):
     # NaN would pass both the quadric and the margin comparisons below
     if not np.all(np.isfinite(z)):
         raise NonFiniteValues("loop holds non-finite samples")
-    nz2 = np.sum(np.abs(z) ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nz2 = np.sum(np.abs(z) ** 2, axis=1)
+        res = null_residual(z)
+    # a huge finite sample squares to inf, and the quadric test's inf / inf
+    # would pass as NaN
+    if not (np.isfinite(nz2.max()) and np.isfinite(res.max())):
+        raise NonFiniteValues("loop samples square beyond the float range")
     if np.any(nz2 == 0.0):
         raise ZeroPoint("loop passes through the origin")
-    res = null_residual(z)
     if np.max(res / np.maximum(1.0, nz2)) > TOL_NULL:
         raise NotOnQuadric("loop leaves the quadric beyond tolerance")
     return _lift_loop(z)[2]

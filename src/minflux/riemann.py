@@ -118,6 +118,16 @@ class LaurentMap:
             out = out * (w / self.scale)[..., None]
         return out
 
+    def squared_modulus(self, grid):
+        """|f|^2 on a PolarGrid, shape (radii, angles), from the blocks alone:
+        2 (|a|^2 + |b|^2)^2, times (r / scale)^2 on the ring of radius r when
+        the parity is 1."""
+        mods = 2.0 * (np.abs(self.a(grid)) ** 2 + np.abs(self.b(grid)) ** 2) ** 2
+        mods = mods.reshape(grid.radii.size, -1)
+        if self.parity:
+            mods = mods * ((grid.radii / self.scale) ** 2)[:, None]
+        return mods
+
     def components(self):
         """The triple as integer Laurent series in z."""
         a2 = self.a * self.a
@@ -150,8 +160,7 @@ def runge_extend(loop, domain, tol=TOL_RUNGE):
     input within the reported bound.  The extension is checked not to
     vanish on the PolarGrid of GRID_RADIAL open radii and GRID_ANGULAR
     angles on the annulus; the squared modulus there (min_grid_mod) is
-    read from the spinor blocks, |f|^2 = 2 (|a|^2 + |b|^2)^2, times
-    (r / scale)^2 on the ring of radius r when the parity is 1.
+    read from the spinor blocks by LaurentMap.squared_modulus.
     """
     chart = homology_basis(domain)[0]
     v0 = loop.values if isinstance(loop, PeriodicPath) else np.asarray(loop)
@@ -175,12 +184,7 @@ def runge_extend(loop, domain, tol=TOL_RUNGE):
         ext = LaurentMap(sa, sb, parity=parity, scale=chart.radius)
         sup_err = float(np.max(np.abs(ext(PolarGrid([chart.radius], n)) - v)))
         if sup_err <= tol:
-            # f = (a^2 - b^2, i(a^2 + b^2), 2ab), times z / scale at parity 1
-            mods = 2.0 * (np.abs(sa(grid)) ** 2 + np.abs(sb(grid)) ** 2) ** 2
-            if parity:
-                ring = (grid.radii / chart.radius) ** 2
-                mods = mods.reshape(ring.size, -1) * ring[:, None]
-            min_mod = float(np.min(mods))
+            min_mod = float(np.min(ext.squared_modulus(grid)))
             curve_scale = max(1.0, float(np.max(np.abs(v)) ** 2))
             if min_mod <= 1e-20 * curve_scale:
                 raise VanishingOnDomain(

@@ -10,7 +10,8 @@ standard examples on the annulus 1/2 < |z| < 2.
 
 Exact Laurent data (LaurentSeries, LaurentQuotient) evaluate on a polar
 product grid (PolarGrid) by one inverse FFT per radius, and on any other
-points by Horner's scheme; every other callable sees plain points.
+points by Horner's scheme; every other callable sees plain points.  Data
+that carry a spinor (a, b) evaluate on a PolarGrid from its two blocks.
 """
 
 from __future__ import annotations
@@ -207,7 +208,9 @@ class WeierstrassData:
     quotient b/a of its spinor blocks, and only an evaluation that lands
     on a zero of g raises GaussMapVanishes.  A driver member carries those
     blocks as its spinor, the riemann.LaurentMap of its homology-circle
-    loop; catalog, opaque and surrogate data have none.
+    loop; catalog, opaque and surrogate data have none.  On a PolarGrid,
+    data with a spinor are read from its two blocks alone (f, f_theta,
+    metric_density); on plain points, from g and f3.
     """
 
     g: object
@@ -230,10 +233,20 @@ class WeierstrassData:
     def f(self, z):
         """Assembled holomorphic triple at points z, shape (..., 3).
 
-        z may be a PolarGrid: exact Laurent g and f3 evaluate on it by FFT,
-        any other callable on its points.
+        z may be a PolarGrid: a spinor evaluates on it by FFT of its two
+        blocks, as f theta/d(zeta) with d(zeta) = dz / (2 pi i z), so f is
+        the spinor map over 2 pi i z (over 2 pi i when theta is dz/z).
+        Without a spinor, exact Laurent g and f3 evaluate on the grid by
+        FFT, any other callable on its points.
         """
+        if self._reads_spinor(z):
+            if self.theta == "dz/z":
+                return self.spinor(z) / (2j * np.pi)
+            return self.f_theta(z)
         return null_triple(_evaluate(self.g, z), _evaluate(self.f3, z))
+
+    def _reads_spinor(self, z):
+        return self.spinor is not None and isinstance(z, PolarGrid)
 
     def theta_over_dz(self, z):
         """Values of theta/dz at points z, or at the points of a PolarGrid."""
@@ -245,6 +258,8 @@ class WeierstrassData:
     def f_theta(self, z):
         """Values of f * (theta/dz), the integrand against dz; z may be a
         PolarGrid, as in f."""
+        if self._reads_spinor(z):
+            return self.spinor(z) / (2j * np.pi * z.points)[:, None]
         return self.f(z) * self.theta_over_dz(z)[..., None]
 
 
@@ -291,9 +306,15 @@ def density(g, f3_theta):
 def metric_density(data, points):
     """Density of the induced metric against |dz|^2, equal to 0.5 |f theta/dz|^2.
 
-    points may be a PolarGrid, as in WeierstrassData.f; the density is
-    formed from g and f3 alone, without the null triple.
+    points may be a PolarGrid, as in WeierstrassData.f.  On a grid, the
+    density of data with a spinor is its squared modulus
+    (spinor.squared_modulus) over 2 (2 pi r)^2 on the ring of radius r,
+    read from the two blocks alone; otherwise it is formed from g and f3
+    alone, without the null triple.  The values come back flat.
     """
+    if data._reads_spinor(points):
+        ring = 0.5 / (2.0 * np.pi * points.radii) ** 2
+        return (data.spinor.squared_modulus(points) * ring[:, None]).ravel()
     return density(
         _evaluate(data.g, points),
         _evaluate(data.f3, points) * data.theta_over_dz(points),

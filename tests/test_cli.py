@@ -357,23 +357,36 @@ class TestBadCoefficientsFile:
         assert code == 2
         assert "NonFiniteValues" in err
 
-    @pytest.mark.parametrize("verb", ["export", "run"])
+    @pytest.mark.parametrize("verb", ["export", "run", "classify"])
     def test_huge_last_member_exit_2_quietly(self, small_run, tmp_path, verb):
-        # export integrates the last member and run starts from it: both
-        # reject its overflow to inf as NonFiniteValues, with no
-        # RuntimeWarning on the way
+        # export integrates the last member, run starts from it and classify
+        # samples its loop: each rejects its overflow to inf as
+        # NonFiniteValues, with no RuntimeWarning on the way (classify's
+        # loop is finite, but its squares are not)
         out, text = small_run
         doc = json.loads((out / COEFFS).read_text())
         doc["members"][-1]["b"]["coeffs"][32][1] = 1e154
         work = tmp_path / "w"
         work.mkdir()
         (work / COEFFS).write_text(json.dumps(doc))
-        if verb == "run":
+        if verb in ("run", "classify"):
             text = text.replace(
                 "catalog = catenoid", f"coefficients = {work / COEFFS}"
             )
         cfg = write_config(tmp_path, text)
         code, _, err = run_cli([verb, "--config", cfg, "--out", str(work)])
+        assert code == 2
+        assert "NonFiniteValues" in err
+
+    @pytest.mark.parametrize("member", [1, 8, 15])
+    def test_all_zero_member_exit_2(self, small_run, tmp_path, member):
+        # both spinor blocks 0: the member reads 0 on the rims and has no
+        # Gauss map b/a, so loading rejects it as not finite, quietly
+        out, text = small_run
+        doc = json.loads((out / COEFFS).read_text())
+        for block in ("a", "b"):
+            doc["members"][member][block]["coeffs"] = [[0.0, 0.0]]
+        code, err = verify_with_doc(tmp_path, doc, text)
         assert code == 2
         assert "NonFiniteValues" in err
 

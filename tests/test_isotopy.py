@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import io
 import re
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from minflux import cli
 from minflux import isotopy as iso
 from minflux import labyrinth as lb
 from minflux import loops as lp
+from minflux import nullquadric as nq
 from minflux import riemann as rm
 from minflux import weierstrass as wz
 from minflux.errors import (
@@ -221,6 +223,184 @@ class TestMemberSpinor:
                 wa, wb = (rm.winding_number(c(z)) for c in (s.a, s.b))
                 assert rm.winding_number(m.f3(z)) == wa + wb + s.parity
                 assert rm.winding_number(m.g(z)) == wb - wa
+
+
+def reference_f(m, z):
+    """f at plain points z from g and f3, by the null triple formulas."""
+    g, f3 = m.g(z), m.f3(z)
+    return np.stack([0.5 * (1.0 / g - g) * f3, 0.5j * (1.0 / g + g) * f3, f3],
+                    axis=-1)
+
+
+def reference_loop(m, chart, n):
+    """f theta/d(zeta) at the chart's n points, from g and f3."""
+    z = chart.points(n)
+    fac = 2j * np.pi * (np.ones_like(z) if m.theta == "dz/z" else z)
+    return reference_f(m, z) * fac[:, None]
+
+
+def reference_density(m, z):
+    """0.25 |f3 theta/dz|^2 (|g| + 1/|g|)^2 at plain points z."""
+    g = np.abs(m.g(z))
+    f3_theta = m.f3(z) / (z if m.theta == "dz/z" else 1.0)
+    return 0.25 * np.abs(f3_theta) ** 2 * (g + 1.0 / g) ** 2
+
+
+def without_spinors(fam):
+    """fam with every member read from g and f3 only."""
+    out = copy.copy(fam)
+    out.members = [dataclasses.replace(m, spinor=None) for m in fam.members]
+    return out
+
+
+def parity_zero_family():
+    """Three hand-built members with parity-0 spinors, theta = dz."""
+    members, periods = [], []
+    for t in (0.0, 0.5, 1.0):
+        ext = rm.LaurentMap(
+            wz.LaurentSeries([0.3, 1.0, 0.2 + 0.1j * t], -1),
+            wz.LaurentSeries([0.5, 0.1j, 0.25 - 0.05 * t], -1),
+        )
+        member, period = iso._spinor_member(ext, "dz", 0.5, 2.0)
+        members.append(member)
+        periods.append(period)
+    return iso.ImmersionFamily(ts=np.array([0.0, 0.5, 1.0]), members=members,
+                               periods=np.array(periods))
+
+
+@pytest.fixture(scope="module", params=[
+    "flux_to_zero-16", "flux_to_zero-64", "prescribe_flux-16",
+    "prescribe_flux-64", "loaded", "parity_zero",
+])
+def spinor_family(request, catenoid, tmp_path_factory):
+    """Families whose members (all but a catalog member 0) carry spinors."""
+    name = request.param
+    if name == "parity_zero":
+        return parity_zero_family()
+    if name == "loaded":
+        fam = iso.prescribe_flux(catenoid, PRESCRIBED_TARGET, n_t=16)
+        fam.meta["catalog"] = "catenoid"
+        path = tmp_path_factory.mktemp("loaded") / "family.json"
+        cli.write_coefficients(
+            path, fam, types.SimpleNamespace(driver="prescribe_flux")
+        )
+        return cli.load_family(path)
+    driver, n_t = name.split("-")
+    if driver == "flux_to_zero":
+        return iso.flux_to_zero(catenoid, n_t=int(n_t))
+    return iso.prescribe_flux(catenoid, PRESCRIBED_TARGET, n_t=int(n_t))
+
+
+class TestSpinorReading:
+    """verify reads a member with a spinor from its blocks on polar grids;
+    the references are the g and f3 formulas on plain points."""
+
+    def test_rims_loop_and_density_match_g_and_f3(self, spinor_family):
+        fam = spinor_family
+        first, chart = fam.members[0], fam.chart
+        rims = PolarGrid([first.r_inner, first.r_outer], 1024)
+        grid = PolarGrid(_open_radii(first.r_inner, first.r_outer, 64), 256)
+        for m in fam.members:
+            if m.spinor is None:
+                continue
+            want = reference_f(m, rims.points)
+            err = np.max(np.abs(m.f(rims) - want)) / np.max(np.abs(want))
+            assert err <= 1e-12
+            want = reference_loop(m, chart, 1024)
+            got = iso.restrict_data(m, chart, n=1024).values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            want = reference_density(m, grid.points)
+            got = wz.metric_density(m, grid)
+            assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_sampled_class_is_the_parity(self, spinor_family):
+        chart = spinor_family.chart
+        for m in spinor_family.members:
+            if m.spinor is not None:
+                loop = reference_loop(m, chart, 1024)
+                assert nq.pi1_class(loop) == m.spinor.parity
+
+    def test_report_matches_g_and_f3_reading(self, spinor_family):
+        rep = iso.verify(spinor_family, target_flux=np.zeros(3))
+        ref = iso.verify(without_spinors(spinor_family),
+                         target_flux=np.zeros(3))
+        assert rep.passes == ref.passes
+        assert rep.pi1_classes == ref.pi1_classes
+        assert rep.flat_flags == ref.flat_flags
+        scale = max(1.0, float(np.max(np.abs(ref.flux_table))))
+        assert np.max(np.abs(rep.flux_table - ref.flux_table)) <= 1e-12 * scale
+        for name in ("min_density", "continuity"):
+            assert getattr(rep, name) == pytest.approx(getattr(ref, name),
+                                                       rel=1e-12)
+        # residuals at rounding level agree absolutely
+        for name in ("max_conformality", "max_real_period",
+                     "flux_end_residual"):
+            assert abs(getattr(rep, name) - getattr(ref, name)) <= 1e-12 * scale
+
+    def test_catalog_loop_keeps_horner_bits(self, catenoid):
+        # the drivers' input loop from catalog data is read by Horner's
+        # scheme at the chart's points, bit for bit
+        data, chart = catenoid.data, rm.homology_basis(rm.annulus())[0]
+        z = chart.points(512)
+        want = data.f(z) * (2j * np.pi * z / z)[:, None]
+        got = iso.restrict_data(data, chart, n=512).values
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_point_evaluation_beyond_member_0(self, fam_zero, monkeypatch):
+        series, quotients, densities, classes = [], [], [], []
+        series_call = wz.LaurentSeries.__call__
+        quotient_call = wz.LaurentQuotient.__call__
+        metric_density = wz.metric_density
+        pi1_class = nq.pi1_class
+
+        def on_series(self, z):
+            series.append((self, isinstance(z, PolarGrid)))
+            return series_call(self, z)
+
+        def on_quotient(self, z):
+            quotients.append(self)
+            return quotient_call(self, z)
+
+        def on_density(data, points):
+            densities.append(data)
+            return metric_density(data, points)
+
+        def on_class(loop):
+            classes.append(loop)
+            return pi1_class(loop)
+
+        monkeypatch.setattr(wz.LaurentSeries, "__call__", on_series)
+        monkeypatch.setattr(wz.LaurentQuotient, "__call__", on_quotient)
+        monkeypatch.setattr(wz, "metric_density", on_density)
+        monkeypatch.setattr(nq, "pi1_class", on_class)
+        iso.verify(fam_zero)
+        m0 = fam_zero.members[0]
+        assert m0.spinor is None
+        assert all(m.spinor is not None for m in fam_zero.members[1:])
+        plain = [s for s, polar in series if not polar]
+        assert plain and all(s is m0.g or s is m0.f3 for s in plain)
+        assert all(q is m0.g for q in quotients)
+        assert [id(d) for d in densities] == [id(m) for m in fam_zero.members]
+        # the other members' classes are their spinors' parities
+        assert len(classes) == 1
+
+    def test_zero_block_a_rejected(self):
+        ext = rm.LaurentMap(wz.LaurentSeries([0.0]), wz.LaurentSeries([1.0]))
+        with pytest.raises(NonFiniteValues, match="block a is zero"):
+            iso._spinor_member(ext, "dz", 0.5, 2.0)
+
+    def test_member_zero_on_the_rims_reads_infinite_step(self, fam_zero):
+        # a zero spinor reads 0 on both circles, so the next step is
+        # unbounded, not a ZeroDivisionError
+        zero = rm.LaurentMap(wz.LaurentSeries([0.0]), wz.LaurentSeries([0.0]),
+                             parity=1)
+        bad = copy.copy(fam_zero)
+        bad.members = list(fam_zero.members)
+        bad.members[10] = dataclasses.replace(bad.members[10], spinor=zero)
+        rep = iso.verify(bad)
+        assert rep.continuity == np.inf
+        assert not rep.passes["continuity"]
+        assert not rep.passes["metric_density"]
 
 
 class TestNoRetry:

@@ -174,3 +174,14 @@ class TestPi1Class:
         for loop in (all_nan, catenoid):
             with pytest.raises(NonFiniteValues):
                 nq.pi1_class(loop)
+
+    def test_overflowing_squares_rejected(self):
+        # finite samples near 1e160 square to inf; the quadric test then
+        # read inf / inf as NaN, which passed, and these loops got a class
+        huge = _spinor_loop(256, 1) * 1e160
+        one_huge = _spinor_loop(256, 1)
+        one_huge[100] *= 1e160
+        for loop in (huge, one_huge):
+            assert np.all(np.isfinite(loop))
+            with pytest.raises(NonFiniteValues, match="float range"):
+                nq.pi1_class(loop)

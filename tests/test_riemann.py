@@ -142,6 +142,18 @@ class TestRungeExtend:
         assert abs(wz._open_radii(0.6, 1.8, wz.GRID_RADIAL)[np.argmin(rings)]
                    - chart.radius) > 0.1
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_squared_modulus_is_the_triple_mod(self, parity):
+        # one ring per row, from the blocks alone
+        m = rm.LaurentMap(wz.LaurentSeries([1.0, 0.3j], -1),
+                          wz.LaurentSeries([0.2, 0.5]), parity=parity,
+                          scale=1.3)
+        grid = wz.PolarGrid([0.6, 1.0, 1.8], 64)
+        want = np.sum(np.abs(m(grid)) ** 2, axis=-1).reshape(3, 64)
+        got = m.squared_modulus(grid)
+        assert got.shape == (3, 64)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
     def test_period_matches_quadrature(self):
         dom = rm.annulus()
         chart = rm.homology_basis(dom)[0]
