@@ -428,9 +428,8 @@ def surface_grid(data, n_r=24, n_th=96):
     branch, which moves u by the real period only, checked below
     TOL_PERIOD.
     """
-    radii = wz._open_radii(data.r_inner, data.r_outer, n_r)
-    grid = wz.PolarGrid(radii, n_th)
-    u = wz.integrate_immersion(data, radii[0], np.zeros(3), grid)
+    grid = wz.annulus_grid(data.r_inner, data.r_outer, n_r, n_th)
+    u = wz.integrate_immersion(data, grid.radii[0], np.zeros(3), grid)
     # the grid's FFT and Horner's scheme at the basepoint differ by rounding
     return (u - u[0]).reshape(n_r, n_th, 3)
 

@@ -36,7 +36,6 @@ from .weierstrass import (
     MinimalImmersion,
     PolarGrid,
     WeierstrassData,
-    _open_radii,
 )
 
 #: Default flux tolerance of the drivers.
@@ -62,10 +61,11 @@ class ImmersionFamily:
     members[k] is the Weierstrass data at ts[k]; members[0] is the input
     object itself (exact coefficients).  A driven member carries the
     Laurent extension it was built from as its spinor.  periods[k] is the
-    complex period of f theta over the homology generator.  Every member
-    lies on one annulus (ValueError otherwise), whose homology generator
-    circle is the family's chart and whose point on the positive real
-    axis is its basepoint.
+    complex period of f theta over the homology generator.  ts, members
+    and periods have one length n, and periods the shape (n, 3); every
+    member lies on one annulus (ValueError otherwise), whose homology
+    generator circle is the family's chart and whose point on the positive
+    real axis is its basepoint.
     """
 
     ts: np.ndarray
@@ -75,6 +75,13 @@ class ImmersionFamily:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        n = len(self.members)
+        shape = np.shape(self.periods)
+        if len(self.ts) != n or shape != (n, 3):
+            raise ValueError(
+                f"family has {len(self.ts)} ts and {n} members, and periods "
+                f"of shape {shape}; need n ts, n members and periods (n, 3)"
+            )
         annuli = list({(m.r_inner, m.r_outer): 0 for m in self.members})
         if len(annuli) > 1:
             raise ValueError(
@@ -173,15 +180,18 @@ def restrict_data(data, chart, n=N_S_DEFAULT):
     sampled against the chart form d(zeta) = dz / (2 pi i z).
 
     The loop of data with a spinor is the spinor map itself, read by FFT
-    of its blocks on PolarGrid([chart.radius], n); other data are read
-    from f at the chart's points.  NonFiniteValues unless every sample is
-    finite.
+    of its blocks on PolarGrid([chart.radius], n).  Other data are read
+    from f at that grid's points, wz.circle(chart.radius, n), by Horner's
+    scheme for exact Laurent data, not by FFT: the flux drivers' t = 1
+    solve is singular, so their endpoint is not a continuous function of
+    the input loop, and a change of rounding there would move it.
+    NonFiniteValues unless every sample is finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if data.spinor is not None:
             values = data.spinor(PolarGrid([chart.radius], n))
         else:
-            z = chart.points(n)
+            z = wz.circle(chart.radius, n)
             fac = 2j * np.pi * z
             if data.theta == "dz/z":
                 fac = fac / z
@@ -406,7 +416,7 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
     # the boundary circles carry n_loop angles, as the homology circle
     # does, since a sampled max misses the sup by O(1/angles^2)
     first, chart = family.members[0], family.chart
-    grid = PolarGrid(_open_radii(first.r_inner, first.r_outer, n_r), n_th)
+    grid = wz.annulus_grid(first.r_inner, first.r_outer, n_r, n_th)
     rims = PolarGrid([first.r_inner, first.r_outer], n_loop)
     max_conf = 0.0
     max_real = 0.0
@@ -420,7 +430,7 @@ def verify(family, resolution=2, tol_flux=TOL_FLUX, tol_period=TOL_PERIOD,
         # a huge coefficient overflows to inf, a NaN value makes every
         # reduction NaN and an inf one the residual's inf/inf: the
         # reductions are tested instead of every value
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             fb = data.f(rims)
             conf = wz.conformality_residual(fb)
             sup = float(np.max(np.abs(fb)))

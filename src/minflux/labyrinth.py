@@ -440,9 +440,8 @@ def lopez_ros(data_t, params, labyrinths, t_grid):
     after; on the complement of the walls (in particular on the core) the
     data are unchanged.  At t = 0 the factor is exactly 1 everywhere.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     out = []
-    for data, t, factor in zip(data_t, t_grid, _factors(params, t_grid)):
+    for data, factor in zip(data_t, _factors(params, t_grid)):
 
         def g(z, base=data.g, fac=factor):
             z = np.asarray(z, dtype=complex)
@@ -450,8 +449,7 @@ def lopez_ros(data_t, params, labyrinths, t_grid):
 
         out.append(wz.WeierstrassData(
             g, data.f3, theta=data.theta, r_inner=data.r_inner,
-            r_outer=data.r_outer, name=f"lopez_ros(t={float(t):g})",
-        ))
+            r_outer=data.r_outer))
     return out
 
 
@@ -937,8 +935,8 @@ def _checks(members, t_grid, rho, core, base, walls, delta):
     pairs = list(zip(members, factors))
 
     # (I) anchoring at t = 0 and (II) third components, exactly
-    radii = wz._open_radii(members[0].r_inner, members[0].r_outer, 16)
-    probe = _PointSet(wz.PolarGrid(radii, 64), members).walls(labs)
+    grid = wz.annulus_grid(members[0].r_inner, members[0].r_outer, 16, 64)
+    probe = _PointSet(grid, members).walls(labs)
     anchored = not np.any(probe.f_change(members[0], factors[0]))
     # each returned member's own f3 against its base member's, once per
     # distinct pair of f3 callables

@@ -78,15 +78,6 @@ class PeriodicPath:
             raise ValueError("sample count must be a power of two >= 64")
         object.__setattr__(self, "values", v)
 
-    @property
-    def n_samples(self):
-        return self.values.shape[0]
-
-    @property
-    def x(self):
-        n = self.n_samples
-        return np.arange(n) / n
-
 
 def period(path):
     """Integral over one period by the trapezoid rule.
@@ -245,10 +236,6 @@ class ConformalPair:
         self.hprime = np.asarray(self.hprime, dtype=float)
         if not self.h.shape == self.g.shape == self.hprime.shape:
             raise ValueError("h, g, hprime must share one shape (N, 3)")
-
-    @property
-    def n_samples(self):
-        return self.h.shape[0]
 
     def residuals(self):
         """Pointwise relative residuals (orthogonality, norm match)."""

@@ -21,15 +21,7 @@ from . import nullquadric as nq
 from .errors import ApproximationBudgetExceeded, VanishingOnDomain
 from .loops import PeriodicPath, resample
 from .nullquadric import _lift_loop
-from .weierstrass import (
-    GRID_ANGULAR,
-    GRID_RADIAL,
-    LaurentSeries,
-    PolarGrid,
-    _open_radii,
-    circle,
-    homology_radius,
-)
+from .weierstrass import LaurentSeries, PolarGrid, annulus_grid, homology_radius
 
 #: Sup-norm tolerance of the extension on the generator circle.
 TOL_RUNGE = 1e-6
@@ -66,14 +58,11 @@ class CurveChart:
 
     The chart coordinate zeta satisfies z = radius*e^(2 pi i zeta), so
     d(zeta) = dz / (2 pi i z); loops restricted through the chart
-    (isotopy.restrict_data) are sampled against d(zeta).
+    (isotopy.restrict_data) are sampled against d(zeta), at n equispaced
+    values of zeta from 0: the circle PolarGrid([radius], n).
     """
 
     radius: float
-
-    def points(self, n):
-        """n equispaced samples of the circle, from zeta = 0."""
-        return circle(self.radius, n)
 
 
 def homology_basis(domain):
@@ -158,15 +147,14 @@ def runge_extend(loop, domain, tol=TOL_RUNGE):
     until the sup error on the curve is at most tol, up to DEGREE_MAX.
     Returns a LaurentMap whose restriction to the curve is sup-close to the
     input within the reported bound.  The extension is checked not to
-    vanish on the PolarGrid of GRID_RADIAL open radii and GRID_ANGULAR
-    angles on the annulus; the squared modulus there (min_grid_mod) is
-    read from the spinor blocks by LaurentMap.squared_modulus.
+    vanish on the domain's default annulus_grid; the squared modulus there
+    (min_grid_mod) is read from the spinor blocks by
+    LaurentMap.squared_modulus.
     """
     chart = homology_basis(domain)[0]
     v0 = loop.values if isinstance(loop, PeriodicPath) else np.asarray(loop)
     n0 = v0.shape[0]
-    radii = _open_radii(domain.r_inner, domain.r_outer, GRID_RADIAL)
-    grid = PolarGrid(radii, GRID_ANGULAR)
+    grid = annulus_grid(domain.r_inner, domain.r_outer)
     degree = DEGREE_START
     while degree <= DEGREE_MAX:
         # the loop is band-limited by convention, but its spinor lift is

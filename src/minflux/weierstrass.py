@@ -8,10 +8,13 @@ This module provides the assembly, the induced metric density, flux and
 immersion integrals, conformality and flatness checks, and a catalog of
 standard examples on the annulus 1/2 < |z| < 2.
 
-Exact Laurent data (LaurentSeries, LaurentQuotient) evaluate on a polar
-product grid (PolarGrid) by one inverse FFT per radius, and on any other
-points by Horner's scheme; every other callable sees plain points.  Data
-that carry a spinor (a, b) evaluate on a PolarGrid from its two blocks.
+This module owns the annulus's point sets: the open-annulus grid
+(annulus_grid, WeierstrassData.grid) and full circles (loop_period) are
+PolarGrids.  On a PolarGrid, data that carry a spinor (a, b) are read from
+its two blocks, other exact Laurent data (LaurentSeries, LaurentQuotient)
+by one inverse FFT per radius, and any other callable on the grid's
+points.  Plain points remain for scattered points (basepoints, waypoints,
+curves given as arrays), where exact data run Horner's scheme.
 """
 
 from __future__ import annotations
@@ -184,14 +187,15 @@ def _open_radii(lo, hi, n):
 
 
 def annulus_grid(r_inner=R_INNER, r_outer=R_OUTER, n_r=GRID_RADIAL, n_th=GRID_ANGULAR):
-    """Polar product grid on the open annulus, as a flat complex array."""
-    return PolarGrid(_open_radii(r_inner, r_outer, n_r), n_th).points
+    """The PolarGrid of n_r equispaced radii strictly inside the annulus
+    r_inner < |z| < r_outer, with n_th angles each."""
+    return PolarGrid(_open_radii(r_inner, r_outer, n_r), n_th)
 
 
 def circle(radius=1.0, n=512):
-    """Equispaced samples of a circle about 0, traversed once counterclockwise."""
-    x = np.arange(n) / n
-    return radius * np.exp(2j * np.pi * x)
+    """The points of PolarGrid([radius], n): n equispaced samples of a
+    circle about 0 from angle 0, traversed once counterclockwise."""
+    return PolarGrid([radius], n).points
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,6 @@ class WeierstrassData:
     theta: str = "dz"
     r_inner: float = R_INNER
     r_outer: float = R_OUTER
-    name: str = ""
     spinor: object = None
 
     def __post_init__(self):
@@ -228,6 +231,7 @@ class WeierstrassData:
         self.f3 = _as_callable(self.f3)
 
     def grid(self, n_r=GRID_RADIAL, n_th=GRID_ANGULAR):
+        """The annulus_grid PolarGrid of the data's annulus."""
         return annulus_grid(self.r_inner, self.r_outer, n_r, n_th)
 
     def f(self, z):
@@ -330,11 +334,17 @@ def conformality_residual(f_values):
 
 
 def loop_period(data, curve):
-    """Complex loop period of f theta over a closed curve, by spectral quadrature."""
+    """Complex loop period of f theta over a closed curve, by spectral
+    quadrature.
+
+    A radius stands for the circle PolarGrid([radius], 512), on which f
+    theta is read as on any PolarGrid; a curve given as an array of
+    points is read at those points.
+    """
     if np.isscalar(curve):
-        z = circle(float(curve))
-    else:
-        z = np.asarray(curve, dtype=complex)
+        grid = PolarGrid([float(curve)], 512)
+        return period_from_f_theta(data.f_theta(grid), grid.points)
+    z = np.asarray(curve, dtype=complex)
     return period_from_f_theta(data.f_theta(z), z)
 
 
@@ -373,7 +383,7 @@ def primitive(data):
     """
     radii = np.array([data.r_inner, data.r_outer])
     rims = PolarGrid(radii, N_RIM)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = data.f_theta(rims)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValues("f theta is not finite on the boundary circles")
@@ -438,8 +448,8 @@ def is_flat(data):
     ray.  For exact Laurent g, num/den (a LaurentSeries counts as num over
     1) is constant exactly when the 2 x K coefficient matrix [num; den] has
     rank one, tested as a singular-value gap below FLAT_GAP; no sample is
-    taken.  Only an opaque callable g is sampled: f on the data's grid is
-    flat when its centered sample matrix has that gap.
+    taken.  Only an opaque callable g is sampled: f on the data's grid (a
+    PolarGrid) is flat when its centered sample matrix has that gap.
     """
     g = data.g
     if isinstance(g, LaurentSeries):
@@ -464,7 +474,7 @@ def admission(data, grid, real_period, where):
     NonFiniteValues, naming where, unless the density's max and the period
     are finite: a NaN fails every comparison, and min() passes an inf.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         den = metric_density(data, grid)
     lo, hi = float(den.min()), float(den.max())
     real = float(np.linalg.norm(real_period))
@@ -479,6 +489,9 @@ class MinimalImmersion:
 
     Stores the flux over the annulus generator; construction fails if the
     real period does not vanish or the metric degenerates on the grid.
+    Both are read as verify reads a member: the period on the generator
+    circle and the density on the data's grid, both PolarGrids, so data
+    with a spinor are read from its two blocks.
     """
 
     data: WeierstrassData
@@ -487,7 +500,7 @@ class MinimalImmersion:
     def __post_init__(self):
         data = self.data
         # admission tests the period and the density for finiteness
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             period = loop_period(data, homology_radius(data))
         den_min, real = admission(data, data.grid(), period.real, "the data")
         if real > TOL_PERIOD:
@@ -502,11 +515,11 @@ def catalog(name):
     z_series = LaurentSeries([1.0], 1)
     one = LaurentSeries([1.0], 0)
     if name == "catenoid":
-        return WeierstrassData(z_series, one, theta="dz/z", name=name)
+        return WeierstrassData(z_series, one, theta="dz/z")
     if name == "enneper_annulus":
-        return WeierstrassData(z_series, z_series, theta="dz", name=name)
+        return WeierstrassData(z_series, z_series, theta="dz")
     if name == "flat_exponential":
-        return WeierstrassData(one, LaurentSeries.exp_series(), theta="dz", name=name)
+        return WeierstrassData(one, LaurentSeries.exp_series(), theta="dz")
     if name == "vertical_plane":
-        return WeierstrassData(one, one, theta="dz", name=name)
+        return WeierstrassData(one, one, theta="dz")
     raise UnknownName(f"no catalog entry named {name!r}")

@@ -10,6 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minflux import cli
+from minflux import isotopy as iso
+from minflux import riemann as rm
 from minflux import weierstrass as wz
 from minflux.errors import ConfigError
 
@@ -812,6 +814,28 @@ class TestCoefficientsDomain:
         cfg = cli.load_config(write_config(tmp_path, WIDE))
         with pytest.raises(ValueError, match="member 0 has no extension"):
             cli.write_coefficients(tmp_path / COEFFS, fam, cfg)
+
+
+    def test_block_zero_on_grid_input_runs(self, tmp_path):
+        # a stored input whose spinor block a = z - x vanishes at the point
+        # x of the admission grid, where b does not: the drivers read it
+        # from its blocks, as verify does, and admit it
+        x = wz._open_radii(0.5, 2.0, 64)[40]
+        a = wz.LaurentSeries([-x, 1.0], 0)
+        b = wz.LaurentSeries([1j, 0.0, -0.5j * x**2], -1)
+        member, period = iso._spinor_member(rm.LaurentMap(a, b), "dz",
+                                            0.5, 2.0)
+        text = PRESCRIBED.replace("0, 0, %.17g", "0, 4, 2").replace(
+            "catalog = catenoid", f"coefficients = {tmp_path / COEFFS}"
+        )
+        cfg = write_config(tmp_path, text)
+        fam = iso.ImmersionFamily(ts=np.zeros(1), members=[member],
+                                  periods=period[None, :])
+        cli.write_coefficients(tmp_path / COEFFS, fam, cli.load_config(cfg))
+        code, _, err = run_cli(["run", "--config", cfg,
+                                "--out", str(tmp_path / "out")])
+        assert code == 0, err
+        assert "overall = PASS" in (tmp_path / "out" / "report.txt").read_text()
 
 
 COMPLETE_STEP = CONFIG.replace(

@@ -1,8 +1,9 @@
 """Every module-level function and class of minflux is used or documented,
 every method is referenced, every defaulted parameter is set by some call
 of the program or of the acceptance tests, no required parameter gets the
-same module constant or literal from every such call, and every parameter
-is read by its function."""
+same module constant or literal from every such call, every parameter
+is read by its function, and only weierstrass lays out the open-annulus
+radii."""
 
 import ast
 import re
@@ -290,3 +291,14 @@ def test_every_parameter_is_read():
     # a parameter its function ignores misleads every caller that sets it
     assert sorted(set(unread_parameters()) - UNREAD_EXEMPT) == []
     assert UNREAD_EXEMPT <= set(unread_parameters())
+
+
+def test_open_radii_owned_by_weierstrass():
+    # every other module takes the annulus grid as a PolarGrid from
+    # weierstrass.annulus_grid
+    users = sorted(
+        path.name
+        for path in (ROOT / "src" / "minflux").glob("*.py")
+        if "_open_radii" in path.read_text()
+    )
+    assert users == ["weierstrass.py"]

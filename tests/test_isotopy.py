@@ -5,6 +5,7 @@ import dataclasses
 import io
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ def reference_f(m, z):
 
 def reference_loop(m, chart, n):
     """f theta/d(zeta) at the chart's n points, from g and f3."""
-    z = chart.points(n)
+    z = wz.circle(chart.radius, n)
     fac = 2j * np.pi * (np.ones_like(z) if m.theta == "dz/z" else z)
     return reference_f(m, z) * fac[:, None]
 
@@ -341,7 +342,7 @@ class TestSpinorReading:
         # the drivers' input loop from catalog data is read by Horner's
         # scheme at the chart's points, bit for bit
         data, chart = catenoid.data, rm.homology_basis(rm.annulus())[0]
-        z = chart.points(512)
+        z = wz.circle(chart.radius, 512)
         want = data.f(z) * (2j * np.pi * z / z)[:, None]
         got = iso.restrict_data(data, chart, n=512).values
         assert got.tobytes() == want.tobytes()
@@ -595,6 +596,70 @@ class TestDriverInput:
                 iso.flux_to_zero(catenoid, **kw)
 
 
+
+#: a radius of the admission grid (the default annulus_grid of 1/2 < |z| < 2),
+#: whose point at angle 0 is a grid point
+GRID_X = _open_radii(0.5, 2.0, 64)[40]
+
+
+@pytest.fixture(scope="module")
+def grid_zero_member():
+    """A member whose spinor block a = z - x vanishes at the grid point x,
+    where b = i/z - (i x^2 / 2) z is -0.82i: a and b have no common zero,
+    so it immerses, and its exact period (0, 4.18i, 2i) has no real part."""
+    x = GRID_X
+    a = wz.LaurentSeries([-x, 1.0], 0)
+    b = wz.LaurentSeries([1j, 0.0, -0.5j * x**2], -1)
+    return iso._spinor_member(rm.LaurentMap(a, b), "dz", 0.5, 2.0)[0]
+
+
+class TestAdmission:
+    """The drivers admit an input as verify reads a member: on PolarGrids,
+    a spinor member from its blocks, never through g = b/a."""
+
+    def test_block_zero_on_grid_admitted(self, grid_zero_member):
+        m = grid_zero_member
+        assert m.spinor.a(np.array([GRID_X]))[0] == 0
+        u = wz.MinimalImmersion(m)
+        assert np.allclose(u.flux, [0.0, 4.18272189, 2.0], atol=1e-8)
+
+    @pytest.mark.parametrize("driver", ["prescribe_flux", "flux_to_zero"])
+    def test_block_zero_on_grid_families_verify(self, grid_zero_member,
+                                                driver):
+        if driver == "prescribe_flux":
+            target = np.array([0.0, 4.0, 2.0])
+            fam = iso.prescribe_flux(grid_zero_member, target, n_t=16)
+        else:
+            target = np.zeros(3)
+            fam = iso.flux_to_zero(grid_zero_member, n_t=16)
+        rep = iso.verify(fam, target_flux=target)
+        assert rep.passes == dict.fromkeys(rep.passes, True)
+
+    @pytest.mark.parametrize("pole, reader", [
+        (GRID_X, "MinimalImmersion"), (GRID_X, "verify"),
+        (1.0, "MinimalImmersion"), (1.0, "verify"),
+        (2.0, "integrate_immersion"),
+    ])
+    def test_quotient_pole_not_finite(self, pole, reader):
+        # a Gauss map without a spinor, with a pole at a point of the
+        # admission grid, of the homology circle or of the outer rim: a
+        # typed error, with no divide-by-zero warning
+        g = wz.LaurentQuotient(wz.LaurentSeries([1.0, 0.0, 0.5], -1),
+                               wz.LaurentSeries([-pole, 1.0], 0))
+        data = wz.WeierstrassData(g, 1.0, theta="dz")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValues, match="not finite"):
+                if reader == "MinimalImmersion":
+                    wz.MinimalImmersion(data)
+                elif reader == "verify":
+                    iso.verify(iso.ImmersionFamily(
+                        ts=np.zeros(1), members=[data],
+                        periods=np.zeros((1, 3), complex),
+                    ))
+                else:
+                    wz.integrate_immersion(data, 1.0, np.zeros(3), 1.5)
+
 class TestVerify:
     def test_residuals_within_thresholds(self, fam_zero):
         rep = iso.verify(fam_zero)
@@ -645,6 +710,23 @@ class TestVerify:
             iso.ImmersionFamily(
                 ts=fam_zero.ts, members=[*fam_zero.members[:-1], wide],
                 periods=fam_zero.periods,
+            )
+
+    @pytest.mark.parametrize("n_ts, n_members, periods_shape", [
+        (4, 3, (3, 3)), (2, 4, (4, 3)), (4, 4, (2, 3)), (3, 3, (3,)),
+        (3, 3, (3, 2)),
+    ])
+    def test_mismatched_lengths_rejected(self, n_ts, n_members,
+                                         periods_shape):
+        # verify would zip the shorter list and write_trace_csv index past
+        # the periods
+        cat = wz.catalog("catenoid")
+        want = (f"{n_ts} ts and {n_members} members, and periods of shape "
+                f"{periods_shape}")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            iso.ImmersionFamily(
+                ts=np.linspace(0.0, 1.0, n_ts), members=[cat] * n_members,
+                periods=np.zeros(periods_shape, complex),
             )
 
     def test_generator_derived_from_annulus(self, fam_zero):

@@ -288,7 +288,7 @@ class TestZeroPeriodPair:
         # h' is one constant on [0, delta] and another on [2 delta, 3 delta]
         delta = lp.PAIR_DELTA
         pair = lp.make_zero_period_pair(circle_samples(), spin_class=0)
-        n = pair.n_samples
+        n = pair.h.shape[0]
         x = np.arange(n) / n
         for lo, hi in ((0.0, delta), (2 * delta, 3 * delta)):
             win = pair.hprime[(x >= lo) & (x < hi)]

@@ -41,7 +41,8 @@ class TestHomologyBasis:
     def test_winding_matrix_is_identity(self):
         # the generator winds once around the hole and not around the
         # outer complement
-        pts = rm.homology_basis(rm.annulus(0.3, 3.0))[0].points(256)
+        chart = rm.homology_basis(rm.annulus(0.3, 3.0))[0]
+        pts = wz.circle(chart.radius, 256)
         # about z0, the winding of the shifted curve pts - z0 about 0
         assert rm.winding_number(pts) == 1
         assert rm.winding_number(pts - 0.2) == 1
@@ -99,7 +100,7 @@ class TestRungeExtend:
         assert ext.meta["sup_error"] <= 1e-12
         # off-sample circle agreement with the generating data
         # (theta = dz/z, so the chart factor 2 pi i z / z is constant)
-        z = chart.points(777)
+        z = wz.circle(chart.radius, 777)
         target = cat.f(z) * 2j * np.pi
         assert np.max(np.abs(ext(z) - target)) <= 1e-8
         # whole-annulus grid agreement
@@ -118,7 +119,8 @@ class TestRungeExtend:
         dom = rm.annulus(0.6, 1.8)
         chart = rm.homology_basis(dom)[0]
         m = rm.LaurentMap(wz.LaurentSeries([1.0]), wz.LaurentSeries([0.2, 0.5]))
-        ext = rm.runge_extend(lp.PeriodicPath(m(chart.points(256))), dom)
+        loop = lp.PeriodicPath(m(wz.circle(chart.radius, 256)))
+        ext = rm.runge_extend(loop, dom)
         # the default grid is the annulus grid of the weierstrass module
         grid = wz.annulus_grid(dom.r_inner, dom.r_outer)
         mods = np.sum(np.abs(ext(grid)) ** 2, axis=-1)
@@ -131,7 +133,8 @@ class TestRungeExtend:
         chart = rm.homology_basis(dom)[0]
         m = rm.LaurentMap(wz.LaurentSeries([1.0]), wz.LaurentSeries([0.2, 0.5]),
                           parity=1, scale=chart.radius)
-        ext = rm.runge_extend(lp.PeriodicPath(m(chart.points(256))), dom)
+        loop = lp.PeriodicPath(m(wz.circle(chart.radius, 256)))
+        ext = rm.runge_extend(loop, dom)
         assert ext.parity == 1
         grid = wz.annulus_grid(dom.r_inner, dom.r_outer)
         mods = np.sum(np.abs(ext(grid)) ** 2, axis=-1)
@@ -159,7 +162,7 @@ class TestRungeExtend:
         chart = rm.homology_basis(dom)[0]
         loop = catenoid_restriction()
         ext = rm.runge_extend(loop, dom)
-        z = chart.points(1024)
+        z = wz.circle(chart.radius, 1024)
         quad = (ext(z) * (2j * np.pi * z)[:, None]).mean(axis=0)
         period = 2j * np.pi * np.array([c.residue for c in ext.components()])
         assert np.linalg.norm(period - quad) < 1e-10
@@ -168,7 +171,7 @@ class TestRungeExtend:
         dom = rm.annulus()
         chart = rm.homology_basis(dom)[0]
         ext = rm.runge_extend(catenoid_restriction(), dom)
-        loop2 = lp.PeriodicPath(ext(chart.points(256)))
+        loop2 = lp.PeriodicPath(ext(wz.circle(chart.radius, 256)))
         ext2 = rm.runge_extend(loop2, dom)
         assert ext2.parity == ext.parity
         pad = max(len(ext.a.coeffs), len(ext2.a.coeffs))
@@ -216,7 +219,8 @@ class TestRungeExtend:
         a = wz.LaurentSeries([-z0, 1.0], 0)  # z - z0
         b = wz.LaurentSeries([-1j * z0, 1j], 0)  # i(z - z0)
         m = rm.LaurentMap(a, b)
-        loop = lp.PeriodicPath(m(rm.homology_basis(rm.annulus())[0].points(256)))
+        chart = rm.homology_basis(rm.annulus())[0]
+        loop = lp.PeriodicPath(m(wz.circle(chart.radius, 256)))
         with pytest.raises(VanishingOnDomain):
             rm.runge_extend(loop, rm.annulus())
 

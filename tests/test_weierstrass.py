@@ -59,7 +59,18 @@ class TestPolarGrid:
     def test_points_are_annulus_grid(self):
         radii = np.linspace(0.5, 2.0, 10)[1:-1]
         grid = wz.PolarGrid(radii, 32)
-        assert grid.points.tobytes() == wz.annulus_grid(0.5, 2.0, 8, 32).tobytes()
+        want = wz.annulus_grid(0.5, 2.0, 8, 32).points
+        assert grid.points.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("radius", [0.5, 0.99, 1.0, 1.3])
+    @pytest.mark.parametrize("n", [128, 512, 1024, 4096])
+    def test_circle_is_one_ring_grid(self, radius, n):
+        # the circle's points are the one-ring grid's, and keep the bits
+        # of the closed form radius e^(2 pi i k / n)
+        got = wz.circle(radius, n)
+        assert got.tobytes() == wz.PolarGrid([radius], n).points.tobytes()
+        closed = radius * np.exp(2j * np.pi * (np.arange(n) / n))
+        assert got.tobytes() == closed.tobytes()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
