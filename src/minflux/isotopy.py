@@ -4,13 +4,17 @@ The drivers deform a conformal minimal immersion of an annulus through
 conformal minimal immersions until its flux vector reaches a prescribed
 value (zero by default).  The deformation happens at the level of the
 boundary loop of the derivative data: the loop period is steered along a
-linear ramp (period_schedule) by quadric-preserving flows, and each
-intermediate loop is extended holomorphically to the annulus with sup
-error at most min(TOL_RUNGE, tol_period / 10) on the homology circle.
-The exact coefficient period of an extension is the mean of its samples
-there, so it lies within that sup error plus 1e-12 of the ramp.  At the
-zero endpoint the full complex periods vanish and a holomorphic null
-curve with u1 = Re F is emitted.
+linear ramp (period_schedule) by quadric-preserving flows whose profiles
+are Laurent polynomials in z.  The flows act on the spinor lift (a, b)
+of the loop by SL(2, C) (nullquadric.SPINOR_GENERATORS), so each driven
+member is the closed form M(z) (a0, b0) of the input's spinor, holomorphic
+on the whole annulus; its Laurent coefficients are read on the two
+boundary circles (weierstrass.rim_read).  Each member meets the
+continuation's loop to min(TOL_RUNGE, tol_period / 10) on the homology
+circle, and its exact coefficient period, the mean of its samples there,
+lies within that sup error plus 1e-12 of the ramp.  At the zero endpoint
+the full complex periods vanish and a holomorphic null curve with
+u1 = Re F is emitted.
 """
 
 from __future__ import annotations
@@ -25,7 +29,14 @@ from . import loops as lp
 from . import nullquadric as nq
 from . import riemann as rm
 from . import weierstrass as wz
-from .errors import EstimateNotMet, FlatInput, NonFiniteValues, NotOnQuadric
+from .errors import (
+    ApproximationBudgetExceeded,
+    EstimateNotMet,
+    FlatInput,
+    NonFiniteValues,
+    NotOnQuadric,
+    VanishingOnDomain,
+)
 from .loops import N_T_DEFAULT, PeriodicPath
 from .nullquadric import TOL_NULL
 from .riemann import TOL_RUNGE
@@ -44,6 +55,12 @@ TOL_FLUX = 1e-8
 #: Loop sample count used on the homology circle.
 N_S_DEFAULT = 512
 
+#: Members the driven-member builder reads per block.
+MEMBER_BLOCK = 16
+
+#: Samples per boundary circle of the first read of the driven members.
+RIM_SAMPLES = 64
+
 #: Bound on verify's continuity measure: the largest member step
 #: max|f(t_k+1) - f(t_k)| / max|f(t_k)|, times n_t - 1, with both sups
 #: taken on the two boundary circles (maximum modulus principle).
@@ -59,8 +76,9 @@ class ImmersionFamily:
     """A one-parameter family of conformal minimal immersions.
 
     members[k] is the Weierstrass data at ts[k]; members[0] is the input
-    object itself (exact coefficients).  A driven member carries the
-    Laurent extension it was built from as its spinor.  periods[k] is the
+    object itself (exact coefficients).  A driven member carries its
+    spinor, the closed form M(z) (a0, b0) of the input's spinor read as
+    Laurent series, from which it was built.  periods[k] is the
     complex period of f theta over the homology generator.  ts, members
     and periods have one length n, and periods the shape (n, 3); every
     member lies on one annulus (ValueError otherwise), whose homology
@@ -202,30 +220,146 @@ def restrict_data(data, chart, n=N_S_DEFAULT):
 
 
 # ---------------------------------------------------------------------------
-# the member extension
+# the driven members
 
 
-def _pin_extension(values, domain, theta, target, tol):
-    """Extend a deformed loop to sup error min(TOL_RUNGE, tol) on the curve.
+#: The drivers' control profiles 1, cos 2 pi x and sin 2 pi x, as Laurent
+#: polynomials in u = z / r with r the generator radius, so that
+#: u = e^(2 pi i x) on the generator circle.
+DRIVER_PROFILES = (
+    LaurentSeries([1.0]),
+    LaurentSeries([0.5, 0.0, 0.5], -1),
+    LaurentSeries([0.5j, 0.0, -0.5j], -1),
+)
 
-    The exact period of the extension (from the z^0 coefficients of its
-    components) is the mean of its samples on the curve, so it misses the
-    loop period by at most the sup error that runge_extend reports, and
-    the continuation has put the loop period within 1e-12 of target.
-    Returns (member, exact period), the member carrying the extension as
-    its spinor; raises EstimateNotMet if the period misses target by more
-    than the sup error plus 1e-12.
+
+def _driver_controls(grid):
+    """The drivers' controls read on a PolarGrid of u = z / r: each flow of
+    nq.FLOW_KINDS with each of DRIVER_PROFILES, flat on the grid, the
+    constant profile as the scalar 1, whose flow factors are scalars.
+
+    The profiles are entire in u and 1/u, so the deformed loops stay
+    analytic on the whole annulus and their members remain moderately
+    bounded off the curve; compactly supported bump profiles would force
+    the members to blow up geometrically toward the domain boundary.
     """
-    ext = rm.runge_extend(PeriodicPath(values), domain, tol=min(TOL_RUNGE, tol))
-    member, period = _spinor_member(ext, theta, domain.r_inner, domain.r_outer)
-    miss = float(np.max(np.abs(period - target)))
-    bound = ext.meta["sup_error"] + 1e-12
-    if miss > bound:
-        raise EstimateNotMet(
-            f"member extension period misses the ramp by {miss:.3g}, above "
-            f"the bound {bound:.3g} (sup error + 1e-12)"
-        )
-    return member, period
+    return [
+        (kind, p(grid) if p.coeffs.size > 1 else 1.0)
+        for p in DRIVER_PROFILES
+        for kind in nq.FLOW_KINDS
+    ]
+
+
+def _pin_extension(spinor, ws, loops, domain, theta, targets, tol):
+    """The driven members of the control vectors ws, rows of shape (m,).
+
+    A member is (a, b) = M(z) (a0, b0), with (a0, b0) the blocks of the
+    input spinor and M(z) = prod_j exp(w_j p_j(z / r) X_j) in control order
+    (_driver_controls, nq.SPINOR_GENERATORS): the closed form of the
+    continuation's flows.  Members are built in blocks of MEMBER_BLOCK.
+    M (a0, b0) is evaluated on the two boundary circles, RIM_SAMPLES per
+    circle at first, doubled up to the loops' sample count while a read's
+    gap exceeds tol, and read into Laurent series by weierstrass.rim_read
+    (ApproximationBudgetExceeded beyond).  Each member then passes the
+    checks of an extension:
+    - its sup error against the continuation's loop on the generator
+      circle (loops[k]) is at most tol (ApproximationBudgetExceeded), and
+      is recorded as spinor.meta["sup_error"];
+    - it does not vanish on the domain's default annulus_grid
+      (VanishingOnDomain).  |M(z) s| >= |s| exp(-(1/2) sum_j |w_j p_j(u)|),
+      since |X_j| = 1/2, and the max of |p_j| on the closed annulus is on
+      its rims, so min_grid |(a0, b0)| times that factor, less the read's
+      gap, bounds the member's blocks below; only where the bound cannot
+      certify the member is its squared modulus evaluated on the grid;
+    - its exact period (from the z^0 coefficients of its components, the
+      mean of its samples on the curve) misses targets[k] by at most the
+      sup error plus 1e-12 (EstimateNotMet), the continuation having put
+      the loop period within 1e-12 of the target.
+    Returns (members, periods), each member carrying its spinor.
+    """
+    r = wz.homology_radius(domain)
+    radii = np.array([domain.r_inner, domain.r_outer])
+    n_loop = loops[0].shape[0]
+    circle = PolarGrid([r], n_loop)
+    twist = (circle.points / spinor.scale) ** spinor.parity
+    # the non-vanishing bound's parts that hold for every member: the
+    # input blocks on the grid and each profile's max on the rims
+    grid = wz.annulus_grid(domain.r_inner, domain.r_outer)
+    s0_min = float(np.sqrt(np.min(
+        np.abs(spinor.a(grid)) ** 2 + np.abs(spinor.b(grid)) ** 2)))
+    ring_min = float(np.min((grid.radii / spinor.scale) ** (2 * spinor.parity)))
+    rim_max = np.array([
+        np.max((radii[:, None] / r) ** (p.k_min + np.arange(p.coeffs.size))
+               @ np.abs(p.coeffs))
+        for p in DRIVER_PROFILES for _ in nq.FLOW_KINDS
+    ])
+
+    def read(block, n):
+        # rim_read of M (a0, b0) for each row of block, n samples a circle
+        rims = PolarGrid(radii, n)
+        a, b = spinor.a(rims), spinor.b(rims)
+        controls = _driver_controls(PolarGrid(radii / r, n))
+        for (kind, prof), wj in zip(controls, block.T):
+            factors = nq.flow_factors(kind, 0.5 * wj[:, None] * prof)
+            a, b = nq.spinor_action(a, b, kind, factors)
+        vals = np.stack([a, b], axis=-1).reshape(len(block), 2, n, 2)
+        return wz.rim_read(vals, radii)
+
+    n = RIM_SAMPLES
+    members, periods = [], []
+    for start in range(0, len(ws), MEMBER_BLOCK):
+        block = ws[start : start + MEMBER_BLOCK]
+        k, coeffs, kept, gap = read(block, n)
+        while not gap.max() <= tol and n < n_loop:
+            n *= 2
+            k, coeffs, kept, gap = read(block, n)
+        # the members on the generator circle, from their coefficients
+        spec = np.zeros((len(block), n_loop, 2), dtype=complex)
+        spec[:, k % n_loop] = coeffs * (r ** k.astype(float))[:, None]
+        on_circle = np.fft.ifft(spec, axis=1, norm="forward")
+        on_circle = nq.spinor_to_null(on_circle[..., 0], on_circle[..., 1])
+        on_circle = on_circle * twist[:, None]
+        factor = np.exp(-0.5 * np.abs(block) @ rim_max)
+        for j in range(len(block)):
+            at = f"member {start + j + 1}"
+            if not gap[j] <= tol:
+                raise ApproximationBudgetExceeded(
+                    f"{at}: the rim read misses the closed form by "
+                    f"{gap[j]:.3g}, above {tol:g} at {n} samples per circle"
+                )
+            loop = loops[start + j]
+            sup_err = float(np.max(np.abs(on_circle[j] - loop)))
+            if not sup_err <= tol:
+                raise ApproximationBudgetExceeded(
+                    f"{at}: sup error {sup_err:.3g} above {tol:g} on the "
+                    "generator circle"
+                )
+            span = wz.kept_span(kept[j])
+            ext = rm.LaurentMap(
+                LaurentSeries(coeffs[j, span, 0], int(k[span.start])),
+                LaurentSeries(coeffs[j, span, 1], int(k[span.start])),
+                parity=spinor.parity, scale=spinor.scale,
+                meta={"sup_error": sup_err},
+            )
+            floor = 1e-20 * max(1.0, float(np.max(np.abs(loop))) ** 2)
+            low = max(0.0, s0_min * factor[j] - np.sqrt(2.0) * gap[j])
+            if (2.0 * ring_min * low**4 <= floor
+                    and np.min(ext.squared_modulus(grid)) <= floor):
+                raise VanishingOnDomain(
+                    f"{at}: extension vanishes on the verification grid"
+                )
+            member, period = _spinor_member(ext, theta, domain.r_inner,
+                                            domain.r_outer)
+            miss = float(np.max(np.abs(period - targets[start + j])))
+            bound = sup_err + 1e-12
+            if miss > bound:
+                raise EstimateNotMet(
+                    f"member extension period misses the ramp by {miss:.3g}, "
+                    f"above the bound {bound:.3g} (sup error + 1e-12)"
+                )
+            members.append(member)
+            periods.append(period)
+    return members, periods
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +387,6 @@ def period_schedule(ts, period0, target):
         (1.0 - ts)[:, None] * period0[None, :]
         + ts[:, None] * (1j * np.asarray(target, dtype=float))[None, :]
     )
-
-
-def _driver_controls(n):
-    """Quadric flows with low-degree trigonometric profiles.
-
-    The profiles are restrictions of entire functions, so the deformed
-    loops stay analytic on the whole annulus and their holomorphic
-    extensions remain moderately bounded off the curve; compactly
-    supported bump profiles would force the extension to blow up
-    geometrically toward the domain boundary.
-    """
-    x = np.arange(n) / n
-    profs = [
-        np.ones(n),
-        np.cos(2.0 * np.pi * x),
-        np.sin(2.0 * np.pi * x),
-    ]
-    return [(k, p) for p in profs for k in nq.FLOW_KINDS]
 
 
 def _drive(
@@ -313,22 +429,19 @@ def _drive(
 
     ts = np.linspace(0.0, 1.0, n_t)
     ramp = period_schedule(ts, period0, target)
-    controls = _driver_controls(loop0.values.shape[0])
-    deformed = lp._period_continuation(loop0.values, ramp, controls)
-
-    members = [data]
-    periods = [period0]
-    for k in range(1, n_t):
-        member, period = _pin_extension(
-            deformed[k], domain, data.theta, ramp[k], tol=0.1 * tol_period
-        )
-        members.append(member)
-        periods.append(period)
-
+    tol = min(TOL_RUNGE, 0.1 * tol_period)
+    spinor = data.spinor
+    if spinor is None:
+        spinor = rm.runge_extend(loop0, domain, tol=tol)
+    controls = _driver_controls(PolarGrid([1.0], loop0.values.shape[0]))
+    path, deformed = lp._period_continuation(loop0.values, ramp, controls)
+    members, periods = _pin_extension(
+        spinor, path[1:], deformed[1:], domain, data.theta, ramp[1:], tol
+    )
     return ImmersionFamily(
         ts=ts,
-        members=members,
-        periods=np.array(periods),
+        members=[data, *members],
+        periods=np.array([period0, *periods]),
         meta={"tol_flux": tol_flux, "tol_period": tol_period},
     )
 

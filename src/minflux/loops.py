@@ -843,71 +843,72 @@ def read_out(weights, samples):
     return s.reshape(s.shape[:-2] + (-1,)) @ weights.reshape(len(weights), -1).T
 
 
-def _flow_deform(values, controls, w):
-    """Apply bump-profiled quadric flows pointwise to loop samples.
+def _flow_deform(values, controls, w, tangents=False):
+    """Apply profiled quadric flows pointwise to loop samples.
 
-    controls: list of (kind, profile array); w: complex coefficients, one
-    per control.  The flows act in list order and preserve the quadric
-    exactly, so deformed loops never leave it.  Returns the deformed loop
-    and the tape of the sweep: per control, (kind, profile, flow factors,
-    loop after the control), which _flow_jacobian reads.
-    """
-    out = np.array(values, dtype=complex)
-    tape = []
-    for (kind, prof), wj in zip(controls, w):
-        factors = nq.flow_factors(kind, wj * prof)
-        out = nq.flow_action(out, kind, factors)
-        tape.append((kind, prof, factors, out))
-    return out, tape
+    controls: list of (kind, profile) with a profile array, or a scalar
+    for a constant profile, whose flow factors are then scalars; w: complex
+    coefficients, one per control.  The flows act in list order and
+    preserve the quadric exactly, so deformed loops never leave it.
+    Returns the deformed loop and, with tangents, its derivatives in w,
+    shape (m, N, 3), else None.
 
-
-def _flow_jacobian(tape, weights):
-    """Exact complex Jacobian (r, m) in w of read_out(weights, loop).
-
-    tape is the sweep's from _flow_deform, weights (r, N, 3).  One backward
-    pass (reverse mode): the adjoint lam starts at weights; at control k,
-    from the last to the first, column k is sum_x prof_k lam . (G_k P_k),
+    The tangents are carried forward (forward mode) in the same flow
+    actions as the loop: at control k the new tangent is prof_k G_k P_k,
     with P_k the loop after control k and G_k the plane rotation generator
-    or the identity (scaling), and then lam <- F_k^T lam, the flow's
-    transpose read from its taped factors: the rotation with (c, -s), or
-    the same e^t.  Cost O(m r N), with no trigonometry.
+    or the identity (scaling), and every later control acts on the earlier
+    tangents as it acts on the loop.
     """
-    lam = np.asarray(weights, dtype=complex)
-    cols = []
-    for kind, prof, factors, p in reversed(tape):
-        if kind == "scaling":
-            cols.append(np.tensordot(lam, prof[:, None] * p, 2))
-        else:
-            i, j = int(kind[-2]) - 1, int(kind[-1]) - 1
-            cols.append(lam[..., j] @ (prof * p[:, i])
-                        - lam[..., i] @ (prof * p[:, j]))
-            factors = (factors[0], -factors[1])
-        lam = nq.flow_action(lam, kind, factors)
-    return np.stack(cols[::-1], axis=1)
+    v = np.asarray(values, dtype=complex)
+    state = np.zeros((len(controls) + 1 if tangents else 1,) + v.shape,
+                     dtype=complex)
+    state[0] = v
+    for k, ((kind, prof), wk) in enumerate(zip(controls, w)):
+        live = state[: k + 1]
+        nq.flow_action(live, kind, nq.flow_factors(kind, wk * prof), out=live)
+        if tangents:
+            loop = state[0]
+            if kind == "scaling":
+                state[k + 1] = np.asarray(prof)[..., None] * loop
+            else:
+                i, j = int(kind[-2]) - 1, int(kind[-1]) - 1
+                state[k + 1, :, i] = -prof * loop[:, j]
+                state[k + 1, :, j] = prof * loop[:, i]
+    return state[0], state[1:] if tangents else None
 
 
-def _level(controls, weights, tol, max_iter, radius):
+def _flow_jacobian(tangents, weights):
+    """Exact complex Jacobian (r, m) in w of read_out(weights, loop), from
+    the sweep's tangents (m, N, 3), with weights (r, N, 3)."""
+    return weights.reshape(len(weights), -1) @ tangents.reshape(
+        len(tangents), -1).T
+
+
+def _level(controls, weights, tol, max_iter, radius, tangents):
     """The sweep and the Newton solve of a continuation at one resolution.
 
-    sweep(v, x) is _flow_deform(v, controls, x), cached for the latest
-    (loop, x); solve(v, goal, wv) is the damped Newton for
+    sweep(v, x, jac) is _flow_deform(v, controls, x, tangents), cached for
+    the latest (loop, x); with tangents False a sweep carries none until
+    jac asks for them.  solve(v, goal, wv) is the damped Newton for
     read_out(weights, sweep(v, w)[0]) = goal from wv, or None.
     """
     last = {}
 
-    def sweep(v, x):
+    def sweep(v, x, jac=False):
         # _newton's last residual call is at the solution it returns, which
         # is the loop emitted and, for a shared loop, the next solve's first
-        # point: keeping the latest sweep saves flow sweeps
+        # point, and it asks for the Jacobian at its last residual point:
+        # keeping the latest sweep saves flow sweeps
         key = (id(v), x.tobytes())
-        if last.get("key") != key:
-            last["key"], last["sweep"] = key, _flow_deform(v, controls, x)
+        if last.get("key") != key or (jac and last["sweep"][1] is None):
+            last["key"] = key
+            last["sweep"] = _flow_deform(v, controls, x, tangents or jac)
         return last["sweep"]
 
     def solve(v, goal, wv):
         return _newton(
             lambda x: read_out(weights, sweep(v, x)[0]) - goal,
-            lambda x: _flow_jacobian(sweep(v, x)[1], weights),
+            lambda x: _flow_jacobian(sweep(v, x, True)[1], weights),
             wv, tol, max_iter, radius / 4,
         )
 
@@ -924,17 +925,20 @@ def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf,
     least-norm Newton on the exact Jacobian, from the previous step's w, at
     most max_iter steps of length at most radius / 4, down to a residual
     of tol; stalls sub-step through blended goals.  Each Newton point costs
-    one flow sweep: _newton asks for the Jacobian at its last residual
-    point, so the adjoint _flow_jacobian reads the tape of that sweep.
+    one flow sweep, which carries the tangents of the Jacobian forward:
+    _newton asks for the Jacobian at its last residual point, so it reads
+    that sweep.
 
     With coarse = m < N, a step first solves on every (N/m)-th sample of
     the loops and profiles, with weights[:, ::N/m] * (N/m), and then runs
     the full solve from that point, which decides the step.  Where m
     samples already resolve the readout (a trapezoid rule of an analytic
     periodic integrand), the full solve ends at its first point: one
-    sweep and no Jacobian.  If the coarse solve stalls, or the full solve
-    fails from its point, the step falls back to the full solve from the
-    previous w.  The two resolutions keep separate sweep caches.
+    sweep, which carries no tangents, and no Jacobian.  If the coarse
+    solve stalls, or the full solve fails from its point, the step falls
+    back to the full solve from the previous w, whose sweeps build
+    tangents where the Jacobian is asked for.  The two resolutions keep
+    separate sweep caches.
 
     Returns the path w, shape (n, len(controls)), and the deformed loops
     at full resolution, the first being loops[0].  Raises LeftDomain when
@@ -942,13 +946,16 @@ def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf,
     """
     n = len(goals)
     loops = list(loops)  # one object per loop, whose id keys the caches
-    sweep, solve = _level(controls, weights, tol, max_iter, radius)
     s = loops[0].shape[0] // coarse if coarse else 1
+    sweep, solve = _level(controls, weights, tol, max_iter, radius, s == 1)
     if s > 1:
         sub = {}
         few = [sub.setdefault(id(v), v[::s]) for v in loops]
-        solve_few = _level([(kind, prof[::s]) for kind, prof in controls],
-                           weights[:, ::s] * s, tol, max_iter, radius)[1]
+        solve_few = _level(
+            [(kind, prof[::s] if np.ndim(prof) else prof)
+             for kind, prof in controls],
+            weights[:, ::s] * s, tol, max_iter, radius, True,
+        )[1]
 
     def step(k, w):
         a, b = goals[k - 1], goals[k]
@@ -970,7 +977,8 @@ def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf,
                 f"|w| = {np.max(np.abs(w)):.3g} exceeds {radius} at step {k}"
             )
         path.append(w)
-        out.append(sweep(loops[k], w)[0])
+        # a copy: the sweep's loop is a view that holds its tangents too
+        out.append(np.array(sweep(loops[k], w)[0]))
     return np.array(path), out
 
 
@@ -987,7 +995,8 @@ def _period_continuation(sigma0, targets, controls):
     drivers' profiles are trigonometric of degree 1 and their loops
     extend at low degree, so 64 samples read these trapezoid rules to
     rounding, and the full-resolution solve confirms the coarse point
-    with one sweep.  Returns the list of deformed sample arrays.
+    with one sweep.  Returns the path w, shape (n_t, len(controls)), and
+    the list of deformed sample arrays.
     """
     v0 = np.asarray(sigma0, dtype=complex)
     n = v0.shape[0]
@@ -998,4 +1007,4 @@ def _period_continuation(sigma0, targets, controls):
     goals = np.hstack([targets, np.tile(read_out(weights, v0)[3:],
                                         (len(targets), 1))])
     return _continue([v0] * len(goals), controls, weights, goals, 1e-12, 40,
-                     coarse=COARSE_SAMPLES)[1]
+                     coarse=COARSE_SAMPLES)

@@ -2,9 +2,9 @@
 
 The quadric is the set of complex triples with z1^2 + z2^2 + z3^2 = 0; the
 punctured quadric excludes the origin.  This module provides the standard
-spinor double cover, closed-form tangential flows, and the Z2 classifier of
-free homotopy classes of loops in the punctured quadric, computed as the
-sign holonomy of the spinor lift.
+spinor double cover, closed-form tangential flows and their lifts to the
+spinor, and the Z2 classifier of free homotopy classes of loops in the
+punctured quadric, computed as the sign holonomy of the spinor lift.
 """
 
 from __future__ import annotations
@@ -23,6 +23,16 @@ TOL_NULL = 1e-10
 
 #: Names of the closed-form flows preserving the quadric.
 FLOW_KINDS = ("rotation_12", "rotation_13", "rotation_23", "scaling")
+
+#: The lift of each flow to the spinor: flow(spinor_to_null(a, b), kind, t)
+#: is spinor_to_null(exp(t X) (a, b)) with X = SPINOR_GENERATORS[kind].  A
+#: rotation lifts to an element of sl(2, C) with X^2 = -I/4, scaling to I/2.
+SPINOR_GENERATORS = {
+    "rotation_12": np.array([[-0.5j, 0.0], [0.0, 0.5j]]),
+    "rotation_13": np.array([[0.0, -0.5], [0.5, 0.0]]),
+    "rotation_23": np.array([[0.0, 0.5j], [0.5j, 0.0]]),
+    "scaling": 0.5 * np.eye(2, dtype=complex),
+}
 
 
 def null_residual(z):
@@ -81,21 +91,37 @@ def flow_factors(field, t):
     return np.cos(t), np.sin(t)
 
 
-def flow_action(z, field, factors):
+def flow_action(z, field, factors, out=None):
     """Act on triples z, shape (..., 3), by the flow with the given factors.
 
     factors broadcast against z[..., 0].  A rotation acts by the matrix
-    ((c, -s), (s, c)) in its coordinate plane, so the factors (c, -s) act
-    by its transpose; scaling multiplies by its factor.
+    ((c, -s), (s, c)) in its coordinate plane; scaling multiplies by its
+    factor.  The result goes to out, which may be z itself, or to a new
+    array.
     """
     if field == "scaling":
-        return factors[0][..., None] * z
+        return np.multiply(factors[0][..., None], z, out=out)
     i, j = int(field[-2]) - 1, int(field[-1]) - 1
     c, s = factors
-    out = z.copy()
-    out[..., i] = c * z[..., i] - s * z[..., j]
-    out[..., j] = s * z[..., i] + c * z[..., j]
+    if out is None:
+        out = z.copy()
+    zi, zj = z[..., i], z[..., j]
+    new_i = c * zi - s * zj
+    out[..., j] = s * zi + c * zj
+    out[..., i] = new_i
     return out
+
+
+def spinor_action(a, b, field, factors):
+    """exp(t X) (a, b) with X = SPINOR_GENERATORS[field], from the flow
+    factors at half the time, flow_factors(field, t / 2): e^(t/2) (a, b)
+    for scaling, and cos(t/2) (a, b) + 2 sin(t/2) X (a, b) for a rotation,
+    since X^2 = -I/4.  factors broadcast against a and b."""
+    if field == "scaling":
+        return factors[0] * a, factors[0] * b
+    c, s = factors
+    (x00, x01), (x10, x11) = 2.0 * SPINOR_GENERATORS[field]
+    return c * a + s * (x00 * a + x01 * b), c * b + s * (x10 * a + x11 * b)
 
 
 def flow(z, field, t):

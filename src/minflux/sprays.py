@@ -70,18 +70,19 @@ class LoopSpray:
 
 
 def period_jacobian(spray, t_index):
-    """Exact Jacobian of the period at w = 0, by _flow_jacobian.
+    """Exact Jacobian of the period at w = 0, by loops._flow_jacobian.
 
     Rows are the period components (all three, or the first two for
     fixed-third sprays), read by the period weights; columns are the
-    complex controls.  The Jacobian is one backward pass over the tape of
-    the identity sweep at w = 0.
+    complex controls.  The Jacobian reads the tangents that the identity
+    sweep at w = 0 carries forward, as every Jacobian of loops._continue
+    does.
     """
     rows = 2 if spray.fixed_third else 3
     base = spray.base[t_index]
     w = np.zeros(spray.dim_w, dtype=complex)
-    tape = loops._flow_deform(base, spray.controls, w)[1]
-    return loops._flow_jacobian(tape, period_weights(base.shape[0])[:rows])
+    tangents = loops._flow_deform(base, spray.controls, w, tangents=True)[1]
+    return loops._flow_jacobian(tangents, period_weights(base.shape[0])[:rows])
 
 
 def _certify(spray):

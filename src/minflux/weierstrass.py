@@ -367,19 +367,57 @@ def homology_radius(data):
     return math.sqrt(data.r_inner * data.r_outer)
 
 
+def rim_read(values, radii, keep=()):
+    """Laurent coefficients of functions holomorphic on the closed annulus
+    radii[0] <= |z| <= radii[1], read from their samples on its two
+    boundary circles, the rings of PolarGrid(radii, n).
+
+    values has shape (B, 2, n, c): B independent reads, each of c functions
+    on the inner and then the outer circle.  Coefficient k is read by DFT
+    on the circle where its term z^k is largest, the outer one for k >= 0
+    and the inner one for k < 0, so no term grows off the circle it was
+    read on.  Per read, a term whose size on its circle is at most 1e-15 of
+    the largest of the c functions' terms is dropped (set to 0), except the
+    powers in keep.  The gap of a read is the largest difference between
+    its kept series and its samples on both circles: sampled, and at
+    rounding level when the samples resolve the functions.
+
+    Returns (k, coeffs, kept, gap): the powers k = -n/2 .. n/2 - 1 in
+    order, coeffs of shape (B, n, c), the mask kept of shape (B, n) and
+    gap of shape (B,).
+    """
+    n = values.shape[2]
+    k = np.arange(n) - n // 2
+    outer = (k >= 0).astype(int)
+    spec = np.fft.fftshift(np.fft.fft(values, axis=2, norm="forward"), axes=2)
+    terms = spec[:, outer, np.arange(n)]
+    size = np.abs(terms).max(axis=2)
+    kept = (size > 1e-15 * size.max(axis=1, keepdims=True)) | np.isin(k, keep)
+    terms = np.where(kept[..., None], terms, 0.0)
+    # each kept term moved from its own circle to both
+    moved = terms[:, None] * ((radii[:, None] / radii[outer]) ** k)[..., None]
+    fitted = np.fft.ifft(np.fft.ifftshift(moved, axes=2), axis=2, norm="forward")
+    gap = np.abs(fitted - values).max(axis=(1, 2, 3))
+    coeffs = terms * (radii[outer] ** -k.astype(float))[:, None]
+    return k, coeffs, kept, gap
+
+
+def kept_span(kept):
+    """The slice from the first to the last True entry of a kept mask."""
+    idx = np.flatnonzero(kept)
+    return slice(idx[0], idx[-1] + 1)
+
+
 def primitive(data):
     """(P, c) with u(z) - u(z0) = Re[P(z) - P(z0) + c log(z/z0)].
 
     c holds the z^(-1) coefficients of f theta/dz, and P, which evaluates on
     points or by FFT on a PolarGrid, the termwise antiderivative of its
-    other terms.  Each coefficient is read by DFT from N_RIM samples of the
-    boundary circle on which its term is largest, z^k for k >= 0 on the
-    outer one and k < 0 on the inner one, so no term grows off the circle
-    it was read on; terms at rounding level there are dropped.  A sampled
-    check compares the series with those samples: NonFiniteValues for a
-    value that is not finite, ApproximationBudgetExceeded for a gap above
-    TOL_PERIOD, which f theta leaves when the samples do not resolve it or
-    it is not holomorphic.
+    other terms.  The coefficients are read by rim_read from N_RIM samples
+    of each boundary circle, c whatever its size.  Its sampled gap check
+    raises ApproximationBudgetExceeded for a gap above TOL_PERIOD, which f
+    theta leaves when the samples do not resolve it or it is not
+    holomorphic; NonFiniteValues for a value that is not finite.
     """
     radii = np.array([data.r_inner, data.r_outer])
     rims = PolarGrid(radii, N_RIM)
@@ -387,24 +425,15 @@ def primitive(data):
         vals = data.f_theta(rims)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValues("f theta is not finite on the boundary circles")
-    k = np.fft.fftfreq(N_RIM, 1.0 / N_RIM).astype(int)
-    outer = (k >= 0).astype(int)
-    spec = np.fft.fft(vals.reshape(2, N_RIM, 3), axis=1, norm="forward")
-    b = spec[outer, np.arange(N_RIM)]
-    size = np.abs(b).max(axis=1)
-    # c is kept whatever its size
-    keep = (size > 1e-15 * size.max()) | (k == -1)
-    k, b, r = k[keep], b[keep], radii[outer[keep]]
-    k_min = int(k.min())
-    coeffs = np.zeros((k.max() - k_min + 1, 3), dtype=complex)
-    coeffs[k - k_min] = b * (r ** -k.astype(float))[:, None]
-    fitted = np.stack([LaurentSeries(a, k_min)(rims) for a in coeffs.T], -1)
-    sampled_gap = float(np.max(np.abs(fitted - vals)))
-    if sampled_gap > TOL_PERIOD:
+    k, coeffs, kept, gap = rim_read(vals.reshape(1, 2, N_RIM, 3), radii,
+                                    keep=(-1,))
+    if gap[0] > TOL_PERIOD:
         raise ApproximationBudgetExceeded(
-            f"the Laurent series miss f theta by {sampled_gap:.3g} on the "
+            f"the Laurent series miss f theta by {gap[0]:.3g} on the "
             "boundary circles (sampled)"
         )
+    span = kept_span(kept[0])
+    k_min, coeffs = int(k[span.start]), coeffs[0, span]
     powers = k_min + 1.0 + np.arange(len(coeffs))
     c = coeffs[powers == 0][0]
     anti = coeffs / np.where(powers == 0, np.inf, powers)[:, None]

@@ -2,8 +2,9 @@
 every method is referenced, every defaulted parameter is set by some call
 of the program or of the acceptance tests, no required parameter gets the
 same module constant or literal from every such call, every parameter
-is read by its function, and only weierstrass lays out the open-annulus
-radii."""
+is read by its function, every dataclass field and property is read as an
+attribute outside its class, and only weierstrass lays out the
+open-annulus radii."""
 
 import ast
 import re
@@ -302,3 +303,101 @@ def test_open_radii_owned_by_weierstrass():
         if "_open_radii" in path.read_text()
     )
     assert users == ["weierstrass.py"]
+
+
+def class_state(trees):
+    """(label, class node, name) for every dataclass field and every
+    property of the module-level classes of src/minflux, from the parsed
+    program files."""
+    out = []
+    for path, tree in trees.items():
+        if path.parent.name != "minflux":
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = {
+                getattr(getattr(d, "func", d), "id", None)
+                for d in cls.decorator_list
+            }
+            names = []
+            if "dataclass" in decorators:
+                names += [
+                    stmt.target.id
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                ]
+            names += [
+                fn.name
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef)
+                and any(getattr(d, "id", None) in ("property", "cached_property")
+                        for d in fn.decorator_list)
+            ]
+            out += [(f"{path.stem}.{cls.name}.{name}", cls, name)
+                    for name in names]
+    return out
+
+
+def attribute_reads(tree):
+    """(node, name) for every attribute the tree reads: obj.name in a load,
+    or getattr(obj, "name", ...) with that literal.  A bare name is not an
+    attribute read."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node, node.attr))
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            out.append((node, node.args[1].value))
+    return out
+
+
+def unread_state():
+    """Dataclass fields and properties of src/minflux that no program file
+    reads as an attribute outside their own class body."""
+    trees = {path: ast.parse(path.read_text()) for path in program_files()}
+    reads = [read for tree in trees.values() for read in attribute_reads(tree)]
+    unread = []
+    for label, cls, name in class_state(trees):
+        inside = {id(n) for n in ast.walk(cls)}
+        if not any(attr == name and id(node) not in inside
+                   for node, attr in reads):
+            unread.append(label)
+    return unread
+
+
+#: State read only where the check does not look, with its reader: a
+#: class's own methods, or the callers of verify, which read its report.
+STATE_EXEMPT = {
+    "isotopy.VerificationReport.flat_flags": "the report's reader: which "
+    "members are flat",
+    "isotopy.VerificationReport.thresholds": "the report's reader: the "
+    "bound each check passed against",
+    "labyrinth.AnnulusEnd.kind": "AnnulusEnd.to_chart, dz_dw, radius_in_chart",
+    "labyrinth.AnnulusEnd.c": "AnnulusEnd.to_chart, dz_dw, radius_in_chart",
+    "labyrinth.MetricGraph.indptr": "MetricGraph._weighted",
+    "labyrinth.MetricGraph.source": "MetricGraph._path_bounds, "
+    "node_distances, distance",
+    "loops.Segment.beta": "Segment.length",
+    "loops.ConformalPair.h": "ConformalPair.__post_init__, the shape check",
+}
+
+
+def test_every_field_and_property_is_read():
+    # state that only its own class, or a local of the same name, reads
+    # is dead state
+    unread = set(unread_state())
+    assert sorted(unread - set(STATE_EXEMPT)) == []
+    assert set(STATE_EXEMPT) <= unread
+
+
+def test_bare_name_is_no_attribute_read():
+    # a local n_samples does not read PeriodicPath.n_samples
+    tree = ast.parse("n = n_samples\nm = path.n_samples\n"
+                     "k = getattr(path, 'x', 0)\npath.y = 1\n")
+    assert sorted(name for _, name in attribute_reads(tree)) == [
+        "n_samples", "x"]

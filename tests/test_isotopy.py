@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize, special
+from scipy import linalg, optimize, special
 
 from minflux import cli
 from minflux import isotopy as iso
@@ -25,6 +25,7 @@ from minflux.errors import (
     FlatInput,
     GaussMapVanishes,
     NonFiniteValues,
+    VanishingOnDomain,
 )
 from minflux.riemann import TOL_RUNGE
 from minflux.weierstrass import PolarGrid, _open_radii
@@ -83,14 +84,17 @@ class TestMemberExtension:
         dom = rm.annulus(data.r_inner, data.r_outer)
         loop = iso.restrict_data(data, rm.homology_basis(dom)[0])
         period = lp.period(loop)
-        member, got = iso._pin_extension(loop.values, dom, data.theta, period,
-                                         tol=1e-10)
+        # the identity member, w = 0, of the input's extension
+        spinor = rm.runge_extend(loop, dom, tol=1e-10)
+        w = np.zeros((1, len(iso.DRIVER_PROFILES) * len(nq.FLOW_KINDS)))
+        (member,), (got,) = iso._pin_extension(
+            spinor, w, [loop.values], dom, data.theta, [period], 1e-10)
         sup = member.spinor.meta["sup_error"]
         assert np.max(np.abs(got - period)) <= sup + 1e-12
         with pytest.raises(EstimateNotMet, match=r"misses the ramp by 1e-09"
                            r".*above the bound"):
-            iso._pin_extension(loop.values, dom, data.theta, period + 1e-9,
-                               tol=1e-10)
+            iso._pin_extension(spinor, w, [loop.values], dom, data.theta,
+                               [period + 1e-9], 1e-10)
 
     def test_unreachable_period_tolerance_typed(self, catenoid):
         # no degree up to DEGREE_MAX extends to 1e-17
@@ -110,6 +114,189 @@ class TestMemberExtension:
         assert code == 2
         assert re.search(r"ApproximationBudgetExceeded.*sup error \S+ "
                          r"above 1e-17", err.getvalue())
+
+
+#: F14's lifts of the flows to the spinor, kept apart from the library's
+#: nullquadric.SPINOR_GENERATORS
+LIFTS = {
+    "rotation_12": np.array([[-0.5j, 0.0], [0.0, 0.5j]]),
+    "rotation_13": np.array([[0.0, -0.5], [0.5, 0.0]]),
+    "rotation_23": np.array([[0.0, 0.5j], [0.5j, 0.0]]),
+    "scaling": 0.5 * np.eye(2),
+}
+
+
+def expm_blocks(spinor, w, z, r):
+    """(a, b) = M(z) (a0, b0) at the points z, shape (2, len(z)), with
+    M(z) = prod_j exp(w_j p_j(z / r) X_j) in control order and the profiles
+    1, cos 2 pi x, sin 2 pi x written in u = z / r: one scipy expm per
+    point and control."""
+    u = z / r
+    profiles = [np.ones_like(u), 0.5 * (u + 1.0 / u), (u - 1.0 / u) / 2j]
+    controls = [(kind, p) for p in profiles for kind in nq.FLOW_KINDS]
+    s = np.array([spinor.a(z), spinor.b(z)])
+    for (kind, p), wj in zip(controls, w):
+        s = np.stack([linalg.expm(wj * p[i] * LIFTS[kind]) @ s[:, i]
+                      for i in range(z.size)], axis=1)
+    return s
+
+
+def driven(run):
+    """The family a driver call returns, and the arguments of its one
+    member build (_pin_extension)."""
+    calls, build = [], iso._pin_extension
+
+    def recorded(*args):
+        calls.append(args)
+        return build(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iso, "_pin_extension", recorded)
+        fam = run()
+    (args,) = calls
+    return fam, args
+
+
+def file_member(catenoid, tmp_path_factory):
+    """The last member of a prescribe_flux family read back from its
+    coefficients file: a coefficients-file input."""
+    fam = iso.prescribe_flux(catenoid, PRESCRIBED_TARGET, n_t=16)
+    fam.meta["catalog"] = "catenoid"
+    path = tmp_path_factory.mktemp("input") / "family.json"
+    cli.write_coefficients(path, fam,
+                           types.SimpleNamespace(driver="prescribe_flux"))
+    return cli.load_family(path).members[-1]
+
+
+@pytest.fixture(scope="module", params=["flux_to_zero", "prescribe_flux",
+                                        "coefficients_file"])
+def closed_form_case(request, catenoid, tmp_path_factory):
+    """(family, member build arguments) of both drivers at n_t 64 from the
+    catalog catenoid, and of flux_to_zero at n_t 16 from a coefficients
+    file."""
+    if request.param == "flux_to_zero":
+        return driven(lambda: iso.flux_to_zero(catenoid, n_t=64))
+    if request.param == "prescribe_flux":
+        return driven(lambda: iso.prescribe_flux(catenoid, PRESCRIBED_TARGET,
+                                                 n_t=64))
+    data = file_member(catenoid, tmp_path_factory)
+    assert data.spinor is not None
+    return driven(lambda: iso.flux_to_zero(data, n_t=16))
+
+
+class TestClosedFormMembers:
+    """Every driven member is M(z) (a0, b0), read on the rims."""
+
+    def test_blocks_match_expm_closed_form(self, closed_form_case):
+        fam, (spinor, ws, *_) = closed_form_case
+        first = fam.members[0]
+        r = fam.chart.radius
+        # the closed annulus, both rims included
+        z = PolarGrid(np.linspace(first.r_inner, first.r_outer, 5), 32).points
+        for k in (1, len(fam) // 2, len(fam) - 1):
+            ref = expm_blocks(spinor, ws[k - 1], z, r)
+            ext = fam.members[k].spinor
+            got = np.array([ext.a(z), ext.b(z)])
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_members_match_runge_fit_of_their_loop(self, closed_form_case):
+        fam, (_, _, loops, domain, *_) = closed_form_case
+        grid = PolarGrid(np.linspace(domain.r_inner, domain.r_outer, 32), 256)
+        for k in (1, len(fam) // 2, len(fam) - 1):
+            fit = rm.runge_extend(lp.PeriodicPath(loops[k - 1]), domain,
+                                  tol=1e-10)
+            ref = fit(grid)
+            got = fam.members[k].spinor(grid)
+            assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_members_keep_the_input_parity_and_scale(self, closed_form_case):
+        fam, (spinor, *_) = closed_form_case
+        for m in fam.members[1:]:
+            assert (m.spinor.parity, m.spinor.scale) == (spinor.parity,
+                                                         spinor.scale)
+
+    @pytest.mark.parametrize("which", ["flux_to_zero", "prescribe_flux"])
+    def test_bound_certifies_every_member(self, catenoid, which, monkeypatch):
+        # no member is read on the grid: the one squared modulus is the
+        # input fit's own check in runge_extend
+        calls, squared_modulus = [], rm.LaurentMap.squared_modulus
+
+        def counted(self, grid):
+            calls.append(grid)
+            return squared_modulus(self, grid)
+
+        monkeypatch.setattr(rm.LaurentMap, "squared_modulus", counted)
+        if which == "flux_to_zero":
+            iso.flux_to_zero(catenoid, n_t=64)
+        else:
+            iso.prescribe_flux(catenoid, PRESCRIBED_TARGET, n_t=64)
+        assert len(calls) == 1
+
+    def test_inconclusive_bound_reads_the_grid(self, monkeypatch):
+        # a and b share the zero x, a point of the default grid, so the
+        # bound is 0 and the member is read on the grid, where it vanishes
+        x = GRID_X
+        spinor = rm.LaurentMap(wz.LaurentSeries([-x, 1.0], 0),
+                               wz.LaurentSeries([-0.5j * x, 0.5j], 0))
+        dom = rm.annulus(0.5, 2.0)
+        loop = spinor(PolarGrid([1.0], iso.N_S_DEFAULT))
+        controls = iso._driver_controls(PolarGrid([1.0], iso.N_S_DEFAULT))
+        w = 0.05 * np.exp(1j * np.arange(len(controls)))
+        moved = lp._flow_deform(loop, controls, w)[0]
+        calls, squared_modulus = [], rm.LaurentMap.squared_modulus
+
+        def counted(self, grid):
+            calls.append(grid)
+            return squared_modulus(self, grid)
+
+        monkeypatch.setattr(rm.LaurentMap, "squared_modulus", counted)
+        with pytest.raises(VanishingOnDomain, match="vanishes on the "
+                           "verification grid"):
+            iso._pin_extension(spinor, w[None], [moved], dom, "dz",
+                               [lp.period(moved)], 1e-10)
+        assert len(calls) == 1
+
+    def test_rim_samples_double_until_the_read_closes(self, catenoid,
+                                                       monkeypatch):
+        sizes, rim_read = [], wz.rim_read
+
+        def recorded(values, radii, *args):
+            sizes.append(values.shape[2])
+            return rim_read(values, radii, *args)
+
+        monkeypatch.setattr(wz, "rim_read", recorded)
+        monkeypatch.setattr(iso, "RIM_SAMPLES", 8)
+        fam = iso.flux_to_zero(catenoid, n_t=8)
+        assert sizes[:2] == [8, 16]
+        assert sizes == sorted(sizes)
+        tol = min(TOL_RUNGE, 0.1 * fam.meta["tol_period"])
+        assert all(m.spinor.meta["sup_error"] <= tol for m in fam.members[1:])
+        assert iso.verify(fam).ok
+
+    def test_file_input_unreachable_tolerance_typed(self, catenoid,
+                                                    tmp_path_factory):
+        data = file_member(catenoid, tmp_path_factory)
+        with pytest.raises(ApproximationBudgetExceeded, match="above 1e-17"):
+            iso.flux_to_zero(data, n_t=4, tol_period=1e-16)
+
+    def test_file_input_unreachable_tolerance_exits_2(self, catenoid,
+                                                      tmp_path):
+        fam = iso.prescribe_flux(catenoid, PRESCRIBED_TARGET, n_t=4)
+        fam.meta["catalog"] = "catenoid"
+        path = tmp_path / "family.json"
+        cli.write_coefficients(path, fam,
+                               types.SimpleNamespace(driver="prescribe_flux"))
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(f"[initial]\ncoefficients = {path}\n"
+                       "[driver]\nname = flux_to_zero\n"
+                       "[run]\nt_samples = 4\n")
+        err = io.StringIO()
+        code = cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--tol-period", "1e-16"],
+                        stdout=io.StringIO(), stderr=err)
+        assert code == 2
+        assert re.search(r"ApproximationBudgetExceeded.*above 1e-17",
+                         err.getvalue())
 
 
 class TestFluxToZero:
@@ -491,13 +678,13 @@ class TestPrescribeFlux:
             reads.append(weights.shape[1])
             return read_out(weights, samples)
 
-        def traced_deform(values, controls, w):
+        def traced_deform(values, controls, w, *args):
             sweeps.append((len(values), w.tobytes()))
-            return deform(values, controls, w)
+            return deform(values, controls, w, *args)
 
-        def traced_jacobian(tape, weights):
+        def traced_jacobian(tangents, weights):
             jacobians.append(weights.shape[1])
-            return jacobian(tape, weights)
+            return jacobian(tangents, weights)
 
         def traced_continuation(*args):
             inside.append(True)
@@ -530,8 +717,8 @@ class TestCoarseContinuation:
         # takes the full solve from the previous w
         full, jacobian = [], lp._flow_jacobian
 
-        def coarse_stalls(tape, weights):
-            out = jacobian(tape, weights)
+        def coarse_stalls(tangents, weights):
+            out = jacobian(tangents, weights)
             if weights.shape[1] == lp.COARSE_SAMPLES:
                 return np.zeros_like(out)
             full.append(weights.shape[1])
@@ -545,22 +732,27 @@ class TestCoarseContinuation:
 
     def test_flux_to_zero_one_full_sweep_per_step(self, catenoid, monkeypatch):
         # the coarse point meets the full readout to 1e-12 up to t = 1, so
-        # the full solve confirms each step at its first residual point
-        sizes, deform, jacobian = [], lp._flow_deform, lp._flow_jacobian
+        # the full solve confirms each step at its first residual point,
+        # with a sweep that carries no tangents; every coarse sweep carries
+        # them
+        sizes, carried = [], set()
+        deform, jacobian = lp._flow_deform, lp._flow_jacobian
 
-        def traced_deform(values, controls, w):
+        def traced_deform(values, controls, w, tangents=False):
             sizes.append(len(values))
-            return deform(values, controls, w)
+            carried.add((len(values), tangents))
+            return deform(values, controls, w, tangents)
 
-        def traced_jacobian(tape, weights):
+        def traced_jacobian(tangents, weights):
             sizes.append(-weights.shape[1])
-            return jacobian(tape, weights)
+            return jacobian(tangents, weights)
 
         monkeypatch.setattr(lp, "_flow_deform", traced_deform)
         monkeypatch.setattr(lp, "_flow_jacobian", traced_jacobian)
         fam = iso.flux_to_zero(catenoid, n_t=64)
         assert sizes.count(iso.N_S_DEFAULT) == 63
         assert -iso.N_S_DEFAULT not in sizes
+        assert carried == {(iso.N_S_DEFAULT, False), (lp.COARSE_SAMPLES, True)}
         assert iso.verify(fam).ok
 
     def test_members_match_full_resolution_solve(self, catenoid, monkeypatch):

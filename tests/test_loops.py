@@ -17,6 +17,7 @@ from minflux.errors import (
     NonFiniteValues,
     NotImmersion,
 )
+from minflux.weierstrass import PolarGrid
 
 
 def circle_samples(n=256, radius=1.0):
@@ -89,12 +90,14 @@ def forward_flow_jacobian(values, controls, w, weights):
     control.  At control k the new tangent is prof_k * G_k * out_k, with
     G_k the plane rotation generator or the identity (scaling), and every
     later control acts on the earlier tangents as it acts on the loop; the
-    readouts of the tangents are the columns.  Cost O(m^2 N)."""
+    readouts of the tangents are the columns.  Cost O(m^2 N).  A scalar
+    profile is constant."""
     v = np.asarray(values, dtype=complex)
     # state[0] is the deformed loop, state[k + 1] tangent k
     state = np.zeros((len(controls) + 1,) + v.shape, dtype=complex)
     state[0] = v
     for k, ((kind, prof), wk) in enumerate(zip(controls, w)):
+        prof = np.broadcast_to(prof, v.shape[:1])
         state[: k + 1] = nq.flow(state[: k + 1], kind, wk * prof)
         loop = state[0]
         if kind == "scaling":
@@ -122,7 +125,7 @@ def jacobian_case(family, seed, n):
     rows of the spray."""
     weights = lp.period_weights(n)
     if family == "driver":
-        controls = iso._driver_controls(n)
+        controls = iso._driver_controls(PolarGrid([1.0], n))
         assert {kind for kind, _ in controls} == set(nq.FLOW_KINDS)
         e = np.exp(2j * np.pi * np.arange(n) / n)
         return controls, np.concatenate([weights, e[None, :, None] * weights[:2]])
@@ -149,7 +152,8 @@ class TestFlowJacobian:
         controls, weights = jacobian_case(family, seed, n)
         w = np.array([r * np.exp(1j * phi) for r, phi in polar])[: len(controls)]
         v = catenoid_boundary_loop(n)
-        exact = lp._flow_jacobian(lp._flow_deform(v, controls, w)[1], weights)
+        exact = lp._flow_jacobian(
+            lp._flow_deform(v, controls, w, tangents=True)[1], weights)
         assert exact.shape == (len(weights), len(controls))
         assert exact.flags.c_contiguous
         fd = central_difference_jacobian(v, controls, w, weights)
@@ -158,28 +162,37 @@ class TestFlowJacobian:
     @pytest.mark.parametrize("family", ["driver", *SPRAY_KINDS])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_adjoint_matches_forward_mode(self, family, seed):
+        # the sweep's forward tangents against the reference's, which
+        # composes nq.flow
         n = 512
         controls, weights = jacobian_case(family, seed, n)
         rng = np.random.default_rng(100 + seed)
         m = len(controls)
         w = 0.5 * rng.uniform(size=m) * np.exp(2j * np.pi * rng.uniform(size=m))
         v = catenoid_boundary_loop(n)
-        adjoint = lp._flow_jacobian(lp._flow_deform(v, controls, w)[1], weights)
+        swept = lp._flow_jacobian(
+            lp._flow_deform(v, controls, w, tangents=True)[1], weights)
         forward = forward_flow_jacobian(v, controls, w, weights)
-        assert np.max(np.abs(adjoint - forward)) <= 1e-13 * np.max(np.abs(forward))
+        assert np.max(np.abs(swept - forward)) <= 1e-13 * np.max(np.abs(forward))
 
     def test_sweep_matches_flow(self):
-        # the sweep composes nq.flow and tapes the loop after each control
+        # the sweep composes nq.flow, control by control, and the tangents
+        # ride along without changing the loop
         n = 256
         controls, _ = jacobian_case("driver", 0, n)
         w = 0.1 * np.exp(1j * np.arange(len(controls)))
         v = catenoid_boundary_loop(n)
-        loop, tape = lp._flow_deform(v, controls, w)
-        ref = v
-        for ((kind, prof), wk), (_, _, _, after) in zip(zip(controls, w), tape):
-            ref = nq.flow(ref, kind, wk * prof)
-            assert np.array_equal(after, ref)
-        assert loop is tape[-1][3]
+        for k in range(len(controls) + 1):
+            loop, tangents = lp._flow_deform(v, controls[:k], w[:k])
+            ref = v
+            for (kind, prof), wk in zip(controls[:k], w[:k]):
+                ref = nq.flow(ref, kind, wk * prof)
+            assert np.array_equal(loop, ref)
+            assert tangents is None
+            swept, tangents = lp._flow_deform(v, controls[:k], w[:k],
+                                              tangents=True)
+            assert np.array_equal(swept, loop)
+            assert tangents.shape == (k,) + v.shape
 
     def test_read_out_is_the_period(self):
         v = catenoid_boundary_loop(256)

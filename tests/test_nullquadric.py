@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from minflux import nullquadric as nq
 from minflux.errors import (
@@ -115,6 +116,45 @@ class TestFlow:
         moved = nq.flow(stack, kind, t[:, None])
         for c in range(4):
             assert np.array_equal(moved[:, c], nq.flow(stack[:, c], kind, t))
+
+
+class TestSpinorLift:
+    """Every flow acts on the spinor by exp(t X), X in SPINOR_GENERATORS."""
+
+    @pytest.mark.parametrize("kind", nq.FLOW_KINDS)
+    def test_generator_lift_matches_flow(self, kind):
+        # flow(spinor_to_null(s), t) = spinor_to_null(exp(t X) s), complex t
+        rng = np.random.default_rng(21)
+        s = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
+        X = nq.SPINOR_GENERATORS[kind]
+        for t in rng.normal(size=6) + 1j * rng.normal(size=6):
+            ref = nq.flow(nq.spinor_to_null(*s), kind, t)
+            got = nq.spinor_to_null(*(expm(t * X) @ s))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", nq.FLOW_KINDS)
+    def test_generator_squares(self, kind):
+        # a rotation lifts into sl(2, C) with X^2 = -I/4, scaling to I/2:
+        # the half-time flow factors give exp(t X) in closed form
+        X = nq.SPINOR_GENERATORS[kind]
+        if kind == "scaling":
+            assert np.array_equal(X, 0.5 * np.eye(2))
+        else:
+            assert np.trace(X) == 0
+            assert np.array_equal(X @ X, -0.25 * np.eye(2))
+
+    @pytest.mark.parametrize("kind", nq.FLOW_KINDS)
+    def test_action_is_the_exponential(self, kind):
+        # per-sample times, factors at half the time
+        rng = np.random.default_rng(22)
+        a, b = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+        t = rng.normal(size=8) + 1j * rng.normal(size=8)
+        got = nq.spinor_action(a, b, kind, nq.flow_factors(kind, t / 2))
+        X = nq.SPINOR_GENERATORS[kind]
+        for k in range(8):
+            ref = expm(t[k] * X) @ np.array([a[k], b[k]])
+            assert np.max(np.abs(np.array([got[0][k], got[1][k]]) - ref)) \
+                <= 1e-14 * np.max(np.abs(ref))
 
 
 def _spinor_loop(n, winding_half_turns):

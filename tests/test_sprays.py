@@ -248,9 +248,9 @@ class TestSolveW:
     @pytest.mark.parametrize("name", ["spray", "spray_fixed"])
     def test_one_flow_sweep_per_newton_point(self, name, request, monkeypatch):
         # each (loop, w) point the Newton solves visit costs one flow
-        # sweep, and the Jacobian there reads that sweep's tape: a solve
-        # ends at its last residual point, and the next solve on the same
-        # loop starts there
+        # sweep, and the Jacobian there reads that sweep's tangents: a
+        # solve ends at its last residual point, and the next solve on the
+        # same loop starts there
         spray = request.getfixturevalue(name)
         rng = np.random.default_rng(5)
         w_star = 0.1 * (rng.normal(size=spray.dim_w)
@@ -259,7 +259,7 @@ class TestSolveW:
         targets = np.stack(
             [spray.periods(k, f * w_star) for k, f in enumerate(fracs)]
         )
-        points, sweeps, tapes, reads = set(), [], [], []
+        points, sweeps, tangents, reads = set(), [], [], []
         newton, deform, jacobian = lp._newton, lp._flow_deform, lp._flow_jacobian
 
         def traced_newton(residual, *args):
@@ -272,15 +272,15 @@ class TestSolveW:
 
             return newton(recorded, *args)
 
-        def traced_deform(values, controls, w):
+        def traced_deform(values, controls, w, *args):
             sweeps.append((id(values), w.tobytes()))
-            out = deform(values, controls, w)
-            tapes.append(out[1])
+            out = deform(values, controls, w, *args)
+            tangents.append(out[1])
             return out
 
-        def traced_jacobian(tape, weights):
-            reads.append(tape is tapes[-1])
-            return jacobian(tape, weights)
+        def traced_jacobian(swept, weights):
+            reads.append(swept is tangents[-1])
+            return jacobian(swept, weights)
 
         monkeypatch.setattr(lp, "_newton", traced_newton)
         monkeypatch.setattr(lp, "_flow_deform", traced_deform)
@@ -303,9 +303,9 @@ class TestSolveW:
         )
         sizes, deform = [], lp._flow_deform
 
-        def traced_deform(values, controls, w):
+        def traced_deform(values, controls, w, *args):
             sizes.append(len(values))
-            return deform(values, controls, w)
+            return deform(values, controls, w, *args)
 
         monkeypatch.setattr(lp, "_flow_deform", traced_deform)
         sp.solve_w(spray, sp.PeriodTargets(targets))

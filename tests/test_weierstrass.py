@@ -331,6 +331,63 @@ class TestExactPrimitive:
             wz.integrate_immersion(bad, 1.0, np.zeros(3), 1.5)
 
 
+def rim_samples(fun, radii, n):
+    """fun on the rings of PolarGrid(radii, n), shape (1, 2, n, c)."""
+    return fun(wz.PolarGrid(radii, n).points).reshape(1, 2, n, -1)
+
+
+class TestRimRead:
+    """rim_read takes z^k from the circle where it is largest."""
+
+    RADII = np.array([0.5, 2.0])
+
+    def test_reads_two_series_with_their_own_trim(self):
+        rng = np.random.default_rng(31)
+        k = np.arange(-5, 8)
+        coeffs = rng.normal(size=(13, 2)) + 1j * rng.normal(size=(13, 2))
+        # far below 1e-15 of the largest term on its circle: dropped
+        tiny = wz.LaurentSeries([1e-20], 9)
+        series = [wz.LaurentSeries(c, -5) for c in coeffs.T]
+
+        def fun(z):
+            return np.stack([s(z) + tiny(z) for s in series], axis=-1)
+
+        one = rim_samples(fun, self.RADII, 64)
+        # a second read scaled by 1e-10 keeps the same terms
+        read_k, read, kept, gap = wz.rim_read(
+            np.concatenate([one, 1e-10 * one]), self.RADII)
+        assert read.shape == (2, 64, 2) and kept.shape == (2, 64)
+        for b, scale in enumerate((1.0, 1e-10)):
+            span = wz.kept_span(kept[b])
+            assert list(read_k[span]) == list(k)
+            # each term's size on its own circle
+            rk = (np.where(k >= 0, 2.0, 0.5) ** k)[:, None]
+            size = np.abs(coeffs) * rk
+            err = np.abs(read[b, span] / scale - coeffs) * rk
+            assert np.max(err) <= 1e-14 * np.max(size)
+            assert gap[b] <= 1e-13 * scale * np.max(size)
+
+    def test_gap_flags_unresolved_samples(self):
+        def fun(z):
+            return np.exp(3.0 * z)[:, None]
+
+        gaps = [wz.rim_read(rim_samples(fun, self.RADII, n), self.RADII)[3][0]
+                for n in (16, 128)]
+        assert gaps[0] > 1e-3
+        assert gaps[1] <= 1e-12 * np.exp(6.0)
+
+    def test_keep_holds_a_power_whatever_its_size(self):
+        def fun(z):
+            return (z * z)[:, None]
+
+        vals = rim_samples(fun, self.RADII, 32)
+        k, _, kept, _ = wz.rim_read(vals, self.RADII)
+        assert list(k[kept[0]]) == [2]
+        k, read, kept, _ = wz.rim_read(vals, self.RADII, keep=(-1,))
+        assert list(k[kept[0]]) == [-1, 2]
+        assert abs(read[0, wz.kept_span(kept[0])][0, 0]) <= 1e-15
+
+
 class TestConformality:
     def test_assembled_is_conformal(self):
         cat = wz.catalog("catenoid")
