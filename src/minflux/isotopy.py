@@ -167,30 +167,52 @@ class VerificationReport:
 # Laurent plumbing
 
 
+def _product_coefficient(x, y, k):
+    """The z^k coefficient of the product of Laurent series x and y: one
+    dot product of their overlapping coefficients, the entry that
+    np.convolve of the two would compute."""
+    lo, hi = max(x.k_min, k - y.k_max), min(x.k_max, k - y.k_min)
+    if lo > hi:
+        return 0j
+    xs = x.coeffs[lo - x.k_min : hi - x.k_min + 1]
+    ys = y.coeffs[k - hi - y.k_min : k - lo - y.k_min + 1]
+    return complex(np.convolve(xs, ys, "valid")[0])
+
+
 def _spinor_member(ext, theta, r_inner, r_outer):
     """The member carrying the loop extension ext as its spinor, and the
     exact complex period of its f theta over the generator.
 
     The extension represents the loop f * theta/d(zeta) sampled through the
     chart z = r e^(2 pi i zeta), so f theta/dz is the extension divided by
-    2 pi i z, and its residues times 2 pi i are the period.  The Gauss map
-    is the ratio b/a of the spinor blocks (the half-integer twists cancel)
-    and f3 an exact Laurent series, so the Weierstrass formula reproduces
-    the extension in exact arithmetic.  A block a that is zero leaves g
+    2 pi i z, and the period is the z^0 coefficient of each component of
+    the extension, the mean of its samples on the curve.  The components
+    are a^2 - b^2, i (a^2 + b^2) and 2ab, times z / scale for parity 1, so
+    a^2 and b^2 give their coefficient by one dot product each, and only
+    ab, whose series f3 keeps, is convolved.  The Gauss map is the ratio
+    b/a of the spinor blocks (the half-integer twists cancel) and f3 an
+    exact Laurent series, so the Weierstrass formula reproduces the
+    extension in exact arithmetic.  A block a that is zero leaves g
     infinite everywhere: NonFiniteValues.
     """
-    if not np.any(ext.a.coeffs):
+    a, b = ext.a, ext.b
+    if not np.any(a.coeffs):
         raise NonFiniteValues("spinor block a is zero, so g = b/a is infinite")
-    shift = LaurentSeries([1.0 / (2j * np.pi)], -1)
-    comps = [c * shift for c in ext.components()]
-    f3 = comps[2]
+    k = -ext.parity
+    aa, bb = _product_coefficient(a, a, k), _product_coefficient(b, b, k)
+    ab = a * b
+    if ext.parity:
+        aa, bb = aa * (1.0 / ext.scale), bb * (1.0 / ext.scale)
+        ab = ab * LaurentSeries([1.0 / ext.scale], 1)
+    ab0 = complex(ab.coeffs[-ab.k_min]) if ab.k_min <= 0 <= ab.k_max else 0j
+    f3 = (2.0 * ab) * LaurentSeries([1.0 / (2j * np.pi)], -1)
     if theta == "dz/z":
         f3 = f3 * LaurentSeries([1.0], 1)
     member = WeierstrassData(
-        LaurentQuotient(ext.b, ext.a), f3, theta=theta, r_inner=r_inner,
+        LaurentQuotient(b, a), f3, theta=theta, r_inner=r_inner,
         r_outer=r_outer, spinor=ext,
     )
-    return member, np.array([2j * np.pi * c.residue for c in comps])
+    return member, np.array([aa - bb, 1j * (aa + bb), 2.0 * ab0])
 
 
 def restrict_data(data, chart, n=N_S_DEFAULT):
@@ -244,7 +266,7 @@ def _driver_controls(grid):
     the members to blow up geometrically toward the domain boundary.
     """
     return [
-        (kind, p(grid) if p.coeffs.size > 1 else 1.0)
+        lp.control(kind, p(grid) if p.coeffs.size > 1 else 1.0)
         for p in DRIVER_PROFILES
         for kind in nq.FLOW_KINDS
     ]
@@ -299,7 +321,7 @@ def _pin_extension(spinor, ws, loops, domain, theta, targets, tol):
         rims = PolarGrid(radii, n)
         a, b = spinor.a(rims), spinor.b(rims)
         controls = _driver_controls(PolarGrid(radii / r, n))
-        for (kind, prof), wj in zip(controls, block.T):
+        for (kind, prof, _), wj in zip(controls, block.T):
             factors = nq.flow_factors(kind, 0.5 * wj[:, None] * prof)
             a, b = nq.spinor_action(a, b, kind, factors)
         vals = np.stack([a, b], axis=-1).reshape(len(block), 2, n, 2)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -843,13 +844,46 @@ def read_out(weights, samples):
     return s.reshape(s.shape[:-2] + (-1,)) @ weights.reshape(len(weights), -1).T
 
 
+class Control(NamedTuple):
+    """A flow control of a sweep: a kind of nq.FLOW_KINDS, its profile on
+    the loop samples (an array, or a scalar for a constant profile, whose
+    flow factors are then scalars) and its span, a slice of the samples
+    that covers the profile's nonzero ones, outside which the sweep leaves
+    the loop alone.  control() derives the span."""
+
+    kind: str
+    profile: object
+    span: slice
+
+
+def control(kind, profile):
+    """The Control of a flow kind with a profile, its span derived once.
+
+    The span is the smallest slice that covers the nonzero samples, and
+    slice(None) for a scalar profile or when that slice holds more than
+    half the samples: a sweep on a proper span acts on strided 2-D views,
+    which cost more per numpy call than the samples it would skip there.
+    The drivers' trigonometric profiles and a bump that wraps past x = 0
+    have the full span, an all-zero profile the empty one.
+    """
+    span = slice(None)
+    if np.ndim(profile):
+        nonzero = np.flatnonzero(profile)
+        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+        if 2 * (hi - lo) <= len(profile):
+            span = slice(int(lo), int(hi))
+    return Control(kind, profile, span)
+
+
 def _flow_deform(values, controls, w, tangents=False):
     """Apply profiled quadric flows pointwise to loop samples.
 
-    controls: list of (kind, profile) with a profile array, or a scalar
-    for a constant profile, whose flow factors are then scalars; w: complex
-    coefficients, one per control.  The flows act in list order and
-    preserve the quadric exactly, so deformed loops never leave it.
+    controls: list of Control; w: complex coefficients, one per control.
+    The flows act in list order and preserve the quadric exactly, so
+    deformed loops never leave it.  Each control acts on its span only:
+    outside it the profile is zero, where its flow is the identity (cos 0
+    = 1, sin 0 = 0, e^0 = 1) and its tangent zero, so the loop and the
+    tangents there are those of a full sweep, up to the sign of a zero.
     Returns the deformed loop and, with tangents, its derivatives in w,
     shape (m, N, 3), else None.
 
@@ -863,17 +897,19 @@ def _flow_deform(values, controls, w, tangents=False):
     state = np.zeros((len(controls) + 1 if tangents else 1,) + v.shape,
                      dtype=complex)
     state[0] = v
-    for k, ((kind, prof), wk) in enumerate(zip(controls, w)):
-        live = state[: k + 1]
+    for k, ((kind, prof, span), wk) in enumerate(zip(controls, w)):
+        live = state[: k + 1, span]
+        if span.stop is not None:  # a proper span: the profile on it
+            prof = prof[span]
         nq.flow_action(live, kind, nq.flow_factors(kind, wk * prof), out=live)
         if tangents:
-            loop = state[0]
+            loop = live[0]
             if kind == "scaling":
-                state[k + 1] = np.asarray(prof)[..., None] * loop
+                state[k + 1, span] = np.asarray(prof)[..., None] * loop
             else:
                 i, j = int(kind[-2]) - 1, int(kind[-1]) - 1
-                state[k + 1, :, i] = -prof * loop[:, j]
-                state[k + 1, :, j] = prof * loop[:, i]
+                state[k + 1, span, i] = -prof * loop[:, j]
+                state[k + 1, span, j] = prof * loop[:, i]
     return state[0], state[1:] if tangents else None
 
 
@@ -889,7 +925,9 @@ def _level(controls, weights, tol, max_iter, radius, tangents):
 
     sweep(v, x, jac) is _flow_deform(v, controls, x, tangents), cached for
     the latest (loop, x); with tangents False a sweep carries none until
-    jac asks for them.  solve(v, goal, wv) is the damped Newton for
+    jac asks for them.  Each control acts on its span only, which
+    control() derived once when the control was built; the readouts still
+    read full loops.  solve(v, goal, wv) is the damped Newton for
     read_out(weights, sweep(v, w)[0]) = goal from wv, or None.
     """
     last = {}
@@ -930,7 +968,8 @@ def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf,
     that sweep.
 
     With coarse = m < N, a step first solves on every (N/m)-th sample of
-    the loops and profiles, with weights[:, ::N/m] * (N/m), and then runs
+    the loops and profiles, with weights[:, ::N/m] * (N/m) and controls
+    whose spans control() derives from the subsampled profiles, and runs
     the full solve from that point, which decides the step.  Where m
     samples already resolve the readout (a trapezoid rule of an analytic
     periodic integrand), the full solve ends at its first point: one
@@ -952,8 +991,8 @@ def _continue(loops, controls, weights, goals, tol, max_iter, radius=np.inf,
         sub = {}
         few = [sub.setdefault(id(v), v[::s]) for v in loops]
         solve_few = _level(
-            [(kind, prof[::s] if np.ndim(prof) else prof)
-             for kind, prof in controls],
+            [control(kind, prof[::s] if np.ndim(prof) else prof)
+             for kind, prof, _ in controls],
             weights[:, ::s] * s, tol, max_iter, radius, True,
         )[1]
 

@@ -117,16 +117,6 @@ class LaurentMap:
             mods = mods * ((grid.radii / self.scale) ** 2)[:, None]
         return mods
 
-    def components(self):
-        """The triple as integer Laurent series in z."""
-        a2 = self.a * self.a
-        b2 = self.b * self.b
-        ab = self.a * self.b
-        if self.parity:
-            shift = LaurentSeries([1.0 / self.scale], 1)
-            a2, b2, ab = a2 * shift, b2 * shift, ab * shift
-        return (a2 + (-1.0) * b2, 1j * (a2 + b2), 2.0 * ab)
-
 
 def _fit_block(samples, radius, degree):
     """Laurent coefficients (degree -d..d) from equispaced curve samples."""

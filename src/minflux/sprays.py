@@ -43,8 +43,11 @@ class LoopSpray:
     """Flow-composition spray over a sampled loop family.
 
     base[k] is the loop at time sample k, an (N, 3) complex array.
-    controls is a list of (flow kind, profile array) pairs; the identity at
-    w = 0 and the locality outside the bump supports are exact.
+    controls is a list of loops.Control, each a flow kind with a bump
+    profile and the span that covers the bump.  The identity at w = 0 and
+    the locality outside the bump supports are exact, and the locality is
+    what the sweeps use: each control acts on its span only, 25 or 26 of
+    512 samples at the bump width.
     """
 
     base: list
@@ -102,19 +105,26 @@ def _certify(spray):
 
 
 def _make_controls(seg, n, rng, kinds):
+    # the bumps' centres keep BUMP_WIDTH off the segment's ends, so each
+    # bump, of half width BUMP_WIDTH / 2, lies inside the segment
     controls = []
-    span = max(seg.length - 2 * BUMP_WIDTH, 1e-6)
+    room = seg.length - 2 * BUMP_WIDTH
     for i, kind in enumerate(kinds):
         frac = (i + 0.5) / len(kinds) + 0.2 * rng.uniform(-1, 1) / len(kinds)
-        center = (seg.alpha + BUMP_WIDTH + span * frac) % 1.0
+        center = (seg.alpha + BUMP_WIDTH + room * frac) % 1.0
         prof = raised_cosine(np.arange(n) / n, center, BUMP_WIDTH / 2.0)
-        controls.append((kind, prof))
+        controls.append(loops.control(kind, prof))
     return controls
 
 
 def _build(sigma_t, seg, kinds, fixed_third, seed):
     if not isinstance(seg, Segment):
         raise ValueError("need one Segment: a spray has one curve")
+    if seg.length < 2 * BUMP_WIDTH:
+        raise ValueError(
+            f"segment length {seg.length:g} is below 2*BUMP_WIDTH = "
+            f"{2 * BUMP_WIDTH:g}: the control bumps would leave the segment"
+        )
     base = [
         np.asarray(p.values if isinstance(p, PeriodicPath) else p, complex)
         for p in sigma_t

@@ -96,7 +96,7 @@ def forward_flow_jacobian(values, controls, w, weights):
     # state[0] is the deformed loop, state[k + 1] tangent k
     state = np.zeros((len(controls) + 1,) + v.shape, dtype=complex)
     state[0] = v
-    for k, ((kind, prof), wk) in enumerate(zip(controls, w)):
+    for k, ((kind, prof, _), wk) in enumerate(zip(controls, w)):
         prof = np.broadcast_to(prof, v.shape[:1])
         state[: k + 1] = nq.flow(state[: k + 1], kind, wk * prof)
         loop = state[0]
@@ -126,7 +126,7 @@ def jacobian_case(family, seed, n):
     weights = lp.period_weights(n)
     if family == "driver":
         controls = iso._driver_controls(PolarGrid([1.0], n))
-        assert {kind for kind, _ in controls} == set(nq.FLOW_KINDS)
+        assert {kind for kind, _, _ in controls} == set(nq.FLOW_KINDS)
         e = np.exp(2j * np.pi * np.arange(n) / n)
         return controls, np.concatenate([weights, e[None, :, None] * weights[:2]])
     controls = sp._make_controls(
@@ -185,7 +185,7 @@ class TestFlowJacobian:
         for k in range(len(controls) + 1):
             loop, tangents = lp._flow_deform(v, controls[:k], w[:k])
             ref = v
-            for (kind, prof), wk in zip(controls[:k], w[:k]):
+            for (kind, prof, _), wk in zip(controls[:k], w[:k]):
                 ref = nq.flow(ref, kind, wk * prof)
             assert np.array_equal(loop, ref)
             assert tangents is None
@@ -199,6 +199,119 @@ class TestFlowJacobian:
         stack = np.stack([v, 2.0 * v])
         got = lp.read_out(lp.period_weights(256), stack)
         assert np.max(np.abs(got - lp.period(stack))) <= 1e-14 * np.max(np.abs(stack))
+
+
+def full_loop_sweep(values, controls, w, tangents):
+    """The flow sweep acting on every sample for every control, whatever
+    its span: the reference a span sweep must equal outside and inside
+    the spans."""
+    v = np.asarray(values, dtype=complex)
+    state = np.zeros((len(controls) + 1 if tangents else 1,) + v.shape,
+                     dtype=complex)
+    state[0] = v
+    for k, ((kind, prof, _), wk) in enumerate(zip(controls, w)):
+        live = state[: k + 1]
+        nq.flow_action(live, kind, nq.flow_factors(kind, wk * prof), out=live)
+        if tangents:
+            loop = state[0]
+            if kind == "scaling":
+                state[k + 1] = np.asarray(prof)[..., None] * loop
+            else:
+                i, j = int(kind[-2]) - 1, int(kind[-1]) - 1
+                state[k + 1, :, i] = -prof * loop[:, j]
+                state[k + 1, :, j] = prof * loop[:, i]
+    return state[0], state[1:] if tangents else None
+
+
+def span_cases(n):
+    """Named control lists of every kind of span, on n samples."""
+    x = np.arange(n) / n
+    bump = lp.raised_cosine(x, 0.3, sp.BUMP_WIDTH / 2)
+    rng = np.random.default_rng(3)
+    wrapped = sp._make_controls(lp.Segment(0.9, 1.1), n, rng,
+                                SPRAY_KINDS["spray"])
+    drivers = iso._driver_controls(PolarGrid([1.0], n))
+    # the coarse level of _continue: every 8th sample of each profile
+    coarse = [lp.control(kind, prof[::8] if np.ndim(prof) else prof)
+              for kind, prof, _ in drivers]
+    return {
+        "bump": [lp.control(kind, bump) for kind in nq.FLOW_KINDS],
+        "wrapped": wrapped,
+        "zero": [lp.control("rotation_13", np.zeros(n))],
+        "drivers": drivers,
+        "coarse": coarse,
+        "mixed": [lp.control("rotation_12", bump), drivers[5],
+                  lp.control("scaling", np.zeros(n)), wrapped[1], drivers[0]],
+    }
+
+
+class TestSpanSweep:
+    @pytest.mark.parametrize(
+        "case", ["bump", "wrapped", "zero", "drivers", "coarse", "mixed"])
+    @pytest.mark.parametrize("tangents", [False, True])
+    def test_equals_full_loop_sweep(self, case, tangents):
+        n = 512
+        controls = span_cases(n)[case]
+        v = catenoid_boundary_loop(n // 8 if case == "coarse" else n)
+        rng = np.random.default_rng(7)
+        w = 0.3 * (rng.normal(size=len(controls))
+                   + 1j * rng.normal(size=len(controls)))
+        loop, tan = lp._flow_deform(v, controls, w, tangents)
+        want_loop, want_tan = full_loop_sweep(v, controls, w, tangents)
+        assert np.array_equal(loop, want_loop)
+        if tangents:
+            assert np.array_equal(tan, want_tan)
+        else:
+            assert tan is None
+
+    def test_spans(self):
+        n = 512
+        cases = span_cases(n)
+        # a bump of width BUMP_WIDTH is nonzero on 25 or 26 samples
+        span = cases["bump"][0].span
+        assert all(c.span == span for c in cases["bump"])
+        assert 25 <= span.stop - span.start <= 26
+        assert np.all(cases["bump"][0].profile[span] != 0.0)
+        # the wrapped segment's middle bump crosses x = 0: its covering
+        # slice is nearly the loop, so the span is full; the others sit
+        # before and after x = 0
+        spans = [c.span for c in cases["wrapped"]]
+        assert spans[1] == slice(None)
+        assert spans[0].start > n // 2 and 0 < spans[2].stop < n // 2
+        assert cases["zero"][0].span == slice(0, 0)
+        # the drivers' profiles (the scalar 1, cos and sin, which vanishes
+        # at x = 0) have full spans at both resolutions
+        assert all(c.span == slice(None)
+                   for c in cases["drivers"] + cases["coarse"])
+        for c in cases["bump"] + cases["wrapped"]:
+            outside = np.ones(n, dtype=bool)
+            outside[c.span] = False
+            assert not np.any(c.profile[outside])
+
+    def test_coarse_level_built_from_subsampled_profiles(self, monkeypatch):
+        # _continue derives the coarse level's spans from the subsampled
+        # profiles; for the drivers they are full
+        levels, level = [], lp._level
+
+        def recorded(controls, *args):
+            levels.append(controls)
+            return level(controls, *args)
+
+        monkeypatch.setattr(lp, "_level", recorded)
+        n = iso.N_S_DEFAULT
+        v = catenoid_boundary_loop(n)
+        controls = iso._driver_controls(PolarGrid([1.0], n))
+        p0 = lp.period(v)
+        targets = p0 + np.linspace(0.0, 1e-3, 3)[:, None] * np.array([1, 0, 0])
+        lp._period_continuation(v, targets, controls)
+        full, coarse = levels
+        assert full is controls
+        assert len(coarse) == len(controls)
+        for c, fine in zip(coarse, controls):
+            assert c.span == slice(None)
+            want = fine.profile[:: n // lp.COARSE_SAMPLES] if np.ndim(
+                fine.profile) else fine.profile
+            assert np.array_equal(c.profile, want)
 
 
 class TestPeriodicPath:

@@ -11,6 +11,17 @@ from minflux import weierstrass as wz
 from minflux.errors import ApproximationBudgetExceeded, VanishingOnDomain
 
 
+def components(m):
+    """The triple of the LaurentMap m as Laurent series in z, each a
+    convolution of its blocks: (a^2 - b^2, i (a^2 + b^2), 2ab), times
+    z / scale for parity 1."""
+    a2, b2, ab = m.a * m.a, m.b * m.b, m.a * m.b
+    if m.parity:
+        shift = wz.LaurentSeries([1.0 / m.scale], 1)
+        a2, b2, ab = a2 * shift, b2 * shift, ab * shift
+    return (a2 + (-1.0) * b2, 1j * (a2 + b2), 2.0 * ab)
+
+
 def catenoid_restriction(n=256):
     cat = wz.catalog("catenoid")
     chart = rm.homology_basis(rm.annulus())[0]
@@ -164,7 +175,7 @@ class TestRungeExtend:
         ext = rm.runge_extend(loop, dom)
         z = wz.circle(chart.radius, 1024)
         quad = (ext(z) * (2j * np.pi * z)[:, None]).mean(axis=0)
-        period = 2j * np.pi * np.array([c.residue for c in ext.components()])
+        period = 2j * np.pi * np.array([c.residue for c in components(ext)])
         assert np.linalg.norm(period - quad) < 1e-10
 
     def test_idempotence(self):
@@ -245,16 +256,46 @@ class TestLaurentMap:
         for parity in (0, 1):
             m = rm.LaurentMap(a, b, parity=parity)
             z = np.array([0.7 + 0.1j, 1.4 - 0.3j])
-            comp = np.stack([c(z) for c in m.components()], axis=-1)
+            comp = np.stack([c(z) for c in components(m)], axis=-1)
             assert np.allclose(comp, m(z), atol=1e-13)
 
     def test_period_is_residue(self):
-        # isotopy._spinor_member reads a member's period off these residues
+        # the residues of the components over z give the period
         a = wz.LaurentSeries([1.0, 0.5], -1)
         b = wz.LaurentSeries([0.3, 2.0], 0)
         z = 1.2 * np.exp(2j * np.pi * np.arange(512) / 512)
         for parity in (0, 1):
             m = rm.LaurentMap(a, b, parity=parity, scale=1.3)
             quad = (m(z) * (2j * np.pi * z)[:, None]).mean(axis=0)
-            res = 2j * np.pi * np.array([c.residue for c in m.components()])
+            res = 2j * np.pi * np.array([c.residue for c in components(m)])
             assert np.linalg.norm(res - quad) < 1e-12
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_member_period_is_z0_coefficient(self, parity):
+        # isotopy._spinor_member reads each period as the z^0 coefficient
+        # of a component, by dot products of block coefficients: bit for
+        # bit the coefficient of the convolved components, and within
+        # rounding of 2 pi i times the residue over z
+        rng = np.random.default_rng(40 + parity)
+        over_z = wz.LaurentSeries([1.0 / (2j * np.pi)], -1)
+        for _ in range(50):
+            p, q = rng.integers(1, 40, size=2)
+            ka, kb = rng.integers(-30, 5, size=2)
+            a = wz.LaurentSeries(rng.normal(size=p) + 1j * rng.normal(size=p),
+                                 int(ka))
+            b = wz.LaurentSeries(rng.normal(size=q) + 1j * rng.normal(size=q),
+                                 int(kb))
+            m = rm.LaurentMap(a, b, parity=parity, scale=1.0 + rng.uniform())
+            member, period = iso._spinor_member(m, "dz", 0.5, 2.0)
+            comps = components(m)
+            want = np.array([
+                c.coeffs[-c.k_min] if c.k_min <= 0 <= c.k_max else 0j
+                for c in comps
+            ])
+            assert np.array_equal(period, want)
+            res = 2j * np.pi * np.array([(c * over_z).residue for c in comps])
+            assert np.max(np.abs(period - res)) <= 1e-15 * np.max(np.abs(res))
+            # f3 keeps the convolved third component over 2 pi i z
+            f3 = comps[2] * over_z
+            assert member.f3.k_min == f3.k_min
+            assert np.array_equal(member.f3.coeffs, f3.coeffs)

@@ -8,6 +8,7 @@ from minflux import sprays as sp
 from minflux.errors import (
     ContinuationStalled,
     DegenerateLoop,
+    DominationFailed,
     LeftDomain,
     ThirdComponentVanishes,
 )
@@ -60,7 +61,7 @@ class TestBuildSpray:
         n = spray.base[0].shape[0]
         x = np.arange(n) / n
         support = np.zeros(n, dtype=bool)
-        for _, prof in spray.controls:
+        for _, prof, _ in spray.controls:
             support |= prof != 0.0
         assert np.all(support <= SEG.contains(x))  # bumps sit in the segment
         out = spray.deform(0, w)[0]
@@ -84,6 +85,47 @@ class TestBuildSpray:
         flat = np.tile(np.array([1.0, 1j, 0.0]), (256, 1))
         with pytest.raises(DegenerateLoop):
             sp.build_spray([flat], SEG)
+
+    @pytest.mark.parametrize(
+        "build", [sp.build_spray, sp.build_spray_fixed_third]
+    )
+    def test_short_segment_rejected_before_any_sweep(self, build,
+                                                     monkeypatch):
+        # on Segment(0, 0.05) half the samples of each bump would lie off
+        # the segment, where neither nondegeneracy nor the third component
+        # is checked
+        swept = []
+        monkeypatch.setattr(lp, "_flow_deform",
+                            lambda *args: swept.append(args))
+        with pytest.raises(ValueError,
+                           match=r"length 0\.05 is below 2\*BUMP_WIDTH = 0\.1"):
+            build(rotated_family(), lp.Segment(0.0, 0.05))
+        assert swept == []
+
+    def test_bumps_of_shortest_segment_inside_it(self):
+        # Segment(0, 0.1) passes the length check, and every bump lies in
+        # it; with no room to spread, the bumps share one centre, so the
+        # three rotations' period Jacobian is singular there
+        seg = lp.Segment(0.0, 0.1)
+        n = 256
+        x = np.arange(n) / n
+        controls = sp._make_controls(seg, n, np.random.default_rng(0),
+                                     ("rotation_12", "rotation_13"))
+        for _, prof, _ in controls:
+            assert np.all(seg.contains(x[prof != 0.0]))
+        with pytest.raises(DominationFailed):
+            sp.build_spray(rotated_family(), seg)
+
+    @pytest.mark.parametrize(
+        "build", [sp.build_spray, sp.build_spray_fixed_third]
+    )
+    def test_segment_just_above_bound_builds(self, build):
+        seg = lp.Segment(0.0, 0.11)
+        spray = build(rotated_family(), seg)
+        n = spray.base[0].shape[0]
+        x = np.arange(n) / n
+        for _, prof, _ in spray.controls:
+            assert np.all(seg.contains(x[prof != 0.0]))
 
 
 class TestFixedThird:
@@ -116,7 +158,7 @@ class TestFixedThird:
         w = 0.3 * (rng.normal(size=m) + 1j * rng.normal(size=m))
         for k in range(spray_fixed.n_t):
             vals = spray_fixed.base[k].copy()
-            for (_, prof), wj in zip(spray_fixed.controls, 1j * w):
+            for (_, prof, _), wj in zip(spray_fixed.controls, 1j * w):
                 t = wj * prof
                 u = (vals[:, 0] - 1j * vals[:, 1]) * np.exp(-t)
                 v = (-vals[:, 0] - 1j * vals[:, 1]) * np.exp(t)
@@ -335,6 +377,35 @@ class TestSolveW:
         monkeypatch.setattr(lp, "_flow_deform", counted)
         spray.periods(0, np.zeros(spray.dim_w))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["spray", "spray_fixed"])
+    def test_spans_change_no_bit(self, name, request):
+        # the same spray with every control on the full loop: the span
+        # sweeps leave sigma_min and the solve_w path bit for bit alone
+        spray = request.getfixturevalue(name)
+        full = sp.LoopSpray(
+            spray.base,
+            [lp.Control(kind, prof, slice(None))
+             for kind, prof, _ in spray.controls],
+            spray.fixed_third,
+        )
+        assert all(c.span != slice(None) for c in spray.controls)
+        assert sp._certify(full) == spray.meta["sigma_min"]
+        rng = np.random.default_rng(11)
+        w_star = 0.05 * (rng.normal(size=spray.dim_w)
+                         + 1j * rng.normal(size=spray.dim_w))
+        fracs = np.linspace(0.0, 1.0, spray.n_t)
+        targets = np.stack(
+            [spray.periods(k, f * w_star) for k, f in enumerate(fracs)]
+        )
+        assert np.array_equal(
+            targets,
+            np.stack([full.periods(k, f * w_star)
+                      for k, f in enumerate(fracs)]),
+        )
+        path = sp.solve_w(spray, sp.PeriodTargets(targets))
+        assert np.array_equal(path, sp.solve_w(full, sp.PeriodTargets(targets)))
+        assert np.any(path != 0)
 
     def test_targets_shape_normalization(self):
         flat = np.zeros((4, 3), dtype=complex)
